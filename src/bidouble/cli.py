@@ -21,7 +21,13 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cover import BuildingData, CoverError, invariants, singularity_scan
+from .cover import (
+    BuildingData,
+    CoverError,
+    invariants,
+    resolve_triple_points,
+    singularity_scan,
+)
 from .checks import run_all
 from .degenerations import (
     DegenerationError,
@@ -37,11 +43,12 @@ from .lattice import (
     PLANE,
     Ambient,
     LatticeError,
-    canonical_class,
+    doc_coords,
     positivity,
 )
 from .recipes import (
     RegionError,
+    _push_2k,
     classify,
     construct,
     evaluate_side_conditions,
@@ -161,7 +168,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
     data = BuildingData.from_doc(doc["data"])
     stored = doc["data"]["classes"]
     bundles_ok = all(
-        list(getattr(data, name).coords) == list(stored[name])
+        getattr(data, name).coords == doc_coords(stored[name], f"class {name}")
         for name in ("l1", "l2", "l3")
     )
     checks.append(
@@ -176,12 +183,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
     pre = None
     if doc.get("preResolution") is not None:
         pre = BuildingData.from_doc(doc["preResolution"])
-        resolved = pre
-        for p in pre.incidence:
-            if p.is_triple:
-                from .cover import resolve_triple_point
-
-                resolved = resolve_triple_point(resolved, p.name)
+        resolved = resolve_triple_points(pre, [p for p in pre.incidence if p.is_triple])
         checks.append(
             FieldCheck(
                 "resolution",
@@ -216,9 +218,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
             f"{sum(c.satisfied for c in conds)}/{len(conds)} satisfied on re-derivation",
         )
     )
-    amp = positivity(
-        data.ambient, 2 * canonical_class(data.ambient) + data.branch_total()
-    )
+    amp = positivity(data.ambient, _push_2k(data))
     checks.append(
         FieldCheck(
             "ampleness",

@@ -22,14 +22,18 @@ unless the caller is explicitly building degeneration data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .lattice import (
+    BLOWUP,
     PLANE,
     Ambient,
     DivClass,
     PointLabel,
     canonical_class,
+    doc_coords,
+    doc_int,
     exceptional,
     h0_flagged,
     intersect,
@@ -138,7 +142,7 @@ def derive_line_bundles(
 ) -> tuple[DivClass, DivClass, DivClass]:
     """The three line bundles determined by the branch classes."""
     for d in (d1, d2, d3):
-        if d.ambient != ambient:
+        if d.ambient is not ambient and d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
     l1 = (d2 + d3).try_half()
     if l1 is None:
@@ -209,13 +213,16 @@ class BuildingData:
     @classmethod
     def from_doc(cls, doc: dict) -> "BuildingData":
         ambient = Ambient.from_doc(doc["ambient"])
-        ds = [DivClass(ambient, tuple(doc["classes"][k])) for k in ("d1", "d2", "d3")]
+        ds = [
+            DivClass(ambient, doc_coords(doc["classes"][k], f"class {k}"))
+            for k in ("d1", "d2", "d3")
+        ]
         comps = tuple(
             Component(
                 name=str(c["name"]),
-                branch=int(c["branch"]),
-                cls=DivClass(ambient, tuple(c["class"])),
-                count=int(c.get("count", 1)),
+                branch=doc_int(c["branch"], "component branch"),
+                cls=DivClass(ambient, doc_coords(c["class"], "component class")),
+                count=doc_int(c.get("count", 1), "component count"),
             )
             for c in doc.get("components", [])
         )
@@ -264,7 +271,7 @@ def building_data(
             continue
         acc = ambient.zero()
         for c in entries:
-            if c.cls.ambient != ambient:
+            if c.cls.ambient is not ambient and c.cls.ambient != ambient:
                 raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
             acc = acc + c.count * c.cls
         if acc != total:
@@ -364,48 +371,76 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     return tuple(entries)
 
 
-def resolve_triple_point(bd: BuildingData, point: PointLabel | str) -> BuildingData:
-    """Blow up one marked triple point and pull the data back.
+def resolve_triple_points(
+    bd: BuildingData, points: Iterable[PointLabel | str]
+) -> BuildingData:
+    """Blow up marked triple points, in order, and pull the data back.
 
-    Every branch class and every component through the point picks up -E;
-    the point moves from the incidence list into the ambient's centre list.
-    K^2 drops by one and chi is unchanged.
+    Each point must lie on all three branches of a ruled model and name one
+    single-copy component per branch.  Every branch class and every component
+    through a point picks up minus its exceptional class; the points move from
+    the incidence list into the ambient's centre list.  K^2 drops by one per
+    point and chi is unchanged.
+
+    The result, and the error raised on a bad point, are those of resolving
+    the points one at a time, but the data is validated once: component sums
+    are linear in the exceptional coordinates, and the blow-up h0 estimate only
+    falls as centres are added, so valid final data implies valid stages.
     """
-    p = bd.point(point if isinstance(point, str) else point.name)
-    if not p.is_triple:
-        raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
-    if bd.ambient.kind == PLANE:
-        raise CoverError("triple point resolution is implemented on ruled models only")
-    named = []
-    for cname in p.components:
-        c = bd.component(cname)
-        if c.count != 1:
+    marked: list[PointLabel] = []
+    through: list[frozenset[str]] = []
+    for point in points:
+        name = point if isinstance(point, str) else point.name
+        if any(q.name == name for q in marked):
+            raise InvalidBuildingData(f"no marked point named {name!r}")
+        p = bd.point(name)
+        if not p.is_triple:
+            raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
+        if bd.ambient.kind == PLANE:
+            raise CoverError("triple point resolution is implemented on ruled models only")
+        named = []
+        for cname in p.components:
+            c = bd.component(cname)
+            if c.count != 1:
+                raise CoverError(
+                    f"component {cname!r} through {p.name!r} must be a single copy"
+                )
+            named.append(c)
+        if {c.branch for c in named} != {1, 2, 3}:
             raise CoverError(
-                f"component {cname!r} through {p.name!r} must be a single copy"
+                f"point {p.name!r} must name exactly one component per branch to resolve"
             )
-        named.append(c)
-    if {c.branch for c in named} != {1, 2, 3}:
-        raise CoverError(
-            f"point {p.name!r} must name exactly one component per branch to resolve"
-        )
-    amb2 = bd.ambient.blow_up(p)
-    exc = exceptional(amb2, -1)
-    named_names = {c.name for c in named}
+        marked.append(p)
+        through.append(frozenset(c.name for c in named))
+    if not marked:
+        return bd
+    amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
+    first = len(bd.ambient.points)
+    excs = [exceptional(amb2, first + i) for i in range(len(marked))]
 
-    def lift(d: DivClass, through: bool) -> DivClass:
+    def lift(d: DivClass, name: str | None) -> DivClass:
+        # a branch class (name None) passes through every marked point
         out = pullback(amb2, d)
-        return out - exc if through else out
+        for exc, names in zip(excs, through):
+            if name is None or name in names:
+                out = out - exc
+        return out
 
     comps2 = tuple(
-        Component(c.name, c.branch, lift(c.cls, c.name in named_names), c.count)
-        for c in bd.components
+        Component(c.name, c.branch, lift(c.cls, c.name), c.count) for c in bd.components
     )
+    resolved = {p.name for p in marked}
     return building_data(
         amb2,
-        lift(bd.d1, True),
-        lift(bd.d2, True),
-        lift(bd.d3, True),
+        lift(bd.d1, None),
+        lift(bd.d2, None),
+        lift(bd.d3, None),
         comps2,
-        tuple(q for q in bd.incidence if q.name != p.name),
+        tuple(q for q in bd.incidence if q.name not in resolved),
         allow_nonreduced=not bd.reduced,
     )
+
+
+def resolve_triple_point(bd: BuildingData, point: PointLabel | str) -> BuildingData:
+    """Blow up one marked triple point; see :func:`resolve_triple_points`."""
+    return resolve_triple_points(bd, (point,))

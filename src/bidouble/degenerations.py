@@ -41,15 +41,6 @@ from .recipes import (
     construct,
 )
 
-TRIPLE_POINT_WITNESS = {
-    PLANE_SPECIAL_12: "p",
-    PLANE_SPECIAL_13: "p",
-    GENUS2_GENERAL: "p",
-    LINE_4CHI_MINUS_4: "p",
-    LINE_4CHI_MINUS_5: "pPrime",
-}
-
-
 class DegenerationError(ValueError):
     pass
 

@@ -15,11 +15,25 @@ the label, not a fact the lattice can check.
 
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
 plus the sum of exceptional classes on a blow-up.
+
+Trusted construction: the public ``DivClass(...)`` constructor coerces every
+coordinate and checks the count against the ambient's rank.  Only arithmetic
+on classes that already passed it (``+``, ``-``, unary ``-``, integer ``*``,
+``try_half`` and ``pullback``) and the empty sum ``Ambient.zero()`` build
+their result through ``_trusted``, which skips both: sums, differences,
+integer multiples and exact halves of integer vectors of the ambient's rank
+are again such vectors.  Integers read from a
+document are checked to be true integers (``doc_int``) before they reach a
+constructor, so a JSON boolean or float never passes as a coordinate.
+Ambients compare by identity first and by value second: ``plane()`` and
+``hirzebruch(e)`` hand out shared instances, while equal ambients built
+separately (as by ``from_doc``) still match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, neg, sub
 
 PLANE = "ProjectivePlane"
 HIRZEBRUCH = "Hirzebruch"
@@ -41,6 +55,18 @@ class AmbientMismatch(LatticeError):
 
 class UnsupportedClass(LatticeError):
     pass
+
+
+def doc_int(value: object, what: str) -> int:
+    """An integer field of an input document; booleans and floats are refused."""
+    if type(value) is not int:
+        raise LatticeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def doc_coords(values: list, what: str) -> tuple[int, ...]:
+    """The coordinate list of a class in an input document, as integers."""
+    return tuple(doc_int(c, what) for c in values)
 
 
 @dataclass(frozen=True)
@@ -82,7 +108,7 @@ class PointLabel:
     def from_doc(cls, doc: dict) -> "PointLabel":
         return cls(
             name=str(doc["name"]),
-            branches=frozenset(int(b) for b in doc["branches"]),
+            branches=frozenset(doc_int(b, "point branch") for b in doc["branches"]),
             components=tuple(str(c) for c in doc.get("components", [])),
             general=bool(doc.get("general", True)),
         )
@@ -95,6 +121,7 @@ class Ambient:
     kind: str
     e: int = 0
     points: tuple[PointLabel, ...] = ()
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -111,12 +138,7 @@ class Ambient:
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
             raise LatticeError("blown-up centres must have distinct names")
-
-    @property
-    def rank(self) -> int:
-        if self.kind == PLANE:
-            return 1
-        return 2 + len(self.points)
+        object.__setattr__(self, "rank", 1 if self.kind == PLANE else 2 + len(self.points))
 
     def basis_labels(self) -> tuple[str, ...]:
         if self.kind == PLANE:
@@ -127,7 +149,7 @@ class Ambient:
         return DivClass(self, tuple(int(c) for c in coords))
 
     def zero(self) -> "DivClass":
-        return DivClass(self, (0,) * self.rank)
+        return _trusted(self, (0,) * self.rank)
 
     def blow_up(self, p: PointLabel) -> "Ambient":
         if self.kind == PLANE:
@@ -147,19 +169,25 @@ class Ambient:
         if kind == PLANE:
             return cls(PLANE)
         if kind == HIRZEBRUCH:
-            return cls(HIRZEBRUCH, int(doc["e"]))
+            return cls(HIRZEBRUCH, doc_int(doc["e"], "e"))
         if kind == BLOWUP:
             pts = tuple(PointLabel.from_doc(p) for p in doc["points"])
-            return cls(BLOWUP, int(doc["e"]), pts)
+            return cls(BLOWUP, doc_int(doc["e"], "e"), pts)
         raise LatticeError(f"unknown ambient kind {kind!r}")
 
 
+_PLANE = Ambient(PLANE)
+# the recipes build on F_0, F_1 and F_2; other e get a fresh instance
+_HIRZEBRUCH = {e: Ambient(HIRZEBRUCH, e) for e in range(3)}
+
+
 def plane() -> Ambient:
-    return Ambient(PLANE)
+    return _PLANE
 
 
 def hirzebruch(e: int) -> Ambient:
-    return Ambient(HIRZEBRUCH, e)
+    amb = _HIRZEBRUCH.get(e)
+    return amb if amb is not None else Ambient(HIRZEBRUCH, e)
 
 
 @dataclass(frozen=True)
@@ -177,33 +205,35 @@ class DivClass:
             )
 
     def _same(self, other: "DivClass") -> None:
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise AmbientMismatch("divisor classes live on different ambients")
 
     def __add__(self, other: "DivClass") -> "DivClass":
         self._same(other)
-        return DivClass(self.ambient, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _trusted(self.ambient, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivClass") -> "DivClass":
         self._same(other)
-        return DivClass(self.ambient, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _trusted(self.ambient, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivClass":
-        return DivClass(self.ambient, tuple(-a for a in self.coords))
+        return _trusted(self.ambient, tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "DivClass":
-        return DivClass(self.ambient, tuple(n * a for a in self.coords))
+        if not isinstance(n, int):
+            return NotImplemented
+        return _trusted(self.ambient, tuple([n * a for a in self.coords]))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def try_half(self) -> "DivClass | None":
         """Exact half of the class, or None if some coordinate is odd."""
         if any(c % 2 for c in self.coords):
             return None
-        return DivClass(self.ambient, tuple(c // 2 for c in self.coords))
+        return _trusted(self.ambient, tuple([c // 2 for c in self.coords]))
 
     def __str__(self) -> str:
         labels = self.ambient.basis_labels()
@@ -224,9 +254,17 @@ class DivClass:
         return "".join(parts) if parts else "0"
 
 
+def _trusted(ambient: Ambient, coords: tuple[int, ...]) -> DivClass:
+    # result of arithmetic on validated classes: skips __post_init__
+    d = object.__new__(DivClass)
+    object.__setattr__(d, "ambient", ambient)
+    object.__setattr__(d, "coords", coords)
+    return d
+
+
 def intersect(a: DivClass, b: DivClass) -> int:
     """Intersection number of two classes on the same ambient."""
-    if a.ambient != b.ambient:
+    if a.ambient is not b.ambient and a.ambient != b.ambient:
         raise AmbientMismatch("intersection needs both classes on one ambient")
     u, v = a.coords, b.coords
     if a.ambient.kind == PLANE:
@@ -258,7 +296,7 @@ def pullback(target: Ambient, d: DivClass) -> DivClass:
     pad = target.rank - src.rank
     if pad < 0:
         raise AmbientMismatch("target has lower rank than the class's ambient")
-    return DivClass(target, d.coords + (0,) * pad)
+    return _trusted(target, d.coords + (0,) * pad)
 
 
 def exceptional(ambient: Ambient, index: int) -> DivClass:
@@ -275,10 +313,12 @@ def exceptional(ambient: Ambient, index: int) -> DivClass:
 
 
 def _h0_ruled(e: int, a: int, b: int) -> int:
-    # pushforward along the ruling: sum of h0 of O(b - j*e) on the line
-    if a < 0:
+    # pushforward along the ruling: sum over j = 0..a of h0(O(b - j*e)) on the
+    # line, whose terms b - j*e + 1 stay positive up to j = m
+    if a < 0 or b < 0:
         return 0
-    return sum(max(0, b - j * e + 1) for j in range(a + 1))
+    m = a if e == 0 else min(a, b // e)
+    return (m + 1) * (b + 1) - e * m * (m + 1) // 2
 
 
 def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
@@ -289,7 +329,7 @@ def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
     the value is max(0, h0(A) - #{m_i = 1}), an estimate valid for points in
     general position, and the flag is True exactly when some m_i = 1.
     """
-    if d.ambient != ambient:
+    if d.ambient is not ambient and d.ambient != ambient:
         raise AmbientMismatch("class does not live on the given ambient")
     if ambient.kind == PLANE:
         n = d.coords[0]
@@ -336,7 +376,7 @@ def positivity(ambient: Ambient, d: DivClass) -> str:
     test pairing nonnegative, at least one zero, and d.d >= 0.  Blow-ups of
     F_e with e > 0 only ever report NotNef or Unknown.
     """
-    if d.ambient != ambient:
+    if d.ambient is not ambient and d.ambient != ambient:
         raise AmbientMismatch("class does not live on the given ambient")
     if ambient.kind == PLANE:
         n = d.coords[0]

@@ -27,12 +27,11 @@ from .cover import (
     Component,
     building_data,
     invariants,
-    resolve_triple_point,
+    resolve_triple_points,
 )
 from .cover import Invariants
 from .lattice import (
     BLOWUP,
-    HIRZEBRUCH,
     NEF_ONLY,
     PLANE,
     Ambient,
@@ -281,26 +280,17 @@ def _smooth_stamp(bd: BuildingData, branch: int) -> tuple[str, bool]:
     d = bd.branch(branch)
     if d.is_zero():
         return ("empty branch", True)
-    entries = [c for c in bd.components if c.branch == branch]
-    if amb.kind == BLOWUP:
-        base = hirzebruch(amb.e)
-        prefix = "strict transform of "
-        d = base.divisor(*d.coords[:2])
-    else:
-        base = amb
-        prefix = ""
-    if base.kind == HIRZEBRUCH and entries:
-        ruling = {base.divisor(0, 1).coords}
-        if base.e == 0:
-            ruling.add(base.divisor(1, 0).coords)
-        if all(c.cls.coords[:2] in ruling for c in entries):
-            return (prefix + "distinct ruling fibers", True)
-    if base.kind == HIRZEBRUCH and d.coords == (1, 0) and base.e > 0:
-        return (prefix + "negative section", True)
-    if base.kind == PLANE:
-        return (prefix + "basepoint-free class", d.coords[0] >= 0)
+    if amb.kind == PLANE:
+        return ("basepoint-free class", d.coords[0] >= 0)
+    prefix = "strict transform of " if amb.kind == BLOWUP else ""
     a, b = d.coords[0], d.coords[1]
-    return (prefix + "basepoint-free class", a >= 0 and b >= base.e * a)
+    ruling = {(0, 1), (1, 0)} if amb.e == 0 else {(0, 1)}
+    entries = [c for c in bd.components if c.branch == branch]
+    if entries and all(c.cls.coords[:2] in ruling for c in entries):
+        return (prefix + "distinct ruling fibers", True)
+    if (a, b) == (1, 0) and amb.e > 0:
+        return (prefix + "negative section", True)
+    return (prefix + "basepoint-free class", a >= 0 and b >= amb.e * a)
 
 
 def _stamps(bd: BuildingData) -> list[SideCondition]:
@@ -412,14 +402,12 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
         fibration, epsilon = 2, ksq - (2 * chi - 6)
     elif region == LINE_4CHI_MINUS_5:
         pre = _ruling_triple_data(chi, marked=True)
-        data = resolve_triple_point(pre, "p")
+        data = resolve_triple_points(pre, ("p",))
         fibration, epsilon = 2, ksq - (2 * chi - 6)
         notes.append(LINE5_AMPLENESS_NOTE)
     elif region == GENUS3:
         pre = _genus3_data(params)
-        data = pre
-        for i in range(1, params["epsilon"] + 1):
-            data = resolve_triple_point(data, f"p{i}")
+        data = resolve_triple_points(pre, [f"p{i}" for i in range(1, params["epsilon"] + 1)])
         if params["epsilon"] == 0:
             pre = None
         fibration, epsilon = 3, params["epsilon"]

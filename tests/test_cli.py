@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -136,6 +137,56 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "MISMATCH ledger" in out
+
+    @staticmethod
+    def d1_true(doc):
+        doc["data"]["classes"]["d1"][0] = True
+        comp = next(c for c in doc["data"]["components"] if c["name"] == "d1")
+        comp["class"][0] = True
+
+    @staticmethod
+    def count_true(doc):
+        comp = next(c for c in doc["data"]["components"] if c["name"] == "d1")
+        comp["count"] = True
+
+    @staticmethod
+    def d1_float(doc):
+        doc["data"]["classes"]["d1"][0] = 1.0
+        comp = next(c for c in doc["data"]["components"] if c["name"] == "d1")
+        comp["class"][0] = 1.0
+
+    @staticmethod
+    def l3_true(doc):
+        doc["data"]["classes"]["l3"][0] = True
+
+    @staticmethod
+    def e_false(doc):
+        doc["data"]["ambient"]["e"] = False
+
+    @pytest.mark.parametrize("edit", ["d1_true", "count_true", "d1_float", "l3_true", "e_false"])
+    def test_non_integer_fields_rejected(self, capsys, tmp_path, edit):
+        # (10, 6) is Genus2General on F_0: D1 = D0+F, L3 = D0+2F, count 1;
+        # each edit keeps the value equal to the integer it replaces
+        path = self.write_doc(capsys, tmp_path, "construct", "10", "6", "--json")
+        doc = json.loads(path.read_text())
+        getattr(self, edit)(doc)
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "must be an integer" in err
+
+    def test_huge_coefficient_rejected_quickly(self, capsys, tmp_path):
+        # an even raise keeps every parity check passing, so the document
+        # reaches the h0 and component-sum checks with a 10^12 coefficient
+        path = self.write_doc(capsys, tmp_path, "construct", "30", "6", "--json")
+        doc = json.loads(path.read_text())
+        doc["data"]["classes"]["d2"][0] += 10**12
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "verify", str(path))
+        elapsed = time.perf_counter() - start
+        assert code != 0
+        assert elapsed < 1.0
 
     def test_json_report(self, capsys, tmp_path):
         path = self.write_doc(capsys, tmp_path, "construct", "1", "2", "--json")

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from bidouble.cover import (
     QUARTER_POINT,
     BuildingData,
     Component,
+    CoverError,
     InvalidBuildingData,
     NotTriplePoint,
     ParityError,
@@ -16,9 +18,19 @@ from bidouble.cover import (
     invariants,
     ksq_oracle,
     resolve_triple_point,
+    resolve_triple_points,
     singularity_scan,
 )
-from bidouble.lattice import PointLabel, hirzebruch, plane
+from bidouble.lattice import (
+    PLANE,
+    LatticeError,
+    PointLabel,
+    exceptional,
+    hirzebruch,
+    plane,
+    pullback,
+)
+from bidouble.recipes import construct
 
 
 def plane_cover(deg1, deg2, deg3):
@@ -287,3 +299,142 @@ class TestSerialization:
     def test_round_trip_after_resolution(self):
         bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
         assert BuildingData.from_doc(bd.to_doc()) == bd
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["classes"]["d1"].__setitem__(0, True),
+            lambda doc: doc["classes"]["d3"].__setitem__(0, 3.0),
+            lambda doc: doc["components"][0]["class"].__setitem__(0, True),
+            lambda doc: doc["components"][0].__setitem__("branch", True),
+            lambda doc: doc["components"][0].__setitem__("count", True),
+            lambda doc: doc["components"][2].__setitem__("count", 1.0),
+            lambda doc: doc["incidence"][0].__setitem__("branches", [True, 2, 3]),
+            lambda doc: doc["ambient"].__setitem__("e", False),
+        ],
+    )
+    def test_non_integers_rejected(self, edit):
+        doc = TestResolveTriplePoint.marked_line5_data(4).to_doc()
+        edit(doc)
+        with pytest.raises(LatticeError, match="must be an integer"):
+            BuildingData.from_doc(doc)
+
+
+def resolve_one_reference(bd, name):
+    """One blow-up as a single literal step, re-validated from scratch: the
+    reference that the all-at-once resolution is compared against."""
+    p = bd.point(name)
+    if not p.is_triple:
+        raise NotTriplePoint(f"point {name!r} does not lie on all three branches")
+    if bd.ambient.kind == PLANE:
+        raise CoverError("triple point resolution is implemented on ruled models only")
+    named = []
+    for cname in p.components:
+        c = bd.component(cname)
+        if c.count != 1:
+            raise CoverError(f"component {cname!r} is not a single copy")
+        named.append(c)
+    if {c.branch for c in named} != {1, 2, 3}:
+        raise CoverError("one component per branch is required")
+    amb = bd.ambient.blow_up(p)
+    exc = exceptional(amb, -1)
+    through = {c.name for c in named}
+
+    def lift(d, passes):
+        out = pullback(amb, d)
+        return out - exc if passes else out
+
+    comps = tuple(
+        Component(c.name, c.branch, lift(c.cls, c.name in through), c.count)
+        for c in bd.components
+    )
+    return building_data(
+        amb,
+        lift(bd.d1, True),
+        lift(bd.d2, True),
+        lift(bd.d3, True),
+        comps,
+        tuple(q for q in bd.incidence if q.name != name),
+        allow_nonreduced=not bd.reduced,
+    )
+
+
+def fold_reference(bd, names):
+    return functools.reduce(resolve_one_reference, names, bd)
+
+
+def genus3_resolved_pairs(chi):
+    # every Genus3 pair of the row with epsilon = (-Ksq) mod 4 in 1..3
+    return [(ksq, chi) for ksq in range(4 * chi - 3, 8 * chi - 7) if ksq % 4]
+
+
+RESOLVED_PAIRS = [
+    *(p for chi in (2, 3, 6, 11, 24) for p in genus3_resolved_pairs(chi)),
+    *((4 * chi - 5, chi) for chi in (2, 5, 13, 40)),
+]
+
+
+class TestResolveTriplePoints:
+    @pytest.mark.parametrize("ksq,chi", RESOLVED_PAIRS)
+    def test_all_at_once_equals_fold(self, ksq, chi):
+        cert = construct(ksq, chi)
+        pre = cert.pre_resolution
+        names = [p.name for p in pre.incidence]
+        assert 1 <= len(names) <= 3
+        folded = fold_reference(pre, names)
+        assert resolve_triple_points(pre, names) == folded == cert.data
+        assert functools.reduce(resolve_triple_point, names, pre) == folded
+        assert resolve_triple_points(pre, pre.incidence) == folded
+
+    def test_epsilon_one_to_three_covered(self):
+        eps = {(-ksq) % 4 for ksq, chi in RESOLVED_PAIRS if ksq != 4 * chi - 5}
+        assert eps == {1, 2, 3}
+
+    def test_no_points_is_identity(self):
+        pre = construct(30, 6).pre_resolution
+        assert resolve_triple_points(pre, []) is pre
+
+    @staticmethod
+    def with_incidence(*points):
+        # (30, 6): Genus3 with epsilon 2 and alpha 8, so f_rest has 6 copies
+        pre = construct(30, 6).pre_resolution
+        return building_data(
+            pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, points
+        )
+
+    @staticmethod
+    def raised(resolve, bd, names):
+        with pytest.raises(CoverError) as info:
+            resolve(bd, names)
+        return type(info.value)
+
+    P1 = PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3"))
+
+    @pytest.mark.parametrize(
+        "points,names,expected",
+        [
+            ((P1, PointLabel("p2", frozenset({2, 3}), ("d2", "d3"))), ["p1", "p2"], NotTriplePoint),
+            ((P1, PointLabel("p2", frozenset({2, 3}), ("d2", "d3"))), ["p2", "p1"], NotTriplePoint),
+            ((P1, PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3"))), ["p1", "p2"], CoverError),
+            ((PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3")), P1), ["p2", "p1"], CoverError),
+            ((P1, PointLabel("p2", frozenset({1, 2, 3}), ("f2", "d2"))), ["p1", "p2"], CoverError),
+            ((P1,), ["p1", "p1"], InvalidBuildingData),
+            ((P1,), ["p9"], InvalidBuildingData),
+        ],
+    )
+    def test_same_error_as_fold(self, points, names, expected):
+        bd = self.with_incidence(*points)
+        assert self.raised(resolve_triple_points, bd, names) is expected
+        assert self.raised(fold_reference, bd, names) is expected
+
+    def test_plane_refused(self):
+        amb = plane()
+        comps = (
+            Component("d1", 1, amb.divisor(1)),
+            Component("d2", 2, amb.divisor(3)),
+            Component("d3", 3, amb.divisor(3)),
+        )
+        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "d3")),)
+        bd = building_data(amb, amb.divisor(1), amb.divisor(3), amb.divisor(3), comps, pts)
+        assert self.raised(resolve_triple_points, bd, ["p"]) is CoverError
+        assert self.raised(fold_reference, bd, ["p"]) is CoverError

@@ -12,6 +12,7 @@ from bidouble.lattice import (
     Ambient,
     AmbientMismatch,
     DivClass,
+    LatticeError,
     PointLabel,
     UnsupportedClass,
     canonical_class,
@@ -159,10 +160,12 @@ class TestH0:
         assert h0(plane(), plane().divisor(-1)) == 0
 
     def test_monomial_oracle_grid(self):
-        for e in range(4):
+        # the grid reaches b < e and b < 0, where the closed form's cut-off
+        # m = min(a, b // e) and its early return matter
+        for e in range(6):
             amb = hirzebruch(e)
-            for a in range(13):
-                for b in range(13):
+            for a in range(-2, 16):
+                for b in range(-5, 41):
                     assert h0(amb, amb.divisor(a, b)) == h0_oracle_ruled(e, a, b)
 
     def test_plane_oracle_grid(self):
@@ -300,3 +303,72 @@ class TestFormatting:
         b = blowup_of_f0(1)
         assert str(b.divisor(1, 2, -1)) == "D0+2F-E1"
         assert str(plane().divisor(-3)) == "-3H"
+
+
+class TestTrustedArithmetic:
+    def test_results_equal_validated_classes(self):
+        amb = blowup_of_f0(2)
+        u, v = amb.divisor(3, 4, -1, 0), amb.divisor(1, -2, 0, -1)
+        assert u + v == DivClass(amb, (4, 2, -1, -1))
+        assert u - v == DivClass(amb, (2, 6, -1, 1))
+        assert -u == DivClass(amb, (-3, -4, 1, 0))
+        assert 3 * u == u * 3 == DivClass(amb, (9, 12, -3, 0))
+        assert (2 * v).try_half() == v
+        assert hash(u + v) == hash(DivClass(amb, (4, 2, -1, -1)))
+        assert all(type(c) is int for c in (u + v).coords)
+
+    def test_non_integer_scalar_rejected(self):
+        d = hirzebruch(0).divisor(1, 2)
+        for n in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                n * d
+            with pytest.raises(TypeError):
+                d * n
+
+    def test_public_constructor_still_validates(self):
+        amb = hirzebruch(0)
+        with pytest.raises(LatticeError):
+            DivClass(amb, (1, 2, 3))
+        assert DivClass(amb, ("1", 2.0)).coords == (1, 2)
+
+    def test_interned_ambients(self):
+        assert plane() is plane()
+        assert hirzebruch(0) is hirzebruch(0)
+        assert hirzebruch(7) == hirzebruch(7)
+
+    def test_equal_distinct_ambients_match(self):
+        amb = blowup_of_f0(1)
+        copy = Ambient.from_doc(amb.to_doc())
+        assert copy == amb and copy is not amb and copy.rank == amb.rank == 3
+        u, v = amb.divisor(1, 1, -1), copy.divisor(2, 0, -1)
+        assert (u + v).coords == (3, 1, -2)
+        assert intersect(u, v) == intersect(v, u) == 1
+        assert h0(amb, v) == h0(copy, v)
+        assert positivity(amb, v) == positivity(copy, v)
+        assert pullback(copy.blow_up(PointLabel("q")), u).coords == (1, 1, -1, 0)
+
+    def test_rank_is_not_compared_or_shown(self):
+        assert "rank" not in repr(hirzebruch(0))
+        assert blowup_of_f0(2).rank == 4 and plane().rank == 1
+
+
+class TestDocumentIntegers:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "Hirzebruch", "e": False},
+            {"kind": "Hirzebruch", "e": 1.0},
+            {"kind": "BlownUp", "e": True, "points": [{"name": "p", "branches": [1]}]},
+            {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [True, 2, 3]}]},
+            {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1.0, 2, 3]}]},
+        ],
+    )
+    def test_booleans_and_floats_rejected(self, doc):
+        with pytest.raises(LatticeError):
+            Ambient.from_doc(doc)
+
+    def test_integers_accepted(self):
+        amb = Ambient.from_doc(
+            {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]}
+        )
+        assert amb.points[0].is_triple
