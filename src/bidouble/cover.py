@@ -391,6 +391,7 @@ def resolve_triple_points(
     through: list[frozenset[str]] = []
     for point in points:
         name = point if isinstance(point, str) else point.name
+        # a point resolved earlier in the sequence is no longer marked
         if any(q.name == name for q in marked):
             raise InvalidBuildingData(f"no marked point named {name!r}")
         p = bd.point(name)

@@ -326,15 +326,12 @@ class TestTrustedArithmetic:
                 d * n
 
     def test_public_constructor_still_validates(self):
-        amb = hirzebruch(0)
         with pytest.raises(LatticeError):
-            DivClass(amb, (1, 2, 3))
-        assert DivClass(amb, ("1", 2.0)).coords == (1, 2)
+            DivClass(hirzebruch(0), (1, 2, 3))
 
     def test_interned_ambients(self):
         assert plane() is plane()
         assert hirzebruch(0) is hirzebruch(0)
-        assert hirzebruch(7) == hirzebruch(7)
 
     def test_equal_distinct_ambients_match(self):
         amb = blowup_of_f0(1)
@@ -346,10 +343,6 @@ class TestTrustedArithmetic:
         assert h0(amb, v) == h0(copy, v)
         assert positivity(amb, v) == positivity(copy, v)
         assert pullback(copy.blow_up(PointLabel("q")), u).coords == (1, 1, -1, 0)
-
-    def test_rank_is_not_compared_or_shown(self):
-        assert "rank" not in repr(hirzebruch(0))
-        assert blowup_of_f0(2).rank == 4 and plane().rank == 1
 
 
 class TestDocumentIntegers:
