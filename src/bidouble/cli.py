@@ -44,6 +44,7 @@ from .lattice import (
     Ambient,
     LatticeError,
     doc_coords,
+    doc_int,
     positivity,
 )
 from .recipes import (
@@ -143,6 +144,78 @@ def _require(doc: dict, *keys: str) -> None:
             raise CertificateFormatError(f"certificate is missing field {key!r}")
 
 
+def _object(doc: dict, key: str) -> dict:
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise CertificateFormatError(f"field {key!r} must be an object")
+    return value
+
+
+def _requested(doc: dict) -> tuple[int, int]:
+    req = _object(doc, "requested")
+    return doc_int(req["ksq"], "requested.ksq"), doc_int(req["chi"], "requested.chi")
+
+
+def _same(derived: object, stored: object) -> bool:
+    """JSON equality that also requires equal types: a stored 0 never
+    matches false, and 1.0 never matches 1."""
+    if isinstance(derived, dict):
+        return (
+            isinstance(stored, dict)
+            and derived.keys() == stored.keys()
+            and all(_same(v, stored[k]) for k, v in derived.items())
+        )
+    if isinstance(derived, list):
+        return (
+            isinstance(stored, list)
+            and len(derived) == len(stored)
+            and all(map(_same, derived, stored))
+        )
+    return type(derived) is type(stored) and derived == stored
+
+
+def _building_blocks(
+    doc: dict, keys: tuple[str, ...]
+) -> tuple[dict[str, BuildingData], list[FieldCheck]]:
+    """Parse the stored building-data blocks named by ``keys`` (absent or
+    null blocks are skipped) and check the fields derived from the branch
+    data: the line bundles l1..l3 against the parity derivation, and the
+    ``reduced`` flag against the component list."""
+    parsed: dict[str, BuildingData] = {}
+    bad_bundles: list[str] = []
+    bad_reduced: list[str] = []
+    for key in keys:
+        block = doc.get(key)
+        if block is None:
+            continue
+        data = parsed[key] = BuildingData.from_doc(block)
+        stored = block["classes"]
+        bad_bundles += [
+            f"{key}.{name}"
+            for name in ("l1", "l2", "l3")
+            if getattr(data, name).coords != doc_coords(stored[name], f"class {name}")
+        ]
+        if not _same(data.reduced, block["reduced"]):
+            bad_reduced.append(f"{key}.reduced")
+    checks = [
+        FieldCheck(
+            "lineBundles",
+            not bad_bundles,
+            "stored bundle classes match the parity derivation"
+            if not bad_bundles
+            else f"{', '.join(bad_bundles)} disagree with the parity derivation",
+        ),
+        FieldCheck(
+            "reduced",
+            not bad_reduced,
+            "stored reduced flags match the components"
+            if not bad_reduced
+            else f"{', '.join(bad_reduced)} disagree with the components",
+        ),
+    ]
+    return parsed, checks
+
+
 def _verify_construction(doc: dict) -> list[FieldCheck]:
     _require(
         doc,
@@ -155,7 +228,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
         "parameters",
         "ok",
     )
-    ksq, chi = int(doc["requested"]["ksq"]), int(doc["requested"]["chi"])
+    ksq, chi = _requested(doc)
     checks: list[FieldCheck] = []
     region = classify(ksq, chi)
     checks.append(
@@ -165,24 +238,10 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
             f"({ksq}, {chi}) classifies as {region}, stored {doc['region']}",
         )
     )
-    data = BuildingData.from_doc(doc["data"])
-    stored = doc["data"]["classes"]
-    bundles_ok = all(
-        getattr(data, name).coords == doc_coords(stored[name], f"class {name}")
-        for name in ("l1", "l2", "l3")
-    )
-    checks.append(
-        FieldCheck(
-            "lineBundles",
-            bundles_ok,
-            "stored bundle classes match the parity derivation"
-            if bundles_ok
-            else "stored bundle classes disagree with the parity derivation",
-        )
-    )
-    pre = None
-    if doc.get("preResolution") is not None:
-        pre = BuildingData.from_doc(doc["preResolution"])
+    blocks, block_checks = _building_blocks(doc, ("data", "preResolution"))
+    checks += block_checks
+    data, pre = blocks["data"], blocks.get("preResolution")
+    if pre is not None:
         resolved = resolve_triple_points(pre, [p for p in pre.incidence if p.is_triple])
         checks.append(
             FieldCheck(
@@ -197,7 +256,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
     checks.append(
         FieldCheck(
             "invariants",
-            inv.to_doc() == doc["invariants"],
+            _same(inv.to_doc(), doc["invariants"]),
             f"recomputed {inv.to_doc()}",
         )
     )
@@ -208,13 +267,15 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
             f"data realizes ({inv.ksq}, {inv.chi}), requested ({ksq}, {chi})",
         )
     )
-    params = {k: int(v) for k, v in doc["parameters"].items()}
+    params = {
+        k: doc_int(v, f"parameters.{k}") for k, v in _object(doc, "parameters").items()
+    }
     conds = evaluate_side_conditions(doc["region"], params, data, pre, ksq, chi)
     conds_doc = [c.to_doc() for c in conds]
     checks.append(
         FieldCheck(
             "sideConditions",
-            conds_doc == doc["sideConditions"],
+            _same(conds_doc, doc["sideConditions"]),
             f"{sum(c.satisfied for c in conds)}/{len(conds)} satisfied on re-derivation",
         )
     )
@@ -227,9 +288,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
         )
     )
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
-    checks.append(
-        FieldCheck("okFlag", ok == bool(doc["ok"]), f"recomputed ok = {ok}")
-    )
+    checks.append(FieldCheck("okFlag", _same(ok, doc["ok"]), f"recomputed ok = {ok}"))
     return checks
 
 
@@ -248,7 +307,7 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
         "familyNote",
         "ok",
     )
-    ksq, chi = int(doc["requested"]["ksq"]), int(doc["requested"]["chi"])
+    ksq, chi = _requested(doc)
     checks: list[FieldCheck] = []
     region = classify(ksq, chi)
     checks.append(
@@ -262,15 +321,17 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
     checks.append(
         FieldCheck(
             "parentInvariants",
-            parent.invariants.to_doc() == doc["parentInvariants"],
+            _same(parent.invariants.to_doc(), doc["parentInvariants"]),
             f"reconstruction gives {parent.invariants.to_doc()}",
         )
     )
-    data = BuildingData.from_doc(doc["data"])
+    blocks, block_checks = _building_blocks(doc, ("data",))
+    checks += block_checks
+    data = blocks["data"]
     inv = invariants(data)
     checks.append(
         FieldCheck(
-            "invariants", inv.to_doc() == doc["invariants"], f"recomputed {inv.to_doc()}"
+            "invariants", _same(inv.to_doc(), doc["invariants"]), f"recomputed {inv.to_doc()}"
         )
     )
     checks.append(
@@ -287,14 +348,14 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
     checks.append(
         FieldCheck(
             "ledger",
-            ledger_doc == doc["ledger"] and bool(ledger),
+            _same(ledger_doc, doc["ledger"]) and bool(ledger),
             f"scan finds {len(ledger)} entries",
         )
     )
     checks.append(
         FieldCheck(
             "gorenstein",
-            (not ledger) == bool(doc["gorenstein"]),
+            _same(not ledger, doc["gorenstein"]),
             "gorenstein flag matches the ledger",
         )
     )
@@ -303,7 +364,7 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
     checks.append(
         FieldCheck(
             "normalization",
-            norm_doc == doc["normalization"],
+            _same(norm_doc, doc["normalization"]),
             "normalization recomputed" if norm else "no normalization attached",
         )
     )
@@ -312,7 +373,7 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
     checks.append(
         FieldCheck(
             "sideConditions",
-            conds_doc == doc["sideConditions"],
+            _same(conds_doc, doc["sideConditions"]),
             f"{sum(c.satisfied for c in conds)}/{len(conds)} satisfied on re-derivation",
         )
     )
@@ -324,9 +385,7 @@ def _verify_degeneration(doc: dict) -> list[FieldCheck]:
         )
     )
     ok = all(c.satisfied for c in conds) and inv == parent.invariants and bool(ledger)
-    checks.append(
-        FieldCheck("okFlag", ok == bool(doc["ok"]), f"recomputed ok = {ok}")
-    )
+    checks.append(FieldCheck("okFlag", _same(ok, doc["ok"]), f"recomputed ok = {ok}"))
     return checks
 
 
@@ -453,9 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    # built on the first call and reused: a rebuild cost in-process callers about 1 ms a call
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (RegionError, DegenerationError) as err:

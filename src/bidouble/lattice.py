@@ -24,7 +24,8 @@ their result through ``_trusted``, which skips both: sums, differences,
 integer multiples and exact halves of integer vectors of the ambient's rank
 are again such vectors.  Integers read from a
 document are checked to be true integers (``doc_int``) before they reach a
-constructor, so a JSON boolean or float never passes as a coordinate.
+constructor, so a JSON boolean or float never passes as a coordinate;
+booleans are checked the same way (``doc_bool``).
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
 separately (as by ``from_doc``) still match.
@@ -61,6 +62,13 @@ def doc_int(value: object, what: str) -> int:
     """An integer field of an input document; booleans and floats are refused."""
     if type(value) is not int:
         raise LatticeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def doc_bool(value: object, what: str) -> bool:
+    """A boolean field of an input document; integers are refused."""
+    if type(value) is not bool:
+        raise LatticeError(f"{what} must be a boolean, got {value!r}")
     return value
 
 
@@ -110,7 +118,7 @@ class PointLabel:
             name=str(doc["name"]),
             branches=frozenset(doc_int(b, "point branch") for b in doc["branches"]),
             components=tuple(str(c) for c in doc.get("components", [])),
-            general=bool(doc.get("general", True)),
+            general=doc_bool(doc.get("general", True), "point general"),
         )
 
 

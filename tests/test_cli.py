@@ -1,5 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import argparse
+import copy
 import json
 import subprocess
 import sys
@@ -15,6 +17,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from leaves(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def set_leaf(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def type_swaps(value):
+    """The same value under another JSON type: n as n.0, 0 and 1 as false
+    and true, and booleans as 0/1 and 0.0/1.0."""
+    if isinstance(value, bool):
+        return [int(value), float(value)]
+    if isinstance(value, int):
+        return [float(value)] + ([bool(value)] if value in (0, 1) else [])
+    return []
+
+
+# top-level fields verify does not re-derive yet, per certificate kind; the
+# fibration block waits for the family table
+NOT_REDERIVED = {"construction": ("fibration",)}
 
 
 class TestConstruct:
@@ -175,6 +213,88 @@ class TestVerify:
         assert code == 2
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "20", "7", "--json"),
+            ("construct", "17", "5", "--json"),
+            ("degenerate", "4", "5", "--json"),
+            ("degenerate", "17", "5", "--json"),
+        ],
+    )
+    def test_type_swapped_leaves_rejected(self, capsys, tmp_path, argv):
+        path = self.write_doc(capsys, tmp_path, *argv)
+        doc = json.loads(path.read_text())
+        skipped = NOT_REDERIVED.get(doc["kind"], ())
+        tried, accepted = 0, []
+        for leaf, value in leaves(doc):
+            if leaf[0] in skipped:
+                continue
+            for swapped in type_swaps(value):
+                path.write_text(json.dumps(set_leaf(doc, leaf, swapped)))
+                code, _, _ = run(capsys, "verify", str(path))
+                tried += 1
+                if code == 0:
+                    accepted.append((leaf, swapped))
+        assert tried > 50
+        assert accepted == []
+
+    @pytest.mark.parametrize(
+        "argv, leaf, value, code",
+        [
+            (("construct", "20", "7"), ("invariants", "q"), False, 1),
+            (("construct", "20", "7"), ("invariants", "pgEstimated"), 0, 1),
+            (("construct", "20", "7"), ("ok",), 1, 1),
+            (("construct", "20", "7"), ("parameters", "alpha"), False, 2),
+            (("construct", "20", "7"), ("requested", "ksq"), 20.9, 2),
+            (("degenerate", "20", "7"), ("ok",), 1, 1),
+            (("degenerate", "20", "7"), ("gorenstein",), 0, 1),
+        ],
+    )
+    def test_type_changed_fields_rejected(self, capsys, tmp_path, argv, leaf, value, code):
+        path = self.write_doc(capsys, tmp_path, *argv, "--json")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(set_leaf(doc, leaf, value)))
+        got, out, err = run(capsys, "verify", str(path))
+        assert got == code
+        if code == 2:
+            assert "must be an integer" in err
+        else:
+            assert "verified: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "leaf, text",
+        [
+            (("requested", "ksq"), "1e400"),
+            (("parameters", "alpha"), "1e400"),
+            (("parameters",), "[]"),
+        ],
+    )
+    def test_malformed_values_exit_two(self, capsys, tmp_path, leaf, text):
+        path = self.write_doc(capsys, tmp_path, "construct", "20", "7", "--json")
+        doc = set_leaf(json.loads(path.read_text()), leaf, "SENTINEL")
+        path.write_text(json.dumps(doc).replace('"SENTINEL"', text))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, leaf, value, check",
+        [
+            (("degenerate", "20", "7"), ("data", "classes", "l1", 0), 99, "lineBundles"),
+            (("construct", "20", "7"), ("data", "reduced"), False, "reduced"),
+            (("degenerate", "20", "7"), ("data", "reduced"), False, "reduced"),
+            (("construct", "17", "5"), ("preResolution", "classes", "l1", 0), 99, "lineBundles"),
+        ],
+    )
+    def test_forged_stored_classes_fail(self, capsys, tmp_path, argv, leaf, value, check):
+        path = self.write_doc(capsys, tmp_path, *argv, "--json")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(set_leaf(doc, leaf, value)))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert f"MISMATCH {check}: {leaf[0]}." in out
+
     def test_huge_coefficient_rejected_quickly(self, capsys, tmp_path):
         # an even raise keeps every parity check passing, so the document
         # reaches the h0 and component-sum checks with a 10^12 coefficient
@@ -260,6 +380,62 @@ class TestCheck:
         assert code == 0
         assert "checks: 9/9 passed" in out
         assert "ok oracleSample: 10000 samples, 0 mismatches" in out
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+        def call(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        path = tmp_path / "cert.json"
+        first = call("construct", "20", "7", "--json")
+        built.clear()  # the first call may build the parser, no later one
+        path.write_text(first[1], encoding="utf-8")
+        calls = [
+            ("verify", str(path)),
+            ("construct", "20", "x"),
+            ("--help",),
+            ("construct", "20", "7", "--json"),
+        ]
+        results = [call(*argv) for argv in calls]
+        assert [r[0] for r in results] == [0, 2, 0, 0]
+        assert "invalid int value" in results[1][2]
+        assert results[2][1].startswith("usage: bidouble")
+        assert results[3] == first
+        assert [call(*argv) for argv in calls] == results
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import bidouble.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestSubprocess:
