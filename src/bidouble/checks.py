@@ -22,17 +22,17 @@ from .cover import (
     invariants,
     ksq_oracle,
 )
-from .degenerations import degenerate
+from .degenerations import DEGENERATIONS, degenerate
 from .geography import FORMATS, atlas, emit
 from .lattice import HIRZEBRUCH, PLANE, Ambient, DivClass, h0, hirzebruch, intersect, plane
 from .recipes import (
     COVERED_REGIONS,
-    DEGENERABLE_REGIONS,
     GENUS2_GENERAL,
     NOETHER_LINE,
     NOT_ADMISSIBLE,
     NOT_COVERED,
     PRODUCT_LINE,
+    ConstructionCertificate,
     admissible,
     classify,
     construct,
@@ -76,97 +76,78 @@ def check_classify_totality(chi_max: int = 12) -> CheckResult:
     return CheckResult("classifyTotality", True, f"{tested} pairs classified")
 
 
-def check_construction_sweep(chi_max: int = 12) -> CheckResult:
-    built = 0
-    for ksq, chi in covered_pairs(chi_max):
-        cert = construct(ksq, chi)
-        inv = cert.invariants
-        if not cert.ok:
-            bad = [c.name for c in cert.side_conditions if not c.satisfied]
-            return CheckResult(
-                "constructionSweep", False, f"({ksq}, {chi}) failed conditions {bad}"
-            )
-        if (inv.ksq, inv.chi) != (ksq, chi):
-            return CheckResult(
-                "constructionSweep",
-                False,
-                f"({ksq}, {chi}) rebuilt as ({inv.ksq}, {inv.chi})",
-            )
-        if inv.pg_estimated:
-            return CheckResult(
-                "constructionSweep", False, f"({ksq}, {chi}) pg only estimated"
-            )
-        if cert.region == PRODUCT_LINE:
-            if (inv.pg, inv.q) != (2 * chi + 2, chi + 3):
-                return CheckResult(
-                    "constructionSweep", False, f"product ({ksq}, {chi}) pg/q off"
-                )
-        elif inv.q != 0:
-            return CheckResult(
-                "constructionSweep", False, f"({ksq}, {chi}) has q = {inv.q}"
-            )
-        built += 1
-    return CheckResult("constructionSweep", True, f"{built} certificates exact")
+# The sweeps over the covered pairs run as steps on one certificate each, so
+# that every pair is built once and no certificate outlives its step: a list
+# of all of them held about 2 MB more at chi <= 12.  A step returns how many
+# items the certificate adds to the summary count, or the failure detail.
 
 
-def check_resolution_deltas(chi_max: int = 12) -> CheckResult:
-    seen = 0
-    for ksq, chi in covered_pairs(chi_max):
-        cert = construct(ksq, chi)
-        if cert.pre_resolution is None:
-            continue
-        pre = invariants(cert.pre_resolution)
-        n = len(cert.data.ambient.points)
-        if pre.ksq - n != cert.invariants.ksq or pre.chi != cert.invariants.chi:
-            return CheckResult(
-                "resolutionDeltas",
-                False,
-                f"({ksq}, {chi}): {n} points, ({pre.ksq}, {pre.chi}) -> "
-                f"({cert.invariants.ksq}, {cert.invariants.chi})",
-            )
-        seen += n
-    return CheckResult("resolutionDeltas", True, f"{seen} resolutions, each -1/0")
+def check_construction_sweep(cert: ConstructionCertificate) -> int | str:
+    ksq, chi = cert.requested_ksq, cert.requested_chi
+    inv = cert.invariants
+    if not cert.ok:
+        bad = [c.name for c in cert.side_conditions if not c.satisfied]
+        return f"({ksq}, {chi}) failed conditions {bad}"
+    if (inv.ksq, inv.chi) != (ksq, chi):
+        return f"({ksq}, {chi}) rebuilt as ({inv.ksq}, {inv.chi})"
+    if inv.pg_estimated:
+        return f"({ksq}, {chi}) pg only estimated"
+    if cert.region == PRODUCT_LINE:
+        if (inv.pg, inv.q) != (2 * chi + 2, chi + 3):
+            return f"product ({ksq}, {chi}) pg/q off"
+    elif inv.q != 0:
+        return f"({ksq}, {chi}) has q = {inv.q}"
+    return 1
 
 
-def check_horikawa_pairing(chi_max: int = 12) -> CheckResult:
-    seen = 0
-    for ksq, chi in covered_pairs(chi_max):
-        cert = construct(ksq, chi)
-        if cert.fibration_genus != 2:
-            continue
-        got = intersect(cert.data.d1, cert.data.d2)
-        if got != ksq - (2 * chi - 6):
-            return CheckResult(
-                "horikawaPairing",
-                False,
-                f"({ksq}, {chi}): D1.D2 = {got}, expected {ksq - (2 * chi - 6)}",
-            )
-        seen += 1
-    return CheckResult("horikawaPairing", True, f"{seen} genus-2 pairings match")
+def check_resolution_deltas(cert: ConstructionCertificate) -> int | str:
+    if cert.pre_resolution is None:
+        return 0
+    pre = invariants(cert.pre_resolution)
+    n = len(cert.data.ambient.points)
+    if pre.ksq - n != cert.invariants.ksq or pre.chi != cert.invariants.chi:
+        return (
+            f"({cert.requested_ksq}, {cert.requested_chi}): {n} points, "
+            f"({pre.ksq}, {pre.chi}) -> ({cert.invariants.ksq}, {cert.invariants.chi})"
+        )
+    return n
 
 
-def check_degeneration_sweep(chi_max: int = 12) -> CheckResult:
-    seen = 0
-    for ksq, chi in covered_pairs(chi_max):
-        cert = construct(ksq, chi)
-        if cert.region not in DEGENERABLE_REGIONS:
-            continue
-        dc = degenerate(cert)
-        if not dc.ok or dc.invariants != cert.invariants or not dc.ledger:
-            return CheckResult(
-                "degenerationSweep", False, f"({ksq}, {chi}) degeneration inconsistent"
-            )
-        kinds = [e.kind for e in dc.ledger]
-        if cert.region == NOETHER_LINE:
-            expected = kinds == [NON_NORMAL_GLUING] and dc.normalization is not None
-        else:
-            expected = kinds == [QUARTER_POINT] and dc.ledger[0].count == 1
-        if not expected or any(e.gorenstein_index != 2 for e in dc.ledger):
-            return CheckResult(
-                "degenerationSweep", False, f"({ksq}, {chi}) ledger {kinds} unexpected"
-            )
-        seen += 1
-    return CheckResult("degenerationSweep", True, f"{seen} degenerations verified")
+def check_horikawa_pairing(cert: ConstructionCertificate) -> int | str:
+    if cert.fibration_genus != 2:
+        return 0
+    ksq, chi = cert.requested_ksq, cert.requested_chi
+    got = intersect(cert.data.d1, cert.data.d2)
+    if got != ksq - (2 * chi - 6):
+        return f"({ksq}, {chi}): D1.D2 = {got}, expected {ksq - (2 * chi - 6)}"
+    return 1
+
+
+def check_degeneration_sweep(cert: ConstructionCertificate) -> int | str:
+    if cert.region not in DEGENERATIONS:
+        return 0
+    pair = f"({cert.requested_ksq}, {cert.requested_chi})"
+    dc = degenerate(cert)
+    if not dc.ok or dc.invariants != cert.invariants or not dc.ledger:
+        return f"{pair} degeneration inconsistent"
+    kinds = [e.kind for e in dc.ledger]
+    if cert.region == NOETHER_LINE:
+        expected = kinds == [NON_NORMAL_GLUING] and dc.normalization is not None
+    else:
+        expected = kinds == [QUARTER_POINT] and dc.ledger[0].count == 1
+    if not expected or any(e.gorenstein_index != 2 for e in dc.ledger):
+        return f"{pair} ledger {kinds} unexpected"
+    return 1
+
+
+def check_h0_d3_identity(cert: ConstructionCertificate) -> int | str:
+    if cert.region != GENUS2_GENERAL:
+        return 0
+    ksq, chi = cert.requested_ksq, cert.requested_chi
+    val = h0(cert.data.ambient, cert.data.d3)
+    if val != 8 * chi - 4 - 2 * ksq or val < 8:
+        return f"({ksq}, {chi}): h0(D3) = {val}"
+    return 1
 
 
 def sample_building_data(rng: random.Random) -> BuildingData:
@@ -257,21 +238,6 @@ def check_h0_monomial_grid(limit: int = 12) -> CheckResult:
     return CheckResult("h0MonomialGrid", True, f"{tested} classes agree")
 
 
-def check_h0_d3_identity(chi_max: int = 12) -> CheckResult:
-    seen = 0
-    for ksq, chi in covered_pairs(chi_max):
-        if classify(ksq, chi) != GENUS2_GENERAL:
-            continue
-        cert = construct(ksq, chi)
-        val = h0(cert.data.ambient, cert.data.d3)
-        if val != 8 * chi - 4 - 2 * ksq or val < 8:
-            return CheckResult(
-                "h0D3Identity", False, f"({ksq}, {chi}): h0(D3) = {val}"
-            )
-        seen += 1
-    return CheckResult("h0D3Identity", True, f"{seen} trisection spaces match")
-
-
 def check_emission_determinism(chi_max: int = 6) -> CheckResult:
     first = {fmt: emit(atlas(chi_max), fmt) for fmt in FORMATS}
     second = {fmt: emit(atlas(chi_max), fmt) for fmt in FORMATS}
@@ -283,14 +249,37 @@ def check_emission_determinism(chi_max: int = 6) -> CheckResult:
 
 
 def run_all(chi_max: int = 12) -> list[CheckResult]:
+    # looked up here, not at import, so that wrappers put on the module apply
+    sweeps = (
+        ("constructionSweep", check_construction_sweep, "{} certificates exact"),
+        ("resolutionDeltas", check_resolution_deltas, "{} resolutions, each -1/0"),
+        ("horikawaPairing", check_horikawa_pairing, "{} genus-2 pairings match"),
+        ("degenerationSweep", check_degeneration_sweep, "{} degenerations verified"),
+        ("h0D3Identity", check_h0_d3_identity, "{} trisection spaces match"),
+    )
+    counts = [0] * len(sweeps)
+    failures: list[str | None] = [None] * len(sweeps)
+    for ksq, chi in covered_pairs(chi_max):
+        cert = construct(ksq, chi)
+        for i, (_, step, _) in enumerate(sweeps):
+            if failures[i] is None:
+                got = step(cert)
+                if isinstance(got, str):
+                    failures[i] = got
+                else:
+                    counts[i] += got
+    swept = {
+        name: CheckResult(name, fault is None, summary.format(n) if fault is None else fault)
+        for (name, _, summary), n, fault in zip(sweeps, counts, failures)
+    }
     return [
         check_classify_totality(chi_max),
-        check_construction_sweep(chi_max),
-        check_resolution_deltas(chi_max),
-        check_horikawa_pairing(chi_max),
-        check_degeneration_sweep(chi_max),
+        swept["constructionSweep"],
+        swept["resolutionDeltas"],
+        swept["horikawaPairing"],
+        swept["degenerationSweep"],
         check_oracle_sample(),
         check_h0_monomial_grid(),
-        check_h0_d3_identity(chi_max),
+        swept["h0D3Identity"],
         check_emission_determinism(min(chi_max, 6)),
     ]

@@ -21,21 +21,9 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cover import (
-    BuildingData,
-    CoverError,
-    invariants,
-    resolve_triple_points,
-    singularity_scan,
-)
+from .cover import BuildingData, CoverError, resolve_triple_points
 from .checks import run_all
-from .degenerations import (
-    DegenerationError,
-    FAMILY_NOTES,
-    availability_conditions,
-    degenerate,
-    normalization_if_any,
-)
+from .degenerations import DegenerationError, degenerate, degeneration_certificate
 from .geography import FORMATS, atlas, canonical_json, emit
 from .lattice import (
     BLOWUP,
@@ -45,15 +33,8 @@ from .lattice import (
     LatticeError,
     doc_coords,
     doc_int,
-    positivity,
 )
-from .recipes import (
-    RegionError,
-    _push_2k,
-    classify,
-    construct,
-    evaluate_side_conditions,
-)
+from .recipes import RegionError, certify, construct
 
 
 class CertificateFormatError(ValueError):
@@ -216,50 +197,63 @@ def _building_blocks(
     return parsed, checks
 
 
-def _verify_construction(doc: dict) -> list[FieldCheck]:
-    _require(
-        doc,
-        "requested",
-        "region",
-        "data",
-        "invariants",
-        "sideConditions",
-        "ampleness",
-        "parameters",
-        "ok",
-    )
+def _verify_doc(doc: dict) -> list[FieldCheck]:
+    """Re-derive a stored certificate from its building data through the
+    certification step of construct or degenerate, and compare every field."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise CertificateFormatError("certificate has no 'kind' field")
+    kind = doc["kind"]
+    if kind not in ("construction", "degeneration"):
+        raise CertificateFormatError(f"unknown certificate kind {kind!r}")
+    _require(doc, "requested", "data")
     ksq, chi = _requested(doc)
-    checks: list[FieldCheck] = []
-    region = classify(ksq, chi)
-    checks.append(
-        FieldCheck(
-            "region",
-            region == doc["region"],
-            f"({ksq}, {chi}) classifies as {region}, stored {doc['region']}",
-        )
-    )
-    blocks, block_checks = _building_blocks(doc, ("data", "preResolution"))
-    checks += block_checks
-    data, pre = blocks["data"], blocks.get("preResolution")
-    if pre is not None:
-        resolved = resolve_triple_points(pre, [p for p in pre.incidence if p.is_triple])
-        checks.append(
-            FieldCheck(
-                "resolution",
-                resolved == data,
-                "resolving the marked points reproduces the stored data"
-                if resolved == data
-                else "resolving the marked points gives different data",
+    if kind == "construction":
+        blocks, checks = _building_blocks(doc, ("data", "preResolution"))
+        data, pre = blocks["data"], blocks.get("preResolution")
+        if pre is not None:
+            resolved = resolve_triple_points(pre, [p for p in pre.incidence if p.is_triple])
+            checks.append(
+                FieldCheck(
+                    "resolution",
+                    resolved == data,
+                    "resolving the marked points reproduces the stored data"
+                    if resolved == data
+                    else "resolving the marked points gives different data",
+                )
             )
-        )
-    inv = invariants(data)
-    checks.append(
-        FieldCheck(
-            "invariants",
-            _same(inv.to_doc(), doc["invariants"]),
-            f"recomputed {inv.to_doc()}",
-        )
-    )
+        _require(doc, "parameters")
+        for key, value in _object(doc, "parameters").items():
+            doc_int(value, f"parameters.{key}")
+        cert = certify(ksq, chi, data, pre)
+    else:
+        blocks, checks = _building_blocks(doc, ("data",))
+        parent = construct(ksq, chi)
+        cert = degeneration_certificate(parent, blocks["data"])
+        stable = cert.invariants == parent.invariants
+        checks += [
+            FieldCheck(
+                "invariantsStable",
+                stable,
+                "degenerate data keeps the parent invariants"
+                if stable
+                else "degenerate data changes the invariants",
+            ),
+            FieldCheck(
+                "nonGorenstein",
+                bool(cert.ledger),
+                f"the singularity scan finds {len(cert.ledger)} ledger entries",
+            ),
+        ]
+    derived = cert.to_doc()
+    _require(doc, *derived)
+    # the kind was dispatched on, and the building data parsed and checked above
+    for key in ("kind", "data", "preResolution"):
+        derived.pop(key, None)
+    for key, value in derived.items():
+        same = _same(value, doc[key])
+        detail = "matches the re-derivation" if same else f"re-derived {json.dumps(value)}"
+        checks.append(FieldCheck(key, same, detail))
+    inv = cert.invariants
     checks.append(
         FieldCheck(
             "requestedMatch",
@@ -267,136 +261,7 @@ def _verify_construction(doc: dict) -> list[FieldCheck]:
             f"data realizes ({inv.ksq}, {inv.chi}), requested ({ksq}, {chi})",
         )
     )
-    params = {
-        k: doc_int(v, f"parameters.{k}") for k, v in _object(doc, "parameters").items()
-    }
-    conds = evaluate_side_conditions(doc["region"], params, data, pre, ksq, chi)
-    conds_doc = [c.to_doc() for c in conds]
-    checks.append(
-        FieldCheck(
-            "sideConditions",
-            _same(conds_doc, doc["sideConditions"]),
-            f"{sum(c.satisfied for c in conds)}/{len(conds)} satisfied on re-derivation",
-        )
-    )
-    amp = positivity(data.ambient, _push_2k(data))
-    checks.append(
-        FieldCheck(
-            "ampleness",
-            amp == doc["ampleness"],
-            f"recomputed {amp}, stored {doc['ampleness']}",
-        )
-    )
-    ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
-    checks.append(FieldCheck("okFlag", _same(ok, doc["ok"]), f"recomputed ok = {ok}"))
     return checks
-
-
-def _verify_degeneration(doc: dict) -> list[FieldCheck]:
-    _require(
-        doc,
-        "requested",
-        "region",
-        "data",
-        "invariants",
-        "parentInvariants",
-        "ledger",
-        "gorenstein",
-        "normalization",
-        "sideConditions",
-        "familyNote",
-        "ok",
-    )
-    ksq, chi = _requested(doc)
-    checks: list[FieldCheck] = []
-    region = classify(ksq, chi)
-    checks.append(
-        FieldCheck(
-            "region",
-            region == doc["region"],
-            f"({ksq}, {chi}) classifies as {region}, stored {doc['region']}",
-        )
-    )
-    parent = construct(ksq, chi)
-    checks.append(
-        FieldCheck(
-            "parentInvariants",
-            _same(parent.invariants.to_doc(), doc["parentInvariants"]),
-            f"reconstruction gives {parent.invariants.to_doc()}",
-        )
-    )
-    blocks, block_checks = _building_blocks(doc, ("data",))
-    checks += block_checks
-    data = blocks["data"]
-    inv = invariants(data)
-    checks.append(
-        FieldCheck(
-            "invariants", _same(inv.to_doc(), doc["invariants"]), f"recomputed {inv.to_doc()}"
-        )
-    )
-    checks.append(
-        FieldCheck(
-            "invariantsStable",
-            inv == parent.invariants,
-            "degenerate data keeps the parent invariants"
-            if inv == parent.invariants
-            else "degenerate data changes the invariants",
-        )
-    )
-    ledger = singularity_scan(data)
-    ledger_doc = [e.to_doc() for e in ledger]
-    checks.append(
-        FieldCheck(
-            "ledger",
-            _same(ledger_doc, doc["ledger"]) and bool(ledger),
-            f"scan finds {len(ledger)} entries",
-        )
-    )
-    checks.append(
-        FieldCheck(
-            "gorenstein",
-            _same(not ledger, doc["gorenstein"]),
-            "gorenstein flag matches the ledger",
-        )
-    )
-    norm = normalization_if_any(doc["region"], data)
-    norm_doc = None if norm is None else norm.to_doc()
-    checks.append(
-        FieldCheck(
-            "normalization",
-            _same(norm_doc, doc["normalization"]),
-            "normalization recomputed" if norm else "no normalization attached",
-        )
-    )
-    conds = availability_conditions(parent, data)
-    conds_doc = [c.to_doc() for c in conds]
-    checks.append(
-        FieldCheck(
-            "sideConditions",
-            _same(conds_doc, doc["sideConditions"]),
-            f"{sum(c.satisfied for c in conds)}/{len(conds)} satisfied on re-derivation",
-        )
-    )
-    checks.append(
-        FieldCheck(
-            "familyNote",
-            doc["familyNote"] == FAMILY_NOTES.get(doc["region"]),
-            "note text matches the family",
-        )
-    )
-    ok = all(c.satisfied for c in conds) and inv == parent.invariants and bool(ledger)
-    checks.append(FieldCheck("okFlag", _same(ok, doc["ok"]), f"recomputed ok = {ok}"))
-    return checks
-
-
-def _verify_doc(doc: dict) -> list[FieldCheck]:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise CertificateFormatError("certificate has no 'kind' field")
-    if doc["kind"] == "construction":
-        return _verify_construction(doc)
-    if doc["kind"] == "degeneration":
-        return _verify_degeneration(doc)
-    raise CertificateFormatError(f"unknown certificate kind {doc['kind']!r}")
 
 
 def _cmd_construct(args) -> int:

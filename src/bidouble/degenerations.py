@@ -15,6 +15,7 @@ classes of its normalization, which splits off the shared curve.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cover import (
@@ -35,7 +36,6 @@ from .recipes import (
     NOETHER_LINE,
     PLANE_SPECIAL_12,
     PLANE_SPECIAL_13,
-    PRODUCT_LINE,
     ConstructionCertificate,
     SideCondition,
     construct,
@@ -121,28 +121,34 @@ def _noether_data(cert: ConstructionCertificate) -> BuildingData:
     )
 
 
-def _marked_point_data(
-    cert: ConstructionCertificate, witness: str, component_names: tuple[str, str, str]
-) -> BuildingData:
-    src = cert.data
+DataRecipe = Callable[[ConstructionCertificate], BuildingData]
+
+
+def _through_point(witness: str, component_names: tuple[str, str, str]) -> DataRecipe:
+    """The recipe that marks one more point on the named components, one
+    per branch."""
     point = PointLabel(witness, frozenset({1, 2, 3}), component_names)
-    return building_data(
-        src.ambient,
-        src.d1,
-        src.d2,
-        src.d3,
-        src.components,
-        src.incidence + (point,),
-        allow_nonreduced=not src.reduced,
-    )
+
+    def build(cert: ConstructionCertificate) -> BuildingData:
+        src = cert.data
+        return building_data(
+            src.ambient,
+            src.d1,
+            src.d2,
+            src.d3,
+            src.components,
+            src.incidence + (point,),
+            allow_nonreduced=not src.reduced,
+        )
+
+    return build
 
 
-def _genus3_data(cert: ConstructionCertificate) -> tuple[BuildingData, str]:
+def _genus3_data(cert: ConstructionCertificate) -> BuildingData:
     # split one fiber off the unmarked bulk of D1 and pass it through a
     # point of D2 and D3; the new point is numbered after the resolved ones
     src = cert.data
     eps = cert.parameters["epsilon"]
-    witness = f"p{eps + 1}"
     new_fiber = f"f{eps + 1}"
     comps: list[Component] = []
     for c in src.components:
@@ -152,8 +158,8 @@ def _genus3_data(cert: ConstructionCertificate) -> tuple[BuildingData, str]:
         comps.append(Component(new_fiber, 1, c.cls))
         if c.count > 1:
             comps.append(Component("f_rest", 1, c.cls, c.count - 1))
-    point = PointLabel(witness, frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
-    data = building_data(
+    point = PointLabel(f"p{eps + 1}", frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
+    return building_data(
         src.ambient,
         src.d1,
         src.d2,
@@ -161,7 +167,6 @@ def _genus3_data(cert: ConstructionCertificate) -> tuple[BuildingData, str]:
         tuple(comps),
         src.incidence + (point,),
     )
-    return data, witness
 
 
 def availability_conditions(
@@ -195,88 +200,100 @@ def availability_conditions(
     return (SideCondition("triplePointCandidates", cand, cand >= 1),)
 
 
-FAMILY_NOTES = {
+# the designated degeneration of each family that has one, as the recipe of
+# its data and its note; the product family has none
+DEGENERATIONS: dict[str, tuple[DataRecipe, str]] = {
     NOETHER_LINE: (
+        _noether_data,
         "the second branch degenerates onto the section already contained in "
-        "the first branch; the cover glues to itself along that curve"
+        "the first branch; the cover glues to itself along that curve",
     ),
-    PLANE_SPECIAL_12: "the line moves through a point of the two cubics",
-    PLANE_SPECIAL_13: "the first line moves through a point of the quintic and the other line",
-    GENUS2_GENERAL: "the trisection moves through a point of the two bisections",
+    PLANE_SPECIAL_12: (
+        _through_point("p", ("d1", "d2", "d3")),
+        "the line moves through a point of the two cubics",
+    ),
+    PLANE_SPECIAL_13: (
+        _through_point("p", ("d1", "d2", "d3")),
+        "the first line moves through a point of the quintic and the other line",
+    ),
+    GENUS2_GENERAL: (
+        _through_point("p", ("d1", "d2", "d3")),
+        "the trisection moves through a point of the two bisections",
+    ),
     LINE_4CHI_MINUS_5: (
+        _through_point("pPrime", ("d1", "d2", "delta2")),
         "a second ruling member of the third branch moves through a point of "
-        "the strict transforms of the bisections"
+        "the strict transforms of the bisections",
     ),
     LINE_4CHI_MINUS_4: (
+        _through_point("p", ("d1", "d2", "delta1")),
         "a ruling member of the third branch moves through a point of the two "
-        "bisections"
+        "bisections",
     ),
-    GENUS3: "one more fiber of the first branch moves through a point of the other branches",
+    GENUS3: (
+        _genus3_data,
+        "one more fiber of the first branch moves through a point of the other branches",
+    ),
 }
+
+
+def _designated(region: str) -> tuple[DataRecipe, str]:
+    if region not in DEGENERATIONS:
+        raise DegenerationError(
+            "the product family has no designated degeneration; its branches "
+            "are disjoint ruling fibers"
+        )
+    return DEGENERATIONS[region]
+
+
+def degeneration_certificate(
+    parent: ConstructionCertificate, data: BuildingData
+) -> DegenerationCertificate:
+    """Derive every other field of a degeneration certificate from its data.
+
+    Invariants are recomputed from the degenerate data and must match the
+    parent; the singularity scan supplies the index-2 ledger.  Shared by
+    degenerate and by certificate verification.  Raises DegenerationError
+    for the product family, which stays smooth.
+    """
+    _, note = _designated(parent.region)
+    inv = invariants(data)
+    ledger = singularity_scan(data)
+    conds = availability_conditions(parent, data)
+    norm = _normalization_from_data(data) if parent.region == NOETHER_LINE else None
+    ok = (
+        all(c.satisfied for c in conds)
+        and inv == parent.invariants
+        and bool(ledger)
+    )
+    return DegenerationCertificate(
+        requested_ksq=parent.requested_ksq,
+        requested_chi=parent.requested_chi,
+        region=parent.region,
+        data=data,
+        invariants=inv,
+        parent_invariants=parent.invariants,
+        ledger=ledger,
+        gorenstein=not ledger,
+        normalization=norm,
+        side_conditions=conds,
+        family_note=note,
+        ok=ok,
+    )
 
 
 def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
     """Degenerate a constructed cover inside its family.
 
-    Invariants are recomputed from the degenerate data and must match the
-    parent; the singularity scan supplies the index-2 ledger.  Raises
-    DegenerationError for the product family, which stays smooth.
+    Raises DegenerationError for the product family, which stays smooth.
     """
-    region = cert.region
-    if region == PRODUCT_LINE:
-        raise DegenerationError(
-            "the product family has no designated degeneration; its branches "
-            "are disjoint ruling fibers"
-        )
-    if region not in FAMILY_NOTES:
-        raise DegenerationError(f"no degeneration recipe for region {region!r}")
-    if region == NOETHER_LINE:
-        data = _noether_data(cert)
-    elif region == GENUS3:
-        data, _ = _genus3_data(cert)
-    elif region == GENUS2_GENERAL:
-        data = _marked_point_data(cert, "p", ("d1", "d2", "d3"))
-    elif region in (PLANE_SPECIAL_12, PLANE_SPECIAL_13):
-        data = _marked_point_data(cert, "p", ("d1", "d2", "d3"))
-    elif region == LINE_4CHI_MINUS_5:
-        data = _marked_point_data(cert, "pPrime", ("d1", "d2", "delta2"))
-    else:
-        data = _marked_point_data(cert, "p", ("d1", "d2", "delta1"))
-    inv = invariants(data)
-    ledger = singularity_scan(data)
-    conds = availability_conditions(cert, data)
-    normalization = normalization_if_any(region, data)
-    ok = (
-        all(c.satisfied for c in conds)
-        and inv == cert.invariants
-        and bool(ledger)
-    )
-    return DegenerationCertificate(
-        requested_ksq=cert.requested_ksq,
-        requested_chi=cert.requested_chi,
-        region=region,
-        data=data,
-        invariants=inv,
-        parent_invariants=cert.invariants,
-        ledger=ledger,
-        gorenstein=not ledger,
-        normalization=normalization,
-        side_conditions=conds,
-        family_note=FAMILY_NOTES[region],
-        ok=ok,
-    )
+    recipe, _ = _designated(cert.region)
+    return degeneration_certificate(cert, recipe(cert))
 
 
 def degenerate_pair(ksq: int, chi: int) -> DegenerationCertificate:
     """Construct the cover for a pair and degenerate it in one step."""
     return degenerate(construct(ksq, chi))
-
-
-def normalization_if_any(region: str, data: BuildingData) -> Normalization | None:
-    """The normalization record a degeneration in this region carries."""
-    if region != NOETHER_LINE:
-        return None
-    return _normalization_from_data(data)
 
 
 def _normalization_from_data(data: BuildingData) -> Normalization:

@@ -14,10 +14,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .degenerations import degenerate
+from .degenerations import DEGENERATIONS, degenerate
 from .recipes import (
     COVERED_REGIONS,
-    DEGENERABLE_REGIONS,
     GENUS2_GENERAL,
     GENUS3,
     LINE_4CHI_MINUS_4,
@@ -108,7 +107,7 @@ def atlas(chi_max: int) -> tuple[AtlasRow, ...]:
                 continue
             cert = construct(ksq, chi)
             degenerated = (
-                region in DEGENERABLE_REGIONS and degenerate(cert).ok
+                region in DEGENERATIONS and degenerate(cert).ok
             )
             rows.append(
                 AtlasRow(

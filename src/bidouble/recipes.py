@@ -13,9 +13,10 @@ Covered pairs are dispatched to one family each, in this precedence order:
     Genus3             4chi - 3 <= K^2 <= 8chi - 8
 
 Everything else admissible is NotCovered (the strip 8chi-8 < K^2 < 9chi
-minus the product line).  ``construct`` emits a certificate: building data,
-recomputed invariants, side conditions with values, the positivity verdict
-of the direct image of 2K, and the fibration genus where one exists.
+minus the product line).  ``construct`` builds the branch data, and
+``certify`` derives the rest of the certificate from it: recomputed
+invariants, side conditions with values, the positivity verdict of the
+direct image of 2K, and the fibration genus where one exists.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ COVERED_REGIONS = frozenset(
         PRODUCT_LINE,
     }
 )
-
-# every covered region except the product line degenerates (K^2 <= 8chi-8)
-DEGENERABLE_REGIONS = COVERED_REGIONS - {PRODUCT_LINE}
 
 
 class RegionError(ValueError):
@@ -365,12 +363,7 @@ PAIR_2_4_NOTE = (
 )
 
 
-def construct(ksq: int, chi: int) -> ConstructionCertificate:
-    """Build the certificate for one requested pair.
-
-    Raises RegionError outside the covered set; a violated side condition
-    does not raise but marks the certificate failed.
-    """
+def _covered_region(ksq: int, chi: int) -> str:
     region = classify(ksq, chi)
     if region == NOT_ADMISSIBLE:
         raise RegionError(
@@ -382,37 +375,54 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
             f"pair (K^2, chi) = ({ksq}, {chi}) is not covered: it lies in the "
             f"open strip 8chi-8 < K^2 < 9chi off the product line K^2 = 8chi"
         )
+    return region
+
+
+def _recipe_data(
+    region: str, params: dict[str, int], chi: int
+) -> tuple[BuildingData, BuildingData | None]:
+    """The recipe's building data, and the data before its triple points
+    were resolved (None when there were none)."""
+    if region in (NOETHER_LINE, GENUS2_GENERAL):
+        return _genus2_family_data(params), None
+    if region in (PLANE_SPECIAL_12, PLANE_SPECIAL_13):
+        return _plane_data(region), None
+    if region == LINE_4CHI_MINUS_4:
+        return _ruling_triple_data(chi, marked=False), None
+    if region == LINE_4CHI_MINUS_5:
+        pre = _ruling_triple_data(chi, marked=True)
+        return resolve_triple_points(pre, ("p",)), pre
+    if region == GENUS3:
+        pre = _genus3_data(params)
+        if params["epsilon"] == 0:
+            return pre, None
+        return resolve_triple_points(pre, [f"p{i}" for i in range(1, params["epsilon"] + 1)]), pre
+    return _product_data(chi), None
+
+
+def certify(
+    ksq: int, chi: int, data: BuildingData, pre: BuildingData | None
+) -> ConstructionCertificate:
+    """Derive every other field of a certificate from its building data.
+
+    ``pre`` is the data before resolution, when the recipe resolves triple
+    points.  Shared by construct and by certificate verification, so a
+    stored field cannot drift from the derivation.  Raises RegionError
+    outside the covered set.
+    """
+    region = _covered_region(ksq, chi)
     params = region_parameters(region, ksq, chi)
-    pre: BuildingData | None = None
-    notes: list[str] = []
     fibration: int | None = None
     epsilon: int | None = None
-    if region == NOETHER_LINE:
-        data = _genus2_family_data(params)
-        fibration, epsilon = 2, ksq - (2 * chi - 6)
-        if (ksq, chi) == (2, 4):
-            notes.append(PAIR_2_4_NOTE)
-    elif region == GENUS2_GENERAL:
-        data = _genus2_family_data(params)
-        fibration, epsilon = 2, ksq - (2 * chi - 6)
-    elif region in (PLANE_SPECIAL_12, PLANE_SPECIAL_13):
-        data = _plane_data(region)
-    elif region == LINE_4CHI_MINUS_4:
-        data = _ruling_triple_data(chi, marked=False)
-        fibration, epsilon = 2, ksq - (2 * chi - 6)
-    elif region == LINE_4CHI_MINUS_5:
-        pre = _ruling_triple_data(chi, marked=True)
-        data = resolve_triple_points(pre, ("p",))
-        fibration, epsilon = 2, ksq - (2 * chi - 6)
-        notes.append(LINE5_AMPLENESS_NOTE)
-    elif region == GENUS3:
-        pre = _genus3_data(params)
-        data = resolve_triple_points(pre, [f"p{i}" for i in range(1, params["epsilon"] + 1)])
-        if params["epsilon"] == 0:
-            pre = None
+    if region == GENUS3:
         fibration, epsilon = 3, params["epsilon"]
-    else:
-        data = _product_data(chi)
+    elif region not in (PLANE_SPECIAL_12, PLANE_SPECIAL_13, PRODUCT_LINE):
+        fibration, epsilon = 2, ksq - (2 * chi - 6)
+    notes: tuple[str, ...] = ()
+    if region == LINE_4CHI_MINUS_5:
+        notes = (LINE5_AMPLENESS_NOTE,)
+    elif (ksq, chi) == (2, 4):
+        notes = (PAIR_2_4_NOTE,)
     conds = evaluate_side_conditions(region, params, data, pre, ksq, chi)
     inv = invariants(data)
     amp = positivity(data.ambient, _push_2k(data))
@@ -429,6 +439,17 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
         fibration_genus=fibration,
         epsilon=epsilon,
         parameters=params,
-        notes=tuple(notes),
+        notes=notes,
         ok=ok,
     )
+
+
+def construct(ksq: int, chi: int) -> ConstructionCertificate:
+    """Build the certificate for one requested pair.
+
+    Raises RegionError outside the covered set; a violated side condition
+    does not raise but marks the certificate failed.
+    """
+    region = _covered_region(ksq, chi)
+    data, pre = _recipe_data(region, region_parameters(region, ksq, chi), chi)
+    return certify(ksq, chi, data, pre)

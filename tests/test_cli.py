@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from bidouble import checks
 from bidouble.cli import main
 from bidouble.geography import canonical_json
 
@@ -50,9 +51,34 @@ def type_swaps(value):
     return []
 
 
-# top-level fields verify does not re-derive yet, per certificate kind; the
-# fibration block waits for the family table
-NOT_REDERIVED = {"construction": ("fibration",)}
+def value_edits(value):
+    """Other values of the same JSON type: n+1 and n-1, the negated
+    boolean, and the string with "x" appended."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    if isinstance(value, str):
+        return [value + "x"]
+    return []
+
+
+def leaf_pattern(leaf):
+    return tuple("*" if isinstance(key, int) else key for key in leaf)
+
+
+# leaf patterns of the building data that only name or flag things: verify
+# parses them, but no derivation reads them, so an edit still verifies
+DATA_BOOKKEEPING = {
+    "construction": {("data", "components", "*", "name")},
+    "degeneration": {
+        ("data", "components", "*", "name"),
+        ("data", "ambient", "points", "*", "name"),
+        ("data", "ambient", "points", "*", "branches", "*"),
+        ("data", "ambient", "points", "*", "components", "*"),
+        ("data", "incidence", "*", "general"),
+    },
+}
 
 
 class TestConstruct:
@@ -177,6 +203,24 @@ class TestVerify:
         assert "MISMATCH ledger" in out
 
     @staticmethod
+    def accepted_edits(capsys, path, edits, skipped):
+        """Run verify on every single-leaf edit of the document at ``path``
+        whose leaf pattern is not in ``skipped``; return how many ran and
+        the edits it accepted."""
+        doc = json.loads(path.read_text())
+        tried, accepted = 0, []
+        for leaf, value in leaves(doc):
+            if leaf_pattern(leaf) in skipped:
+                continue
+            for edited in edits(value):
+                path.write_text(json.dumps(set_leaf(doc, leaf, edited)))
+                code, _, _ = run(capsys, "verify", str(path))
+                tried += 1
+                if code == 0:
+                    accepted.append((leaf, edited))
+        return tried, accepted
+
+    @staticmethod
     def d1_true(doc):
         doc["data"]["classes"]["d1"][0] = True
         comp = next(c for c in doc["data"]["components"] if c["name"] == "d1")
@@ -224,20 +268,47 @@ class TestVerify:
     )
     def test_type_swapped_leaves_rejected(self, capsys, tmp_path, argv):
         path = self.write_doc(capsys, tmp_path, *argv)
-        doc = json.loads(path.read_text())
-        skipped = NOT_REDERIVED.get(doc["kind"], ())
-        tried, accepted = 0, []
-        for leaf, value in leaves(doc):
-            if leaf[0] in skipped:
-                continue
-            for swapped in type_swaps(value):
-                path.write_text(json.dumps(set_leaf(doc, leaf, swapped)))
-                code, _, _ = run(capsys, "verify", str(path))
-                tried += 1
-                if code == 0:
-                    accepted.append((leaf, swapped))
+        tried, accepted = self.accepted_edits(capsys, path, type_swaps, set())
         assert tried > 50
         assert accepted == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "20", "7", "--json"),
+            ("construct", "17", "5", "--json"),
+            ("construct", "7", "3", "--json"),
+            ("degenerate", "4", "5", "--json"),
+            ("degenerate", "17", "5", "--json"),
+        ],
+    )
+    def test_value_edited_leaves_rejected(self, capsys, tmp_path, argv):
+        path = self.write_doc(capsys, tmp_path, *argv)
+        kind = json.loads(path.read_text())["kind"]
+        tried, accepted = self.accepted_edits(capsys, path, value_edits, DATA_BOOKKEEPING[kind])
+        assert tried > 50
+        assert accepted == []
+
+    def test_degeneration_without_singularity_fails(self, capsys, tmp_path):
+        # a self-consistent document whose data lost its marked point: the
+        # cover is Gorenstein, so it is no degeneration
+        path = self.write_doc(capsys, tmp_path, "degenerate", "20", "7", "--json")
+        doc = json.loads(path.read_text())
+        doc["data"]["incidence"] = []
+        doc.update(ledger=[], gorenstein=True, ok=False)
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "MISMATCH nonGorenstein" in out
+
+    def test_degeneration_on_product_line_exit_two(self, capsys, tmp_path):
+        path = self.write_doc(capsys, tmp_path, "degenerate", "20", "7", "--json")
+        doc = json.loads(path.read_text())
+        doc["requested"] = {"ksq": 56, "chi": 7}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "product family has no designated degeneration" in err
 
     @pytest.mark.parametrize(
         "argv, leaf, value, code",
@@ -380,6 +451,34 @@ class TestCheck:
         assert code == 0
         assert "checks: 9/9 passed" in out
         assert "ok oracleSample: 10000 samples, 0 mismatches" in out
+
+    def test_each_pair_built_once(self, capsys, monkeypatch):
+        built = []
+        real = checks.construct
+
+        def counting_construct(ksq, chi):
+            built.append((ksq, chi))
+            return real(ksq, chi)
+
+        monkeypatch.setattr(checks, "construct", counting_construct)
+        code, out, _ = run(capsys, "check", "--chi-max", "3")
+        assert code == 0
+        assert "ok constructionSweep: 27 certificates exact" in out
+        assert len(set(built)) == len(built) == 27
+
+    def test_failed_sweep_step_reported(self, capsys, monkeypatch):
+        real = checks.check_horikawa_pairing
+
+        def failing_step(cert):
+            if (cert.requested_ksq, cert.requested_chi) == (4, 2):
+                return "(4, 2): forced failure"
+            return real(cert)
+
+        monkeypatch.setattr(checks, "check_horikawa_pairing", failing_step)
+        code, out, _ = run(capsys, "check", "--chi-max", "2")
+        assert code == 1
+        assert "FAIL horikawaPairing: (4, 2): forced failure" in out
+        assert "checks: 8/9 passed" in out
 
 
 class TestParserReuse:
