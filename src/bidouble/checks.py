@@ -239,8 +239,11 @@ def check_h0_monomial_grid(limit: int = 12) -> CheckResult:
 
 
 def check_emission_determinism(chi_max: int = 6) -> CheckResult:
-    first = {fmt: emit(atlas(chi_max), fmt) for fmt in FORMATS}
-    second = {fmt: emit(atlas(chi_max), fmt) for fmt in FORMATS}
+    # each format is compared across two independent builds of the atlas
+    rows = atlas(chi_max)
+    first = {fmt: emit(rows, fmt) for fmt in FORMATS}
+    rows = atlas(chi_max)
+    second = {fmt: emit(rows, fmt) for fmt in FORMATS}
     for fmt in FORMATS:
         if first[fmt] != second[fmt]:
             return CheckResult("emissionDeterminism", False, f"{fmt} output drifted")

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 from .cover import BuildingData, CoverError, resolve_triple_points
 from .checks import run_all
-from .degenerations import DegenerationError, degenerate, degeneration_certificate
+from .degenerations import (
+    DEGENERATIONS,
+    DegenerationError,
+    degenerate,
+    degeneration_certificate,
+)
 from .geography import FORMATS, atlas, canonical_json, emit
 from .lattice import (
     BLOWUP,
@@ -221,7 +226,7 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
                     else "resolving the marked points gives different data",
                 )
             )
-        _require(doc, "parameters")
+        _require(doc, "preResolution", "parameters")
         for key, value in _object(doc, "parameters").items():
             doc_int(value, f"parameters.{key}")
         cert = certify(ksq, chi, data, pre)
@@ -229,8 +234,16 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
         blocks, checks = _building_blocks(doc, ("data",))
         parent = construct(ksq, chi)
         cert = degeneration_certificate(parent, blocks["data"])
+        same_data = DEGENERATIONS[parent.region][0](parent) == blocks["data"]
         stable = cert.invariants == parent.invariants
         checks += [
+            FieldCheck(
+                "data",
+                same_data,
+                "the designated degeneration rebuilds the stored data"
+                if same_data
+                else "the designated degeneration builds different data",
+            ),
             FieldCheck(
                 "invariantsStable",
                 stable,
@@ -244,11 +257,9 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
                 f"the singularity scan finds {len(cert.ledger)} ledger entries",
             ),
         ]
-    derived = cert.to_doc()
-    _require(doc, *derived)
     # the kind was dispatched on, and the building data parsed and checked above
-    for key in ("kind", "data", "preResolution"):
-        derived.pop(key, None)
+    derived = cert.derived_doc()
+    _require(doc, *derived)
     for key, value in derived.items():
         same = _same(value, doc[key])
         detail = "matches the re-derivation" if same else f"re-derived {json.dumps(value)}"

@@ -34,9 +34,10 @@ from .lattice import (
     canonical_class,
     doc_coords,
     doc_int,
-    exceptional,
+    doc_str,
     h0_flagged,
     intersect,
+    lincomb,
     pullback,
 )
 
@@ -60,7 +61,7 @@ class NotTriplePoint(CoverError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """A named irreducible piece of one branch divisor.
 
@@ -89,7 +90,7 @@ class Component:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invariants:
     ksq: int
     chi: int
@@ -113,7 +114,7 @@ class Invariants:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One index-2 singularity record of a degenerate or marked cover."""
 
@@ -144,20 +145,20 @@ def derive_line_bundles(
     for d in (d1, d2, d3):
         if d.ambient is not ambient and d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
-    l1 = (d2 + d3).try_half()
+    l1 = lincomb(ambient, ((1, d2), (1, d3)), 2)
     if l1 is None:
         raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
-    l2 = (d1 + d3).try_half()
+    l2 = lincomb(ambient, ((1, d1), (1, d3)), 2)
     if l2 is None:
         raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
-    l3 = l1 + l2 - d3
+    l3 = lincomb(ambient, ((1, l1), (1, l2), (-1, d3)))
     for i, l in enumerate((l1, l2, l3), start=1):
         if l.is_zero():
             raise InvalidBuildingData(f"derived line bundle L{i} is zero")
     return l1, l2, l3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildingData:
     ambient: Ambient
     d1: DivClass
@@ -219,7 +220,7 @@ class BuildingData:
         ]
         comps = tuple(
             Component(
-                name=str(c["name"]),
+                name=doc_str(c["name"], "component name"),
                 branch=doc_int(c["branch"], "component branch"),
                 cls=DivClass(ambient, doc_coords(c["class"], "component class")),
                 count=doc_int(c.get("count", 1), "component count"),
@@ -269,11 +270,10 @@ def building_data(
         entries = [c for c in comps if c.branch == branch]
         if not entries:
             continue
-        acc = ambient.zero()
         for c in entries:
             if c.cls.ambient is not ambient and c.cls.ambient != ambient:
                 raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
-            acc = acc + c.count * c.cls
+        acc = lincomb(ambient, [(c.count, c.cls) for c in entries])
         if acc != total:
             raise InvalidBuildingData(
                 f"components of branch {branch} sum to {acc}, expected {total}"
@@ -301,17 +301,20 @@ def building_data(
 
 def invariants(bd: BuildingData) -> Invariants:
     """Numerical invariants of the covering surface, exact integers."""
-    k = canonical_class(bd.ambient)
-    two_k_plus_b = 2 * k + bd.branch_total()
+    amb = bd.ambient
+    k = canonical_class(amb)
+    two_k_plus_b = lincomb(amb, ((2, k), (1, bd.d1), (1, bd.d2), (1, bd.d3)))
     ksq = intersect(two_k_plus_b, two_k_plus_b)
-    tot = sum(intersect(l, l + k) for l in bd.bundles())
+    # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
+    adjoints = [(l, k + l) for l in bd.bundles()]
+    tot = sum(intersect(l, kl) for l, kl in adjoints)
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
     chi = 4 + tot // 2
     pg = 0
     estimated = False
-    for l in bd.bundles():
-        val, flagged = h0_flagged(bd.ambient, k + l)
+    for _, kl in adjoints:
+        val, flagged = h0_flagged(amb, kl)
         pg += val
         estimated = estimated or flagged
     return Invariants(ksq=ksq, chi=chi, pg=pg, q=pg - chi + 1, pg_estimated=estimated)
@@ -416,16 +419,13 @@ def resolve_triple_points(
     if not marked:
         return bd
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
-    first = len(bd.ambient.points)
-    excs = [exceptional(amb2, first + i) for i in range(len(marked))]
 
     def lift(d: DivClass, name: str | None) -> DivClass:
-        # a branch class (name None) passes through every marked point
-        out = pullback(amb2, d)
-        for exc, names in zip(excs, through):
-            if name is None or name in names:
-                out = out - exc
-        return out
+        # the total transform minus the exceptional class of every marked
+        # point the class passes through; a branch class (name None) passes
+        # through all of them
+        tail = tuple(-1 if name is None or name in names else 0 for names in through)
+        return pullback(amb2, d, tail)
 
     comps2 = tuple(
         Component(c.name, c.branch, lift(c.cls, c.name), c.count) for c in bd.components

@@ -83,11 +83,13 @@ class DegenerationCertificate:
     ok: bool
 
     def to_doc(self) -> dict:
+        return {"kind": "degeneration", "data": self.data.to_doc(), **self.derived_doc()}
+
+    def derived_doc(self) -> dict:
+        """Every field of the document but the kind and the building data."""
         return {
-            "kind": "degeneration",
             "requested": {"ksq": self.requested_ksq, "chi": self.requested_chi},
             "region": self.region,
-            "data": self.data.to_doc(),
             "invariants": self.invariants.to_doc(),
             "parentInvariants": self.parent_invariants.to_doc(),
             "ledger": [e.to_doc() for e in self.ledger],

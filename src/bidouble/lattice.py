@@ -19,13 +19,20 @@ plus the sum of exceptional classes on a blow-up.
 Trusted construction: the public ``DivClass(...)`` constructor coerces every
 coordinate and checks the count against the ambient's rank.  Only arithmetic
 on classes that already passed it (``+``, ``-``, unary ``-``, integer ``*``,
-``try_half`` and ``pullback``) and the empty sum ``Ambient.zero()`` build
-their result through ``_trusted``, which skips both: sums, differences,
-integer multiples and exact halves of integer vectors of the ambient's rank
-are again such vectors.  Integers read from a
+``try_half``, ``pullback`` and ``lincomb``), the empty sum ``Ambient.zero()``
+and ``canonical_class`` build their result through ``_trusted``, which skips
+both: sums, differences, integer multiples and exact quotients of integer
+vectors of the ambient's rank are again such vectors.  ``lincomb`` is the
+one primitive for a combination of several classes: it builds
+sum n_i * D_i, or its exact quotient by an integer, in a single allocation
+instead of one per operator.  The cover layer builds through it the
+per-branch component sums and the line bundles of ``building_data``, 2K + B
+in ``invariants`` and in the recipes' positivity step; the lift of a class
+through blown-up triple points is ``pullback`` with the exceptional
+coordinates given as its tail.  Integers read from a
 document are checked to be true integers (``doc_int``) before they reach a
 constructor, so a JSON boolean or float never passes as a coordinate;
-booleans are checked the same way (``doc_bool``).
+booleans and names are checked the same way (``doc_bool``, ``doc_str``).
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
 separately (as by ``from_doc``) still match.
@@ -33,6 +40,7 @@ separately (as by ``from_doc``) still match.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import add, neg, sub
 
@@ -72,12 +80,19 @@ def doc_bool(value: object, what: str) -> bool:
     return value
 
 
+def doc_str(value: object, what: str) -> str:
+    """A name field of an input document; any other JSON type is refused."""
+    if type(value) is not str:
+        raise LatticeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def doc_coords(values: list, what: str) -> tuple[int, ...]:
     """The coordinate list of a class in an input document, as integers."""
     return tuple(doc_int(c, what) for c in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointLabel:
     """A named point together with its branch incidence record.
 
@@ -115,14 +130,16 @@ class PointLabel:
     @classmethod
     def from_doc(cls, doc: dict) -> "PointLabel":
         return cls(
-            name=str(doc["name"]),
+            name=doc_str(doc["name"], "point name"),
             branches=frozenset(doc_int(b, "point branch") for b in doc["branches"]),
-            components=tuple(str(c) for c in doc.get("components", [])),
+            components=tuple(
+                doc_str(c, "point component") for c in doc.get("components", [])
+            ),
             general=doc_bool(doc.get("general", True), "point general"),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ambient:
     """One of the three surface models; immutable and hashable."""
 
@@ -135,6 +152,9 @@ class Ambient:
         object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in (PLANE, HIRZEBRUCH, BLOWUP):
             raise LatticeError(f"unknown ambient kind {self.kind!r}")
+        # canonical_class builds its coordinates from e without coercion
+        if not isinstance(self.e, int):
+            raise LatticeError(f"Hirzebruch parameter e must be an integer, got {self.e!r}")
         if self.e < 0:
             raise LatticeError("Hirzebruch parameter e must be >= 0")
         if self.kind == PLANE and (self.e != 0 or self.points):
@@ -198,7 +218,7 @@ def hirzebruch(e: int) -> Ambient:
     return amb if amb is not None else Ambient(HIRZEBRUCH, e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivClass:
     """Integer divisor class in the basis of its ambient."""
 
@@ -262,12 +282,44 @@ class DivClass:
         return "".join(parts) if parts else "0"
 
 
+_new = object.__new__
+# the slot descriptors store past the frozen __setattr__
+_set_ambient = DivClass.ambient.__set__
+_set_coords = DivClass.coords.__set__
+
+
 def _trusted(ambient: Ambient, coords: tuple[int, ...]) -> DivClass:
     # result of arithmetic on validated classes: skips __post_init__
-    d = object.__new__(DivClass)
-    object.__setattr__(d, "ambient", ambient)
-    object.__setattr__(d, "coords", coords)
+    d = _new(DivClass)
+    _set_ambient(d, ambient)
+    _set_coords(d, coords)
     return d
+
+
+def lincomb(
+    ambient: Ambient, terms: Iterable[tuple[int, DivClass]], over: int = 1
+) -> DivClass | None:
+    """The class sum(n * d for n, d in terms) / over, in one allocation.
+
+    Every d must live on ``ambient`` and every n be an integer.  The
+    quotient is exact: the result is None when ``over`` does not divide
+    every coordinate of the sum.  An empty sum is the zero class.
+    """
+    acc = None
+    for n, d in terms:
+        if d.ambient is not ambient and d.ambient != ambient:
+            raise AmbientMismatch("divisor classes live on different ambients")
+        if not isinstance(n, int):
+            raise TypeError(f"class multiplier must be an integer, got {n!r}")
+        col = d.coords if n == 1 else [n * c for c in d.coords]
+        acc = col if acc is None else list(map(add, acc, col))
+    if acc is None:
+        acc = (0,) * ambient.rank
+    if over != 1:
+        if any(c % over for c in acc):
+            return None
+        acc = [c // over for c in acc]
+    return _trusted(ambient, tuple(acc))
 
 
 def intersect(a: DivClass, b: DivClass) -> int:
@@ -285,16 +337,19 @@ def intersect(a: DivClass, b: DivClass) -> int:
 
 def canonical_class(ambient: Ambient) -> DivClass:
     if ambient.kind == PLANE:
-        return ambient.divisor(-3)
-    coords = [-2, -(ambient.e + 2)] + [1] * len(ambient.points)
-    return DivClass(ambient, tuple(coords))
+        return _trusted(ambient, (-3,))
+    return _trusted(ambient, (-2, -(ambient.e + 2)) + (1,) * len(ambient.points))
 
 
-def pullback(target: Ambient, d: DivClass) -> DivClass:
+def pullback(
+    target: Ambient, d: DivClass, tail: tuple[int, ...] | None = None
+) -> DivClass:
     """Total transform of ``d`` on a blow-up of its ambient.
 
     ``target`` must extend d.ambient: same e, and d's centres (if any) a
-    prefix of target's.
+    prefix of target's.  ``tail``, when given, replaces the zero
+    coordinates over the new centres: (-1, 0) gives the total transform
+    minus the first new exceptional class.
     """
     src = d.ambient
     if src.kind == PLANE or target.kind == PLANE:
@@ -304,7 +359,11 @@ def pullback(target: Ambient, d: DivClass) -> DivClass:
     pad = target.rank - src.rank
     if pad < 0:
         raise AmbientMismatch("target has lower rank than the class's ambient")
-    return _trusted(target, d.coords + (0,) * pad)
+    if tail is None:
+        return _trusted(target, d.coords + (0,) * pad)
+    if len(tail) != pad or not all(type(c) is int for c in tail):
+        raise LatticeError(f"a pullback tail needs {pad} integer coordinates")
+    return _trusted(target, d.coords + tuple(tail))
 
 
 def exceptional(ambient: Ambient, index: int) -> DivClass:

@@ -42,6 +42,7 @@ from .lattice import (
     h0,
     hirzebruch,
     intersect,
+    lincomb,
     plane,
     positivity,
 )
@@ -132,12 +133,19 @@ class ConstructionCertificate:
     def to_doc(self) -> dict:
         return {
             "kind": "construction",
-            "requested": {"ksq": self.requested_ksq, "chi": self.requested_chi},
-            "region": self.region,
             "data": self.data.to_doc(),
             "preResolution": None
             if self.pre_resolution is None
             else self.pre_resolution.to_doc(),
+            **self.derived_doc(),
+        }
+
+    def derived_doc(self) -> dict:
+        """Every field of the document but the kind and the building-data
+        blocks ``data`` and ``preResolution``."""
+        return {
+            "requested": {"ksq": self.requested_ksq, "chi": self.requested_chi},
+            "region": self.region,
             "invariants": self.invariants.to_doc(),
             "sideConditions": [c.to_doc() for c in self.side_conditions],
             "ampleness": self.ampleness,
@@ -346,7 +354,8 @@ def evaluate_side_conditions(
 
 def _push_2k(data: BuildingData) -> DivClass:
     # class on the base whose pullback is 2K of the cover
-    return 2 * canonical_class(data.ambient) + data.branch_total()
+    amb = data.ambient
+    return lincomb(amb, ((2, canonical_class(amb)), (1, data.d1), (1, data.d2), (1, data.d3)))
 
 
 LINE5_AMPLENESS_NOTE = (
@@ -411,7 +420,17 @@ def certify(
     outside the covered set.
     """
     region = _covered_region(ksq, chi)
-    params = region_parameters(region, ksq, chi)
+    return _certified(ksq, chi, region, region_parameters(region, ksq, chi), data, pre)
+
+
+def _certified(
+    ksq: int,
+    chi: int,
+    region: str,
+    params: dict[str, int],
+    data: BuildingData,
+    pre: BuildingData | None,
+) -> ConstructionCertificate:
     fibration: int | None = None
     epsilon: int | None = None
     if region == GENUS3:
@@ -451,5 +470,6 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
     does not raise but marks the certificate failed.
     """
     region = _covered_region(ksq, chi)
-    data, pre = _recipe_data(region, region_parameters(region, ksq, chi), chi)
-    return certify(ksq, chi, data, pre)
+    params = region_parameters(region, ksq, chi)
+    data, pre = _recipe_data(region, params, chi)
+    return _certified(ksq, chi, region, params, data, pre)

@@ -63,21 +63,33 @@ def value_edits(value):
     return []
 
 
+def component_names(doc):
+    """Every component name of the building-data blocks of a document."""
+    blocks = [doc["data"], doc.get("preResolution") or {"components": []}]
+    return {c["name"] for block in blocks for c in block["components"]}
+
+
+def name_swaps(names):
+    """Edits of a leaf that holds a component name: every other component
+    name of the document, a same-kind edit that ``+"x"`` does not reach."""
+
+    def edits(value):
+        swaps = sorted(names - {value}) if isinstance(value, str) and value in names else []
+        return value_edits(value) + swaps
+
+    return edits
+
+
 def leaf_pattern(leaf):
     return tuple("*" if isinstance(key, int) else key for key in leaf)
 
 
-# leaf patterns of the building data that only name or flag things: verify
-# parses them, but no derivation reads them, so an edit still verifies
+# leaf patterns of the building data that only name things: verify parses
+# them, but no derivation reads them, so an edit still verifies; the data of
+# a degeneration is compared with its designated rebuild, so it has none
 DATA_BOOKKEEPING = {
     "construction": {("data", "components", "*", "name")},
-    "degeneration": {
-        ("data", "components", "*", "name"),
-        ("data", "ambient", "points", "*", "name"),
-        ("data", "ambient", "points", "*", "branches", "*"),
-        ("data", "ambient", "points", "*", "components", "*"),
-        ("data", "incidence", "*", "general"),
-    },
+    "degeneration": set(),
 }
 
 
@@ -284,10 +296,45 @@ class TestVerify:
     )
     def test_value_edited_leaves_rejected(self, capsys, tmp_path, argv):
         path = self.write_doc(capsys, tmp_path, *argv)
-        kind = json.loads(path.read_text())["kind"]
-        tried, accepted = self.accepted_edits(capsys, path, value_edits, DATA_BOOKKEEPING[kind])
+        doc = json.loads(path.read_text())
+        edits = name_swaps(component_names(doc))
+        tried, accepted = self.accepted_edits(capsys, path, edits, DATA_BOOKKEEPING[doc["kind"]])
         assert tried > 50
         assert accepted == []
+
+    @pytest.mark.parametrize(
+        "pair, leaf, value",
+        [
+            ((20, 7), ("data", "incidence", 0, "components"), ["d2", "d2", "d3"]),
+            ((17, 5), ("data", "ambient", "points", 0, "components", 0), "zz"),
+            ((20, 7), ("data", "incidence", 0, "general"), False),
+        ],
+    )
+    def test_degeneration_data_compared_with_rebuild(self, capsys, tmp_path, pair, leaf, value):
+        path = self.write_doc(capsys, tmp_path, "degenerate", *map(str, pair), "--json")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(set_leaf(doc, leaf, value)))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "MISMATCH data: the designated degeneration builds different data" in out
+
+    @pytest.mark.parametrize("text", ["[]", "{}", "1e400"])
+    @pytest.mark.parametrize(
+        "argv, leaf",
+        [
+            (("construct", "20", "7"), ("data", "components", 0, "name")),
+            (("degenerate", "20", "7"), ("data", "incidence", 0, "name")),
+            (("degenerate", "20", "7"), ("data", "incidence", 0, "components", 1)),
+            (("degenerate", "17", "5"), ("data", "ambient", "points", 0, "name")),
+        ],
+    )
+    def test_non_string_names_exit_two(self, capsys, tmp_path, argv, leaf, text):
+        path = self.write_doc(capsys, tmp_path, *argv, "--json")
+        doc = set_leaf(json.loads(path.read_text()), leaf, "SENTINEL")
+        path.write_text(json.dumps(doc).replace('"SENTINEL"', text))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "must be a string" in err
 
     def test_degeneration_without_singularity_fails(self, capsys, tmp_path):
         # a self-consistent document whose data lost its marked point: the

@@ -1,15 +1,19 @@
+import dataclasses
 import functools
 import random
 
 import pytest
 
+from bidouble import checks, cover, lattice
 from bidouble.cover import (
     NON_NORMAL_GLUING,
     QUARTER_POINT,
     BuildingData,
     Component,
     CoverError,
+    Invariants,
     InvalidBuildingData,
+    LedgerEntry,
     NotTriplePoint,
     ParityError,
     building_data,
@@ -23,10 +27,13 @@ from bidouble.cover import (
 )
 from bidouble.lattice import (
     PLANE,
+    DivClass,
     LatticeError,
     PointLabel,
     exceptional,
+    h0_flagged,
     hirzebruch,
+    intersect,
     plane,
     pullback,
 )
@@ -438,3 +445,258 @@ class TestResolveTriplePoints:
         bd = building_data(amb, amb.divisor(1), amb.divisor(3), amb.divisor(3), comps, pts)
         assert self.raised(resolve_triple_points, bd, ["p"]) is CoverError
         assert self.raised(fold_reference, bd, ["p"]) is CoverError
+
+
+# The reference below is the operator form of the validation and invariant
+# path, kept literal: every step is DivClass operator arithmetic on classes
+# built by the validating constructor, one allocation per operator, so it
+# shares no code with the one-allocation ``lincomb`` route of the library.
+
+
+def reference_canonical(amb):
+    if amb.kind == PLANE:
+        return DivClass(amb, (-3,))
+    return DivClass(amb, (-2, -(amb.e + 2)) + (1,) * len(amb.points))
+
+
+def reference_line_bundles(ambient, d1, d2, d3):
+    for d in (d1, d2, d3):
+        if d.ambient != ambient:
+            raise InvalidBuildingData("branch class lives on a different ambient")
+    l1 = (d2 + d3).try_half()
+    if l1 is None:
+        raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
+    l2 = (d1 + d3).try_half()
+    if l2 is None:
+        raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
+    l3 = l1 + l2 - d3
+    for i, l in enumerate((l1, l2, l3), start=1):
+        if l.is_zero():
+            raise InvalidBuildingData(f"derived line bundle L{i} is zero")
+    return l1, l2, l3
+
+
+def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), allow_nonreduced=False):
+    if d1.is_zero() or d2.is_zero():
+        raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
+    l1, l2, l3 = reference_line_bundles(ambient, d1, d2, d3)
+    for i, d in enumerate((d1, d2, d3), start=1):
+        if not d.is_zero() and h0_flagged(ambient, d)[0] <= 0:
+            raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
+    comps = tuple(components)
+    for branch, total in ((1, d1), (2, d2), (3, d3)):
+        entries = [c for c in comps if c.branch == branch]
+        if not entries:
+            continue
+        acc = DivClass(ambient, (0,) * ambient.rank)
+        for c in entries:
+            if c.cls.ambient != ambient:
+                raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
+            acc = acc + c.count * c.cls
+        if acc != total:
+            raise InvalidBuildingData(
+                f"components of branch {branch} sum to {acc}, expected {total}"
+            )
+    names = {c.name for c in comps}
+    seen = set()
+    for p in incidence:
+        if p.name in seen:
+            raise InvalidBuildingData(f"marked point {p.name!r} repeated")
+        seen.add(p.name)
+        for cname in p.components:
+            if cname not in names:
+                raise InvalidBuildingData(f"point {p.name!r} names unknown component {cname!r}")
+    reduced = len(names) == len(comps)
+    if not reduced and not allow_nonreduced:
+        raise InvalidBuildingData(
+            "total branch is non-reduced (a component is repeated); "
+            "only degeneration data may be non-reduced"
+        )
+    return BuildingData(ambient, d1, d2, d3, l1, l2, l3, comps, tuple(incidence), reduced)
+
+
+def reference_invariants(bd):
+    k = reference_canonical(bd.ambient)
+    two_k_plus_b = 2 * k + bd.d1 + bd.d2 + bd.d3
+    ksq = intersect(two_k_plus_b, two_k_plus_b)
+    tot = sum(intersect(l, l + k) for l in bd.bundles())
+    if tot % 2:
+        raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
+    chi = 4 + tot // 2
+    pg, estimated = 0, False
+    for l in bd.bundles():
+        val, flagged = h0_flagged(bd.ambient, k + l)
+        pg += val
+        estimated = estimated or flagged
+    return Invariants(ksq=ksq, chi=chi, pg=pg, q=pg - chi + 1, pg_estimated=estimated)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (CoverError, LatticeError) as err:
+        return type(err), str(err)
+
+
+def random_datum(rng):
+    """Branch classes and components on F_e, e <= 3, drawn to hit every
+    validation: mostly consistent, sometimes of odd parity, with a zero
+    bundle, an ineffective class or a component that spoils its branch sum."""
+    amb = hirzebruch(rng.randrange(4))
+
+    def cls(parity=None):
+        a, b = rng.randrange(9), rng.randrange(9)
+        if parity is not None:
+            a, b = a + (a - parity[0]) % 2, b + (b - parity[1]) % 2
+        return amb.divisor(a, b)
+
+    d3 = cls()
+    odd = rng.random() < 0.1
+    d1 = cls(None if odd else (d3.coords[0] % 2, d3.coords[1] % 2))
+    d2 = cls(None if odd else (d3.coords[0] % 2, d3.coords[1] % 2))
+    shape = rng.random()
+    if shape < 0.05:
+        d3 = -d2  # L1 = 0
+    elif shape < 0.1:
+        d2 = -d1 + 2 * amb.divisor(0, rng.randrange(3))  # L3 = fibers, maybe 0
+    elif shape < 0.15:
+        d1 = amb.divisor(2, -2)  # never effective
+    comps = []
+    for branch, total in ((1, d1), (2, d2), (3, d3)):
+        if rng.random() < 0.3:
+            continue
+        rest = total
+        for i in range(rng.randrange(3)):
+            piece = amb.divisor(*rng.choice(((0, 1), (1, 0), (1, 1))))
+            count = rng.randrange(1, 3)
+            comps.append(Component(f"c{branch}{i}", branch, piece, count))
+            rest = rest - count * piece
+        comps.append(Component(f"c{branch}rest", branch, rest))
+    if comps and rng.random() < 0.1:
+        i = rng.randrange(len(comps))
+        c = comps[i]
+        comps[i] = Component(c.name, c.branch, c.cls + amb.divisor(0, 1), c.count)
+    return amb, d1, d2, d3, tuple(comps)
+
+
+class TestAgainstReferenceFold:
+    def test_random_data(self):
+        rng = random.Random(20261018)
+        seen = {}
+        for _ in range(2000):
+            amb, d1, d2, d3, comps = random_datum(rng)
+            got = outcome(building_data, amb, d1, d2, d3, comps)
+            assert got == outcome(reference_building_data, amb, d1, d2, d3, comps)
+            assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
+                reference_line_bundles, amb, d1, d2, d3
+            )
+            if isinstance(got, BuildingData):
+                assert outcome(invariants, got) == outcome(reference_invariants, got)
+                kind = "valid"
+            else:
+                kind = got[1].split(" ")[0] if got[0] is InvalidBuildingData else got[0].__name__
+            seen[kind] = seen.get(kind, 0) + 1
+        # every validation on the path is reached: valid data, parity,
+        # zero bundle, effectivity and component sums
+        assert set(seen) >= {"valid", "ParityError", "derived", "branch", "components"}
+        assert seen["valid"] >= 500
+
+    @pytest.mark.parametrize("chi", [2, 5, 13, 40])
+    def test_resolved_data(self, chi):
+        for ksq in [k for k, _ in genus3_resolved_pairs(chi)] + [4 * chi - 5]:
+            cert = construct(ksq, chi)
+            assert cert.pre_resolution is not None
+            for bd in (cert.pre_resolution, cert.data):
+                args = (bd.ambient, bd.d1, bd.d2, bd.d3, bd.components, bd.incidence)
+                assert reference_building_data(*args) == bd == building_data(*args)
+                assert derive_line_bundles(*args[:4]) == reference_line_bundles(*args[:4])
+                assert invariants(bd) == reference_invariants(bd)
+            assert (cert.invariants.ksq, cert.invariants.chi) == (ksq, chi)
+
+    @staticmethod
+    def raised(fn, *args):
+        with pytest.raises(CoverError) as info:
+            fn(*args)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize(
+        "e, d1, d2, d3, comps, expected",
+        [
+            # odd parity in D2 + D3, then in D1 + D3
+            (0, (1, 0), (1, 1), (0, 0), (), ParityError),
+            (1, (1, 1), (2, 2), (0, 0), (), ParityError),
+            # L1 = (D2 + D3)/2 = 0, and L3 = (D1 + D2)/2 = 0
+            (0, (1, 0), (1, 0), (-1, 0), (), InvalidBuildingData),
+            (2, (1, 2), (-1, -2), (1, 0), (), InvalidBuildingData),
+            # component sums: short, long, and off in the third branch
+            (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 1),), InvalidBuildingData),
+            (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 3),), InvalidBuildingData),
+            (3, (1, 0), (1, 4), (1, 2), (("a", 3, (0, 1), 1), ("b", 3, (1, 0), 1)), InvalidBuildingData),
+        ],
+    )
+    def test_same_errors_as_reference(self, e, d1, d2, d3, comps, expected):
+        amb = hirzebruch(e)
+        args = (
+            amb,
+            amb.divisor(*d1),
+            amb.divisor(*d2),
+            amb.divisor(*d3),
+            tuple(Component(n, b, amb.divisor(*c), k) for n, b, c, k in comps),
+        )
+        got = self.raised(building_data, *args)
+        assert got == self.raised(reference_building_data, *args)
+        assert got[0] is expected
+        if not comps:
+            assert self.raised(derive_line_bundles, *args[:4]) == self.raised(
+                reference_line_bundles, *args[:4]
+            )
+
+    def test_oracles_avoid_lincomb(self, monkeypatch):
+        # chi_oracle, ksq_oracle and the monomial count stay a route that is
+        # independent of the one-allocation arithmetic they check
+        bds = [construct(ksq, chi).data for ksq, chi in ((20, 7), (17, 5), (7, 3), (1, 2), (40, 5))]
+        expected = [(invariants(bd).chi, invariants(bd).ksq) for bd in bds]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle called lincomb")
+
+        for module in (lattice, cover):
+            monkeypatch.setattr(module, "lincomb", refuse)
+        assert [(chi_oracle(bd), ksq_oracle(bd)) for bd in bds] == expected
+        amb = hirzebruch(2)
+        assert checks.monomial_count(amb, amb.divisor(2, 5)) == 6 + 4 + 2
+
+
+class TestSlottedValues:
+    @staticmethod
+    def values():
+        bd = construct(17, 5).data
+        amb = hirzebruch(0)
+        return [
+            bd.components[0],
+            invariants(bd),
+            LedgerEntry(QUARTER_POINT, 1, 2, witness_point="p"),
+            LedgerEntry(NON_NORMAL_GLUING, 6, 2, witness_class=amb.divisor(1, 0)),
+            bd,
+        ]
+
+    def test_no_instance_dict(self):
+        for value in self.values():
+            assert not hasattr(value, "__dict__"), type(value).__name__
+            assert "__slots__" in type(value).__dict__
+
+    def test_frozen(self):
+        for value in self.values():
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+
+    def test_equal_and_hashable(self):
+        for value, again in zip(self.values(), self.values()):
+            assert value == again and value is not again
+            assert hash(value) == hash(again)
+        bd = construct(17, 5).data
+        parsed = BuildingData.from_doc(bd.to_doc())
+        assert parsed == bd and hash(parsed) == hash(bd)
+        assert parsed.ambient is not bd.ambient

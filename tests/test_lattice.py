@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from bidouble.lattice import (
     h0_flagged,
     hirzebruch,
     intersect,
+    lincomb,
     plane,
     positivity,
     pullback,
@@ -345,6 +347,96 @@ class TestTrustedArithmetic:
         assert pullback(copy.blow_up(PointLabel("q")), u).coords == (1, 1, -1, 0)
 
 
+class TestLincomb:
+    @given(
+        e=st.integers(0, 3),
+        k=st.integers(0, 3),
+        terms=st.lists(
+            st.tuples(st.integers(-4, 4), st.lists(st.integers(-9, 9), min_size=5, max_size=5)),
+            max_size=5,
+        ),
+        over=st.integers(1, 3),
+    )
+    def test_equals_operator_fold(self, e, k, terms, over):
+        amb = hirzebruch(e)
+        for i in range(k):
+            amb = amb.blow_up(PointLabel(f"p{i + 1}"))
+        classes = [(n, DivClass(amb, tuple(c[: amb.rank]))) for n, c in terms]
+        fold = DivClass(amb, (0,) * amb.rank)
+        for n, d in classes:
+            fold = fold + n * d
+        got = lincomb(amb, classes, over)
+        if any(c % over for c in fold.coords):
+            assert got is None
+        else:
+            assert got == DivClass(amb, tuple(c // over for c in fold.coords))
+            assert all(type(c) is int for c in got.coords)
+
+    def test_refuses_foreign_classes_and_scalars(self):
+        amb = hirzebruch(0)
+        with pytest.raises(AmbientMismatch):
+            lincomb(amb, [(1, amb.divisor(1, 0)), (1, hirzebruch(1).divisor(1, 0))])
+        for n in (2.0, "2", None):
+            with pytest.raises(TypeError):
+                lincomb(amb, [(n, amb.divisor(1, 0))])
+
+    def test_equal_ambient_built_apart(self):
+        amb = blowup_of_f0(1)
+        copy = Ambient.from_doc(amb.to_doc())
+        got = lincomb(amb, [(1, amb.divisor(1, 1, -1)), (2, copy.divisor(0, 1, -1))])
+        assert got.coords == (1, 3, -3) and got.ambient is amb
+
+    def test_pullback_tail(self):
+        base = hirzebruch(0).blow_up(PointLabel("p"))
+        amb = base.blow_up(PointLabel("q")).blow_up(PointLabel("r"))
+        d = base.divisor(3, 4, -1)
+        assert pullback(amb, d, (-1, 0)) == pullback(amb, d) - exceptional(amb, 1)
+        assert pullback(amb, d, (0, 0)) == pullback(amb, d)
+        for tail in ((-1,), (-1, 0, 0), (-1.0, 0), (True, 0)):
+            with pytest.raises(LatticeError):
+                pullback(amb, d, tail)
+
+    def test_non_integer_e_refused(self):
+        for e in (1.5, 2.0, "1"):
+            with pytest.raises(LatticeError):
+                Ambient("Hirzebruch", e)
+
+    def test_canonical_class_is_the_validated_class(self):
+        for amb in (plane(), hirzebruch(0), hirzebruch(3), blowup_of_f0(2)):
+            k = canonical_class(amb)
+            coords = (-3,) if amb.kind == "ProjectivePlane" else (-2, -(amb.e + 2)) + (1,) * len(amb.points)
+            assert k == DivClass(amb, coords)
+            assert all(type(c) is int for c in k.coords)
+
+
+class TestSlottedValues:
+    @staticmethod
+    def values():
+        amb = blowup_of_f0(2)
+        return [amb.points[0], amb, amb.divisor(1, 2, -1, 0), plane(), hirzebruch(5)]
+
+    def test_no_instance_dict(self):
+        for value in self.values():
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_frozen(self):
+        for value in self.values():
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+
+    def test_equal_and_hashable(self):
+        for value, again in zip(self.values(), self.values()):
+            assert value == again and hash(value) == hash(again)
+        rebuilt = Ambient.from_doc(hirzebruch(0).to_doc())
+        assert rebuilt == hirzebruch(0) and rebuilt is not hirzebruch(0)
+        assert hash(rebuilt) == hash(hirzebruch(0))
+        assert {hirzebruch(0).divisor(1, 2)} == {rebuilt.divisor(1, 2)}
+        amb = blowup_of_f0(1)
+        assert Ambient.from_doc(amb.to_doc()) == amb
+        assert hash(Ambient.from_doc(amb.to_doc())) == hash(amb)
+
+
 class TestDocumentIntegers:
     @pytest.mark.parametrize(
         "doc",
@@ -365,3 +457,11 @@ class TestDocumentIntegers:
             {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]}
         )
         assert amb.points[0].is_triple
+
+    @pytest.mark.parametrize("bad", [[], {}, float("inf"), 1, None, True])
+    @pytest.mark.parametrize("field", ["name", "components"])
+    def test_point_names_must_be_strings(self, bad, field):
+        point = {"name": "p", "branches": [1, 2, 3], "components": ["a"]}
+        point[field] = bad if field == "name" else ["a", bad]
+        with pytest.raises(LatticeError, match="must be a string"):
+            Ambient.from_doc({"kind": "BlownUp", "e": 0, "points": [point]})
