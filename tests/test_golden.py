@@ -4,6 +4,9 @@ Certificates and atlases are byte-identical for fixed inputs, so any change
 to how they are computed must leave these digests in place.  A digest moves
 only with an intended change to a document format, recorded in CHANGES.md.
 
+The ``check --chi-max 6`` digest pins the sweep report: its counts, the
+oracle sample and the emitted atlas sizes.
+
 Each construction or degeneration digest covers one chi row, chi <= 12: the
 ``--json`` output of every covered pair with that chi, in increasing Ksq,
 concatenated.  The product line has no degeneration and is left out of the
@@ -27,6 +30,9 @@ ATLAS_DIGESTS = {
     "json": "f171c7617a97893fd6321b8d8c0e9b3d3dab4a01ed7880c1bf139160a39bd004",
     "svg": "d1d1d7720221fc2c6eaaf6dbd0e0b442f4779dcecaeb5d78451acdbb3d998a2b",
 }
+
+CHECK_CHI_MAX = 6
+CHECK_DIGEST = "6a5eb0d674dbf2843afb9fecb753e835a0601fb1592797c17feb1f8fd139373b"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -85,6 +91,11 @@ def row_digest(command: str, chi: int) -> str:
 def test_atlas_digest(fmt):
     text = cli_stdout(["atlas", "--chi-max", str(ATLAS_CHI_MAX), "--format", fmt])
     assert hashlib.sha256(text).hexdigest() == ATLAS_DIGESTS[fmt]
+
+
+def test_check_digest():
+    text = cli_stdout(["check", "--chi-max", str(CHECK_CHI_MAX)])
+    assert hashlib.sha256(text).hexdigest() == CHECK_DIGEST
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
