@@ -22,11 +22,12 @@ from .cover import (
     invariants,
     ksq_oracle,
 )
-from .degenerations import DEGENERATIONS, degenerate
+from .degenerations import degenerate
 from .geography import FORMATS, atlas, emit
 from .lattice import HIRZEBRUCH, PLANE, Ambient, DivClass, h0, hirzebruch, intersect, plane
 from .recipes import (
     COVERED_REGIONS,
+    FAMILY,
     GENUS2_GENERAL,
     NOETHER_LINE,
     NOT_ADMISSIBLE,
@@ -47,6 +48,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def to_doc(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def covered_pairs(chi_max: int) -> Iterator[tuple[int, int]]:
@@ -124,7 +128,7 @@ def check_horikawa_pairing(cert: ConstructionCertificate) -> int | str:
 
 
 def check_degeneration_sweep(cert: ConstructionCertificate) -> int | str:
-    if cert.region not in DEGENERATIONS:
+    if FAMILY[cert.region].degeneration is None:
         return 0
     pair = f"({cert.requested_ksq}, {cert.requested_chi})"
     dc = degenerate(cert)

@@ -19,19 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .cover import BuildingData, CoverError, resolve_triple_points
-from .checks import run_all
-from .degenerations import (
-    DEGENERATIONS,
-    DegenerationError,
-    degenerate,
-    degeneration_certificate,
-)
+from .cover import BuildingData, CoverError
+from .checks import CheckResult, run_all
+from .degenerations import DegenerationError, degenerate, degeneration_certificate
 from .geography import FORMATS, atlas, canonical_json, emit
 from .lattice import (
-    BLOWUP,
     HIRZEBRUCH,
     PLANE,
     Ambient,
@@ -39,7 +32,7 @@ from .lattice import (
     doc_coords,
     doc_int,
 )
-from .recipes import RegionError, certify, construct
+from .recipes import FAMILY, RegionError, certify, construct, resolve_marked
 
 
 class CertificateFormatError(ValueError):
@@ -114,16 +107,6 @@ def _print_degeneration(dc) -> None:
     print(f"status: {'OK' if dc.ok else 'FAILED'}")
 
 
-@dataclass(frozen=True)
-class FieldCheck:
-    name: str
-    passed: bool
-    detail: str
-
-    def to_doc(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
 def _require(doc: dict, *keys: str) -> None:
     for key in keys:
         if key not in doc:
@@ -162,7 +145,7 @@ def _same(derived: object, stored: object) -> bool:
 
 def _building_blocks(
     doc: dict, keys: tuple[str, ...]
-) -> tuple[dict[str, BuildingData], list[FieldCheck]]:
+) -> tuple[dict[str, BuildingData], list[CheckResult]]:
     """Parse the stored building-data blocks named by ``keys`` (absent or
     null blocks are skipped) and check the fields derived from the branch
     data: the line bundles l1..l3 against the parity derivation, and the
@@ -184,14 +167,14 @@ def _building_blocks(
         if not _same(data.reduced, block["reduced"]):
             bad_reduced.append(f"{key}.reduced")
     checks = [
-        FieldCheck(
+        CheckResult(
             "lineBundles",
             not bad_bundles,
             "stored bundle classes match the parity derivation"
             if not bad_bundles
             else f"{', '.join(bad_bundles)} disagree with the parity derivation",
         ),
-        FieldCheck(
+        CheckResult(
             "reduced",
             not bad_reduced,
             "stored reduced flags match the components"
@@ -202,7 +185,7 @@ def _building_blocks(
     return parsed, checks
 
 
-def _verify_doc(doc: dict) -> list[FieldCheck]:
+def _verify_doc(doc: dict) -> list[CheckResult]:
     """Re-derive a stored certificate from its building data through the
     certification step of construct or degenerate, and compare every field."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -216,9 +199,9 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
         blocks, checks = _building_blocks(doc, ("data", "preResolution"))
         data, pre = blocks["data"], blocks.get("preResolution")
         if pre is not None:
-            resolved = resolve_triple_points(pre, [p for p in pre.incidence if p.is_triple])
+            resolved = resolve_marked(pre)
             checks.append(
-                FieldCheck(
+                CheckResult(
                     "resolution",
                     resolved == data,
                     "resolving the marked points reproduces the stored data"
@@ -234,24 +217,24 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
         blocks, checks = _building_blocks(doc, ("data",))
         parent = construct(ksq, chi)
         cert = degeneration_certificate(parent, blocks["data"])
-        same_data = DEGENERATIONS[parent.region][0](parent) == blocks["data"]
+        same_data = FAMILY[parent.region].degeneration.data(parent) == blocks["data"]
         stable = cert.invariants == parent.invariants
         checks += [
-            FieldCheck(
+            CheckResult(
                 "data",
                 same_data,
                 "the designated degeneration rebuilds the stored data"
                 if same_data
                 else "the designated degeneration builds different data",
             ),
-            FieldCheck(
+            CheckResult(
                 "invariantsStable",
                 stable,
                 "degenerate data keeps the parent invariants"
                 if stable
                 else "degenerate data changes the invariants",
             ),
-            FieldCheck(
+            CheckResult(
                 "nonGorenstein",
                 bool(cert.ledger),
                 f"the singularity scan finds {len(cert.ledger)} ledger entries",
@@ -263,10 +246,10 @@ def _verify_doc(doc: dict) -> list[FieldCheck]:
     for key, value in derived.items():
         same = _same(value, doc[key])
         detail = "matches the re-derivation" if same else f"re-derived {json.dumps(value)}"
-        checks.append(FieldCheck(key, same, detail))
+        checks.append(CheckResult(key, same, detail))
     inv = cert.invariants
     checks.append(
-        FieldCheck(
+        CheckResult(
             "requestedMatch",
             (inv.ksq, inv.chi) == (ksq, chi),
             f"data realizes ({inv.ksq}, {inv.chi}), requested ({ksq}, {chi})",
@@ -348,6 +331,14 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bidouble",
@@ -376,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("atlas", help="emit the atlas of the admissible range")
-    p.add_argument("--chi-max", type=int, required=True, help="largest chi row")
+    p.add_argument("--chi-max", type=positive, required=True, help="largest chi row")
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("check", help="run the internal consistency sweeps")
-    p.add_argument("--chi-max", type=int, default=12)
+    p.add_argument("--chi-max", type=positive, default=12)
     p.set_defaults(func=_cmd_check)
 
     return parser

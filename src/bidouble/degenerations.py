@@ -1,48 +1,39 @@
 """One-parameter degenerations of the constructed covers.
 
 Each covered region away from the product line carries a designated
-degeneration: the branch divisors stay in their classes, so the numerical
-invariants are untouched, but the configuration becomes special.  Either a
-component is shared between two branches (the total branch goes non-reduced
-and the cover glues to itself along a curve) or the three branches are made
-to pass through a common point (the cover acquires a quarter point).  Both
-produce a nonempty index-2 singularity ledger, and the degenerate cover is
-no longer Gorenstein.
+degeneration, recorded with its family in ``recipes.FAMILIES``: the branch
+divisors stay in their classes, so the numerical invariants are untouched,
+but the configuration becomes special.  Either a component is shared between
+two branches (the total branch goes non-reduced and the cover glues to
+itself along a curve) or the three branches are made to pass through a
+common point (the cover acquires a quarter point).  Both produce a nonempty
+index-2 singularity ledger, and the degenerate cover is no longer
+Gorenstein.
 
-The non-reduced family on the even-degree line also records the building
-classes of its normalization, which splits off the shared curve.
+Non-reduced degenerate data also records the building classes of its
+normalization, which splits off the shared curve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cover import (
     BuildingData,
-    Component,
     Invariants,
     LedgerEntry,
-    building_data,
     invariants,
     singularity_scan,
 )
-from .lattice import DivClass, PointLabel, intersect
+from .lattice import DivClass
 from .recipes import (
-    GENUS2_GENERAL,
-    GENUS3,
-    LINE_4CHI_MINUS_4,
-    LINE_4CHI_MINUS_5,
-    NOETHER_LINE,
-    PLANE_SPECIAL_12,
-    PLANE_SPECIAL_13,
+    FAMILY,
     ConstructionCertificate,
+    Degeneration,
+    DegenerationError,
     SideCondition,
     construct,
 )
-
-class DegenerationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,149 +94,21 @@ class DegenerationCertificate:
         }
 
 
-def _noether_data(cert: ConstructionCertificate) -> BuildingData:
-    # D2 degenerates onto the section already used by D1: the component
-    # named d1 now sits in both branches, plus enough fibers to fill the
-    # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
-    src = cert.data
-    amb = src.ambient
-    fiber = amb.divisor(0, 1)
-    rest = src.d2 - src.d1
-    if rest.coords[0] != 0 or rest.coords[1] < 0:
+def _designated(region: str) -> Degeneration:
+    degeneration = FAMILY[region].degeneration
+    if degeneration is None:
         raise DegenerationError(
-            f"D2 - D1 = {rest} is not a nonnegative fiber multiple"
+            "the product family has no designated degeneration; its branches "
+            "are disjoint ruling fibers"
         )
-    branch2 = [Component("d1", 2, src.d1)]
-    branch2 += [Component(f"f{i}", 2, fiber) for i in range(1, rest.coords[1] + 1)]
-    comps = (Component("d1", 1, src.d1), *branch2, Component("d3", 3, src.d3))
-    return building_data(
-        amb, src.d1, src.d2, src.d3, comps, allow_nonreduced=True
-    )
-
-
-DataRecipe = Callable[[ConstructionCertificate], BuildingData]
-
-
-def _through_point(witness: str, component_names: tuple[str, str, str]) -> DataRecipe:
-    """The recipe that marks one more point on the named components, one
-    per branch."""
-    point = PointLabel(witness, frozenset({1, 2, 3}), component_names)
-
-    def build(cert: ConstructionCertificate) -> BuildingData:
-        src = cert.data
-        return building_data(
-            src.ambient,
-            src.d1,
-            src.d2,
-            src.d3,
-            src.components,
-            src.incidence + (point,),
-            allow_nonreduced=not src.reduced,
-        )
-
-    return build
-
-
-def _genus3_data(cert: ConstructionCertificate) -> BuildingData:
-    # split one fiber off the unmarked bulk of D1 and pass it through a
-    # point of D2 and D3; the new point is numbered after the resolved ones
-    src = cert.data
-    eps = cert.parameters["epsilon"]
-    new_fiber = f"f{eps + 1}"
-    comps: list[Component] = []
-    for c in src.components:
-        if c.name != "f_rest":
-            comps.append(c)
-            continue
-        comps.append(Component(new_fiber, 1, c.cls))
-        if c.count > 1:
-            comps.append(Component("f_rest", 1, c.cls, c.count - 1))
-    point = PointLabel(f"p{eps + 1}", frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
-    return building_data(
-        src.ambient,
-        src.d1,
-        src.d2,
-        src.d3,
-        tuple(comps),
-        src.incidence + (point,),
-    )
+    return degeneration
 
 
 def availability_conditions(
     cert: ConstructionCertificate, data: BuildingData
 ) -> tuple[SideCondition, ...]:
     """Recompute the degeneration's availability conditions from its data."""
-    region = cert.region
-    if region == NOETHER_LINE:
-        rest = data.d2 - data.d1
-        return (
-            SideCondition(
-                "sharedComponentFits",
-                str(rest),
-                rest.coords[0] == 0 and rest.coords[1] >= 0,
-            ),
-        )
-    if region in (PLANE_SPECIAL_12, PLANE_SPECIAL_13):
-        cand = intersect(data.d2, data.d3)
-    elif region == GENUS3:
-        cand = intersect(data.d2, data.d3)
-        return (
-            SideCondition("triplePointCandidates", cand, cand >= 1),
-            SideCondition(
-                "spareFibers",
-                cert.parameters["alpha"] - cert.parameters["epsilon"],
-                cert.parameters["alpha"] - cert.parameters["epsilon"] >= 1,
-            ),
-        )
-    else:
-        cand = intersect(data.d1, data.d2)
-    return (SideCondition("triplePointCandidates", cand, cand >= 1),)
-
-
-# the designated degeneration of each family that has one, as the recipe of
-# its data and its note; the product family has none
-DEGENERATIONS: dict[str, tuple[DataRecipe, str]] = {
-    NOETHER_LINE: (
-        _noether_data,
-        "the second branch degenerates onto the section already contained in "
-        "the first branch; the cover glues to itself along that curve",
-    ),
-    PLANE_SPECIAL_12: (
-        _through_point("p", ("d1", "d2", "d3")),
-        "the line moves through a point of the two cubics",
-    ),
-    PLANE_SPECIAL_13: (
-        _through_point("p", ("d1", "d2", "d3")),
-        "the first line moves through a point of the quintic and the other line",
-    ),
-    GENUS2_GENERAL: (
-        _through_point("p", ("d1", "d2", "d3")),
-        "the trisection moves through a point of the two bisections",
-    ),
-    LINE_4CHI_MINUS_5: (
-        _through_point("pPrime", ("d1", "d2", "delta2")),
-        "a second ruling member of the third branch moves through a point of "
-        "the strict transforms of the bisections",
-    ),
-    LINE_4CHI_MINUS_4: (
-        _through_point("p", ("d1", "d2", "delta1")),
-        "a ruling member of the third branch moves through a point of the two "
-        "bisections",
-    ),
-    GENUS3: (
-        _genus3_data,
-        "one more fiber of the first branch moves through a point of the other branches",
-    ),
-}
-
-
-def _designated(region: str) -> tuple[DataRecipe, str]:
-    if region not in DEGENERATIONS:
-        raise DegenerationError(
-            "the product family has no designated degeneration; its branches "
-            "are disjoint ruling fibers"
-        )
-    return DEGENERATIONS[region]
+    return _designated(cert.region).availability(cert, data)
 
 
 def degeneration_certificate(
@@ -258,11 +121,11 @@ def degeneration_certificate(
     degenerate and by certificate verification.  Raises DegenerationError
     for the product family, which stays smooth.
     """
-    _, note = _designated(parent.region)
+    note = _designated(parent.region).note
     inv = invariants(data)
     ledger = singularity_scan(data)
     conds = availability_conditions(parent, data)
-    norm = _normalization_from_data(data) if parent.region == NOETHER_LINE else None
+    norm = None if data.reduced else _normalization_from_data(data)
     ok = (
         all(c.satisfied for c in conds)
         and inv == parent.invariants
@@ -289,8 +152,7 @@ def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
 
     Raises DegenerationError for the product family, which stays smooth.
     """
-    recipe, _ = _designated(cert.region)
-    return degeneration_certificate(cert, recipe(cert))
+    return degeneration_certificate(cert, _designated(cert.region).data(cert))
 
 
 def degenerate_pair(ksq: int, chi: int) -> DegenerationCertificate:
@@ -320,7 +182,7 @@ def normalize_noether_line(dc: DegenerationCertificate) -> Normalization:
     marked-point degenerations are already normal, so asking for their
     normalization is an error.
     """
-    if dc.region != NOETHER_LINE:
+    if dc.data.reduced:
         raise DegenerationError(
             f"degeneration in region {dc.region!r} is normal; nothing to normalize"
         )

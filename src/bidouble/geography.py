@@ -14,22 +14,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from .degenerations import DEGENERATIONS, degenerate
-from .recipes import (
-    COVERED_REGIONS,
-    GENUS2_GENERAL,
-    GENUS3,
-    LINE_4CHI_MINUS_4,
-    LINE_4CHI_MINUS_5,
-    NOETHER_LINE,
-    NOT_COVERED,
-    PLANE_SPECIAL_12,
-    PLANE_SPECIAL_13,
-    PRODUCT_LINE,
-    admissible,
-    classify,
-    construct,
-)
+from .degenerations import degenerate
+from .recipes import FAMILIES, FAMILY, NOT_COVERED, admissible, classify, construct
 
 CSV_COLUMNS = (
     "chi",
@@ -100,15 +86,14 @@ def atlas(chi_max: int) -> tuple[AtlasRow, ...]:
         for ksq in range(max(1, 2 * chi - 6), 9 * chi + 1):
             assert admissible(ksq, chi)
             region = classify(ksq, chi)
-            if region not in COVERED_REGIONS:
+            family = FAMILY.get(region)
+            if family is None:
                 rows.append(
                     AtlasRow(chi, ksq, region, False, False, None, None, None, ())
                 )
                 continue
             cert = construct(ksq, chi)
-            degenerated = (
-                region in DEGENERATIONS and degenerate(cert).ok
-            )
+            degenerated = family.degeneration is not None and degenerate(cert).ok
             rows.append(
                 AtlasRow(
                     chi,
@@ -139,17 +124,7 @@ def _emit_json(rows: tuple[AtlasRow, ...]) -> str:
     return canonical_json({"chiMax": chi_max, "rows": [r.to_doc() for r in rows]})
 
 
-REGION_FILL = {
-    NOETHER_LINE: "#1f77b4",
-    PLANE_SPECIAL_12: "#9467bd",
-    PLANE_SPECIAL_13: "#8c564b",
-    GENUS2_GENERAL: "#2ca02c",
-    LINE_4CHI_MINUS_5: "#d62728",
-    LINE_4CHI_MINUS_4: "#ff7f0e",
-    GENUS3: "#17becf",
-    PRODUCT_LINE: "#e377c2",
-    NOT_COVERED: "#d9d9d9",
-}
+REGION_FILL = {family.name: family.fill for family in FAMILIES} | {NOT_COVERED: "#d9d9d9"}
 
 # the five reference lines drawn on every chart: (label, slope, intercept)
 GUIDE_LINES = (

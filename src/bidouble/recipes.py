@@ -1,16 +1,10 @@
 """Region classification of the (K^2, chi) plane and construction recipes.
 
 Admissible pairs satisfy chi >= 1, K^2 >= 1 and 2chi-6 <= K^2 <= 9chi.
-Covered pairs are dispatched to one family each, in this precedence order:
-
-    ProductLine        K^2 = 8chi
-    PlaneSpecial12     (1, 2)
-    PlaneSpecial13     (1, 3)
-    NoetherLine        K^2 = 2chi - 6
-    Line4chiMinus5     K^2 = 4chi - 5
-    Line4chiMinus4     K^2 = 4chi - 4
-    Genus2General      2chi - 5 <= K^2 <= 4chi - 6
-    Genus3             4chi - 3 <= K^2 <= 8chi - 8
+``FAMILIES`` holds one ``Family`` record per covered region, and ``classify``
+returns the first family whose locus holds the pair.  The loci are pairwise
+disjoint but for one overlap: the plane pairs (1, 2) and (1, 3) lie inside
+the Genus2General strip, so their families come first.
 
 Everything else admissible is NotCovered (the strip 8chi-8 < K^2 < 9chi
 minus the product line).  ``construct`` builds the branch data, and
@@ -21,7 +15,8 @@ direct image of 2K, and the fibration genus where one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .cover import (
     BuildingData,
@@ -33,7 +28,6 @@ from .cover import (
 from .cover import Invariants
 from .lattice import (
     BLOWUP,
-    NEF_ONLY,
     PLANE,
     Ambient,
     DivClass,
@@ -58,19 +52,6 @@ PRODUCT_LINE = "ProductLine"
 NOT_COVERED = "NotCovered"
 NOT_ADMISSIBLE = "NotAdmissible"
 
-COVERED_REGIONS = frozenset(
-    {
-        NOETHER_LINE,
-        PLANE_SPECIAL_12,
-        PLANE_SPECIAL_13,
-        GENUS2_GENERAL,
-        LINE_4CHI_MINUS_5,
-        LINE_4CHI_MINUS_4,
-        GENUS3,
-        PRODUCT_LINE,
-    }
-)
-
 
 class RegionError(ValueError):
     pass
@@ -85,22 +66,9 @@ def classify(ksq: int, chi: int) -> str:
     """Total classification of an integer pair into exactly one region tag."""
     if not admissible(ksq, chi):
         return NOT_ADMISSIBLE
-    if ksq == 8 * chi:
-        return PRODUCT_LINE
-    if (ksq, chi) == (1, 2):
-        return PLANE_SPECIAL_12
-    if (ksq, chi) == (1, 3):
-        return PLANE_SPECIAL_13
-    if ksq == 2 * chi - 6:
-        return NOETHER_LINE
-    if ksq == 4 * chi - 5:
-        return LINE_4CHI_MINUS_5
-    if ksq == 4 * chi - 4:
-        return LINE_4CHI_MINUS_4
-    if 2 * chi - 5 <= ksq <= 4 * chi - 6:
-        return GENUS2_GENERAL
-    if 4 * chi - 3 <= ksq <= 8 * chi - 8:
-        return GENUS3
+    for family in FAMILIES:
+        if family.locus(ksq, chi):
+            return family.name
     return NOT_COVERED
 
 
@@ -160,56 +128,54 @@ class ConstructionCertificate:
 
 def region_parameters(region: str, ksq: int, chi: int) -> dict[str, int]:
     """The discrete parameters each recipe is built from; deterministic."""
-    if region == NOETHER_LINE:
-        if chi % 2 == 0:
-            return {"alpha": 0, "beta": 2, "gamma": chi + 4, "e": 2}
-        return {"alpha": 0, "beta": 0, "gamma": chi + 1, "e": 0}
-    if region == GENUS2_GENERAL:
-        r = ksq % 4
-        if r == 0:
-            return {"alpha": 0, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
-        if r == 2:
-            return {"alpha": 1, "beta": ksq - 2 * chi + 5, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
-        if r == 3:
-            return {"alpha": 0, "beta": ksq - 2 * chi + 7, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
-        return {"alpha": 1, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
-    if region == GENUS3:
-        eps = (-ksq) % 4
-        t = ksq + eps
-        if t % 8 == 0:
-            return {"alpha": t // 2 - 2 * chi + 4, "beta": 2 * chi - t // 4, "gamma": 0, "epsilon": eps}
-        return {"alpha": t // 2 - 2 * chi + 5, "beta": 2 * chi - t // 4 - 2, "gamma": 1, "epsilon": eps}
-    if region in (LINE_4CHI_MINUS_5, LINE_4CHI_MINUS_4, PRODUCT_LINE):
-        return {"chi": chi}
-    return {}
+    return FAMILY[region].parameters(ksq, chi) if region in FAMILY else {}
+
+
+def _noether_parameters(ksq: int, chi: int) -> dict[str, int]:
+    if chi % 2 == 0:
+        return {"alpha": 0, "beta": 2, "gamma": chi + 4, "e": 2}
+    return {"alpha": 0, "beta": 0, "gamma": chi + 1, "e": 0}
+
+
+def _genus2_parameters(ksq: int, chi: int) -> dict[str, int]:
+    r = ksq % 4
+    if r == 0:
+        return {"alpha": 0, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
+    if r == 2:
+        return {"alpha": 1, "beta": ksq - 2 * chi + 5, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
+    if r == 3:
+        return {"alpha": 0, "beta": ksq - 2 * chi + 7, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
+    return {"alpha": 1, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
+
+
+def _genus3_parameters(ksq: int, chi: int) -> dict[str, int]:
+    eps = (-ksq) % 4
+    t = ksq + eps
+    if t % 8 == 0:
+        return {"alpha": t // 2 - 2 * chi + 4, "beta": 2 * chi - t // 4, "gamma": 0, "epsilon": eps}
+    return {"alpha": t // 2 - 2 * chi + 5, "beta": 2 * chi - t // 4 - 2, "gamma": 1, "epsilon": eps}
+
+
+def _one_curve_per_branch(amb: Ambient, d1: DivClass, d2: DivClass, d3: DivClass) -> BuildingData:
+    comps = (Component("d1", 1, d1), Component("d2", 2, d2), Component("d3", 3, d3))
+    return building_data(amb, d1, d2, d3, comps)
 
 
 def _genus2_family_data(params: dict[str, int]) -> BuildingData:
     # branch classes D0+alpha F, D0+beta F, 3D0+gamma F on F_e
     amb = hirzebruch(params["e"])
-    d1 = amb.divisor(1, params["alpha"])
-    d2 = amb.divisor(1, params["beta"])
-    d3 = amb.divisor(3, params["gamma"])
-    comps = (
-        Component("d1", 1, d1),
-        Component("d2", 2, d2),
-        Component("d3", 3, d3),
+    return _one_curve_per_branch(
+        amb,
+        amb.divisor(1, params["alpha"]),
+        amb.divisor(1, params["beta"]),
+        amb.divisor(3, params["gamma"]),
     )
-    return building_data(amb, d1, d2, d3, comps)
 
 
-def _plane_data(region: str) -> BuildingData:
+def _plane_data(deg2: int, deg3: int) -> BuildingData:
+    # a line and two plane curves of the given degrees
     amb = plane()
-    if region == PLANE_SPECIAL_12:
-        d1, d2, d3 = amb.divisor(1), amb.divisor(3), amb.divisor(3)
-    else:
-        d1, d2, d3 = amb.divisor(1), amb.divisor(1), amb.divisor(5)
-    comps = (
-        Component("d1", 1, d1),
-        Component("d2", 2, d2),
-        Component("d3", 3, d3),
-    )
-    return building_data(amb, d1, d2, d3, comps)
+    return _one_curve_per_branch(amb, amb.divisor(1), amb.divisor(deg2), amb.divisor(deg3))
 
 
 def _ruling_triple_data(chi: int, marked: bool) -> BuildingData:
@@ -307,8 +273,50 @@ def _stamps(bd: BuildingData) -> list[SideCondition]:
     return out
 
 
+def _no_conditions(params: dict[str, int], base: BuildingData, ksq: int, chi: int) -> list:
+    return []
+
+
+def _genus2_conditions(
+    params: dict[str, int], base: BuildingData, ksq: int, chi: int
+) -> list[SideCondition]:
+    d12 = intersect(base.d1, base.d2)
+    d13 = intersect(base.d1, base.d3)
+    d23 = intersect(base.d2, base.d3)
+    h0d3 = h0(base.ambient, base.d3)
+    return [
+        SideCondition("D1.D2", d12, d12 > 0),
+        SideCondition("D1.D3", d13, d13 > 0),
+        SideCondition("D2.D3", d23, d23 > 0),
+        SideCondition("h0(D3)", h0d3, h0d3 == 8 * chi - 4 - 2 * ksq and h0d3 >= 8),
+    ]
+
+
+def _line5_conditions(
+    params: dict[str, int], base: BuildingData, ksq: int, chi: int
+) -> list[SideCondition]:
+    cand = intersect(base.d1, base.d2)
+    marked = sum(1 for p in base.incidence if p.is_triple)
+    return [
+        SideCondition("triplePointCandidates", cand, cand >= 1),
+        SideCondition("markedTriplePoints", marked, marked == 1),
+    ]
+
+
+def _genus3_conditions(
+    params: dict[str, int], base: BuildingData, ksq: int, chi: int
+) -> list[SideCondition]:
+    alpha, eps = params["alpha"], params["epsilon"]
+    d23 = intersect(base.d2, base.d3)
+    return [
+        SideCondition("alpha", alpha, alpha >= 4),
+        SideCondition("D2.D3", d23, d23 >= 6),
+        SideCondition("markedTriplePoints", eps, eps <= d23),
+    ]
+
+
 def evaluate_side_conditions(
-    region: str,
+    family: Family,
     params: dict[str, int],
     data: BuildingData,
     pre: BuildingData | None,
@@ -321,35 +329,7 @@ def evaluate_side_conditions(
     value cannot survive a re-derivation.
     """
     base = pre if pre is not None else data
-    conds: list[SideCondition] = _stamps(base)
-    if region == GENUS2_GENERAL:
-        d12 = intersect(base.d1, base.d2)
-        d13 = intersect(base.d1, base.d3)
-        d23 = intersect(base.d2, base.d3)
-        h0d3 = h0(base.ambient, base.d3)
-        conds += [
-            SideCondition("D1.D2", d12, d12 > 0),
-            SideCondition("D1.D3", d13, d13 > 0),
-            SideCondition("D2.D3", d23, d23 > 0),
-            SideCondition("h0(D3)", h0d3, h0d3 == 8 * chi - 4 - 2 * ksq and h0d3 >= 8),
-        ]
-    elif region == LINE_4CHI_MINUS_5:
-        cand = intersect(base.d1, base.d2)
-        marked = sum(1 for p in base.incidence if p.is_triple)
-        conds += [
-            SideCondition("triplePointCandidates", cand, cand >= 1),
-            SideCondition("markedTriplePoints", marked, marked == 1),
-        ]
-    elif region == GENUS3:
-        alpha = params.get("alpha", 0)
-        eps = params.get("epsilon", 0)
-        d23 = intersect(base.d2, base.d3)
-        conds += [
-            SideCondition("alpha", alpha, alpha >= 4),
-            SideCondition("D2.D3", d23, d23 >= 6),
-            SideCondition("markedTriplePoints", eps, eps <= d23),
-        ]
-    return tuple(conds)
+    return tuple(_stamps(base) + family.conditions(params, base, ksq, chi))
 
 
 def _push_2k(data: BuildingData) -> DivClass:
@@ -372,6 +352,204 @@ PAIR_2_4_NOTE = (
 )
 
 
+class DegenerationError(ValueError):
+    pass
+
+
+def _shared_section(cert: ConstructionCertificate) -> BuildingData:
+    # D2 degenerates onto the section already used by D1: the component
+    # named d1 now sits in both branches, plus enough fibers to fill the
+    # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
+    src = cert.data
+    amb = src.ambient
+    fiber = amb.divisor(0, 1)
+    rest = src.d2 - src.d1
+    if rest.coords[0] != 0 or rest.coords[1] < 0:
+        raise DegenerationError(
+            f"D2 - D1 = {rest} is not a nonnegative fiber multiple"
+        )
+    branch2 = [Component("d1", 2, src.d1)]
+    branch2 += [Component(f"f{i}", 2, fiber) for i in range(1, rest.coords[1] + 1)]
+    comps = (Component("d1", 1, src.d1), *branch2, Component("d3", 3, src.d3))
+    return building_data(
+        amb, src.d1, src.d2, src.d3, comps, allow_nonreduced=True
+    )
+
+
+def _with_point(
+    src: BuildingData, comps: tuple[Component, ...], point: PointLabel
+) -> BuildingData:
+    return building_data(
+        src.ambient,
+        src.d1,
+        src.d2,
+        src.d3,
+        comps,
+        src.incidence + (point,),
+        allow_nonreduced=not src.reduced,
+    )
+
+
+def _through_point(
+    witness: str, component_names: tuple[str, str, str]
+) -> Callable[[ConstructionCertificate], BuildingData]:
+    """The recipe that marks one more point on the named components, one
+    per branch."""
+    point = PointLabel(witness, frozenset({1, 2, 3}), component_names)
+    return lambda cert: _with_point(cert.data, cert.data.components, point)
+
+
+def _spare_fiber_through_point(cert: ConstructionCertificate) -> BuildingData:
+    # split one fiber off the unmarked bulk of D1 and pass it through a
+    # point of D2 and D3; the new point is numbered after the resolved ones
+    eps = cert.parameters["epsilon"]
+    new_fiber = f"f{eps + 1}"
+    comps: list[Component] = []
+    for c in cert.data.components:
+        if c.name != "f_rest":
+            comps.append(c)
+            continue
+        comps.append(Component(new_fiber, 1, c.cls))
+        if c.count > 1:
+            comps.append(Component("f_rest", 1, c.cls, c.count - 1))
+    point = PointLabel(f"p{eps + 1}", frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
+    return _with_point(cert.data, tuple(comps), point)
+
+
+Availability = Callable[[ConstructionCertificate, BuildingData], tuple[SideCondition, ...]]
+
+
+def _candidates(i: int, j: int) -> Availability:
+    """Room for the new triple point: branches i and j of the data meet."""
+
+    def check(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
+        cand = intersect(data.branch(i), data.branch(j))
+        return (SideCondition("triplePointCandidates", cand, cand >= 1),)
+
+    return check
+
+
+def _shared_fits(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
+    rest = data.d2 - data.d1
+    fits = rest.coords[0] == 0 and rest.coords[1] >= 0
+    return (SideCondition("sharedComponentFits", str(rest), fits),)
+
+
+def _spare_fibers(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
+    spare = cert.parameters["alpha"] - cert.parameters["epsilon"]
+    return _candidates(2, 3)(cert, data) + (SideCondition("spareFibers", spare, spare >= 1),)
+
+
+@dataclass(frozen=True)
+class Degeneration:
+    """A family's designated degeneration: the recipe of the degenerate data
+    from the parent certificate, the family note, and the availability
+    conditions recomputed from the degenerate data."""
+
+    data: Callable[[ConstructionCertificate], BuildingData]
+    note: str
+    availability: Availability
+
+
+@dataclass(frozen=True)
+class Family:
+    """One covered region: the locus of its pairs, the parameters and the
+    branch data built from them (before any marked triple point is
+    resolved), the side conditions beyond the smoothness stamps, the genus
+    of its fibration, its notes, its atlas fill and its degeneration (None
+    where the family has none)."""
+
+    name: str
+    locus: Callable[[int, int], bool]
+    parameters: Callable[[int, int], dict[str, int]]
+    data: Callable[[dict[str, int]], BuildingData]
+    conditions: Callable[[dict[str, int], BuildingData, int, int], list[SideCondition]]
+    genus: int | None
+    notes: tuple[str, ...]
+    fill: str
+    degeneration: Degeneration | None
+
+
+# walked in this order by classify: the plane pairs before the Genus2General
+# strip that holds them, then the families by how many pairs they cover
+FAMILIES = (
+    Family(
+        PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
+        lambda p: _plane_data(3, 3), _no_conditions, None, (), "#9467bd",
+        Degeneration(
+            _through_point("p", ("d1", "d2", "d3")),
+            "the line moves through a point of the two cubics",
+            _candidates(2, 3),
+        ),
+    ),
+    Family(
+        PLANE_SPECIAL_13, lambda ksq, chi: (ksq, chi) == (1, 3), lambda ksq, chi: {},
+        lambda p: _plane_data(1, 5), _no_conditions, None, (), "#8c564b",
+        Degeneration(
+            _through_point("p", ("d1", "d2", "d3")),
+            "the first line moves through a point of the quintic and the other line",
+            _candidates(2, 3),
+        ),
+    ),
+    Family(
+        GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
+        _genus3_data, _genus3_conditions, 3, (), "#17becf",
+        Degeneration(
+            _spare_fiber_through_point,
+            "one more fiber of the first branch moves through a point of the other branches",
+            _spare_fibers,
+        ),
+    ),
+    Family(
+        GENUS2_GENERAL, lambda ksq, chi: 2 * chi - 5 <= ksq <= 4 * chi - 6, _genus2_parameters,
+        _genus2_family_data, _genus2_conditions, 2, (), "#2ca02c",
+        Degeneration(
+            _through_point("p", ("d1", "d2", "d3")),
+            "the trisection moves through a point of the two bisections",
+            _candidates(1, 2),
+        ),
+    ),
+    Family(
+        NOETHER_LINE, lambda ksq, chi: ksq == 2 * chi - 6, _noether_parameters,
+        _genus2_family_data, _no_conditions, 2, (), "#1f77b4",
+        Degeneration(
+            _shared_section,
+            "the second branch degenerates onto the section already contained in "
+            "the first branch; the cover glues to itself along that curve",
+            _shared_fits,
+        ),
+    ),
+    Family(
+        LINE_4CHI_MINUS_5, lambda ksq, chi: ksq == 4 * chi - 5, lambda ksq, chi: {"chi": chi},
+        lambda p: _ruling_triple_data(p["chi"], marked=True), _line5_conditions, 2,
+        (LINE5_AMPLENESS_NOTE,), "#d62728",
+        Degeneration(
+            _through_point("pPrime", ("d1", "d2", "delta2")),
+            "a second ruling member of the third branch moves through a point of "
+            "the strict transforms of the bisections",
+            _candidates(1, 2),
+        ),
+    ),
+    Family(
+        LINE_4CHI_MINUS_4, lambda ksq, chi: ksq == 4 * chi - 4, lambda ksq, chi: {"chi": chi},
+        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, 2, (), "#ff7f0e",
+        Degeneration(
+            _through_point("p", ("d1", "d2", "delta1")),
+            "a ruling member of the third branch moves through a point of the two "
+            "bisections",
+            _candidates(1, 2),
+        ),
+    ),
+    Family(
+        PRODUCT_LINE, lambda ksq, chi: ksq == 8 * chi, lambda ksq, chi: {"chi": chi},
+        lambda p: _product_data(p["chi"]), _no_conditions, None, (), "#e377c2", None,
+    ),
+)
+
+FAMILY = {family.name: family for family in FAMILIES}
+COVERED_REGIONS = frozenset(FAMILY)
+
+
 def _covered_region(ksq: int, chi: int) -> str:
     region = classify(ksq, chi)
     if region == NOT_ADMISSIBLE:
@@ -387,26 +565,21 @@ def _covered_region(ksq: int, chi: int) -> str:
     return region
 
 
+def resolve_marked(pre: BuildingData) -> BuildingData | None:
+    """Resolve every marked triple point of pre-resolution data, in order;
+    None when it marks none, since a recipe resolves exactly those."""
+    marked = [p for p in pre.incidence if p.is_triple]
+    return resolve_triple_points(pre, marked) if marked else None
+
+
 def _recipe_data(
-    region: str, params: dict[str, int], chi: int
+    family: Family, params: dict[str, int]
 ) -> tuple[BuildingData, BuildingData | None]:
     """The recipe's building data, and the data before its triple points
     were resolved (None when there were none)."""
-    if region in (NOETHER_LINE, GENUS2_GENERAL):
-        return _genus2_family_data(params), None
-    if region in (PLANE_SPECIAL_12, PLANE_SPECIAL_13):
-        return _plane_data(region), None
-    if region == LINE_4CHI_MINUS_4:
-        return _ruling_triple_data(chi, marked=False), None
-    if region == LINE_4CHI_MINUS_5:
-        pre = _ruling_triple_data(chi, marked=True)
-        return resolve_triple_points(pre, ("p",)), pre
-    if region == GENUS3:
-        pre = _genus3_data(params)
-        if params["epsilon"] == 0:
-            return pre, None
-        return resolve_triple_points(pre, [f"p{i}" for i in range(1, params["epsilon"] + 1)]), pre
-    return _product_data(chi), None
+    pre = family.data(params)
+    data = resolve_marked(pre)
+    return (pre, None) if data is None else (data, pre)
 
 
 def certify(
@@ -419,46 +592,36 @@ def certify(
     stored field cannot drift from the derivation.  Raises RegionError
     outside the covered set.
     """
-    region = _covered_region(ksq, chi)
-    return _certified(ksq, chi, region, region_parameters(region, ksq, chi), data, pre)
+    family = FAMILY[_covered_region(ksq, chi)]
+    return _certified(ksq, chi, family, family.parameters(ksq, chi), data, pre)
 
 
 def _certified(
     ksq: int,
     chi: int,
-    region: str,
+    family: Family,
     params: dict[str, int],
     data: BuildingData,
     pre: BuildingData | None,
 ) -> ConstructionCertificate:
-    fibration: int | None = None
-    epsilon: int | None = None
-    if region == GENUS3:
-        fibration, epsilon = 3, params["epsilon"]
-    elif region not in (PLANE_SPECIAL_12, PLANE_SPECIAL_13, PRODUCT_LINE):
-        fibration, epsilon = 2, ksq - (2 * chi - 6)
-    notes: tuple[str, ...] = ()
-    if region == LINE_4CHI_MINUS_5:
-        notes = (LINE5_AMPLENESS_NOTE,)
-    elif (ksq, chi) == (2, 4):
-        notes = (PAIR_2_4_NOTE,)
-    conds = evaluate_side_conditions(region, params, data, pre, ksq, chi)
+    conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
     amp = positivity(data.ambient, _push_2k(data))
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
     return ConstructionCertificate(
         requested_ksq=ksq,
         requested_chi=chi,
-        region=region,
+        region=family.name,
         data=data,
         pre_resolution=pre,
         invariants=inv,
         side_conditions=conds,
         ampleness=amp,
-        fibration_genus=fibration,
-        epsilon=epsilon,
+        fibration_genus=family.genus,
+        # Horikawa's K^2 - (2chi - 6) in genus 2; the marked points in genus 3
+        epsilon=ksq - (2 * chi - 6) if family.genus == 2 else params.get("epsilon"),
         parameters=params,
-        notes=notes,
+        notes=family.notes + ((PAIR_2_4_NOTE,) if (ksq, chi) == (2, 4) else ()),
         ok=ok,
     )
 
@@ -469,7 +632,7 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
     Raises RegionError outside the covered set; a violated side condition
     does not raise but marks the certificate failed.
     """
-    region = _covered_region(ksq, chi)
-    params = region_parameters(region, ksq, chi)
-    data, pre = _recipe_data(region, params, chi)
-    return _certified(ksq, chi, region, params, data, pre)
+    family = FAMILY[_covered_region(ksq, chi)]
+    params = family.parameters(ksq, chi)
+    data, pre = _recipe_data(family, params)
+    return _certified(ksq, chi, family, params, data, pre)

@@ -413,6 +413,18 @@ class TestVerify:
         assert code == 1
         assert f"MISMATCH {check}: {leaf[0]}." in out
 
+    @pytest.mark.parametrize("pair", [("20", "7"), ("16", "4"), ("8", "1")])
+    def test_pre_resolution_without_marked_points_fails(self, capsys, tmp_path, pair):
+        # a recipe resolves exactly the marked triple points of its
+        # pre-resolution data, so data with none has no pre-resolution block
+        path = self.write_doc(capsys, tmp_path, "construct", *pair, "--json")
+        doc = json.loads(path.read_text())
+        doc["preResolution"] = doc["data"]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "MISMATCH resolution" in out
+
     def test_huge_coefficient_rejected_quickly(self, capsys, tmp_path):
         # an even raise keeps every parity check passing, so the document
         # reaches the h0 and component-sum checks with a 10^12 coefficient
@@ -490,6 +502,19 @@ class TestAtlas:
         _, first, _ = run(capsys, "atlas", "--chi-max", "3", "--format", "json")
         _, second, _ = run(capsys, "atlas", "--chi-max", "3", "--format", "json")
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("atlas", "--chi-max", "0"), ("atlas", "--chi-max", "-3"), ("check", "--chi-max", "0")],
+)
+def test_chi_max_below_one_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --chi-max: must be at least 1" in err
+    assert "Traceback" not in err
 
 
 class TestCheck:

@@ -11,13 +11,7 @@ from bidouble.degenerations import (
     degenerate_pair,
     normalize_noether_line,
 )
-from bidouble.recipes import (
-    GENUS2_GENERAL,
-    GENUS3,
-    NOETHER_LINE,
-    PRODUCT_LINE,
-    construct,
-)
+from bidouble.recipes import NOETHER_LINE, construct
 
 
 def covered_pairs(chi_max):

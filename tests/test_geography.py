@@ -8,7 +8,6 @@ import pytest
 from bidouble.geography import (
     CSV_COLUMNS,
     FORMATS,
-    AtlasRow,
     atlas,
     canonical_json,
     emit,

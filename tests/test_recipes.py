@@ -10,8 +10,11 @@ import pytest
 
 from bidouble.cover import chi_oracle, ksq_oracle
 from bidouble.lattice import AMPLE, NEF_ONLY, intersect
+from bidouble.geography import REGION_FILL
 from bidouble.recipes import (
     COVERED_REGIONS,
+    FAMILIES,
+    FAMILY,
     GENUS2_GENERAL,
     GENUS3,
     LINE_4CHI_MINUS_4,
@@ -30,6 +33,57 @@ from bidouble.recipes import (
 )
 
 ALL_REGIONS = COVERED_REGIONS | {NOT_COVERED, NOT_ADMISSIBLE}
+
+
+def reference_classify(ksq, chi):
+    """The classification as an if-chain in the paper's precedence order."""
+    if not admissible(ksq, chi):
+        return NOT_ADMISSIBLE
+    if ksq == 8 * chi:
+        return PRODUCT_LINE
+    if (ksq, chi) == (1, 2):
+        return PLANE_SPECIAL_12
+    if (ksq, chi) == (1, 3):
+        return PLANE_SPECIAL_13
+    if ksq == 2 * chi - 6:
+        return NOETHER_LINE
+    if ksq == 4 * chi - 5:
+        return LINE_4CHI_MINUS_5
+    if ksq == 4 * chi - 4:
+        return LINE_4CHI_MINUS_4
+    if 2 * chi - 5 <= ksq <= 4 * chi - 6:
+        return GENUS2_GENERAL
+    if 4 * chi - 3 <= ksq <= 8 * chi - 8:
+        return GENUS3
+    return NOT_COVERED
+
+
+class TestFamilyTable:
+    def test_table_walk_matches_reference_chain(self):
+        mismatches = [
+            (ksq, chi)
+            for chi in range(1, 201)
+            for ksq in range(-30, 9 * chi + 31)
+            if classify(ksq, chi) != reference_classify(ksq, chi)
+        ]
+        assert mismatches == []
+
+    def test_loci_overlap_only_at_the_plane_pairs(self):
+        for chi in range(1, 61):
+            for ksq in range(max(1, 2 * chi - 6), 9 * chi + 1):
+                holding = {f.name for f in FAMILIES if f.locus(ksq, chi)}
+                if (ksq, chi) in ((1, 2), (1, 3)):
+                    assert GENUS2_GENERAL in holding and len(holding) == 2
+                else:
+                    assert len(holding) <= 1, (ksq, chi, holding)
+
+    def test_region_sets_derive_from_the_table(self):
+        assert len(FAMILY) == len(FAMILIES) == 8
+        assert COVERED_REGIONS == set(FAMILY)
+        assert set(REGION_FILL) == set(FAMILY) | {NOT_COVERED}
+
+    def test_only_the_product_line_has_no_degeneration(self):
+        assert [f.name for f in FAMILIES if f.degeneration is None] == [PRODUCT_LINE]
 
 
 class TestClassify:
