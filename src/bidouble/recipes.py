@@ -471,7 +471,7 @@ class Family:
 
 
 # walked in this order by classify: the plane pairs before the Genus2General
-# strip that holds them, then the families by how many pairs they cover
+# strip that holds them, then Genus3 and Genus2General, which hold most pairs
 FAMILIES = (
     Family(
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},

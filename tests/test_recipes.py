@@ -9,8 +9,8 @@ import json
 import pytest
 
 from bidouble.cover import chi_oracle, ksq_oracle
-from bidouble.lattice import AMPLE, NEF_ONLY, intersect
 from bidouble.geography import REGION_FILL
+from bidouble.lattice import AMPLE, NEF_ONLY, intersect
 from bidouble.recipes import (
     COVERED_REGIONS,
     FAMILIES,
