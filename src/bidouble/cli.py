@@ -4,7 +4,7 @@ Subcommands:
 
     construct KSQ CHI [--json]     build a certificate for one pair
     degenerate KSQ CHI [--json]    build, then degenerate inside the family
-    verify PATH [--json]           re-derive a stored certificate field by field
+    verify PATH [--json]           rebuild a stored certificate, compare field by field
     atlas --chi-max N [--format F] [--out PATH]
                                    emit the admissible-range atlas (csv/json/svg)
     check [--chi-max N]            run the internal consistency sweeps
@@ -20,19 +20,17 @@ import argparse
 import json
 import sys
 
-from .cover import BuildingData, CoverError
+from .cover import CoverError
 from .checks import CheckResult, run_all
-from .degenerations import DegenerationError, degenerate, degeneration_certificate
-from .geography import FORMATS, atlas, canonical_json, emit
-from .lattice import (
-    HIRZEBRUCH,
-    PLANE,
-    Ambient,
-    LatticeError,
-    doc_coords,
-    doc_int,
+from .degenerations import (
+    DegenerationError,
+    degenerate,
+    degeneration_certificate,
+    designated,
 )
-from .recipes import FAMILY, RegionError, certify, construct, resolve_marked
+from .geography import FORMATS, atlas, canonical_json, emit
+from .lattice import HIRZEBRUCH, PLANE, Ambient, LatticeError, doc_int
+from .recipes import RegionError, certify, construct, recipe
 
 
 class CertificateFormatError(ValueError):
@@ -125,69 +123,74 @@ def _requested(doc: dict) -> tuple[int, int]:
     return doc_int(req["ksq"], "requested.ksq"), doc_int(req["chi"], "requested.chi")
 
 
-def _same(derived: object, stored: object) -> bool:
-    """JSON equality that also requires equal types: a stored 0 never
-    matches false, and 1.0 never matches 1."""
-    if isinstance(derived, dict):
-        return (
-            isinstance(stored, dict)
-            and derived.keys() == stored.keys()
-            and all(_same(v, stored[k]) for k, v in derived.items())
-        )
-    if isinstance(derived, list):
-        return (
-            isinstance(stored, list)
-            and len(derived) == len(stored)
-            and all(map(_same, derived, stored))
-        )
-    return type(derived) is type(stored) and derived == stored
+_TYPE_NAMES = {
+    int: "an integer", str: "a string", bool: "a boolean", dict: "an object", list: "a list"
+}
+
+# the recipe's input: a value of another JSON type there makes the document
+# malformed rather than forged
+_TYPED_FIELDS = ("data", "preResolution", "parameters")
+
+_ABSENT = object()
 
 
-def _building_blocks(
-    doc: dict, keys: tuple[str, ...]
-) -> tuple[dict[str, BuildingData], list[CheckResult]]:
-    """Parse the stored building-data blocks named by ``keys`` (absent or
-    null blocks are skipped) and check the fields derived from the branch
-    data: the line bundles l1..l3 against the parity derivation, and the
-    ``reduced`` flag against the component list."""
-    parsed: dict[str, BuildingData] = {}
-    bad_bundles: list[str] = []
-    bad_reduced: list[str] = []
-    for key in keys:
-        block = doc.get(key)
-        if block is None:
-            continue
-        data = parsed[key] = BuildingData.from_doc(block)
-        stored = block["classes"]
-        bad_bundles += [
-            f"{key}.{name}"
-            for name in ("l1", "l2", "l3")
-            if getattr(data, name).coords != doc_coords(stored[name], f"class {name}")
-        ]
-        if not _same(data.reduced, block["reduced"]):
-            bad_reduced.append(f"{key}.reduced")
-    checks = [
-        CheckResult(
-            "lineBundles",
-            not bad_bundles,
-            "stored bundle classes match the parity derivation"
-            if not bad_bundles
-            else f"{', '.join(bad_bundles)} disagree with the parity derivation",
-        ),
-        CheckResult(
-            "reduced",
-            not bad_reduced,
-            "stored reduced flags match the components"
-            if not bad_reduced
-            else f"{', '.join(bad_reduced)} disagree with the components",
-        ),
-    ]
-    return parsed, checks
+def _difference(rebuilt: object, stored: object) -> tuple[list, object, object] | None:
+    """The first place where a stored JSON value differs from the rebuilt
+    one, as (path in reverse, stored value, rebuilt value), or None.
+
+    Types must match too: a stored 0 never matches false, and 1.0 never
+    matches 1.  The walk stops at the first difference, and the path is
+    built only on the way out of it.
+    """
+    kind = type(rebuilt)
+    if kind is not type(stored):
+        return [], stored, rebuilt
+    if kind is dict:
+        if rebuilt.keys() != stored.keys():
+            key = min(rebuilt.keys() ^ stored.keys())
+            return [key], stored.get(key, _ABSENT), rebuilt.get(key, _ABSENT)
+        items = rebuilt.items()
+    elif kind is list:
+        if len(rebuilt) != len(stored):
+            return [], stored, rebuilt
+        items = enumerate(rebuilt)
+    else:
+        return None if rebuilt == stored else ([], stored, rebuilt)
+    for key, value in items:
+        other = stored[key]
+        # one object, as small integers often are, needs no walk
+        if value is not other:
+            found = _difference(value, other)
+            if found is not None:
+                found[0].append(key)
+                return found
+    return None
+
+
+def _shown(value: object) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value)
+
+
+def _compare(field: str, rebuilt: object, stored: object) -> CheckResult:
+    found = _difference(rebuilt, stored)
+    if found is None:
+        return CheckResult(field, True, "matches the rebuild")
+    reversed_path, got, want = found
+    path = ".".join(map(str, [field, *reversed(reversed_path)]))
+    if (
+        field in _TYPED_FIELDS
+        and type(got) is not type(want)
+        and type(want) in _TYPE_NAMES
+        and got is not None
+        and got is not _ABSENT
+    ):
+        raise CertificateFormatError(f"{path} must be {_TYPE_NAMES[type(want)]}")
+    return CheckResult(field, False, f"{path}: stored {_shown(got)}, rebuilt {_shown(want)}")
 
 
 def _verify_doc(doc: dict) -> list[CheckResult]:
-    """Re-derive a stored certificate from its building data through the
-    certification step of construct or degenerate, and compare every field."""
+    """Rebuild the certificate of the requested pair and compare it with the
+    stored one: the building data first, then every field derived from it."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CertificateFormatError("certificate has no 'kind' field")
     kind = doc["kind"]
@@ -195,38 +198,23 @@ def _verify_doc(doc: dict) -> list[CheckResult]:
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
     _require(doc, "requested", "data")
     ksq, chi = _requested(doc)
+    family, params, data, pre = recipe(ksq, chi)
     if kind == "construction":
-        blocks, checks = _building_blocks(doc, ("data", "preResolution"))
-        data, pre = blocks["data"], blocks.get("preResolution")
-        if pre is not None:
-            resolved = resolve_marked(pre)
-            checks.append(
-                CheckResult(
-                    "resolution",
-                    resolved == data,
-                    "resolving the marked points reproduces the stored data"
-                    if resolved == data
-                    else "resolving the marked points gives different data",
-                )
-            )
-        _require(doc, "preResolution", "parameters")
-        for key, value in _object(doc, "parameters").items():
-            doc_int(value, f"parameters.{key}")
-        cert = certify(ksq, chi, data, pre)
+        blocks = {"data": data, "preResolution": pre}
     else:
-        blocks, checks = _building_blocks(doc, ("data",))
-        parent = construct(ksq, chi)
-        cert = degeneration_certificate(parent, blocks["data"])
-        same_data = FAMILY[parent.region].degeneration.data(parent) == blocks["data"]
+        blocks = {"data": designated(family.name).data(data, params)}
+    _require(doc, *blocks)
+    checks = []
+    for key, block in blocks.items():
+        checks.append(_compare(key, None if block is None else block.to_doc(), doc[key]))
+        if not checks[-1].passed:
+            # every other field is derived from the building data
+            return checks
+    cert = certify(ksq, chi, family, params, data, pre)
+    if kind == "degeneration":
+        parent, cert = cert, degeneration_certificate(cert, blocks["data"])
         stable = cert.invariants == parent.invariants
         checks += [
-            CheckResult(
-                "data",
-                same_data,
-                "the designated degeneration rebuilds the stored data"
-                if same_data
-                else "the designated degeneration builds different data",
-            ),
             CheckResult(
                 "invariantsStable",
                 stable,
@@ -240,13 +228,12 @@ def _verify_doc(doc: dict) -> list[CheckResult]:
                 f"the singularity scan finds {len(cert.ledger)} ledger entries",
             ),
         ]
-    # the kind was dispatched on, and the building data parsed and checked above
     derived = cert.derived_doc()
     _require(doc, *derived)
-    for key, value in derived.items():
-        same = _same(value, doc[key])
-        detail = "matches the re-derivation" if same else f"re-derived {json.dumps(value)}"
-        checks.append(CheckResult(key, same, detail))
+    unknown = doc.keys() - derived.keys() - blocks.keys() - {"kind"}
+    if unknown:
+        raise CertificateFormatError(f"certificate has unknown field {min(unknown)!r}")
+    checks += [_compare(key, value, doc[key]) for key, value in derived.items()]
     inv = cert.invariants
     checks.append(
         CheckResult(
@@ -282,7 +269,7 @@ def _cmd_verify(args) -> int:
             doc = json.load(fh)
     except OSError as err:
         raise CertificateFormatError(f"cannot read {args.path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also past the digit or nesting limit
         raise CertificateFormatError(f"{args.path} is not JSON: {err}") from err
     try:
         checks = _verify_doc(doc)
@@ -361,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the certificate document")
     p.set_defaults(func=_cmd_degenerate)
 
-    p = sub.add_parser("verify", help="re-derive a stored certificate field by field")
+    p = sub.add_parser("verify", help="rebuild a stored certificate, compare field by field")
     p.add_argument("path", help="path to a certificate JSON document")
     p.add_argument("--json", action="store_true", help="emit the check report as JSON")
     p.set_defaults(func=_cmd_verify)

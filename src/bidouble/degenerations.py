@@ -94,7 +94,11 @@ class DegenerationCertificate:
         }
 
 
-def _designated(region: str) -> Degeneration:
+def designated(region: str) -> Degeneration:
+    """The designated degeneration of a region's family.
+
+    Raises DegenerationError for the product family, which stays smooth.
+    """
     degeneration = FAMILY[region].degeneration
     if degeneration is None:
         raise DegenerationError(
@@ -108,7 +112,7 @@ def availability_conditions(
     cert: ConstructionCertificate, data: BuildingData
 ) -> tuple[SideCondition, ...]:
     """Recompute the degeneration's availability conditions from its data."""
-    return _designated(cert.region).availability(cert, data)
+    return designated(cert.region).availability(cert, data)
 
 
 def degeneration_certificate(
@@ -121,7 +125,7 @@ def degeneration_certificate(
     degenerate and by certificate verification.  Raises DegenerationError
     for the product family, which stays smooth.
     """
-    note = _designated(parent.region).note
+    note = designated(parent.region).note
     inv = invariants(data)
     ledger = singularity_scan(data)
     conds = availability_conditions(parent, data)
@@ -152,7 +156,7 @@ def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
 
     Raises DegenerationError for the product family, which stays smooth.
     """
-    return degeneration_certificate(cert, _designated(cert.region).data(cert))
+    return degeneration_certificate(cert, designated(cert.region).data(cert.data, cert.parameters))
 
 
 def degenerate_pair(ksq: int, chi: int) -> DegenerationCertificate:

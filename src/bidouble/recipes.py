@@ -7,10 +7,13 @@ disjoint but for one overlap: the plane pairs (1, 2) and (1, 3) lie inside
 the Genus2General strip, so their families come first.
 
 Everything else admissible is NotCovered (the strip 8chi-8 < K^2 < 9chi
-minus the product line).  ``construct`` builds the branch data, and
-``certify`` derives the rest of the certificate from it: recomputed
-invariants, side conditions with values, the positivity verdict of the
-direct image of 2K, and the fibration genus where one exists.
+minus the product line).  ``recipe`` builds a pair's branch data from its
+family's parameters and resolves the marked triple points, and ``certify``
+derives the rest of the certificate from that data: recomputed invariants,
+side conditions with values, the positivity verdict of the direct image of
+2K, and the fibration genus where one exists.  ``construct`` runs the two in
+turn.  A certificate is fixed by its pair, so ``verify`` compares a stored
+one with the rebuilt data and certifies only data that matches.
 """
 
 from __future__ import annotations
@@ -323,11 +326,7 @@ def evaluate_side_conditions(
     ksq: int,
     chi: int,
 ) -> tuple[SideCondition, ...]:
-    """Recompute every recorded side condition from the stored data.
-
-    Shared by construct and by certificate verification, so a tampered
-    value cannot survive a re-derivation.
-    """
+    """Recompute every recorded side condition from the building data."""
     base = pre if pre is not None else data
     return tuple(_stamps(base) + family.conditions(params, base, ksq, chi))
 
@@ -356,11 +355,10 @@ class DegenerationError(ValueError):
     pass
 
 
-def _shared_section(cert: ConstructionCertificate) -> BuildingData:
+def _shared_section(src: BuildingData, params: dict[str, int]) -> BuildingData:
     # D2 degenerates onto the section already used by D1: the component
     # named d1 now sits in both branches, plus enough fibers to fill the
     # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
-    src = cert.data
     amb = src.ambient
     fiber = amb.divisor(0, 1)
     rest = src.d2 - src.d1
@@ -392,20 +390,20 @@ def _with_point(
 
 def _through_point(
     witness: str, component_names: tuple[str, str, str]
-) -> Callable[[ConstructionCertificate], BuildingData]:
+) -> Callable[[BuildingData, dict[str, int]], BuildingData]:
     """The recipe that marks one more point on the named components, one
     per branch."""
     point = PointLabel(witness, frozenset({1, 2, 3}), component_names)
-    return lambda cert: _with_point(cert.data, cert.data.components, point)
+    return lambda data, params: _with_point(data, data.components, point)
 
 
-def _spare_fiber_through_point(cert: ConstructionCertificate) -> BuildingData:
+def _spare_fiber_through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
     # split one fiber off the unmarked bulk of D1 and pass it through a
     # point of D2 and D3; the new point is numbered after the resolved ones
-    eps = cert.parameters["epsilon"]
+    eps = params["epsilon"]
     new_fiber = f"f{eps + 1}"
     comps: list[Component] = []
-    for c in cert.data.components:
+    for c in data.components:
         if c.name != "f_rest":
             comps.append(c)
             continue
@@ -413,7 +411,7 @@ def _spare_fiber_through_point(cert: ConstructionCertificate) -> BuildingData:
         if c.count > 1:
             comps.append(Component("f_rest", 1, c.cls, c.count - 1))
     point = PointLabel(f"p{eps + 1}", frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
-    return _with_point(cert.data, tuple(comps), point)
+    return _with_point(data, tuple(comps), point)
 
 
 Availability = Callable[[ConstructionCertificate, BuildingData], tuple[SideCondition, ...]]
@@ -443,10 +441,10 @@ def _spare_fibers(cert: ConstructionCertificate, data: BuildingData) -> tuple[Si
 @dataclass(frozen=True)
 class Degeneration:
     """A family's designated degeneration: the recipe of the degenerate data
-    from the parent certificate, the family note, and the availability
-    conditions recomputed from the degenerate data."""
+    from the parent's building data and parameters, the family note, and the
+    availability conditions recomputed from the degenerate data."""
 
-    data: Callable[[ConstructionCertificate], BuildingData]
+    data: Callable[[BuildingData, dict[str, int]], BuildingData]
     note: str
     availability: Availability
 
@@ -565,38 +563,22 @@ def _covered_region(ksq: int, chi: int) -> str:
     return region
 
 
-def resolve_marked(pre: BuildingData) -> BuildingData | None:
-    """Resolve every marked triple point of pre-resolution data, in order;
-    None when it marks none, since a recipe resolves exactly those."""
-    marked = [p for p in pre.incidence if p.is_triple]
-    return resolve_triple_points(pre, marked) if marked else None
-
-
-def _recipe_data(
-    family: Family, params: dict[str, int]
-) -> tuple[BuildingData, BuildingData | None]:
-    """The recipe's building data, and the data before its triple points
-    were resolved (None when there were none)."""
+def recipe(
+    ksq: int, chi: int
+) -> tuple[Family, dict[str, int], BuildingData, BuildingData | None]:
+    """The family of a covered pair, its parameters, the recipe's building
+    data, and the data before its marked triple points were resolved (None
+    when it marks none).  Raises RegionError outside the covered set."""
+    family = FAMILY[_covered_region(ksq, chi)]
+    params = family.parameters(ksq, chi)
     pre = family.data(params)
-    data = resolve_marked(pre)
-    return (pre, None) if data is None else (data, pre)
+    marked = [p for p in pre.incidence if p.is_triple]
+    if not marked:
+        return family, params, pre, None
+    return family, params, resolve_triple_points(pre, marked), pre
 
 
 def certify(
-    ksq: int, chi: int, data: BuildingData, pre: BuildingData | None
-) -> ConstructionCertificate:
-    """Derive every other field of a certificate from its building data.
-
-    ``pre`` is the data before resolution, when the recipe resolves triple
-    points.  Shared by construct and by certificate verification, so a
-    stored field cannot drift from the derivation.  Raises RegionError
-    outside the covered set.
-    """
-    family = FAMILY[_covered_region(ksq, chi)]
-    return _certified(ksq, chi, family, family.parameters(ksq, chi), data, pre)
-
-
-def _certified(
     ksq: int,
     chi: int,
     family: Family,
@@ -604,6 +586,12 @@ def _certified(
     data: BuildingData,
     pre: BuildingData | None,
 ) -> ConstructionCertificate:
+    """Derive every other field of a certificate from the recipe's output.
+
+    Shared by construct and by certificate verification, which certifies
+    only data equal to the rebuild, so a stored field cannot drift from
+    the derivation.
+    """
     conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
     amp = positivity(data.ambient, _push_2k(data))
@@ -632,7 +620,4 @@ def construct(ksq: int, chi: int) -> ConstructionCertificate:
     Raises RegionError outside the covered set; a violated side condition
     does not raise but marks the certificate failed.
     """
-    family = FAMILY[_covered_region(ksq, chi)]
-    params = family.parameters(ksq, chi)
-    data, pre = _recipe_data(family, params)
-    return _certified(ksq, chi, family, params, data, pre)
+    return certify(ksq, chi, *recipe(ksq, chi))

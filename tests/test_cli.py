@@ -1,23 +1,33 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import argparse
+import contextlib
 import copy
+import functools
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidouble import checks
 from bidouble.cli import main
 from bidouble.geography import canonical_json
+from bidouble.recipes import FAMILIES, classify
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dotted(leaf):
+    return ".".join(map(str, leaf))
 
 
 def leaves(node, path=()):
@@ -60,7 +70,7 @@ def value_edits(value):
         return [value + 1, value - 1]
     if isinstance(value, str):
         return [value + "x"]
-    return []
+    return [0]  # value is null
 
 
 def component_names(doc):
@@ -78,19 +88,6 @@ def name_swaps(names):
         return value_edits(value) + swaps
 
     return edits
-
-
-def leaf_pattern(leaf):
-    return tuple("*" if isinstance(key, int) else key for key in leaf)
-
-
-# leaf patterns of the building data that only name things: verify parses
-# them, but no derivation reads them, so an edit still verifies; the data of
-# a degeneration is compared with its designated rebuild, so it has none
-DATA_BOOKKEEPING = {
-    "construction": {("data", "components", "*", "name")},
-    "degeneration": set(),
-}
 
 
 class TestConstruct:
@@ -215,15 +212,12 @@ class TestVerify:
         assert "MISMATCH ledger" in out
 
     @staticmethod
-    def accepted_edits(capsys, path, edits, skipped):
-        """Run verify on every single-leaf edit of the document at ``path``
-        whose leaf pattern is not in ``skipped``; return how many ran and
-        the edits it accepted."""
+    def accepted_edits(capsys, path, edits):
+        """Run verify on every single-leaf edit of the document at ``path``;
+        return how many ran and the edits it accepted."""
         doc = json.loads(path.read_text())
         tried, accepted = 0, []
         for leaf, value in leaves(doc):
-            if leaf_pattern(leaf) in skipped:
-                continue
             for edited in edits(value):
                 path.write_text(json.dumps(set_leaf(doc, leaf, edited)))
                 code, _, _ = run(capsys, "verify", str(path))
@@ -280,7 +274,7 @@ class TestVerify:
     )
     def test_type_swapped_leaves_rejected(self, capsys, tmp_path, argv):
         path = self.write_doc(capsys, tmp_path, *argv)
-        tried, accepted = self.accepted_edits(capsys, path, type_swaps, set())
+        tried, accepted = self.accepted_edits(capsys, path, type_swaps)
         assert tried > 50
         assert accepted == []
 
@@ -298,7 +292,7 @@ class TestVerify:
         path = self.write_doc(capsys, tmp_path, *argv)
         doc = json.loads(path.read_text())
         edits = name_swaps(component_names(doc))
-        tried, accepted = self.accepted_edits(capsys, path, edits, DATA_BOOKKEEPING[doc["kind"]])
+        tried, accepted = self.accepted_edits(capsys, path, edits)
         assert tried > 50
         assert accepted == []
 
@@ -316,7 +310,7 @@ class TestVerify:
         path.write_text(json.dumps(set_leaf(doc, leaf, value)))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        assert "MISMATCH data: the designated degeneration builds different data" in out
+        assert f"MISMATCH data: {dotted(leaf)}" in out
 
     @pytest.mark.parametrize("text", ["[]", "{}", "1e400"])
     @pytest.mark.parametrize(
@@ -346,7 +340,51 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        assert "MISMATCH nonGorenstein" in out
+        assert "MISMATCH data: data.incidence: stored [], rebuilt [{" in out
+
+    @pytest.mark.parametrize("command", ["construct", "degenerate"])
+    def test_unknown_top_level_field_exit_two(self, capsys, tmp_path, command):
+        path = self.write_doc(capsys, tmp_path, command, "20", "7", "--json")
+        doc = json.loads(path.read_text())
+        doc["forgedNote"] = "anything"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "unknown field 'forgedNote'" in err
+
+    @staticmethod
+    def extra_data_key(data):
+        data["extra"] = 1
+
+    @staticmethod
+    def extra_component_key(data):
+        data["components"][0]["extra"] = 1
+
+    @staticmethod
+    def dropped_count(data):
+        del data["components"][0]["count"]
+
+    @staticmethod
+    def dropped_incidence(data):
+        del data["incidence"]
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            ("extra_data_key", "data.extra: stored 1, rebuilt absent"),
+            ("extra_component_key", "data.components.0.extra: stored 1, rebuilt absent"),
+            ("dropped_count", "data.components.0.count: stored absent, rebuilt 1"),
+            ("dropped_incidence", "data.incidence: stored absent, rebuilt []"),
+        ],
+    )
+    def test_nested_key_edits_fail(self, capsys, tmp_path, edit, detail):
+        path = self.write_doc(capsys, tmp_path, "construct", "20", "7", "--json")
+        doc = json.loads(path.read_text())
+        getattr(self, edit)(doc["data"])
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert f"MISMATCH data: {detail}" in out
 
     def test_degeneration_on_product_line_exit_two(self, capsys, tmp_path):
         path = self.write_doc(capsys, tmp_path, "degenerate", "20", "7", "--json")
@@ -397,7 +435,7 @@ class TestVerify:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv, leaf, value, check",
+        "argv, leaf, value, forged",
         [
             (("degenerate", "20", "7"), ("data", "classes", "l1", 0), 99, "lineBundles"),
             (("construct", "20", "7"), ("data", "reduced"), False, "reduced"),
@@ -405,13 +443,13 @@ class TestVerify:
             (("construct", "17", "5"), ("preResolution", "classes", "l1", 0), 99, "lineBundles"),
         ],
     )
-    def test_forged_stored_classes_fail(self, capsys, tmp_path, argv, leaf, value, check):
+    def test_forged_stored_classes_fail(self, capsys, tmp_path, argv, leaf, value, forged):
         path = self.write_doc(capsys, tmp_path, *argv, "--json")
         doc = json.loads(path.read_text())
         path.write_text(json.dumps(set_leaf(doc, leaf, value)))
         code, out, _ = run(capsys, "verify", str(path))
-        assert code == 1
-        assert f"MISMATCH {check}: {leaf[0]}." in out
+        assert code == 1, f"forged {forged} accepted"
+        assert f"MISMATCH {leaf[0]}: {dotted(leaf)}: stored " in out
 
     @pytest.mark.parametrize("pair", [("20", "7"), ("16", "4"), ("8", "1")])
     def test_pre_resolution_without_marked_points_fails(self, capsys, tmp_path, pair):
@@ -423,7 +461,8 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        assert "MISMATCH resolution" in out
+        assert "MISMATCH preResolution: preResolution: stored {" in out
+        assert out.count("MISMATCH") == 1
 
     def test_huge_coefficient_rejected_quickly(self, capsys, tmp_path):
         # an even raise keeps every parity check passing, so the document
@@ -445,8 +484,9 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"] is True
         assert {c["name"] for c in report["checks"]} >= {
+            "data",
+            "preResolution",
             "region",
-            "lineBundles",
             "invariants",
             "requestedMatch",
             "sideConditions",
@@ -466,6 +506,18 @@ class TestVerify:
         assert code == 2
         assert "not JSON" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": "construction", "requested": {"ksq": ' + "7" * 5000 + "}}", "[" * 10**5],
+    )
+    def test_past_parser_limits_exit_two(self, capsys, tmp_path, text):
+        # an integer past the digit limit, arrays past the nesting limit
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "not JSON" in err
+
     def test_unknown_kind_exit_two(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"kind": "mystery"}')
@@ -479,6 +531,55 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "missing field" in err
+
+
+def quiet_main(*argv):
+    """``main`` with its output captured: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@functools.cache
+def genuine_text(command, ksq, chi):
+    code, out = quiet_main(command, str(ksq), str(chi), "--json")
+    assert code == 0
+    return out
+
+
+PAIRS_BY_REGION = {}
+for pair in checks.covered_pairs(12):
+    PAIRS_BY_REGION.setdefault(classify(*pair), []).append(pair)
+
+# every family, and its degeneration where it has one
+TAMPER_CASES = [
+    (family.name, command)
+    for family in FAMILIES
+    for command in ("construct", "degenerate")
+    if command == "construct" or family.degeneration is not None
+]
+
+
+@pytest.fixture(scope="module")
+def tamper_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tamper")
+
+
+@pytest.mark.parametrize("region, command", TAMPER_CASES)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tampered_document_never_verifies(tamper_dir, region, command, data):
+    # a genuine document of a covered pair with chi <= 12, one leaf changed
+    # by a type swap, a value edit or a component-name swap
+    ksq, chi = data.draw(st.sampled_from(PAIRS_BY_REGION[region]), label="pair")
+    doc = json.loads(genuine_text(command, ksq, chi))
+    leaf, value = data.draw(st.sampled_from(list(leaves(doc))), label="leaf")
+    edits = type_swaps(value) + name_swaps(component_names(doc))(value)
+    edited = data.draw(st.sampled_from(edits), label="edit")
+    path = tamper_dir / f"{region}-{command}.json"
+    path.write_text(json.dumps(set_leaf(doc, leaf, edited)))
+    assert quiet_main("verify", str(path))[0] != 0
 
 
 class TestAtlas:
@@ -537,6 +638,17 @@ class TestCheck:
         assert code == 0
         assert "ok constructionSweep: 27 certificates exact" in out
         assert len(set(built)) == len(built) == 27
+
+    def test_unknown_region_fails_totality(self, monkeypatch):
+        real = checks.classify
+
+        def renamed(ksq, chi):
+            return "Genus4" if (ksq, chi) == (20, 7) else real(ksq, chi)
+
+        monkeypatch.setattr(checks, "classify", renamed)
+        result = checks.check_classify_totality(7)
+        assert not result.passed
+        assert result.detail == "unknown region 'Genus4' at (20, 7)"
 
     def test_failed_sweep_step_reported(self, capsys, monkeypatch):
         real = checks.check_horikawa_pairing
