@@ -11,6 +11,9 @@ Each construction or degeneration digest covers one chi row, chi <= 12: the
 ``--json`` output of every covered pair with that chi, in increasing Ksq,
 concatenated.  The product line has no degeneration and is left out of the
 degenerate rows, which leaves the chi = 1 row empty.
+
+The text digests pin the human-readable ``construct`` and ``degenerate``
+output (no ``--json``) of every covered pair with chi <= 6, row after row.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ ATLAS_DIGESTS = {
 
 CHECK_CHI_MAX = 6
 CHECK_DIGEST = "6a5eb0d674dbf2843afb9fecb753e835a0601fb1592797c17feb1f8fd139373b"
+
+TEXT_CHI_MAX = 6
+TEXT_DIGESTS = {
+    "construct": "74af715d95dc017e38103b4c87fb9a814b6e3635e45fb6a8009d8838135e67ff",
+    "degenerate": "6d8842eb20eb36397c6376e01f27b4c530a63626486413ff9ce51e80e216c952",
+}
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -78,12 +87,16 @@ def row_pairs(chi: int) -> list[int]:
     return list(range(max(1, 2 * chi - 6), 8 * chi - 7)) + [8 * chi]
 
 
-def row_digest(command: str, chi: int) -> str:
-    h = hashlib.sha256()
+def feed_row(h, command: str, chi: int, *flags: str) -> None:
     for ksq in row_pairs(chi):
         if command == "degenerate" and ksq == 8 * chi:
             continue
-        h.update(cli_stdout([command, str(ksq), str(chi), "--json"]))
+        h.update(cli_stdout([command, str(ksq), str(chi), *flags]))
+
+
+def row_digest(command: str, chi: int) -> str:
+    h = hashlib.sha256()
+    feed_row(h, command, chi, "--json")
     return h.hexdigest()
 
 
@@ -96,6 +109,14 @@ def test_atlas_digest(fmt):
 def test_check_digest():
     text = cli_stdout(["check", "--chi-max", str(CHECK_CHI_MAX)])
     assert hashlib.sha256(text).hexdigest() == CHECK_DIGEST
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+def test_text_digest(command):
+    h = hashlib.sha256()
+    for chi in range(1, TEXT_CHI_MAX + 1):
+        feed_row(h, command, chi)
+    assert h.hexdigest() == TEXT_DIGESTS[command]
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
