@@ -38,8 +38,10 @@ from .recipes import (
     construct,
 )
 
-DEFAULT_SEED = 20240
-DEFAULT_SAMPLES = 10_000
+ORACLE_SEED = 20240
+ORACLE_SAMPLES = 10_000
+# the side of the coefficient grid h0 is compared with monomial counts on
+MONOMIAL_GRID = 12
 
 
 @dataclass(frozen=True)
@@ -179,16 +181,14 @@ def sample_building_data(rng: random.Random) -> BuildingData:
     return building_data(amb, d1, d2, d3)
 
 
-def check_oracle_sample(
-    samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> CheckResult:
-    rng = random.Random(seed)
+def check_oracle_sample() -> CheckResult:
+    rng = random.Random(ORACLE_SEED)
     valid = 0
     mismatches = 0
     attempts = 0
-    while valid < samples:
+    while valid < ORACLE_SAMPLES:
         attempts += 1
-        if attempts > 50 * samples:
+        if attempts > 50 * ORACLE_SAMPLES:
             return CheckResult(
                 "oracleSample", False, f"only {valid} valid data in {attempts} draws"
             )
@@ -227,18 +227,18 @@ def monomial_count(ambient: Ambient, d: DivClass) -> int:
     return total
 
 
-def check_h0_monomial_grid(limit: int = 12) -> CheckResult:
+def check_h0_monomial_grid() -> CheckResult:
     tested = 0
     amb = plane()
-    for deg in range(limit + 1):
+    for deg in range(MONOMIAL_GRID + 1):
         d = amb.divisor(deg)
         if h0(amb, d) != monomial_count(amb, d):
             return CheckResult("h0MonomialGrid", False, f"plane degree {deg}")
         tested += 1
     for e in range(4):
         amb = hirzebruch(e)
-        for a in range(limit + 1):
-            for b in range(limit + 1):
+        for a in range(MONOMIAL_GRID + 1):
+            for b in range(MONOMIAL_GRID + 1):
                 d = amb.divisor(a, b)
                 if h0(amb, d) != monomial_count(amb, d):
                     return CheckResult(

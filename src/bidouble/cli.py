@@ -46,63 +46,56 @@ def _ambient_label(amb: Ambient) -> str:
     return f"F_{amb.e} blown up at {names}"
 
 
-def _print_construction(cert) -> None:
-    inv = cert.invariants
+def _print_report(cert, resolution: list[str], details: list[str], notes: list[str]) -> None:
+    """The report both certificate kinds share, with each kind's own lines
+    after the branches, after the invariants and before the status."""
+    d, inv = cert.data, cert.invariants
     print(f"pair: Ksq = {cert.requested_ksq}, chi = {cert.requested_chi}")
     print(f"region: {cert.region}")
-    print(f"ambient: {_ambient_label(cert.data.ambient)}")
-    d = cert.data
+    print(f"ambient: {_ambient_label(d.ambient)}")
     print(f"branches: D1 = {d.d1}, D2 = {d.d2}, D3 = {d.d3}")
-    print(f"bundles:  L1 = {d.l1}, L2 = {d.l2}, L3 = {d.l3}")
-    if cert.pre_resolution is not None:
-        pre = cert.pre_resolution
-        marks = ", ".join(p.name for p in pre.incidence)
-        print(
-            f"resolved from: D1 = {pre.d1}, D2 = {pre.d2}, D3 = {pre.d3} "
-            f"on {_ambient_label(pre.ambient)} with triple points {marks}"
-        )
-    print(
-        f"invariants: Ksq = {inv.ksq}, chi = {inv.chi}, pg = {inv.pg}, q = {inv.q}"
-    )
-    print(f"ampleness: {cert.ampleness}")
-    if cert.fibration_genus is not None:
-        print(f"fibration: genus {cert.fibration_genus}, epsilon = {cert.epsilon}")
-    good = sum(1 for c in cert.side_conditions if c.satisfied)
-    print(f"side conditions: {good}/{len(cert.side_conditions)} satisfied")
+    for line in resolution:
+        print(line)
+    print(f"invariants: Ksq = {inv.ksq}, chi = {inv.chi}, pg = {inv.pg}, q = {inv.q}")
+    for line in details:
+        print(line)
     for c in cert.side_conditions:
         mark = "ok" if c.satisfied else "VIOLATED"
         print(f"  {mark} {c.name} = {c.value}")
-    for note in cert.notes:
-        print(f"note: {note}")
+    for line in notes:
+        print(line)
     print(f"status: {'OK' if cert.ok else 'FAILED'}")
 
 
-def _print_degeneration(dc) -> None:
-    inv = dc.invariants
-    print(f"pair: Ksq = {dc.requested_ksq}, chi = {dc.requested_chi}")
-    print(f"region: {dc.region}")
-    print(f"ambient: {_ambient_label(dc.data.ambient)}")
-    d = dc.data
-    print(f"branches: D1 = {d.d1}, D2 = {d.d2}, D3 = {d.d3}")
-    print(
-        f"invariants: Ksq = {inv.ksq}, chi = {inv.chi}, pg = {inv.pg}, q = {inv.q}"
-    )
-    print(f"family: {dc.family_note}")
-    print("ledger:")
-    for e in dc.ledger:
-        where = (
-            f"at {e.witness_point}" if e.witness_point else f"along {e.witness_class}"
+def _print_construction(cert) -> None:
+    d = cert.data
+    resolution = [f"bundles:  L1 = {d.l1}, L2 = {d.l2}, L3 = {d.l3}"]
+    if cert.pre_resolution is not None:
+        pre = cert.pre_resolution
+        marks = ", ".join(p.name for p in pre.incidence)
+        resolution.append(
+            f"resolved from: D1 = {pre.d1}, D2 = {pre.d2}, D3 = {pre.d3} "
+            f"on {_ambient_label(pre.ambient)} with triple points {marks}"
         )
-        print(f"  {e.kind} x{e.count} (index {e.gorenstein_index}) {where}")
-    print(f"gorenstein: {'yes' if dc.gorenstein else 'no'}")
+    details = [f"ampleness: {cert.ampleness}"]
+    if cert.fibration_genus is not None:
+        details.append(f"fibration: genus {cert.fibration_genus}, epsilon = {cert.epsilon}")
+    good = sum(1 for c in cert.side_conditions if c.satisfied)
+    details.append(f"side conditions: {good}/{len(cert.side_conditions)} satisfied")
+    _print_report(cert, resolution, details, [f"note: {note}" for note in cert.notes])
+
+
+def _print_degeneration(dc) -> None:
+    details = [f"family: {dc.family_note}", "ledger:"]
+    for e in dc.ledger:
+        where = f"at {e.witness_point}" if e.witness_point else f"along {e.witness_class}"
+        details.append(f"  {e.kind} x{e.count} (index {e.gorenstein_index}) {where}")
+    details.append(f"gorenstein: {'yes' if dc.gorenstein else 'no'}")
     if dc.normalization is not None:
         n = dc.normalization
         copies = "two disjoint copies" if n.two_disjoint_copies else "connected"
-        print(f"normalization: C1 = {n.c1}, C2 = {n.c2}, C3 = {n.c3} ({copies})")
-    for c in dc.side_conditions:
-        mark = "ok" if c.satisfied else "VIOLATED"
-        print(f"  {mark} {c.name} = {c.value}")
-    print(f"status: {'OK' if dc.ok else 'FAILED'}")
+        details.append(f"normalization: C1 = {n.c1}, C2 = {n.c2}, C3 = {n.c3} ({copies})")
+    _print_report(dc, [], details, [])
 
 
 def _require(doc: dict, *keys: str) -> None:
@@ -377,10 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RegionError, DegenerationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except CertificateFormatError as err:
+    except (RegionError, DegenerationError, CertificateFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (CoverError, LatticeError) as err:

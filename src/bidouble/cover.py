@@ -76,10 +76,12 @@ class Component:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.branch not in (1, 2, 3):
-            raise InvalidBuildingData(f"component branch must be 1..3, got {self.branch}")
-        if self.count < 1:
-            raise InvalidBuildingData("component count must be >= 1")
+        if type(self.branch) is not int or self.branch not in (1, 2, 3):
+            raise InvalidBuildingData(f"component branch must be 1..3, got {self.branch!r}")
+        if type(self.count) is not int or self.count < 1:
+            raise InvalidBuildingData(
+                f"component count must be an integer >= 1, got {self.count!r}"
+            )
 
     def to_doc(self) -> dict:
         return {
@@ -183,9 +185,9 @@ class BuildingData:
     def branch(self, i: int) -> DivClass:
         return self.branches()[i - 1]
 
-    def component(self, name: str, branch: int | None = None) -> Component:
+    def component(self, name: str) -> Component:
         for c in self.components:
-            if c.name == name and (branch is None or c.branch == branch):
+            if c.name == name:
                 return c
         raise InvalidBuildingData(f"no component named {name!r}")
 
@@ -299,12 +301,18 @@ def building_data(
     return BuildingData(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
 
 
+def two_k_plus_b(bd: BuildingData) -> DivClass:
+    """2K_Y + D1 + D2 + D3, the class on the base whose pullback is 2K_X."""
+    amb = bd.ambient
+    return lincomb(amb, ((2, canonical_class(amb)), (1, bd.d1), (1, bd.d2), (1, bd.d3)))
+
+
 def invariants(bd: BuildingData) -> Invariants:
     """Numerical invariants of the covering surface, exact integers."""
     amb = bd.ambient
     k = canonical_class(amb)
-    two_k_plus_b = lincomb(amb, ((2, k), (1, bd.d1), (1, bd.d2), (1, bd.d3)))
-    ksq = intersect(two_k_plus_b, two_k_plus_b)
+    pushed = two_k_plus_b(bd)
+    ksq = intersect(pushed, pushed)
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
     adjoints = [(l, k + l) for l in bd.bundles()]
     tot = sum(intersect(l, kl) for l, kl in adjoints)

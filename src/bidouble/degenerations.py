@@ -32,7 +32,6 @@ from .recipes import (
     Degeneration,
     DegenerationError,
     SideCondition,
-    construct,
 )
 
 
@@ -159,11 +158,6 @@ def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
     return degeneration_certificate(cert, designated(cert.region).data(cert.data, cert.parameters))
 
 
-def degenerate_pair(ksq: int, chi: int) -> DegenerationCertificate:
-    """Construct the cover for a pair and degenerate it in one step."""
-    return degenerate(construct(ksq, chi))
-
-
 def _normalization_from_data(data: BuildingData) -> Normalization:
     zero = data.ambient.zero()
     return Normalization(
@@ -177,17 +171,3 @@ def _normalization_from_data(data: BuildingData) -> Normalization:
             "the preimage of the shared section falls into two disjoint copies"
         ),
     )
-
-
-def normalize_noether_line(dc: DegenerationCertificate) -> Normalization:
-    """Building classes of the normalization of a non-reduced degeneration.
-
-    Only the family with a shared component normalizes nontrivially; the
-    marked-point degenerations are already normal, so asking for their
-    normalization is an error.
-    """
-    if dc.data.reduced:
-        raise DegenerationError(
-            f"degeneration in region {dc.region!r} is normal; nothing to normalize"
-        )
-    return _normalization_from_data(dc.data)

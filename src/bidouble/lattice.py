@@ -16,23 +16,25 @@ the label, not a fact the lattice can check.
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
 plus the sum of exceptional classes on a blow-up.
 
-Trusted construction: the public ``DivClass(...)`` constructor coerces every
-coordinate and checks the count against the ambient's rank.  Only arithmetic
-on classes that already passed it (``+``, ``-``, unary ``-``, integer ``*``,
-``try_half``, ``pullback`` and ``lincomb``), the empty sum ``Ambient.zero()``
-and ``canonical_class`` build their result through ``_trusted``, which skips
-both: sums, differences, integer multiples and exact quotients of integer
-vectors of the ambient's rank are again such vectors.  ``lincomb`` is the
-one primitive for a combination of several classes: it builds
-sum n_i * D_i, or its exact quotient by an integer, in a single allocation
-instead of one per operator.  The cover layer builds through it the
-per-branch component sums and the line bundles of ``building_data``, 2K + B
-in ``invariants`` and in the recipes' positivity step; the lift of a class
+Trusted construction: the public ``DivClass(...)`` constructor refuses a
+coordinate that is not a true integer (``type(c) is int``: a bool, float or
+string is never rounded) and checks the count against the ambient's rank;
+the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
+rule.  Only arithmetic on classes that already passed it (``+``, ``-``, unary
+``-``, integer ``*``, ``pullback`` and ``lincomb``), the empty sum
+``Ambient.zero()`` and ``canonical_class`` build their result through
+``_trusted``, which skips both: sums, differences, integer multiples and
+exact quotients of integer vectors of the ambient's rank are again such
+vectors.  ``lincomb`` is the one primitive for a combination of several
+classes: it builds sum n_i * D_i, or its exact quotient by an integer, in a
+single allocation instead of one per operator.  The cover layer builds
+through it the per-branch component sums and the line bundles of
+``building_data`` and 2K + B (``cover.two_k_plus_b``); the lift of a class
 through blown-up triple points is ``pullback`` with the exceptional
-coordinates given as its tail.  Integers read from a
-document are checked to be true integers (``doc_int``) before they reach a
-constructor, so a JSON boolean or float never passes as a coordinate;
-booleans and names are checked the same way (``doc_bool``, ``doc_str``).
+coordinates given as its tail.  Integers read from a document pass the same
+rule (``doc_int``) before they reach a constructor, so a JSON boolean or
+float never passes as a coordinate; booleans and names are checked the same
+way (``doc_bool``, ``doc_str``).
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
 separately (as by ``from_doc``) still match.
@@ -110,6 +112,9 @@ class PointLabel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", frozenset(self.branches))
         object.__setattr__(self, "components", tuple(self.components))
+        for b in self.branches:
+            if type(b) is not int:
+                raise LatticeError(f"branch indices must be integers, got {b!r}")
         if not self.branches <= {1, 2, 3}:
             raise LatticeError(
                 f"branch indices must lie in {{1,2,3}}, got {sorted(self.branches)}"
@@ -152,8 +157,7 @@ class Ambient:
         object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in (PLANE, HIRZEBRUCH, BLOWUP):
             raise LatticeError(f"unknown ambient kind {self.kind!r}")
-        # canonical_class builds its coordinates from e without coercion
-        if not isinstance(self.e, int):
+        if type(self.e) is not int:
             raise LatticeError(f"Hirzebruch parameter e must be an integer, got {self.e!r}")
         if self.e < 0:
             raise LatticeError("Hirzebruch parameter e must be >= 0")
@@ -174,7 +178,7 @@ class Ambient:
         return ("D0", "F") + tuple(f"E{i + 1}" for i in range(len(self.points)))
 
     def divisor(self, *coords: int) -> "DivClass":
-        return DivClass(self, tuple(int(c) for c in coords))
+        return DivClass(self, coords)
 
     def zero(self) -> "DivClass":
         return _trusted(self, (0,) * self.rank)
@@ -226,8 +230,12 @@ class DivClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if len(self.coords) != self.ambient.rank:
+        coords = tuple(self.coords)
+        for c in coords:
+            if type(c) is not int:
+                raise LatticeError(f"class coordinates must be integers, got {c!r}")
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != self.ambient.rank:
             raise LatticeError(
                 f"expected {self.ambient.rank} coordinates, got {len(self.coords)}"
             )
@@ -256,12 +264,6 @@ class DivClass:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def try_half(self) -> "DivClass | None":
-        """Exact half of the class, or None if some coordinate is odd."""
-        if any(c % 2 for c in self.coords):
-            return None
-        return _trusted(self.ambient, tuple([c // 2 for c in self.coords]))
 
     def __str__(self) -> str:
         labels = self.ambient.basis_labels()

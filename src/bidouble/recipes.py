@@ -27,19 +27,19 @@ from .cover import (
     building_data,
     invariants,
     resolve_triple_points,
+    two_k_plus_b,
 )
 from .cover import Invariants
 from .lattice import (
     BLOWUP,
+    NEF_ONLY,
     PLANE,
     Ambient,
     DivClass,
     PointLabel,
-    canonical_class,
     h0,
     hirzebruch,
     intersect,
-    lincomb,
     plane,
     positivity,
 )
@@ -127,11 +127,6 @@ class ConstructionCertificate:
             "notes": list(self.notes),
             "ok": self.ok,
         }
-
-
-def region_parameters(region: str, ksq: int, chi: int) -> dict[str, int]:
-    """The discrete parameters each recipe is built from; deterministic."""
-    return FAMILY[region].parameters(ksq, chi) if region in FAMILY else {}
 
 
 def _noether_parameters(ksq: int, chi: int) -> dict[str, int]:
@@ -331,12 +326,6 @@ def evaluate_side_conditions(
     return tuple(_stamps(base) + family.conditions(params, base, ksq, chi))
 
 
-def _push_2k(data: BuildingData) -> DivClass:
-    # class on the base whose pullback is 2K of the cover
-    amb = data.ambient
-    return lincomb(amb, ((2, canonical_class(amb)), (1, data.d1), (1, data.d2), (1, data.d3)))
-
-
 LINE5_AMPLENESS_NOTE = (
     "canonical ampleness not certified: the direct image of 2K pairs to zero "
     "against the ruling strict transform q*F-E, so the verdict is NefOnly "
@@ -344,6 +333,8 @@ LINE5_AMPLENESS_NOTE = (
     "sufficient test promotes it to Ample"
 )
 
+# NoetherLine's 2K + B is D0 + (chi-2)F on F_2 (even chi) and D0 + (chi-3)F
+# on F_0 (odd chi), so its only NefOnly pair is (2, 4)
 PAIR_2_4_NOTE = (
     "pair (2,4): recipe applied and verified numerically although the direct "
     "image of 2K sits on the nef-cone boundary of F_2, so the ampleness "
@@ -454,7 +445,8 @@ class Family:
     """One covered region: the locus of its pairs, the parameters and the
     branch data built from them (before any marked triple point is
     resolved), the side conditions beyond the smoothness stamps, the genus
-    of its fibration, its notes, its atlas fill and its degeneration (None
+    of its fibration, the note a NefOnly verdict carries (None where no pair
+    of the family is NefOnly), its atlas fill and its degeneration (None
     where the family has none)."""
 
     name: str
@@ -463,7 +455,7 @@ class Family:
     data: Callable[[dict[str, int]], BuildingData]
     conditions: Callable[[dict[str, int], BuildingData, int, int], list[SideCondition]]
     genus: int | None
-    notes: tuple[str, ...]
+    nef_only_note: str | None
     fill: str
     degeneration: Degeneration | None
 
@@ -473,7 +465,7 @@ class Family:
 FAMILIES = (
     Family(
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
-        lambda p: _plane_data(3, 3), _no_conditions, None, (), "#9467bd",
+        lambda p: _plane_data(3, 3), _no_conditions, None, None, "#9467bd",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the line moves through a point of the two cubics",
@@ -482,7 +474,7 @@ FAMILIES = (
     ),
     Family(
         PLANE_SPECIAL_13, lambda ksq, chi: (ksq, chi) == (1, 3), lambda ksq, chi: {},
-        lambda p: _plane_data(1, 5), _no_conditions, None, (), "#8c564b",
+        lambda p: _plane_data(1, 5), _no_conditions, None, None, "#8c564b",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the first line moves through a point of the quintic and the other line",
@@ -491,7 +483,7 @@ FAMILIES = (
     ),
     Family(
         GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
-        _genus3_data, _genus3_conditions, 3, (), "#17becf",
+        _genus3_data, _genus3_conditions, 3, None, "#17becf",
         Degeneration(
             _spare_fiber_through_point,
             "one more fiber of the first branch moves through a point of the other branches",
@@ -500,7 +492,7 @@ FAMILIES = (
     ),
     Family(
         GENUS2_GENERAL, lambda ksq, chi: 2 * chi - 5 <= ksq <= 4 * chi - 6, _genus2_parameters,
-        _genus2_family_data, _genus2_conditions, 2, (), "#2ca02c",
+        _genus2_family_data, _genus2_conditions, 2, None, "#2ca02c",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the trisection moves through a point of the two bisections",
@@ -509,7 +501,7 @@ FAMILIES = (
     ),
     Family(
         NOETHER_LINE, lambda ksq, chi: ksq == 2 * chi - 6, _noether_parameters,
-        _genus2_family_data, _no_conditions, 2, (), "#1f77b4",
+        _genus2_family_data, _no_conditions, 2, PAIR_2_4_NOTE, "#1f77b4",
         Degeneration(
             _shared_section,
             "the second branch degenerates onto the section already contained in "
@@ -520,7 +512,7 @@ FAMILIES = (
     Family(
         LINE_4CHI_MINUS_5, lambda ksq, chi: ksq == 4 * chi - 5, lambda ksq, chi: {"chi": chi},
         lambda p: _ruling_triple_data(p["chi"], marked=True), _line5_conditions, 2,
-        (LINE5_AMPLENESS_NOTE,), "#d62728",
+        LINE5_AMPLENESS_NOTE, "#d62728",
         Degeneration(
             _through_point("pPrime", ("d1", "d2", "delta2")),
             "a second ruling member of the third branch moves through a point of "
@@ -530,7 +522,7 @@ FAMILIES = (
     ),
     Family(
         LINE_4CHI_MINUS_4, lambda ksq, chi: ksq == 4 * chi - 4, lambda ksq, chi: {"chi": chi},
-        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, 2, (), "#ff7f0e",
+        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, 2, None, "#ff7f0e",
         Degeneration(
             _through_point("p", ("d1", "d2", "delta1")),
             "a ruling member of the third branch moves through a point of the two "
@@ -540,12 +532,11 @@ FAMILIES = (
     ),
     Family(
         PRODUCT_LINE, lambda ksq, chi: ksq == 8 * chi, lambda ksq, chi: {"chi": chi},
-        lambda p: _product_data(p["chi"]), _no_conditions, None, (), "#e377c2", None,
+        lambda p: _product_data(p["chi"]), _no_conditions, None, None, "#e377c2", None,
     ),
 )
 
 FAMILY = {family.name: family for family in FAMILIES}
-COVERED_REGIONS = frozenset(FAMILY)
 
 
 def _covered_region(ksq: int, chi: int) -> str:
@@ -594,7 +585,7 @@ def certify(
     """
     conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
-    amp = positivity(data.ambient, _push_2k(data))
+    amp = positivity(data.ambient, two_k_plus_b(data))
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
     return ConstructionCertificate(
         requested_ksq=ksq,
@@ -609,7 +600,7 @@ def certify(
         # Horikawa's K^2 - (2chi - 6) in genus 2; the marked points in genus 3
         epsilon=ksq - (2 * chi - 6) if family.genus == 2 else params.get("epsilon"),
         parameters=params,
-        notes=family.notes + ((PAIR_2_4_NOTE,) if (ksq, chi) == (2, 4) else ()),
+        notes=(family.nef_only_note,) if amp == NEF_ONLY else (),
         ok=ok,
     )
 

@@ -177,6 +177,13 @@ class TestValidation:
         with pytest.raises(InvalidBuildingData):
             building_data(amb, amb.divisor(2, -2), amb.divisor(2, 0), amb.divisor(0, 0))
 
+    @pytest.mark.parametrize(
+        "branch, count", [(True, 1), (1.0, 1), (1, True), (1, 2.0), ("1", 1)]
+    )
+    def test_component_integers_not_coerced(self, branch, count):
+        with pytest.raises(InvalidBuildingData, match="component"):
+            Component("x", branch, hirzebruch(0).divisor(1, 0), count=count)
+
     def test_unknown_component_in_point(self):
         amb = hirzebruch(0)
         with pytest.raises(InvalidBuildingData):
@@ -280,8 +287,8 @@ class TestResolveTriplePoint:
         assert bd.d1.coords == (1, 2, -1)
         assert bd.d2.coords == (1, 6, -1)
         assert bd.d3.coords == (3, 0, -1)
-        assert bd.component("delta1", 3).cls.coords == (1, 0, -1)
-        assert bd.component("delta2", 3).cls.coords == (1, 0, 0)
+        assert bd.component("delta1").cls.coords == (1, 0, -1)
+        assert bd.component("delta2").cls.coords == (1, 0, 0)
         assert bd.incidence == ()
         assert len(bd.ambient.points) == 1
 
@@ -459,14 +466,20 @@ def reference_canonical(amb):
     return DivClass(amb, (-2, -(amb.e + 2)) + (1,) * len(amb.points))
 
 
+def reference_half(d):
+    if any(c % 2 for c in d.coords):
+        return None
+    return DivClass(d.ambient, tuple(c // 2 for c in d.coords))
+
+
 def reference_line_bundles(ambient, d1, d2, d3):
     for d in (d1, d2, d3):
         if d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
-    l1 = (d2 + d3).try_half()
+    l1 = reference_half(d2 + d3)
     if l1 is None:
         raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
-    l2 = (d1 + d3).try_half()
+    l2 = reference_half(d1 + d3)
     if l2 is None:
         raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
     l3 = l1 + l2 - d3

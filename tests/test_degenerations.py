@@ -5,12 +5,7 @@ import json
 import pytest
 
 from bidouble.cover import NON_NORMAL_GLUING, QUARTER_POINT
-from bidouble.degenerations import (
-    DegenerationError,
-    degenerate,
-    degenerate_pair,
-    normalize_noether_line,
-)
+from bidouble.degenerations import DegenerationError, degenerate
 from bidouble.recipes import NOETHER_LINE, construct
 
 
@@ -22,7 +17,7 @@ def covered_pairs(chi_max):
 
 class TestNoetherLine:
     def test_odd_chi_shared_whole_branch(self):
-        dc = degenerate_pair(4, 5)
+        dc = degenerate(construct(4, 5))
         assert dc.region == NOETHER_LINE
         assert not dc.data.reduced
         assert dc.invariants == dc.parent_invariants
@@ -35,7 +30,7 @@ class TestNoetherLine:
         assert dc.ok
 
     def test_even_chi_shared_section_plus_fibers(self):
-        dc = degenerate_pair(2, 4)
+        dc = degenerate(construct(2, 4))
         assert not dc.data.reduced
         assert dc.data.d2 == dc.data.ambient.divisor(1, 2)
         names = [c.name for c in dc.data.components if c.branch == 2]
@@ -45,7 +40,7 @@ class TestNoetherLine:
         assert dc.ok
 
     def test_normalization_frozen_odd(self):
-        dc = degenerate_pair(4, 5)
+        dc = degenerate(construct(4, 5))
         n = dc.normalization
         assert n is not None
         assert n.c1.is_zero()
@@ -54,20 +49,10 @@ class TestNoetherLine:
         assert n.two_disjoint_copies
 
     def test_normalization_frozen_even(self):
-        n = degenerate_pair(6, 6).normalization
+        n = degenerate(construct(6, 6)).normalization
         assert list(n.c2.coords) == [0, 2]
         assert list(n.c3.coords) == [4, 10]
         assert n.two_disjoint_copies
-
-    def test_normalize_function_matches_attached(self):
-        dc = degenerate_pair(2, 4)
-        assert normalize_noether_line(dc) == dc.normalization
-
-    def test_normalize_rejects_normal_families(self):
-        dc = degenerate_pair(20, 7)
-        assert dc.normalization is None
-        with pytest.raises(DegenerationError, match="normal"):
-            normalize_noether_line(dc)
 
 
 class TestMarkedPointFamilies:
@@ -84,7 +69,7 @@ class TestMarkedPointFamilies:
         ],
     )
     def test_single_quarter_point(self, ksq, chi, witness, candidates):
-        dc = degenerate_pair(ksq, chi)
+        dc = degenerate(construct(ksq, chi))
         assert [e.kind for e in dc.ledger] == [QUARTER_POINT]
         entry = dc.ledger[0]
         assert entry.count == 1
@@ -97,20 +82,20 @@ class TestMarkedPointFamilies:
         assert dc.ok
 
     def test_genus2_point_sits_on_all_named_components(self):
-        dc = degenerate_pair(20, 7)
+        dc = degenerate(construct(20, 7))
         point = dc.data.point("p")
         assert point.components == ("d1", "d2", "d3")
         assert point.branches == frozenset({1, 2, 3})
 
     def test_line5_marks_a_fresh_fiber(self):
-        dc = degenerate_pair(7, 3)
+        dc = degenerate(construct(7, 3))
         point = dc.data.point("pPrime")
         assert point.components == ("d1", "d2", "delta2")
         # the resolved construction point is in the ambient, not incidence
         assert [p.name for p in dc.data.ambient.points] == ["p"]
 
     def test_genus3_splits_the_bulk_fiber(self):
-        dc = degenerate_pair(17, 5)
+        dc = degenerate(construct(17, 5))
         names = [c.name for c in dc.data.components if c.branch == 1]
         assert names == ["f1", "f2", "f3", "f4", "f_rest"]
         assert dc.data.component("f_rest").count == 1
@@ -119,7 +104,7 @@ class TestMarkedPointFamilies:
         assert by_name["spareFibers"].value == 2
 
     def test_genus3_with_no_remainder_fiber(self):
-        dc = degenerate_pair(5, 2)
+        dc = degenerate(construct(5, 2))
         names = [c.name for c in dc.data.components if c.branch == 1]
         assert names == ["f1", "f2", "f3", "f4"]
         assert dc.data.point("p4").components == ("f4", "d2", "d3")
@@ -134,7 +119,7 @@ class TestAvailability:
 
     def test_every_covered_pair_degenerates(self):
         for ksq, chi in covered_pairs(10):
-            dc = degenerate_pair(ksq, chi)
+            dc = degenerate(construct(ksq, chi))
             assert dc.ok, (ksq, chi, dc.side_conditions)
             assert dc.invariants == dc.parent_invariants
             assert dc.ledger
@@ -150,7 +135,7 @@ class TestAvailability:
 
 class TestDoc:
     def test_doc_shape(self):
-        doc = degenerate_pair(4, 5).to_doc()
+        doc = degenerate(construct(4, 5)).to_doc()
         assert doc["kind"] == "degeneration"
         assert doc["requested"] == {"ksq": 4, "chi": 5}
         assert doc["gorenstein"] is False
@@ -166,7 +151,7 @@ class TestDoc:
         json.dumps(doc)
 
     def test_quarter_point_doc_witness(self):
-        doc = degenerate_pair(20, 7).to_doc()
+        doc = degenerate(construct(20, 7)).to_doc()
         assert doc["ledger"] == [
             {
                 "kind": QUARTER_POINT,
@@ -180,7 +165,7 @@ class TestDoc:
     def test_data_doc_reimports_nonreduced(self):
         from bidouble.cover import BuildingData
 
-        dc = degenerate_pair(2, 4)
+        dc = degenerate(construct(2, 4))
         clone = BuildingData.from_doc(dc.data.to_doc())
         assert clone == dc.data
         assert not clone.reduced

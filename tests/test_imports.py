@@ -1,16 +1,19 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level name is used somewhere in the package or exported by
+``__all__``, and every function the benchmark's tracer wraps exists.
 
 No linter is part of the toolchain, so this walks the syntax tree instead.
 ``__init__.py`` is skipped for imports: they are the package's re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bidouble"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bidouble"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,10 +52,14 @@ def read_names(statement: ast.stmt) -> set[str]:
     return out
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of every module-level ``_private`` name that no other
-    module-level statement of the package reads; a function that only calls
-    itself counts as unreferenced."""
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced_names(sources: dict[str, str], candidate) -> list[str]:
+    """``module:name`` of every module-level name with ``candidate(name)``
+    that no other module-level statement of the package reads; a function
+    that only calls itself counts as unreferenced."""
     statements = [
         (module, stmt)
         for module, source in sorted(sources.items())
@@ -62,7 +69,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     out = []
     for i, (module, stmt) in enumerate(statements):
         for name in sorted(defined_names(stmt)):
-            if not name.startswith("_") or name.startswith("__"):
+            if not candidate(name):
                 continue
             if not any(name in r for j, r in enumerate(reads) if j != i):
                 out.append(f"{module}:{name}")
@@ -80,7 +87,35 @@ def test_detector_finds_unreferenced_private_names():
         "b.py": "from .a import _used\n_used()\n_TABLE: dict = {}\n",
         "c.py": "import b\nb._TABLE.clear()\n",
     }
-    assert unreferenced_private_names(sources) == ["a.py:_cache", "a.py:_same"]
+    assert unreferenced_names(sources, is_private) == ["a.py:_cache", "a.py:_same"]
+
+
+def exported(init_source: str) -> frozenset[str]:
+    """The names the package's ``__all__`` lists."""
+    for stmt in ast.parse(init_source).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return frozenset(ast.literal_eval(stmt.value))
+    return frozenset()
+
+
+def dead_public(sources: dict[str, str]) -> list[str]:
+    """Public module-level names that nothing in the package reads and
+    ``__all__`` does not export."""
+    public = exported(sources.get("__init__.py", ""))
+    return unreferenced_names(
+        sources, lambda name: not name.startswith("_") and name not in public
+    )
+
+
+def test_detector_finds_dead_public_names():
+    sources = {
+        "__init__.py": "from .a import shown\n__all__ = ['shown']\n",
+        "a.py": "def shown():\n    return helper()\ndef helper():\n    pass\n"
+        "def dead():\n    return dead()\nTABLE = frozenset()\n_private = 1\n",
+    }
+    assert dead_public(sources) == ["a.py:TABLE", "a.py:dead"]
 
 
 def test_modules_found():
@@ -92,6 +127,37 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def package_sources() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+
+
 def test_no_unreferenced_private_names():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(package_sources(), is_private) == []
+
+
+def test_every_public_name_is_read_or_exported():
+    assert dead_public(package_sources()) == []
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of ``TRACED`` in the benchmark's
+    tracer, read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in stmt.targets
+        ):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(stmt.value)]
+    raise AssertionError("perfbench/tracing.py defines no TRACED table")
+
+
+def test_traced_functions_resolve():
+    targets = traced_targets()
+    assert targets
+    for module_name, attr in targets:
+        owner = importlib.import_module(f"bidouble.{module_name}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        # the tracer takes a method from its class's own namespace
+        assert name in (vars(owner) if classes else dir(owner)), f"{module_name}.{attr}"

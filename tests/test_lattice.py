@@ -315,7 +315,7 @@ class TestTrustedArithmetic:
         assert u - v == DivClass(amb, (2, 6, -1, 1))
         assert -u == DivClass(amb, (-3, -4, 1, 0))
         assert 3 * u == u * 3 == DivClass(amb, (9, 12, -3, 0))
-        assert (2 * v).try_half() == v
+        assert lincomb(amb, [(2, v)], 2) == v
         assert hash(u + v) == hash(DivClass(amb, (4, 2, -1, -1)))
         assert all(type(c) is int for c in (u + v).coords)
 
@@ -330,6 +330,20 @@ class TestTrustedArithmetic:
     def test_public_constructor_still_validates(self):
         with pytest.raises(LatticeError):
             DivClass(hirzebruch(0), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DivClass(hirzebruch(0), (2.5, 1)),
+            lambda: DivClass(hirzebruch(0), (True, 1)),
+            lambda: DivClass(plane(), ("3",)),
+            lambda: hirzebruch(0).divisor("3", 1.9),
+            lambda: hirzebruch(0).divisor(2, 1.0),
+        ],
+    )
+    def test_non_integer_coordinates_refused(self, build):
+        with pytest.raises(LatticeError, match="must be integers"):
+            build()
 
     def test_interned_ambients(self):
         assert plane() is plane()
@@ -397,7 +411,7 @@ class TestLincomb:
                 pullback(amb, d, tail)
 
     def test_non_integer_e_refused(self):
-        for e in (1.5, 2.0, "1"):
+        for e in (1.5, 2.0, "1", True, False):
             with pytest.raises(LatticeError):
                 Ambient("Hirzebruch", e)
 
@@ -451,6 +465,11 @@ class TestDocumentIntegers:
     def test_booleans_and_floats_rejected(self, doc):
         with pytest.raises(LatticeError):
             Ambient.from_doc(doc)
+
+    @pytest.mark.parametrize("branches", [{1.0, 2, 3}, {True, 2, 3}, {"1", 2}])
+    def test_point_branches_must_be_integers(self, branches):
+        with pytest.raises(LatticeError, match="must be integers"):
+            PointLabel("p", frozenset(branches))
 
     def test_integers_accepted(self):
         amb = Ambient.from_doc(

@@ -20,7 +20,7 @@ from bidouble.cover import (
 from bidouble.degenerations import DegenerationError, degenerate
 from bidouble.lattice import hirzebruch
 from bidouble.recipes import (
-    COVERED_REGIONS,
+    FAMILY,
     NOT_ADMISSIBLE,
     NOT_COVERED,
     PRODUCT_LINE,
@@ -75,7 +75,7 @@ class TestRecipeProperties:
     @given(ksq=st.integers(-30, 400), chi=st.integers(-5, 45))
     def test_classification_is_total(self, ksq, chi):
         region = classify(ksq, chi)
-        assert region in COVERED_REGIONS | {NOT_COVERED, NOT_ADMISSIBLE}
+        assert region in frozenset(FAMILY) | {NOT_COVERED, NOT_ADMISSIBLE}
         assert (region == NOT_ADMISSIBLE) == (not admissible(ksq, chi))
 
     @given(pair=covered_pair())

@@ -12,7 +12,6 @@ from bidouble.cover import chi_oracle, ksq_oracle
 from bidouble.geography import REGION_FILL
 from bidouble.lattice import AMPLE, NEF_ONLY, intersect
 from bidouble.recipes import (
-    COVERED_REGIONS,
     FAMILIES,
     FAMILY,
     GENUS2_GENERAL,
@@ -29,9 +28,9 @@ from bidouble.recipes import (
     admissible,
     classify,
     construct,
-    region_parameters,
 )
 
+COVERED_REGIONS = frozenset(FAMILY)
 ALL_REGIONS = COVERED_REGIONS | {NOT_COVERED, NOT_ADMISSIBLE}
 
 
@@ -79,7 +78,6 @@ class TestFamilyTable:
 
     def test_region_sets_derive_from_the_table(self):
         assert len(FAMILY) == len(FAMILIES) == 8
-        assert COVERED_REGIONS == set(FAMILY)
         assert set(REGION_FILL) == set(FAMILY) | {NOT_COVERED}
 
     def test_only_the_product_line_has_no_degeneration(self):
@@ -146,7 +144,7 @@ class TestClassify:
 
 class TestParameters:
     def test_genus2_frozen(self):
-        assert region_parameters(GENUS2_GENERAL, 20, 7) == {
+        assert FAMILY[GENUS2_GENERAL].parameters(20, 7) == {
             "alpha": 0,
             "beta": 12,
             "gamma": 2,
@@ -154,13 +152,13 @@ class TestParameters:
         }
 
     def test_noether_frozen(self):
-        assert region_parameters(NOETHER_LINE, 2, 4) == {
+        assert FAMILY[NOETHER_LINE].parameters(2, 4) == {
             "alpha": 0,
             "beta": 2,
             "gamma": 8,
             "e": 2,
         }
-        assert region_parameters(NOETHER_LINE, 4, 5) == {
+        assert FAMILY[NOETHER_LINE].parameters(4, 5) == {
             "alpha": 0,
             "beta": 0,
             "gamma": 6,
@@ -168,13 +166,13 @@ class TestParameters:
         }
 
     def test_genus3_frozen(self):
-        assert region_parameters(GENUS3, 17, 5) == {
+        assert FAMILY[GENUS3].parameters(17, 5) == {
             "alpha": 5,
             "beta": 3,
             "gamma": 1,
             "epsilon": 3,
         }
-        assert region_parameters(GENUS3, 16, 4) == {
+        assert FAMILY[GENUS3].parameters(16, 4) == {
             "alpha": 4,
             "beta": 4,
             "gamma": 0,
@@ -187,7 +185,7 @@ class TestParameters:
         # K^2 = 2(alpha+beta+gamma) - 5e - 8
         for chi in range(2, 30):
             for ksq in range(max(1, 2 * chi - 5), 4 * chi - 5):
-                p = region_parameters(GENUS2_GENERAL, ksq, chi)
+                p = FAMILY[GENUS2_GENERAL].parameters(ksq, chi)
                 a, b, g, e = p["alpha"], p["beta"], p["gamma"], p["e"]
                 assert (a + b) % 2 == 0
                 assert a + b + 2 * g - 4 * e - 2 == 2 * chi
@@ -197,7 +195,7 @@ class TestParameters:
     def test_genus3_display_identities(self):
         for chi in range(2, 30):
             for ksq in range(4 * chi - 3, 8 * chi - 7):
-                p = region_parameters(GENUS3, ksq, chi)
+                p = FAMILY[GENUS3].parameters(ksq, chi)
                 a, b, g, eps = p["alpha"], p["beta"], p["gamma"], p["epsilon"]
                 assert eps == (-ksq) % 4
                 assert a + 2 * b + 3 * g - 4 == 2 * chi
@@ -374,8 +372,11 @@ class TestSweep:
             cert = construct(ksq, chi)
             if cert.region == LINE_4CHI_MINUS_5 or (ksq, chi) == (2, 4):
                 assert cert.ampleness == NEF_ONLY, (ksq, chi)
+                assert cert.notes == (FAMILY[cert.region].nef_only_note,)
+                assert isinstance(cert.notes[0], str)
             else:
                 assert cert.ampleness == AMPLE, (ksq, chi)
+                assert cert.notes == (), (ksq, chi)
 
 
 class TestCertificateDoc:
