@@ -40,7 +40,7 @@ from .recipes import (
 
 ORACLE_SEED = 20240
 ORACLE_SAMPLES = 10_000
-# the side of the coefficient grid h0 is compared with monomial counts on
+# the largest degree or coefficient at which h0 meets the monomial count
 MONOMIAL_GRID = 12
 
 

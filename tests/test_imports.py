@@ -90,20 +90,21 @@ def test_detector_finds_unreferenced_private_names():
     assert unreferenced_names(sources, is_private) == ["a.py:_cache", "a.py:_same"]
 
 
-def exported(init_source: str) -> frozenset[str]:
-    """The names the package's ``__all__`` lists."""
-    for stmt in ast.parse(init_source).body:
+def assigned_literal(source: str, name: str):
+    """The literal a module-level statement of ``source`` assigns to ``name``,
+    read without importing the module."""
+    for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            isinstance(t, ast.Name) and t.id == name for t in stmt.targets
         ):
-            return frozenset(ast.literal_eval(stmt.value))
-    return frozenset()
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"no module-level assignment to {name}")
 
 
 def dead_public(sources: dict[str, str]) -> list[str]:
     """Public module-level names that nothing in the package reads and
     ``__all__`` does not export."""
-    public = exported(sources.get("__init__.py", ""))
+    public = frozenset(assigned_literal(sources["__init__.py"], "__all__"))
     return unreferenced_names(
         sources, lambda name: not name.startswith("_") and name not in public
     )
@@ -139,22 +140,12 @@ def test_every_public_name_is_read_or_exported():
     assert dead_public(package_sources()) == []
 
 
-def traced_targets() -> list[tuple[str, str]]:
-    """(module, attribute) of every entry of ``TRACED`` in the benchmark's
-    tracer, read from its source without importing it."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in stmt.targets
-        ):
-            return [(module, attr) for module, attr, _ in ast.literal_eval(stmt.value)]
-    raise AssertionError("perfbench/tracing.py defines no TRACED table")
-
-
 def test_traced_functions_resolve():
-    targets = traced_targets()
-    assert targets
-    for module_name, attr in targets:
+    # every (module, attribute, label) the benchmark's tracer wraps
+    source = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    traced = assigned_literal(source, "TRACED")
+    assert traced
+    for module_name, attr, _ in traced:
         owner = importlib.import_module(f"bidouble.{module_name}")
         *classes, name = attr.split(".")
         for cls in classes:
