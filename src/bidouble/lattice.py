@@ -157,6 +157,7 @@ class Ambient:
         object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in (PLANE, HIRZEBRUCH, BLOWUP):
             raise LatticeError(f"unknown ambient kind {self.kind!r}")
+        # canonical_class builds its coordinates from e without a check
         if type(self.e) is not int:
             raise LatticeError(f"Hirzebruch parameter e must be an integer, got {self.e!r}")
         if self.e < 0:
@@ -182,11 +183,6 @@ class Ambient:
 
     def zero(self) -> "DivClass":
         return _trusted(self, (0,) * self.rank)
-
-    def blow_up(self, p: PointLabel) -> "Ambient":
-        if self.kind == PLANE:
-            raise LatticeError("only ruled models are blown up here")
-        return Ambient(BLOWUP, self.e, self.points + (p,))
 
     def to_doc(self) -> dict:
         if self.kind == PLANE:

@@ -26,7 +26,9 @@ from bidouble.cover import (
     singularity_scan,
 )
 from bidouble.lattice import (
+    BLOWUP,
     PLANE,
+    Ambient,
     DivClass,
     LatticeError,
     PointLabel,
@@ -350,7 +352,7 @@ def resolve_one_reference(bd, name):
         named.append(c)
     if {c.branch for c in named} != {1, 2, 3}:
         raise CoverError("one component per branch is required")
-    amb = bd.ambient.blow_up(p)
+    amb = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + (p,))
     exc = exceptional(amb, -1)
     through = {c.name for c in named}
 

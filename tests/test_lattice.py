@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bidouble.lattice import (
     AMPLE,
+    BLOWUP,
     NEF_ONLY,
     NOT_NEF,
     UNKNOWN,
@@ -53,10 +54,14 @@ def h0_oracle_plane(d: int) -> int:
     return n
 
 
+def blow_up(amb: Ambient, p: PointLabel) -> Ambient:
+    return Ambient(BLOWUP, amb.e, amb.points + (p,))
+
+
 def blowup_of_f0(npts: int) -> Ambient:
     amb = hirzebruch(0)
     for i in range(npts):
-        amb = amb.blow_up(PointLabel(f"p{i + 1}", frozenset({1, 2, 3})))
+        amb = blow_up(amb, PointLabel(f"p{i + 1}", frozenset({1, 2, 3})))
     return amb
 
 
@@ -112,7 +117,7 @@ class TestIntersect:
     def test_bilinear_symmetric(self, e, k, u, v, w, n):
         amb = hirzebruch(e)
         for i in range(k):
-            amb = amb.blow_up(PointLabel(f"p{i + 1}"))
+            amb = blow_up(amb, PointLabel(f"p{i + 1}"))
         r = amb.rank
         a = DivClass(amb, tuple(u[:r]))
         b = DivClass(amb, tuple(v[:r]))
@@ -192,7 +197,7 @@ class TestH0:
             h0(amb, amb.divisor(3, 4, -2))
 
     def test_non_general_point_refused(self):
-        amb = hirzebruch(0).blow_up(PointLabel("p", frozenset({1, 2}), general=False))
+        amb = blow_up(hirzebruch(0), PointLabel("p", frozenset({1, 2}), general=False))
         with pytest.raises(UnsupportedClass):
             h0(amb, amb.divisor(3, 4, -1))
 
@@ -243,7 +248,7 @@ class TestPositivity:
         assert positivity(amb, amb.divisor(1, 1, -1, -1, -1)) == UNKNOWN
 
     def test_blowup_of_positive_e_unknown(self):
-        amb = hirzebruch(1).blow_up(PointLabel("p"))
+        amb = blow_up(hirzebruch(1), PointLabel("p"))
         assert positivity(amb, amb.divisor(2, 9, -1)) == UNKNOWN
         assert positivity(amb, amb.divisor(1, 0, -1)) == NOT_NEF
 
@@ -257,7 +262,7 @@ class TestPositivity:
     def test_verdict_monotonicity(self, a, b, e, ms):
         amb = hirzebruch(e)
         for i in range(len(ms)):
-            amb = amb.blow_up(PointLabel(f"p{i + 1}"))
+            amb = blow_up(amb, PointLabel(f"p{i + 1}"))
         d = DivClass(amb, (a, b) + tuple(-m for m in ms))
         verdict = positivity(amb, d)
         if amb.kind == "BlownUp":
@@ -277,13 +282,13 @@ class TestPositivity:
 class TestPullback:
     def test_shape(self):
         base = hirzebruch(0)
-        amb = base.blow_up(PointLabel("p"))
+        amb = blow_up(base, PointLabel("p"))
         d = pullback(amb, base.divisor(3, 7))
         assert d.coords == (3, 7, 0)
 
     def test_product_rule(self):
         base = hirzebruch(0)
-        amb = base.blow_up(PointLabel("p"))
+        amb = blow_up(base, PointLabel("p"))
         for a in range(-3, 4):
             for b in range(-3, 4):
                 u = pullback(amb, base.divisor(a, b)) - exceptional(amb, 0)
@@ -291,7 +296,7 @@ class TestPullback:
                 assert intersect(u, v) == intersect(base.divisor(a, b), base.divisor(b, a)) - 1
 
     def test_wrong_base_rejected(self):
-        amb = hirzebruch(0).blow_up(PointLabel("p"))
+        amb = blow_up(hirzebruch(0), PointLabel("p"))
         with pytest.raises(AmbientMismatch):
             pullback(amb, hirzebruch(1).divisor(1, 0))
 
@@ -358,7 +363,7 @@ class TestTrustedArithmetic:
         assert intersect(u, v) == intersect(v, u) == 1
         assert h0(amb, v) == h0(copy, v)
         assert positivity(amb, v) == positivity(copy, v)
-        assert pullback(copy.blow_up(PointLabel("q")), u).coords == (1, 1, -1, 0)
+        assert pullback(blow_up(copy, PointLabel("q")), u).coords == (1, 1, -1, 0)
 
 
 class TestLincomb:
@@ -374,7 +379,7 @@ class TestLincomb:
     def test_equals_operator_fold(self, e, k, terms, over):
         amb = hirzebruch(e)
         for i in range(k):
-            amb = amb.blow_up(PointLabel(f"p{i + 1}"))
+            amb = blow_up(amb, PointLabel(f"p{i + 1}"))
         classes = [(n, DivClass(amb, tuple(c[: amb.rank]))) for n, c in terms]
         fold = DivClass(amb, (0,) * amb.rank)
         for n, d in classes:
@@ -401,8 +406,8 @@ class TestLincomb:
         assert got.coords == (1, 3, -3) and got.ambient is amb
 
     def test_pullback_tail(self):
-        base = hirzebruch(0).blow_up(PointLabel("p"))
-        amb = base.blow_up(PointLabel("q")).blow_up(PointLabel("r"))
+        base = blow_up(hirzebruch(0), PointLabel("p"))
+        amb = blow_up(blow_up(base, PointLabel("q")), PointLabel("r"))
         d = base.divisor(3, 4, -1)
         assert pullback(amb, d, (-1, 0)) == pullback(amb, d) - exceptional(amb, 1)
         assert pullback(amb, d, (0, 0)) == pullback(amb, d)
