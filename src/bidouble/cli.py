@@ -93,8 +93,9 @@ def _print_degeneration(dc) -> None:
     details.append(f"gorenstein: {'yes' if dc.gorenstein else 'no'}")
     if dc.normalization is not None:
         n = dc.normalization
-        copies = "two disjoint copies" if n.two_disjoint_copies else "connected"
-        details.append(f"normalization: C1 = {n.c1}, C2 = {n.c2}, C3 = {n.c3} ({copies})")
+        details.append(
+            f"normalization: C1 = {n.c1}, C2 = {n.c2}, C3 = {n.c3} (two disjoint copies)"
+        )
     _print_report(dc, [], details, [])
 
 

@@ -76,6 +76,8 @@ class Component:
     count: int = 1
 
     def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise InvalidBuildingData(f"component name must be a string, got {self.name!r}")
         if type(self.branch) is not int or self.branch not in (1, 2, 3):
             raise InvalidBuildingData(f"component branch must be 1..3, got {self.branch!r}")
         if type(self.count) is not int or self.count < 1:
@@ -268,8 +270,11 @@ def building_data(
         if h0_flagged(ambient, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
+    by_branch: dict[int, list[Component]] = {1: [], 2: [], 3: []}
+    for c in comps:
+        by_branch[c.branch].append(c)
     for branch, total in ((1, d1), (2, d2), (3, d3)):
-        entries = [c for c in comps if c.branch == branch]
+        entries = by_branch[branch]
         if not entries:
             continue
         for c in entries:
@@ -393,10 +398,21 @@ def resolve_triple_points(
     the incidence list into the ambient's centre list.  K^2 drops by one per
     point and chi is unchanged.
 
-    The result, and the error raised on a bad point, are those of resolving
-    the points one at a time, but the data is validated once: component sums
-    are linear in the exceptional coordinates, and the blow-up h0 estimate only
-    falls as centres are added, so valid final data implies valid stages.
+    ``bd`` was validated when it was built, and the pullback keeps what that
+    validation showed: names, incidence, reducedness, and the component sums
+    in the old coordinates.  So the lifted data is checked only for what a
+    blow-up can break.  The line bundles are derived again from the lifted
+    classes.  Each lifted branch class must stay effective: its h0 estimate
+    drops by one per centre, so a branch of one fiber through two marked
+    points fails (h0 2 - 2 = 0), and a centre not flagged general raises
+    UnsupportedClass.  In each point's
+    exceptional coordinate, the copies of each branch's components through
+    the point must total one, which catches a name shared by two branches of
+    non-reduced data.
+
+    Resolving the points one at a time gives the same data and fails on the
+    same data: an h0 estimate or a sum that holds with every centre holds at
+    each stage before.  An error here names the classes over every centre.
     """
     marked: list[PointLabel] = []
     through: list[frozenset[str]] = []
@@ -427,26 +443,41 @@ def resolve_triple_points(
     if not marked:
         return bd
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
-
-    def lift(d: DivClass, name: str | None) -> DivClass:
-        # the total transform minus the exceptional class of every marked
-        # point the class passes through; a branch class (name None) passes
-        # through all of them
-        tail = tuple(-1 if name is None or name in names else 0 for names in through)
-        return pullback(amb2, d, tail)
-
-    comps2 = tuple(
-        Component(c.name, c.branch, lift(c.cls, c.name), c.count) for c in bd.components
-    )
+    # a branch class passes through every marked point
+    every = (-1,) * len(marked)
+    d1, d2, d3 = (pullback(amb2, d, every) for d in (bd.d1, bd.d2, bd.d3))
+    l1, l2, l3 = derive_line_bundles(amb2, d1, d2, d3)
+    for i, d in enumerate((d1, d2, d3), start=1):
+        if h0_flagged(amb2, d)[0] <= 0:
+            raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
+    comps = []
+    # copies[b][j]: copies of branch b's components through the j-th point
+    copies = {1: [0] * len(marked), 2: [0] * len(marked), 3: [0] * len(marked)}
+    for c in bd.components:
+        tail = tuple([-1 if c.name in names else 0 for names in through])
+        comps.append(Component(c.name, c.branch, pullback(amb2, c.cls, tail), c.count))
+        row = copies[c.branch]
+        for j, t in enumerate(tail):
+            if t:
+                row[j] += c.count
+    for branch, total in ((1, d1), (2, d2), (3, d3)):
+        if any(n != 1 for n in copies[branch]):
+            acc = lincomb(amb2, [(c.count, c.cls) for c in comps if c.branch == branch])
+            raise InvalidBuildingData(
+                f"components of branch {branch} sum to {acc}, expected {total}"
+            )
     resolved = {p.name for p in marked}
-    return building_data(
+    return BuildingData(
         amb2,
-        lift(bd.d1, None),
-        lift(bd.d2, None),
-        lift(bd.d3, None),
-        comps2,
+        d1,
+        d2,
+        d3,
+        l1,
+        l2,
+        l3,
+        tuple(comps),
         tuple(q for q in bd.incidence if q.name not in resolved),
-        allow_nonreduced=not bd.reduced,
+        bd.reduced,
     )
 
 

@@ -37,12 +37,15 @@ from .recipes import (
 
 @dataclass(frozen=True)
 class Normalization:
-    """Building classes of the normalized cover of a non-reduced family."""
+    """Building classes of the normalized cover of a non-reduced family.
+
+    The only non-reduced data is a shared section, whose preimage the
+    normalization always splits into two disjoint copies.
+    """
 
     c1: DivClass
     c2: DivClass
     c3: DivClass
-    two_disjoint_copies: bool
     note: str
 
     def to_doc(self) -> dict:
@@ -52,7 +55,7 @@ class Normalization:
                 "c2": list(self.c2.coords),
                 "c3": list(self.c3.coords),
             },
-            "twoDisjointCopies": self.two_disjoint_copies,
+            "twoDisjointCopies": True,
             "note": self.note,
         }
 
@@ -164,7 +167,6 @@ def _normalization_from_data(data: BuildingData) -> Normalization:
         c1=zero,
         c2=data.d2 - data.d1,
         c3=data.d1 + data.d3,
-        two_disjoint_copies=True,
         note=(
             "normalizing separates the two sheets glued along the shared "
             "section; the result is the cover built from these classes, and "

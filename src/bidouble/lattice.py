@@ -20,21 +20,24 @@ Trusted construction: the public ``DivClass(...)`` constructor refuses a
 coordinate that is not a true integer (``type(c) is int``: a bool, float or
 string is never rounded) and checks the count against the ambient's rank;
 the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
-rule.  Only arithmetic on classes that already passed it (``+``, ``-``, unary
-``-``, integer ``*``, ``pullback`` and ``lincomb``), the empty sum
-``Ambient.zero()`` and ``canonical_class`` build their result through
-``_trusted``, which skips both: sums, differences, integer multiples and
-exact quotients of integer vectors of the ambient's rank are again such
-vectors.  ``lincomb`` is the one primitive for a combination of several
-classes: it builds sum n_i * D_i, or its exact quotient by an integer, in a
-single allocation instead of one per operator.  The cover layer builds
-through it the per-branch component sums and the line bundles of
-``building_data`` and 2K + B (``cover.two_k_plus_b``); the lift of a class
-through blown-up triple points is ``pullback`` with the exceptional
-coordinates given as its tail.  Integers read from a document pass the same
-rule (``doc_int``) before they reach a constructor, so a JSON boolean or
-float never passes as a coordinate; booleans and names are checked the same
-way (``doc_bool``, ``doc_str``).
+rule, and a ``PointLabel`` refuses a name or component name that is not a
+``str`` and a ``general`` flag that is not a ``bool``.  Only arithmetic on
+classes that already passed it (``+``, ``-``, unary ``-``, integer ``*``,
+``pullback`` and ``lincomb``), the empty sum ``Ambient.zero()`` and
+``canonical_class`` build their result through ``_trusted``, which skips
+both: sums, differences, integer multiples and exact quotients of integer
+vectors of the ambient's rank are again such vectors.  ``lincomb`` is the
+one primitive for a combination of several classes: it builds sum
+n_i * D_i, or its exact quotient by an integer, as one chain of lazy column
+maps materialized into a single tuple, and reads a term with multiplier 1
+as it is.  Its callers pass one to four terms: the per-branch component
+sums and the line bundles of ``cover.building_data``, and 2K + B
+(``cover.two_k_plus_b``).  The lift of a class through blown-up triple
+points is ``pullback`` with the exceptional coordinates given as its tail.
+Integers read from a document pass the same rule (``doc_int``) before they
+reach a constructor, so a JSON boolean or float never passes as a
+coordinate; booleans and names are checked the same way (``doc_bool``,
+``doc_str``).
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
 separately (as by ``from_doc``) still match.
@@ -44,7 +47,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import add, neg, sub
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 PLANE = "ProjectivePlane"
 HIRZEBRUCH = "Hirzebruch"
@@ -110,6 +114,8 @@ class PointLabel:
     general: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise LatticeError(f"point name must be a string, got {self.name!r}")
         object.__setattr__(self, "branches", frozenset(self.branches))
         object.__setattr__(self, "components", tuple(self.components))
         for b in self.branches:
@@ -119,6 +125,11 @@ class PointLabel:
             raise LatticeError(
                 f"branch indices must lie in {{1,2,3}}, got {sorted(self.branches)}"
             )
+        for c in self.components:
+            if type(c) is not str:
+                raise LatticeError(f"point components must be strings, got {c!r}")
+        if type(self.general) is not bool:
+            raise LatticeError(f"point general flag must be a boolean, got {self.general!r}")
 
     @property
     def is_triple(self) -> bool:
@@ -309,15 +320,16 @@ def lincomb(
             raise AmbientMismatch("divisor classes live on different ambients")
         if not isinstance(n, int):
             raise TypeError(f"class multiplier must be an integer, got {n!r}")
-        col = d.coords if n == 1 else [n * c for c in d.coords]
-        acc = col if acc is None else list(map(add, acc, col))
+        col = d.coords if n == 1 else map(mul, repeat(n), d.coords)
+        acc = col if acc is None else map(add, acc, col)
     if acc is None:
-        acc = (0,) * ambient.rank
+        return _trusted(ambient, (0,) * ambient.rank)
+    acc = tuple(acc)
     if over != 1:
         if any(c % over for c in acc):
             return None
-        acc = [c // over for c in acc]
-    return _trusted(ambient, tuple(acc))
+        acc = tuple([c // over for c in acc])
+    return _trusted(ambient, acc)
 
 
 def intersect(a: DivClass, b: DivClass) -> int:
@@ -328,8 +340,8 @@ def intersect(a: DivClass, b: DivClass) -> int:
     if a.ambient.kind == PLANE:
         return u[0] * v[0]
     s = -a.ambient.e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
-    for i in range(2, len(u)):
-        s -= u[i] * v[i]
+    if len(u) > 2:
+        s -= sum(map(mul, u[2:], v[2:]))
     return s
 
 
@@ -401,17 +413,18 @@ def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
         return ((n + 1) * (n + 2) // 2 if n >= 0 else 0, False)
     if ambient.kind == HIRZEBRUCH:
         return (_h0_ruled(ambient.e, d.coords[0], d.coords[1]), False)
-    mults = [-c for c in d.coords[2:]]
-    if any(m not in (0, 1) for m in mults):
-        raise UnsupportedClass(
-            f"unsupported blow-up class shape {d}: exceptional multiplicities must be 0 or 1"
-        )
-    for m, p in zip(mults, ambient.points):
-        if m == 1 and not p.general:
+    tail = d.coords[2:]
+    for c in tail:
+        if c not in (0, -1):
+            raise UnsupportedClass(
+                f"unsupported blow-up class shape {d}: exceptional multiplicities must be 0 or 1"
+            )
+    for c, p in zip(tail, ambient.points):
+        if c and not p.general:
             raise UnsupportedClass(
                 f"point {p.name} is not flagged general; h0 estimate refused"
             )
-    k = sum(mults)
+    k = -sum(tail)
     base = _h0_ruled(ambient.e, d.coords[0], d.coords[1])
     return (max(0, base - k), k > 0)
 

@@ -176,25 +176,30 @@ def _plane_data(deg2: int, deg3: int) -> BuildingData:
     return _one_curve_per_branch(amb, amb.divisor(1), amb.divisor(deg2), amb.divisor(deg3))
 
 
+# the recipes' fixed pieces on F_0, built once: the two rulings D0 and F,
+# Genus3's marked fibers and points (epsilon <= 3), and the ruling-triple
+# data but for D2
+_F0 = hirzebruch(0)
+_D0 = _F0.divisor(1, 0)
+_FIBER = _F0.divisor(0, 1)
+_TRIPLE = frozenset({1, 2, 3})
+_GENUS3_FIBERS = tuple(Component(f"f{i}", 1, _FIBER) for i in (1, 2, 3))
+_GENUS3_POINTS = tuple(
+    PointLabel(f"p{i}", _TRIPLE, (f"f{i}", "d2", "d3")) for i in (1, 2, 3)
+)
+_RULING_D1 = _F0.divisor(1, 2)
+_RULING_D3 = _F0.divisor(3, 0)
+_RULING_DELTAS = tuple(Component(f"delta{i}", 3, _D0) for i in (1, 2, 3))
+_RULING_POINT = PointLabel("p", _TRIPLE, ("d1", "d2", "delta1"))
+
+
 def _ruling_triple_data(chi: int, marked: bool) -> BuildingData:
     # D1 = D0+2F, D2 = D0+2chi F, D3 = three members of |D0| on F_0; when
     # marked, the first member passes through a point of D1 and D2
-    amb = hirzebruch(0)
-    d1 = amb.divisor(1, 2)
-    d2 = amb.divisor(1, 2 * chi)
-    d3 = amb.divisor(3, 0)
-    fiber = amb.divisor(1, 0)
-    comps = (
-        Component("d1", 1, d1),
-        Component("d2", 2, d2),
-        Component("delta1", 3, fiber),
-        Component("delta2", 3, fiber),
-        Component("delta3", 3, fiber),
-    )
-    incidence = ()
-    if marked:
-        incidence = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
-    return building_data(amb, d1, d2, d3, comps, incidence)
+    d2 = _F0.divisor(1, 2 * chi)
+    comps = (Component("d1", 1, _RULING_D1), Component("d2", 2, d2), *_RULING_DELTAS)
+    incidence = (_RULING_POINT,) if marked else ()
+    return building_data(_F0, _RULING_D1, d2, _RULING_D3, comps, incidence)
 
 
 def _genus3_data(params: dict[str, int]) -> BuildingData:
@@ -207,56 +212,45 @@ def _genus3_data(params: dict[str, int]) -> BuildingData:
         params["gamma"],
         params["epsilon"],
     )
-    amb = hirzebruch(0)
-    fiber = amb.divisor(0, 1)
-    d1 = amb.divisor(0, alpha)
-    d2 = amb.divisor(2, beta)
-    d3 = amb.divisor(4, gamma)
-    comps: list[Component] = [
-        Component(f"f{i}", 1, fiber) for i in range(1, eps + 1)
-    ]
+    d2 = _F0.divisor(2, beta)
+    d3 = _F0.divisor(4, gamma)
+    comps = list(_GENUS3_FIBERS[:eps])
     if alpha > eps:
-        comps.append(Component("f_rest", 1, fiber, count=alpha - eps))
+        comps.append(Component("f_rest", 1, _FIBER, count=alpha - eps))
     comps.append(Component("d2", 2, d2))
     comps.append(Component("d3", 3, d3))
-    incidence = tuple(
-        PointLabel(f"p{i}", frozenset({1, 2, 3}), (f"f{i}", "d2", "d3"))
-        for i in range(1, eps + 1)
+    return building_data(
+        _F0, _F0.divisor(0, alpha), d2, d3, tuple(comps), _GENUS3_POINTS[:eps]
     )
-    return building_data(amb, d1, d2, d3, tuple(comps), incidence)
 
 
 def _product_data(chi: int) -> BuildingData:
     # 6 rulings in one direction, 2chi+4 in the other, empty third branch
-    amb = hirzebruch(0)
-    d1 = amb.divisor(6, 0)
-    d2 = amb.divisor(0, 2 * chi + 4)
+    d2 = _F0.divisor(0, 2 * chi + 4)
     comps = (
-        Component("d1_rulings", 1, amb.divisor(1, 0), count=6),
-        Component("d2_fibers", 2, amb.divisor(0, 1), count=2 * chi + 4),
+        Component("d1_rulings", 1, _D0, count=6),
+        Component("d2_fibers", 2, _FIBER, count=2 * chi + 4),
     )
-    return building_data(amb, d1, d2, amb.zero(), comps)
+    return building_data(_F0, _F0.divisor(6, 0), d2, _F0.zero(), comps)
 
 
-def _smooth_stamp(bd: BuildingData, branch: int) -> tuple[str, bool]:
-    """Why the general member of a branch is smooth; recorded, not proved.
+def _smooth_stamp(amb: Ambient, d: DivClass, fibers: bool) -> tuple[str, bool]:
+    """Why the general member of a branch of class ``d`` is smooth; recorded,
+    not proved.  ``fibers`` says the branch has components, each a ruling
+    fiber.
 
     Accepted shapes: the zero class, a disjoint union of distinct ruling
     fibers, the rigid negative section D0 itself, or a basepoint-free class.
     On a blow-up the test is applied to the class before blowing up, since
     the centres are ordinary triple points of the total branch.
     """
-    amb = bd.ambient
-    d = bd.branch(branch)
     if d.is_zero():
         return ("empty branch", True)
     if amb.kind == PLANE:
         return ("basepoint-free class", d.coords[0] >= 0)
     prefix = "strict transform of " if amb.kind == BLOWUP else ""
     a, b = d.coords[0], d.coords[1]
-    ruling = {(0, 1), (1, 0)} if amb.e == 0 else {(0, 1)}
-    entries = [c for c in bd.components if c.branch == branch]
-    if entries and all(c.cls.coords[:2] in ruling for c in entries):
+    if fibers:
         return (prefix + "distinct ruling fibers", True)
     if (a, b) == (1, 0) and amb.e > 0:
         return (prefix + "negative section", True)
@@ -264,9 +258,16 @@ def _smooth_stamp(bd: BuildingData, branch: int) -> tuple[str, bool]:
 
 
 def _stamps(bd: BuildingData) -> list[SideCondition]:
+    amb = bd.ambient
+    ruling = {(0, 1), (1, 0)} if amb.e == 0 else {(0, 1)}
+    # per branch: None before its first component, then whether every
+    # component so far is a ruling fiber
+    fibers: dict[int, bool | None] = {1: None, 2: None, 3: None}
+    for c in bd.components:
+        fibers[c.branch] = fibers[c.branch] is not False and c.cls.coords[:2] in ruling
     out = []
-    for i in (1, 2, 3):
-        reason, ok = _smooth_stamp(bd, i)
+    for i, d in enumerate(bd.branches(), start=1):
+        reason, ok = _smooth_stamp(amb, d, bool(fibers[i]))
         out.append(SideCondition(f"smoothGeneralMemberD{i}", reason, ok))
     return out
 

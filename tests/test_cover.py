@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from bidouble.lattice import (
     DivClass,
     LatticeError,
     PointLabel,
+    UnsupportedClass,
     exceptional,
     h0_flagged,
     hirzebruch,
@@ -39,7 +41,7 @@ from bidouble.lattice import (
     plane,
     pullback,
 )
-from bidouble.recipes import construct
+from bidouble.recipes import NOT_ADMISSIBLE, NOT_COVERED, classify, construct
 
 
 def plane_cover(deg1, deg2, deg3):
@@ -185,6 +187,11 @@ class TestValidation:
     def test_component_integers_not_coerced(self, branch, count):
         with pytest.raises(InvalidBuildingData, match="component"):
             Component("x", branch, hirzebruch(0).divisor(1, 0), count=count)
+
+    @pytest.mark.parametrize("name", [5, None, 1.5, b"d1", ("d1",)])
+    def test_component_name_must_be_string(self, name):
+        with pytest.raises(InvalidBuildingData, match="component name must be a string"):
+            Component(name, 1, hirzebruch(0).divisor(1, 0))
 
     def test_unknown_component_in_point(self):
         amb = hirzebruch(0)
@@ -379,6 +386,71 @@ def fold_reference(bd, names):
     return functools.reduce(resolve_one_reference, names, bd)
 
 
+F0 = hirzebruch(0)
+
+
+def random_marked_datum(rng):
+    """Pre-resolution data of Genus3 or ruling-triple shape on F_0 with one
+    to three marked triple points, the order to resolve them, and the fault
+    it carries, if any, at the last point resolved: a fiber through two
+    marked points on a branch left with no sections ("fiber"), a point not
+    flagged general ("general"), or a component name shared by branches 2
+    and 3 that the point names ("shared").  A fault at an earlier point
+    would stop the fold at an earlier stage, whose error names fewer
+    exceptional classes."""
+    fault = rng.choice((None, None, None, "fiber", "general", "shared"))
+    k = 2 if fault == "fiber" else rng.randint(1, 3)
+    if rng.random() < 0.5:
+        # Genus3: D1 = alpha fibers, k of them named by a point each unless
+        # two points share one; D2 = 2D0 + beta F, D3 = 4D0 + gamma F
+        named = k - 1 if fault == "fiber" else k
+        alpha = named + (0 if fault == "fiber" else rng.randrange(4))
+        beta, gamma = (2 * rng.randrange(1, 4) + alpha % 2 for _ in range(2))
+        d1, d2, d3 = F0.divisor(0, alpha), F0.divisor(2, beta), F0.divisor(4, gamma)
+        comps = [Component(f"f{i}", 1, F0.divisor(0, 1)) for i in range(1, named + 1)]
+        if alpha > named:
+            comps.append(Component("f_rest", 1, F0.divisor(0, 1), alpha - named))
+        if fault == "shared":
+            comps += [
+                Component("d2", 2, F0.divisor(1, beta)),
+                Component("s", 2, F0.divisor(1, 0)),
+                Component("d3", 3, F0.divisor(3, gamma)),
+                Component("s", 3, F0.divisor(1, 0)),
+            ]
+        else:
+            comps += [Component("d2", 2, d2), Component("d3", 3, d3)]
+        through = [(f"f{min(i, named)}", "d2", "d3") for i in range(1, k + 1)]
+        if fault == "shared":
+            through[-1] = (f"f{k}", "s", "d3")
+    else:
+        # ruling triple: D1 = D0 + 2F, D2 = D0 + 2c F, D3 = m members of
+        # |D0|; with one member, two points on it leave D3 ineffective
+        m = 1 if fault == "fiber" else 3
+        c = rng.randint(1, 6)
+        d1, d2, d3 = F0.divisor(1, 2), F0.divisor(1, 2 * c), F0.divisor(m, 0)
+        comps = [Component("d1", 1, d1)]
+        if fault == "shared":
+            comps += [Component("d2", 2, F0.divisor(0, 2 * c)), Component("s", 2, F0.divisor(1, 0))]
+            comps += [Component("delta1", 3, F0.divisor(1, 0)), Component("delta2", 3, F0.divisor(1, 0))]
+            comps.append(Component("s", 3, F0.divisor(1, 0)))
+        else:
+            comps.append(Component("d2", 2, d2))
+            comps += [Component(f"delta{i}", 3, F0.divisor(1, 0)) for i in range(1, m + 1)]
+        through = [("d1", "d2", f"delta{min(i, m)}") for i in range(1, k + 1)]
+        if fault == "shared":
+            through[-1] = ("d1", "s", "delta1")
+    points = [
+        PointLabel(f"p{i}", frozenset({1, 2, 3}), names, general=not (fault == "general" and i == k))
+        for i, names in enumerate(through, start=1)
+    ]
+    pre = building_data(
+        F0, d1, d2, d3, tuple(comps), tuple(points), allow_nonreduced=fault == "shared"
+    )
+    order = [p.name for p in points[:-1]]
+    rng.shuffle(order)
+    return pre, order + [points[-1].name], fault
+
+
 def genus3_resolved_pairs(chi):
     # every Genus3 pair of the row with epsilon = (-Ksq) mod 4 in 1..3
     return [(ksq, chi) for ksq in range(4 * chi - 3, 8 * chi - 7) if ksq % 4]
@@ -442,6 +514,52 @@ class TestResolveTriplePoints:
         bd = self.with_incidence(*points)
         assert self.raised(resolve_triple_points, bd, names) is expected
         assert self.raised(fold_reference, bd, names) is expected
+
+    def test_random_data_equals_fold(self):
+        # the resolution validates only what a blow-up can break; the fold
+        # re-validates every stage in full
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(600):
+            pre, names, fault = random_marked_datum(rng)
+            got = outcome(resolve_triple_points, pre, names)
+            assert got == outcome(fold_reference, pre, names), (fault, names)
+            resolved = isinstance(got, BuildingData)
+            seen.add((fault, resolved if resolved else got[0].__name__))
+        assert seen == {
+            (None, True),
+            ("fiber", "InvalidBuildingData"),
+            ("general", "UnsupportedClass"),
+            ("shared", "InvalidBuildingData"),
+        }
+
+    def test_construct_validates_each_datum_once(self, monkeypatch):
+        # every binding of building_data in the package counts its calls, so
+        # a construction that validates its resolved data again fails here
+        real = cover.building_data
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "bidouble" or name.startswith("bidouble."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        pairs = [
+            (ksq, chi)
+            for chi in range(1, 7)
+            for ksq in range(1, 9 * chi + 1)
+            if classify(ksq, chi) not in (NOT_ADMISSIBLE, NOT_COVERED)
+        ]
+        resolved = 0
+        for ksq, chi in pairs:
+            del calls[:]
+            resolved += construct(ksq, chi).pre_resolution is not None
+            assert len(calls) == 1, (ksq, chi)
+        assert resolved >= 20
 
     def test_plane_refused(self):
         amb = plane()
@@ -631,9 +749,12 @@ class TestAgainstReferenceFold:
 
     @staticmethod
     def raised(fn, *args):
-        with pytest.raises(CoverError) as info:
+        with pytest.raises((CoverError, LatticeError)) as info:
             fn(*args)
         return type(info.value), str(info.value)
+
+    # a blow-up of F_0 at one point not flagged general
+    NON_GENERAL = Ambient(BLOWUP, 0, (PointLabel("q", frozenset({1, 2, 3}), general=False),))
 
     @pytest.mark.parametrize(
         "e, d1, d2, d3, comps, expected",
@@ -648,24 +769,34 @@ class TestAgainstReferenceFold:
             (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 1),), InvalidBuildingData),
             (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 3),), InvalidBuildingData),
             (3, (1, 0), (1, 4), (1, 2), (("a", 3, (0, 1), 1), ("b", 3, (1, 0), 1)), InvalidBuildingData),
+            # a short branch-1 sum wins over a branch-2 component living on
+            # F_1 (a fifth entry names the component's own F_e)
+            (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 1), ("b", 2, (0, 2), 1, 1)), InvalidBuildingData),
+            # multiplicity 2 at a point not flagged general: the shape error
+            # wins over the generality error
+            (NON_GENERAL, (1, 0, -2), (1, 0, 0), (1, 0, 0), (), UnsupportedClass),
         ],
     )
     def test_same_errors_as_reference(self, e, d1, d2, d3, comps, expected):
-        amb = hirzebruch(e)
+        amb = e if isinstance(e, Ambient) else hirzebruch(e)
         args = (
             amb,
             amb.divisor(*d1),
             amb.divisor(*d2),
             amb.divisor(*d3),
-            tuple(Component(n, b, amb.divisor(*c), k) for n, b, c, k in comps),
+            tuple(
+                Component(n, b, (hirzebruch(*own) if own else amb).divisor(*c), k)
+                for n, b, c, k, *own in comps
+            ),
         )
         got = self.raised(building_data, *args)
         assert got == self.raised(reference_building_data, *args)
         assert got[0] is expected
-        if not comps:
-            assert self.raised(derive_line_bundles, *args[:4]) == self.raised(
-                reference_line_bundles, *args[:4]
-            )
+        if expected is UnsupportedClass:
+            assert got[1].startswith("unsupported blow-up class shape")
+        assert outcome(derive_line_bundles, *args[:4]) == outcome(
+            reference_line_bundles, *args[:4]
+        )
 
     def test_oracles_avoid_lincomb(self, monkeypatch):
         # chi_oracle, ksq_oracle and the monomial count stay a route that is

@@ -46,13 +46,13 @@ class TestNoetherLine:
         assert n.c1.is_zero()
         assert n.c2.is_zero()
         assert list(n.c3.coords) == [4, 6]
-        assert n.two_disjoint_copies
+        assert n.to_doc()["twoDisjointCopies"] is True
 
     def test_normalization_frozen_even(self):
         n = degenerate(construct(6, 6)).normalization
         assert list(n.c2.coords) == [0, 2]
         assert list(n.c3.coords) == [4, 10]
-        assert n.two_disjoint_copies
+        assert n.to_doc()["twoDisjointCopies"] is True
 
 
 class TestMarkedPointFamilies:

@@ -476,6 +476,21 @@ class TestDocumentIntegers:
         with pytest.raises(LatticeError, match="must be integers"):
             PointLabel("p", frozenset(branches))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PointLabel(7, frozenset({1, 2, 3})),
+            lambda: PointLabel(None),
+            lambda: PointLabel("p", frozenset({1, 2, 3}), components=(3,)),
+            lambda: PointLabel("p", frozenset({1, 2, 3}), components=("d1", None)),
+            lambda: PointLabel("p", frozenset({1, 2, 3}), general=1),
+            lambda: PointLabel("p", general=None),
+        ],
+    )
+    def test_point_fields_checked_at_construction(self, build):
+        with pytest.raises(LatticeError, match="must be"):
+            build()
+
     def test_integers_accepted(self):
         amb = Ambient.from_doc(
             {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]}
