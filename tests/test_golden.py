@@ -14,6 +14,10 @@ degenerate rows, which leaves the chi = 1 row empty.
 
 The text digests pin the human-readable ``construct`` and ``degenerate``
 output (no ``--json``) of every covered pair with chi <= 6, row after row.
+
+The sweep digest pins ``canonical_json(construct(ksq, chi).to_doc())`` of
+every covered pair with chi <= 60, in (chi, Ksq) order, concatenated.  It
+reaches the large-alpha Genus3 data that the chi <= 12 rows never build.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import io
 import pytest
 
 from bidouble.cli import main
+from bidouble.geography import canonical_json
+from bidouble.recipes import construct
 
 ATLAS_CHI_MAX = 30
 
@@ -42,6 +48,9 @@ TEXT_DIGESTS = {
     "construct": "74af715d95dc017e38103b4c87fb9a814b6e3635e45fb6a8009d8838135e67ff",
     "degenerate": "6d8842eb20eb36397c6376e01f27b4c530a63626486413ff9ce51e80e216c952",
 }
+
+SWEEP_CHI_MAX = 60
+SWEEP_DIGEST = "1859d06ab675120b7ff20314c95070e8df79f453c3220cfdd031ec3e9d06f823"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -117,6 +126,14 @@ def test_text_digest(command):
     for chi in range(1, TEXT_CHI_MAX + 1):
         feed_row(h, command, chi)
     assert h.hexdigest() == TEXT_DIGESTS[command]
+
+
+def test_sweep_digest():
+    h = hashlib.sha256()
+    for chi in range(1, SWEEP_CHI_MAX + 1):
+        for ksq in row_pairs(chi):
+            h.update(canonical_json(construct(ksq, chi).to_doc()).encode("utf-8"))
+    assert h.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
