@@ -18,12 +18,21 @@ Components give names to the irreducible pieces of each branch divisor and
 incidence records marked points; both are combinatorial bookkeeping.  The
 total branch must be reduced (no component shared between branch divisors)
 unless the caller is explicitly building degeneration data.
+
+The line bundles, the per-branch component sums, 2K + B and the adjoint
+classes K + L_i are computed directly on the coordinate tuples of classes
+already validated on the data's ambient, and each resulting class is
+wrapped once through ``lattice._trusted``.  The intersection form and h0
+stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
+definition.  So ``invariants`` and ``two_k_plus_b`` expect data built by
+``building_data`` or ``resolve_triple_points``, not assembled by hand.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add
 
 from .lattice import (
     BLOWUP,
@@ -31,13 +40,13 @@ from .lattice import (
     Ambient,
     DivClass,
     PointLabel,
+    _trusted,
     canonical_class,
     doc_coords,
     doc_int,
     doc_str,
     h0_flagged,
     intersect,
-    lincomb,
     pullback,
 )
 
@@ -80,6 +89,10 @@ class Component:
             raise InvalidBuildingData(f"component name must be a string, got {self.name!r}")
         if type(self.branch) is not int or self.branch not in (1, 2, 3):
             raise InvalidBuildingData(f"component branch must be 1..3, got {self.branch!r}")
+        if type(self.cls) is not DivClass:
+            raise InvalidBuildingData(
+                f"component class must be a divisor class, got {self.cls!r}"
+            )
         if type(self.count) is not int or self.count < 1:
             raise InvalidBuildingData(
                 f"component count must be an integer >= 1, got {self.count!r}"
@@ -96,11 +109,16 @@ class Component:
 
 @dataclass(frozen=True, slots=True)
 class Invariants:
+    """The invariants of the cover.  ``invariants`` also keeps the class
+    2K_Y + B it squared, for the positivity verdict; it is no part of the
+    value (not compared, hashed or written out)."""
+
     ksq: int
     chi: int
     pg: int
     q: int
     pg_estimated: bool
+    two_k_plus_b: DivClass | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.q != self.pg - self.chi + 1:
@@ -142,6 +160,14 @@ class LedgerEntry:
         }
 
 
+def _half(coords: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The coordinates halved, or None when one of them is odd."""
+    for x in coords:
+        if x & 1:
+            return None
+    return tuple([x >> 1 for x in coords])
+
+
 def derive_line_bundles(
     ambient: Ambient, d1: DivClass, d2: DivClass, d3: DivClass
 ) -> tuple[DivClass, DivClass, DivClass]:
@@ -149,17 +175,19 @@ def derive_line_bundles(
     for d in (d1, d2, d3):
         if d.ambient is not ambient and d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
-    l1 = lincomb(ambient, ((1, d2), (1, d3)), 2)
+    u, v, w = d1.coords, d2.coords, d3.coords
+    l1 = _half(tuple(map(add, v, w)))
     if l1 is None:
         raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
-    l2 = lincomb(ambient, ((1, d1), (1, d3)), 2)
+    l2 = _half(tuple(map(add, u, w)))
     if l2 is None:
         raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
-    l3 = lincomb(ambient, ((1, l1), (1, l2), (-1, d3)))
+    # L1 + L2 - D3 = (D1 + D2)/2, integral once the two sums above are even
+    l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
     for i, l in enumerate((l1, l2, l3), start=1):
-        if l.is_zero():
+        if not any(l):
             raise InvalidBuildingData(f"derived line bundle L{i} is zero")
-    return l1, l2, l3
+    return _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,6 +272,36 @@ def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
     return sorted(name for name, n in seen.items() if n > 1)
 
 
+def _check_component_sums(
+    ambient: Ambient, components: Iterable[Component], totals: tuple[DivClass, ...]
+) -> None:
+    """Each branch's components, counted with their copies, sum to its
+    class; branches in order, and in each a component on another ambient
+    is reported before the sum."""
+    sums: list[tuple[int, ...] | None] = [None, None, None]
+    foreign: list[str | None] = [None, None, None]
+    for c in components:
+        i = c.branch - 1
+        cls = c.cls
+        if cls.ambient is not ambient and cls.ambient != ambient:
+            if foreign[i] is None:
+                foreign[i] = c.name
+            continue
+        n = c.count
+        x = cls.coords if n == 1 else tuple([n * t for t in cls.coords])
+        acc = sums[i]
+        sums[i] = x if acc is None else tuple(map(add, acc, x))
+    for i, total in enumerate(totals):
+        if foreign[i] is not None:
+            raise InvalidBuildingData(f"component {foreign[i]!r} lives on a different ambient")
+        acc = sums[i]
+        if acc is not None and acc != total.coords:
+            raise InvalidBuildingData(
+                f"components of branch {i + 1} sum to {_trusted(ambient, acc)}, "
+                f"expected {total}"
+            )
+
+
 def building_data(
     ambient: Ambient,
     d1: DivClass,
@@ -270,21 +328,7 @@ def building_data(
         if h0_flagged(ambient, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
-    by_branch: dict[int, list[Component]] = {1: [], 2: [], 3: []}
-    for c in comps:
-        by_branch[c.branch].append(c)
-    for branch, total in ((1, d1), (2, d2), (3, d3)):
-        entries = by_branch[branch]
-        if not entries:
-            continue
-        for c in entries:
-            if c.cls.ambient is not ambient and c.cls.ambient != ambient:
-                raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
-        acc = lincomb(ambient, [(c.count, c.cls) for c in entries])
-        if acc != total:
-            raise InvalidBuildingData(
-                f"components of branch {branch} sum to {acc}, expected {total}"
-            )
+    _check_component_sums(ambient, comps, (d1, d2, d3))
     names = {c.name for c in comps}
     pts = tuple(incidence)
     seen_pts = set()
@@ -297,7 +341,7 @@ def building_data(
                 raise InvalidBuildingData(
                     f"point {p.name!r} names unknown component {cname!r}"
                 )
-    reduced = not _repeated_component_names(comps)
+    reduced = len(names) == len(comps)
     if not reduced and not allow_nonreduced:
         raise InvalidBuildingData(
             "total branch is non-reduced (a component is repeated); "
@@ -309,17 +353,22 @@ def building_data(
 def two_k_plus_b(bd: BuildingData) -> DivClass:
     """2K_Y + D1 + D2 + D3, the class on the base whose pullback is 2K_X."""
     amb = bd.ambient
-    return lincomb(amb, ((2, canonical_class(amb)), (1, bd.d1), (1, bd.d2), (1, bd.d3)))
+    columns = zip(canonical_class(amb).coords, bd.d1.coords, bd.d2.coords, bd.d3.coords)
+    return _trusted(amb, tuple([2 * k + a + b + c for k, a, b, c in columns]))
+
+
+# the slot descriptor stores past the frozen __setattr__
+_keep_two_k_plus_b = Invariants.two_k_plus_b.__set__
 
 
 def invariants(bd: BuildingData) -> Invariants:
     """Numerical invariants of the covering surface, exact integers."""
     amb = bd.ambient
-    k = canonical_class(amb)
     pushed = two_k_plus_b(bd)
     ksq = intersect(pushed, pushed)
+    k = canonical_class(amb).coords
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
-    adjoints = [(l, k + l) for l in bd.bundles()]
+    adjoints = [(l, _trusted(amb, tuple(map(add, k, l.coords)))) for l in bd.bundles()]
     tot = sum(intersect(l, kl) for l, kl in adjoints)
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
@@ -330,7 +379,9 @@ def invariants(bd: BuildingData) -> Invariants:
         val, flagged = h0_flagged(amb, kl)
         pg += val
         estimated = estimated or flagged
-    return Invariants(ksq=ksq, chi=chi, pg=pg, q=pg - chi + 1, pg_estimated=estimated)
+    inv = Invariants(ksq=ksq, chi=chi, pg=pg, q=pg - chi + 1, pg_estimated=estimated)
+    _keep_two_k_plus_b(inv, pushed)
+    return inv
 
 
 def chi_oracle(bd: BuildingData) -> int:
@@ -399,16 +450,20 @@ def resolve_triple_points(
     point and chi is unchanged.
 
     ``bd`` was validated when it was built, and the pullback keeps what that
-    validation showed: names, incidence, reducedness, and the component sums
-    in the old coordinates.  So the lifted data is checked only for what a
-    blow-up can break.  The line bundles are derived again from the lifted
-    classes.  Each lifted branch class must stay effective: its h0 estimate
-    drops by one per centre, so a branch of one fiber through two marked
-    points fails (h0 2 - 2 = 0), and a centre not flagged general raises
-    UnsupportedClass.  In each point's
-    exceptional coordinate, the copies of each branch's components through
-    the point must total one, which catches a name shared by two branches of
-    non-reduced data.
+    validation showed: names, incidence, reducedness, parity, and the
+    component sums in the old coordinates.  So the lifted data is checked
+    only for what a blow-up can break.  The line bundles are ``bd``'s,
+    pulled back with tail (-1, ..., -1) like the branch classes: deriving
+    them from the lifted classes gives the same classes and cannot fail,
+    since each exceptional coordinate of D_i + D_j is -2 and every L_i
+    keeps a nonzero -1 there.  Each lifted branch class must stay
+    effective: its h0 estimate drops by one per centre, so a branch of one
+    fiber through two marked points fails (h0 2 - 2 = 0), and a centre not
+    flagged general raises UnsupportedClass.  The lifted components must
+    sum to the lifted branch classes; only the exceptional coordinates can
+    fail, where the copies of a branch's components through a point must
+    total one, which catches a name shared by two branches of non-reduced
+    data.
 
     Resolving the points one at a time gives the same data and fails on the
     same data: an h0 estimate or a sum that holds with every centre holds at
@@ -443,29 +498,22 @@ def resolve_triple_points(
     if not marked:
         return bd
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
-    # a branch class passes through every marked point
+    # every branch class and every line bundle passes through every point
     every = (-1,) * len(marked)
-    d1, d2, d3 = (pullback(amb2, d, every) for d in (bd.d1, bd.d2, bd.d3))
-    l1, l2, l3 = derive_line_bundles(amb2, d1, d2, d3)
+    d1, d2, d3, l1, l2, l3 = (pullback(amb2, d, every) for d in bd.branches() + bd.bundles())
     for i, d in enumerate((d1, d2, d3), start=1):
         if h0_flagged(amb2, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = []
-    # copies[b][j]: copies of branch b's components through the j-th point
-    copies = {1: [0] * len(marked), 2: [0] * len(marked), 3: [0] * len(marked)}
-    for c in bd.components:
-        tail = tuple([-1 if c.name in names else 0 for names in through])
-        comps.append(Component(c.name, c.branch, pullback(amb2, c.cls, tail), c.count))
-        row = copies[c.branch]
-        for j, t in enumerate(tail):
-            if t:
-                row[j] += c.count
-    for branch, total in ((1, d1), (2, d2), (3, d3)):
-        if any(n != 1 for n in copies[branch]):
-            acc = lincomb(amb2, [(c.count, c.cls) for c in comps if c.branch == branch])
-            raise InvalidBuildingData(
-                f"components of branch {branch} sum to {acc}, expected {total}"
-            )
+    comps = tuple(
+        Component(
+            c.name,
+            c.branch,
+            pullback(amb2, c.cls, tuple([-1 if c.name in names else 0 for names in through])),
+            c.count,
+        )
+        for c in bd.components
+    )
+    _check_component_sums(amb2, comps, (d1, d2, d3))
     resolved = {p.name for p in marked}
     return BuildingData(
         amb2,
@@ -475,7 +523,7 @@ def resolve_triple_points(
         l1,
         l2,
         l3,
-        tuple(comps),
+        comps,
         tuple(q for q in bd.incidence if q.name not in resolved),
         bd.reduced,
     )

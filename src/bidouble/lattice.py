@@ -21,19 +21,17 @@ coordinate that is not a true integer (``type(c) is int``: a bool, float or
 string is never rounded) and checks the count against the ambient's rank;
 the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
 rule, and a ``PointLabel`` refuses a name or component name that is not a
-``str`` and a ``general`` flag that is not a ``bool``.  Only arithmetic on
-classes that already passed it (``+``, ``-``, unary ``-``, integer ``*``,
-``pullback`` and ``lincomb``), the empty sum ``Ambient.zero()`` and
-``canonical_class`` build their result through ``_trusted``, which skips
+``str`` and a ``general`` flag that is not a ``bool``, and an ``Ambient``
+refuses a centre that is not a ``PointLabel``.  Only arithmetic on classes
+that already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
-vectors of the ambient's rank are again such vectors.  ``lincomb`` is the
-one primitive for a combination of several classes: it builds sum
-n_i * D_i, or its exact quotient by an integer, as one chain of lazy column
-maps materialized into a single tuple, and reads a term with multiplier 1
-as it is.  Its callers pass one to four terms: the per-branch component
-sums and the line bundles of ``cover.building_data``, and 2K + B
-(``cover.two_k_plus_b``).  The lift of a class through blown-up triple
-points is ``pullback`` with the exceptional coordinates given as its tail.
+vectors of the ambient's rank are again such vectors.  That arithmetic is
+``+``, ``-``, unary ``-``, integer ``*``, ``pullback``, the empty sum
+``Ambient.zero()``, ``canonical_class``, and the coordinate kernels of
+``cover``: the line bundles, 2K + B and the adjoint classes K + L_i, each
+computed on coordinate tuples and wrapped once.  The lift of a class
+through blown-up triple points is ``pullback`` with the exceptional
+coordinates given as its tail.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,
@@ -45,9 +43,7 @@ separately (as by ``from_doc``) still match.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import add, mul, neg, sub
 
 PLANE = "ProjectivePlane"
@@ -179,6 +175,9 @@ class Ambient:
             raise LatticeError("an unblown Hirzebruch surface carries no points")
         if self.kind == BLOWUP and not self.points:
             raise LatticeError("a blow-up needs at least one centre")
+        for p in self.points:
+            if type(p) is not PointLabel:
+                raise LatticeError(f"blown-up centres must be point labels, got {p!r}")
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
             raise LatticeError("blown-up centres must have distinct names")
@@ -305,33 +304,6 @@ def _trusted(ambient: Ambient, coords: tuple[int, ...]) -> DivClass:
     return d
 
 
-def lincomb(
-    ambient: Ambient, terms: Iterable[tuple[int, DivClass]], over: int = 1
-) -> DivClass | None:
-    """The class sum(n * d for n, d in terms) / over, in one allocation.
-
-    Every d must live on ``ambient`` and every n be an integer.  The
-    quotient is exact: the result is None when ``over`` does not divide
-    every coordinate of the sum.  An empty sum is the zero class.
-    """
-    acc = None
-    for n, d in terms:
-        if d.ambient is not ambient and d.ambient != ambient:
-            raise AmbientMismatch("divisor classes live on different ambients")
-        if not isinstance(n, int):
-            raise TypeError(f"class multiplier must be an integer, got {n!r}")
-        col = d.coords if n == 1 else map(mul, repeat(n), d.coords)
-        acc = col if acc is None else map(add, acc, col)
-    if acc is None:
-        return _trusted(ambient, (0,) * ambient.rank)
-    acc = tuple(acc)
-    if over != 1:
-        if any(c % over for c in acc):
-            return None
-        acc = tuple([c // over for c in acc])
-    return _trusted(ambient, acc)
-
-
 def intersect(a: DivClass, b: DivClass) -> int:
     """Intersection number of two classes on the same ambient."""
     if a.ambient is not b.ambient and a.ambient != b.ambient:
@@ -371,9 +343,11 @@ def pullback(
         raise AmbientMismatch("target has lower rank than the class's ambient")
     if tail is None:
         return _trusted(target, d.coords + (0,) * pad)
-    if len(tail) != pad or not all(type(c) is int for c in tail):
+    tail = tuple(tail)
+    # a type other than int among the tail's entries fails too
+    if len(tail) != pad or set(map(type, tail)) - {int}:
         raise LatticeError(f"a pullback tail needs {pad} integer coordinates")
-    return _trusted(target, d.coords + tuple(tail))
+    return _trusted(target, d.coords + tail)
 
 
 def exceptional(ambient: Ambient, index: int) -> DivClass:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import (
     BuildingData,
@@ -27,7 +28,6 @@ from .cover import (
     building_data,
     invariants,
     resolve_triple_points,
-    two_k_plus_b,
 )
 from .cover import Invariants
 from .lattice import (
@@ -75,11 +75,22 @@ def classify(ksq: int, chi: int) -> str:
     return NOT_COVERED
 
 
-@dataclass(frozen=True)
-class SideCondition:
+class SideCondition(NamedTuple):
+    """A recorded condition, its value and whether it holds.  A named tuple,
+    since a certificate builds six or more: it is immutable and hashable, and
+    it equals only another SideCondition with the same fields."""
+
     name: str
     value: int | bool | str
     satisfied: bool
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SideCondition and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def to_doc(self) -> dict:
         return {"name": self.name, "value": self.value, "satisfied": self.satisfied}
@@ -586,7 +597,7 @@ def certify(
     """
     conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
-    amp = positivity(data.ambient, two_k_plus_b(data))
+    amp = positivity(data.ambient, inv.two_k_plus_b)
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
     return ConstructionCertificate(
         requested_ksq=ksq,

@@ -4,8 +4,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bidouble import checks, cover, lattice
+from bidouble import checks, cover
 from bidouble.cover import (
     NON_NORMAL_GLUING,
     QUARTER_POINT,
@@ -25,9 +27,11 @@ from bidouble.cover import (
     resolve_triple_point,
     resolve_triple_points,
     singularity_scan,
+    two_k_plus_b,
 )
 from bidouble.lattice import (
     BLOWUP,
+    HIRZEBRUCH,
     PLANE,
     Ambient,
     DivClass,
@@ -41,7 +45,7 @@ from bidouble.lattice import (
     plane,
     pullback,
 )
-from bidouble.recipes import NOT_ADMISSIBLE, NOT_COVERED, classify, construct
+from bidouble.recipes import NOT_ADMISSIBLE, NOT_COVERED, SideCondition, classify, construct
 
 
 def plane_cover(deg1, deg2, deg3):
@@ -192,6 +196,11 @@ class TestValidation:
     def test_component_name_must_be_string(self, name):
         with pytest.raises(InvalidBuildingData, match="component name must be a string"):
             Component(name, 1, hirzebruch(0).divisor(1, 0))
+
+    @pytest.mark.parametrize("cls", [(1, 0), [1, 0], None, "D0"])
+    def test_component_class_must_be_a_divisor_class(self, cls):
+        with pytest.raises(InvalidBuildingData, match="component class must be a divisor class"):
+            Component("x", 1, cls)
 
     def test_unknown_component_in_point(self):
         amb = hirzebruch(0)
@@ -577,7 +586,7 @@ class TestResolveTriplePoints:
 # The reference below is the operator form of the validation and invariant
 # path, kept literal: every step is DivClass operator arithmetic on classes
 # built by the validating constructor, one allocation per operator, so it
-# shares no code with the one-allocation ``lincomb`` route of the library.
+# shares no code with the coordinate kernels of the library.
 
 
 def reference_canonical(amb):
@@ -609,15 +618,8 @@ def reference_line_bundles(ambient, d1, d2, d3):
     return l1, l2, l3
 
 
-def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), allow_nonreduced=False):
-    if d1.is_zero() or d2.is_zero():
-        raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
-    l1, l2, l3 = reference_line_bundles(ambient, d1, d2, d3)
-    for i, d in enumerate((d1, d2, d3), start=1):
-        if not d.is_zero() and h0_flagged(ambient, d)[0] <= 0:
-            raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = tuple(components)
-    for branch, total in ((1, d1), (2, d2), (3, d3)):
+def reference_component_sums(ambient, comps, totals):
+    for branch, total in enumerate(totals, start=1):
         entries = [c for c in comps if c.branch == branch]
         if not entries:
             continue
@@ -630,6 +632,17 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), al
             raise InvalidBuildingData(
                 f"components of branch {branch} sum to {acc}, expected {total}"
             )
+
+
+def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), allow_nonreduced=False):
+    if d1.is_zero() or d2.is_zero():
+        raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
+    l1, l2, l3 = reference_line_bundles(ambient, d1, d2, d3)
+    for i, d in enumerate((d1, d2, d3), start=1):
+        if not d.is_zero() and h0_flagged(ambient, d)[0] <= 0:
+            raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
+    comps = tuple(components)
+    reference_component_sums(ambient, comps, (d1, d2, d3))
     names = {c.name for c in comps}
     seen = set()
     for p in incidence:
@@ -672,36 +685,71 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
+def random_ambient(rng):
+    """The plane, F_e with e <= 3, or a blow-up of F_e at one or two
+    centres, the last of which is sometimes not flagged general."""
+    kind = rng.random()
+    if kind < 0.2:
+        return plane()
+    e = rng.randrange(4)
+    if kind < 0.6:
+        return hirzebruch(e)
+    k = rng.randrange(1, 3)
+    spoilt = rng.random() < 0.2
+    return Ambient(
+        BLOWUP,
+        e,
+        tuple(
+            PointLabel(f"q{i + 1}", frozenset({1, 2, 3}), general=not (spoilt and i == k - 1))
+            for i in range(k)
+        ),
+    )
+
+
 def random_datum(rng):
-    """Branch classes and components on F_e, e <= 3, drawn to hit every
-    validation: mostly consistent, sometimes of odd parity, with a zero
-    bundle, an ineffective class or a component that spoils its branch sum."""
-    amb = hirzebruch(rng.randrange(4))
+    """Branch classes and components on the plane, on F_e (e <= 3) or on a
+    blow-up of F_e, drawn to hit every validation: mostly consistent,
+    sometimes of odd parity, with a zero bundle, an ineffective class or a
+    component that spoils its branch sum.  On a blow-up the exceptional
+    coordinates are 0 or -1, equal in the three branches unless the parity
+    is odd, and sometimes one is -2 or -3 in D1; a centre may be one not
+    flagged general."""
+    amb = random_ambient(rng)
+    ruled = amb.kind != PLANE
+    # the class of a line on the plane, of a ruling fiber otherwise
+    unit = amb.divisor(*((0, 1) + (0,) * len(amb.points) if ruled else (1,)))
+    n = 2 if ruled else 1  # coordinates before the exceptional tail
 
-    def cls(parity=None):
-        a, b = rng.randrange(9), rng.randrange(9)
-        if parity is not None:
-            a, b = a + (a - parity[0]) % 2, b + (b - parity[1]) % 2
-        return amb.divisor(a, b)
+    def cls(like=None):
+        # with ``like``, the head takes its parity and the tail is its tail
+        head = [rng.randrange(9) for _ in range(n)]
+        if like is None:
+            return amb.divisor(*head, *(-rng.randrange(2) for _ in amb.points))
+        head = [c + (c - p) % 2 for c, p in zip(head, like.coords)]
+        return amb.divisor(*head, *like.coords[n:])
 
-    d3 = cls()
+    tails = [-1 if rng.random() < 0.7 else 0 for _ in amb.points]
+    d3 = amb.divisor(*cls().coords[:n], *tails)
     odd = rng.random() < 0.1
-    d1 = cls(None if odd else (d3.coords[0] % 2, d3.coords[1] % 2))
-    d2 = cls(None if odd else (d3.coords[0] % 2, d3.coords[1] % 2))
+    d1 = cls(None if odd else d3)
+    d2 = cls(None if odd else d3)
     shape = rng.random()
     if shape < 0.05:
         d3 = -d2  # L1 = 0
     elif shape < 0.1:
-        d2 = -d1 + 2 * amb.divisor(0, rng.randrange(3))  # L3 = fibers, maybe 0
+        d2 = -d1 + 2 * rng.randrange(3) * unit  # L3 = fibers or lines, maybe 0
     elif shape < 0.15:
-        d1 = amb.divisor(2, -2)  # never effective
+        d1 = amb.divisor(*((2, -2) + tuple(tails) if ruled else (-1,)))  # never effective
+    elif shape < 0.25 and amb.points:
+        d1 = d1 - 2 * exceptional(amb, rng.randrange(len(amb.points)))
     comps = []
     for branch, total in ((1, d1), (2, d2), (3, d3)):
         if rng.random() < 0.3:
             continue
         rest = total
         for i in range(rng.randrange(3)):
-            piece = amb.divisor(*rng.choice(((0, 1), (1, 0), (1, 1))))
+            head = rng.choice(((0, 1), (1, 0), (1, 1))) if ruled else (rng.randrange(1, 3),)
+            piece = amb.divisor(*head, *(-rng.randrange(2) for _ in amb.points))
             count = rng.randrange(1, 3)
             comps.append(Component(f"c{branch}{i}", branch, piece, count))
             rest = rest - count * piece
@@ -709,31 +757,53 @@ def random_datum(rng):
     if comps and rng.random() < 0.1:
         i = rng.randrange(len(comps))
         c = comps[i]
-        comps[i] = Component(c.name, c.branch, c.cls + amb.divisor(0, 1), c.count)
+        comps[i] = Component(c.name, c.branch, c.cls + unit, c.count)
     return amb, d1, d2, d3, tuple(comps)
+
+
+def outcome_kind(got):
+    """A short name for a value or error returned by ``outcome``."""
+    if not isinstance(got, tuple) or type(got[0]) is not type:
+        return "valid"
+    if got[0] in (InvalidBuildingData, UnsupportedClass):
+        return got[1].split(" ")[0]
+    return got[0].__name__
 
 
 class TestAgainstReferenceFold:
     def test_random_data(self):
         rng = random.Random(20261018)
         seen = {}
-        for _ in range(2000):
+        for _ in range(4000):
             amb, d1, d2, d3, comps = random_datum(rng)
             got = outcome(building_data, amb, d1, d2, d3, comps)
             assert got == outcome(reference_building_data, amb, d1, d2, d3, comps)
             assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
                 reference_line_bundles, amb, d1, d2, d3
             )
+            kinds = [outcome_kind(got)]
             if isinstance(got, BuildingData):
-                assert outcome(invariants, got) == outcome(reference_invariants, got)
-                kind = "valid"
-            else:
-                kind = got[1].split(" ")[0] if got[0] is InvalidBuildingData else got[0].__name__
-            seen[kind] = seen.get(kind, 0) + 1
-        # every validation on the path is reached: valid data, parity,
-        # zero bundle, effectivity and component sums
-        assert set(seen) >= {"valid", "ParityError", "derived", "branch", "components"}
-        assert seen["valid"] >= 500
+                inv = outcome(invariants, got)
+                assert inv == outcome(reference_invariants, got)
+                kinds.append("invariants " + outcome_kind(inv))
+                if isinstance(inv, Invariants):
+                    k = reference_canonical(amb)
+                    assert inv.two_k_plus_b == 2 * k + d1 + d2 + d3 == two_k_plus_b(got)
+            for kind in kinds:
+                seen[amb.kind, kind] = seen.get((amb.kind, kind), 0) + 1
+        # every validation on the path is reached on every ambient kind:
+        # valid data, parity, zero bundle, effectivity and component sums;
+        # on blow-ups also the shape and generality refusals of h0, in the
+        # validation and in the invariants
+        for kind in (PLANE, HIRZEBRUCH, BLOWUP):
+            reached = {k for a, k in seen if a == kind}
+            assert reached >= {
+                "valid", "invariants valid", "ParityError", "derived", "branch", "components"
+            }, kind
+            assert seen[kind, "invariants valid"] >= 150, kind
+        assert {"unsupported", "point", "invariants unsupported"} <= {
+            k for a, k in seen if a == BLOWUP
+        }
 
     @pytest.mark.parametrize("chi", [2, 5, 13, 40])
     def test_resolved_data(self, chi):
@@ -800,18 +870,104 @@ class TestAgainstReferenceFold:
 
     def test_oracles_avoid_lincomb(self, monkeypatch):
         # chi_oracle, ksq_oracle and the monomial count stay a route that is
-        # independent of the one-allocation arithmetic they check
+        # independent of the coordinate kernels they check: they call no
+        # kernel and wrap no class through cover's binding of _trusted
         bds = [construct(ksq, chi).data for ksq, chi in ((20, 7), (17, 5), (7, 3), (1, 2), (40, 5))]
         expected = [(invariants(bd).chi, invariants(bd).ksq) for bd in bds]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an oracle called lincomb")
+            raise AssertionError("an oracle called a coordinate kernel")
 
-        for module in (lattice, cover):
-            monkeypatch.setattr(module, "lincomb", refuse)
+        for name in (
+            "_trusted",
+            "_check_component_sums",
+            "derive_line_bundles",
+            "two_k_plus_b",
+            "invariants",
+        ):
+            monkeypatch.setattr(cover, name, refuse)
         assert [(chi_oracle(bd), ksq_oracle(bd)) for bd in bds] == expected
         amb = hirzebruch(2)
         assert checks.monomial_count(amb, amb.divisor(2, 5)) == 6 + 4 + 2
+
+
+# two centres on F_e, for the kernels' blow-up branch
+def two_centres(e):
+    return Ambient(BLOWUP, e, (PointLabel("q1"), PointLabel("q2")))
+
+
+class TestCoordinateKernels:
+    """The line bundles, the component sums and 2K + B, computed on
+    coordinate tuples, against the operator fold of the same classes."""
+
+    @given(
+        on=st.sampled_from([PLANE, HIRZEBRUCH, BLOWUP]),
+        e=st.integers(0, 3),
+        rows=st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=3, max_size=3),
+        comps=st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.integers(1, 3),
+                st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+            ),
+            max_size=6,
+        ),
+        even=st.booleans(),
+        fit=st.booleans(),
+    )
+    def test_equals_operator_fold(self, on, e, rows, comps, even, fit):
+        amb = plane() if on == PLANE else hirzebruch(e) if on == HIRZEBRUCH else two_centres(e)
+
+        def on_amb(row):
+            return DivClass(amb, tuple(row[: amb.rank]))
+
+        if even:  # D1 and D2 take the parity of D3
+            rows = [[a + (a - c) % 2 for a, c in zip(row, rows[2])] for row in rows]
+        ds = [on_amb(row) for row in rows]
+        components = tuple(
+            Component(f"c{i}", b, on_amb(row), n) for i, (b, n, row) in enumerate(comps)
+        )
+        if fit:  # a branch with components takes their sum as its class
+            for i in range(3):
+                entries = [c for c in components if c.branch == i + 1]
+                if entries:
+                    ds[i] = amb.zero()
+                    for c in entries:
+                        ds[i] = ds[i] + c.count * c.cls
+        d1, d2, d3 = ds
+        assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
+            reference_line_bundles, amb, d1, d2, d3
+        )
+        assert outcome(cover._check_component_sums, amb, components, (d1, d2, d3)) == outcome(
+            reference_component_sums, amb, components, (d1, d2, d3)
+        )
+        pushed = two_k_plus_b(BuildingData(amb, d1, d2, d3, d1, d2, d3))
+        assert pushed == 2 * reference_canonical(amb) + d1 + d2 + d3
+        assert all(type(c) is int for c in pushed.coords)
+
+    def test_refuses_foreign_classes_and_scalars(self):
+        amb, other = hirzebruch(0), hirzebruch(1)
+        d = amb.divisor(1, 0)
+        with pytest.raises(InvalidBuildingData, match="branch class lives on a different ambient"):
+            derive_line_bundles(amb, d, other.divisor(1, 0), d)
+        comps = (Component("a", 1, d, 2), Component("b", 2, other.divisor(0, 2)))
+        with pytest.raises(InvalidBuildingData, match="component 'b' lives on a different ambient"):
+            building_data(amb, amb.divisor(2, 0), amb.divisor(0, 2), amb.zero(), comps)
+        for n in (2.0, "2", None):
+            with pytest.raises(InvalidBuildingData, match="component count"):
+                Component("a", 1, d, n)
+
+    def test_equal_ambient_built_apart(self):
+        amb, copy = two_centres(0), two_centres(0)
+        assert amb == copy and amb is not copy
+        d1, d2, d3 = copy.divisor(1, 1, -1, -1), amb.divisor(1, 3, -1, -1), copy.divisor(1, 1, -1, -1)
+        bundles = derive_line_bundles(amb, d1, d2, d3)
+        assert [l.coords for l in bundles] == [(1, 2, -1, -1), (1, 1, -1, -1), (1, 2, -1, -1)]
+        assert all(l.ambient is amb for l in bundles)
+        comps = (Component("a", 1, d1), Component("b", 2, d2), Component("c", 3, copy.divisor(1, 1, -1, -1)))
+        bd = building_data(amb, d1, d2, d3, comps)
+        assert two_k_plus_b(bd).ambient is amb
+        assert invariants(bd) == reference_invariants(bd)
 
 
 class TestSlottedValues:
@@ -825,6 +981,7 @@ class TestSlottedValues:
             LedgerEntry(QUARTER_POINT, 1, 2, witness_point="p"),
             LedgerEntry(NON_NORMAL_GLUING, 6, 2, witness_class=amb.divisor(1, 0)),
             bd,
+            construct(17, 5).side_conditions[0],
         ]
 
     def test_no_instance_dict(self):
@@ -834,8 +991,11 @@ class TestSlottedValues:
 
     def test_frozen(self):
         for value in self.values():
-            name = dataclasses.fields(value)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            if isinstance(value, SideCondition):  # a named tuple
+                name, error = value._fields[0], AttributeError
+            else:
+                name, error = dataclasses.fields(value)[0].name, dataclasses.FrozenInstanceError
+            with pytest.raises(error):
                 setattr(value, name, getattr(value, name))
 
     def test_equal_and_hashable(self):

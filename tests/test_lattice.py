@@ -23,7 +23,6 @@ from bidouble.lattice import (
     h0_flagged,
     hirzebruch,
     intersect,
-    lincomb,
     plane,
     positivity,
     pullback,
@@ -320,7 +319,6 @@ class TestTrustedArithmetic:
         assert u - v == DivClass(amb, (2, 6, -1, 1))
         assert -u == DivClass(amb, (-3, -4, 1, 0))
         assert 3 * u == u * 3 == DivClass(amb, (9, 12, -3, 0))
-        assert lincomb(amb, [(2, v)], 2) == v
         assert hash(u + v) == hash(DivClass(amb, (4, 2, -1, -1)))
         assert all(type(c) is int for c in (u + v).coords)
 
@@ -367,44 +365,6 @@ class TestTrustedArithmetic:
 
 
 class TestLincomb:
-    @given(
-        e=st.integers(0, 3),
-        k=st.integers(0, 3),
-        terms=st.lists(
-            st.tuples(st.integers(-4, 4), st.lists(st.integers(-9, 9), min_size=5, max_size=5)),
-            max_size=5,
-        ),
-        over=st.integers(1, 3),
-    )
-    def test_equals_operator_fold(self, e, k, terms, over):
-        amb = hirzebruch(e)
-        for i in range(k):
-            amb = blow_up(amb, PointLabel(f"p{i + 1}"))
-        classes = [(n, DivClass(amb, tuple(c[: amb.rank]))) for n, c in terms]
-        fold = DivClass(amb, (0,) * amb.rank)
-        for n, d in classes:
-            fold = fold + n * d
-        got = lincomb(amb, classes, over)
-        if any(c % over for c in fold.coords):
-            assert got is None
-        else:
-            assert got == DivClass(amb, tuple(c // over for c in fold.coords))
-            assert all(type(c) is int for c in got.coords)
-
-    def test_refuses_foreign_classes_and_scalars(self):
-        amb = hirzebruch(0)
-        with pytest.raises(AmbientMismatch):
-            lincomb(amb, [(1, amb.divisor(1, 0)), (1, hirzebruch(1).divisor(1, 0))])
-        for n in (2.0, "2", None):
-            with pytest.raises(TypeError):
-                lincomb(amb, [(n, amb.divisor(1, 0))])
-
-    def test_equal_ambient_built_apart(self):
-        amb = blowup_of_f0(1)
-        copy = Ambient.from_doc(amb.to_doc())
-        got = lincomb(amb, [(1, amb.divisor(1, 1, -1)), (2, copy.divisor(0, 1, -1))])
-        assert got.coords == (1, 3, -3) and got.ambient is amb
-
     def test_pullback_tail(self):
         base = blow_up(hirzebruch(0), PointLabel("p"))
         amb = blow_up(blow_up(base, PointLabel("q")), PointLabel("r"))
@@ -490,6 +450,13 @@ class TestDocumentIntegers:
     def test_point_fields_checked_at_construction(self, build):
         with pytest.raises(LatticeError, match="must be"):
             build()
+
+    @pytest.mark.parametrize("centre", ["p", None, ("p", frozenset({1, 2, 3}))])
+    def test_centres_must_be_point_labels(self, centre):
+        with pytest.raises(LatticeError, match="centres must be point labels"):
+            Ambient(BLOWUP, 0, (centre,))
+        with pytest.raises(LatticeError, match="centres must be point labels"):
+            Ambient(BLOWUP, 0, (PointLabel("q"), centre))
 
     def test_integers_accepted(self):
         amb = Ambient.from_doc(
