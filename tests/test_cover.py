@@ -729,7 +729,7 @@ def random_datum(rng):
         return amb.divisor(*head, *like.coords[n:])
 
     tails = [-1 if rng.random() < 0.7 else 0 for _ in amb.points]
-    d3 = amb.divisor(*cls().coords[:n], *tails)
+    d3 = amb.divisor(*(rng.randrange(9) for _ in range(n)), *tails)
     odd = rng.random() < 0.1
     d1 = cls(None if odd else d3)
     d2 = cls(None if odd else d3)
