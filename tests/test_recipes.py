@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from bidouble.cover import chi_oracle, ksq_oracle
+from bidouble.cover import Component, building_data, chi_oracle, ksq_oracle
 from bidouble.geography import REGION_FILL
-from bidouble.lattice import AMPLE, NEF_ONLY, intersect
+from bidouble.lattice import AMPLE, NEF_ONLY, hirzebruch, intersect
 from bidouble.recipes import (
     FAMILIES,
     FAMILY,
@@ -26,6 +26,7 @@ from bidouble.recipes import (
     PRODUCT_LINE,
     RegionError,
     admissible,
+    certify,
     classify,
     construct,
 )
@@ -55,6 +56,13 @@ def reference_classify(ksq, chi):
     if 4 * chi - 3 <= ksq <= 8 * chi - 8:
         return GENUS3
     return NOT_COVERED
+
+
+def covered_pairs(chi_max):
+    for chi in range(1, chi_max + 1):
+        for ksq in range(max(1, 2 * chi - 6), 8 * chi - 7):
+            yield ksq, chi
+        yield 8 * chi, chi
 
 
 class TestFamilyTable:
@@ -316,14 +324,8 @@ class TestConstructErrors:
 
 
 class TestSweep:
-    def covered_pairs(self, chi_max):
-        for chi in range(1, chi_max + 1):
-            for ksq in range(max(1, 2 * chi - 6), 8 * chi - 7):
-                yield ksq, chi
-            yield 8 * chi, chi
-
     def test_small_sweep_exact(self):
-        for ksq, chi in self.covered_pairs(10):
+        for ksq, chi in covered_pairs(10):
             cert = construct(ksq, chi)
             inv = cert.invariants
             assert cert.ok, (ksq, chi, cert.side_conditions)
@@ -339,7 +341,7 @@ class TestSweep:
     def test_resolution_drops_one_per_point(self):
         from bidouble.cover import invariants as cover_invariants
 
-        for ksq, chi in self.covered_pairs(10):
+        for ksq, chi in covered_pairs(10):
             cert = construct(ksq, chi)
             if cert.pre_resolution is None:
                 continue
@@ -349,7 +351,7 @@ class TestSweep:
             assert pre.chi == cert.invariants.chi
 
     def test_horikawa_pairing_on_genus2_fibrations(self):
-        for ksq, chi in self.covered_pairs(10):
+        for ksq, chi in covered_pairs(10):
             cert = construct(ksq, chi)
             if cert.fibration_genus != 2:
                 continue
@@ -359,7 +361,7 @@ class TestSweep:
     def test_h0_d3_identity_on_genus2_general(self):
         from bidouble.lattice import h0
 
-        for ksq, chi in self.covered_pairs(12):
+        for ksq, chi in covered_pairs(12):
             cert = construct(ksq, chi)
             if cert.region != GENUS2_GENERAL:
                 continue
@@ -368,7 +370,7 @@ class TestSweep:
             assert val >= 8
 
     def test_ampleness_exceptions_are_exactly_two_families(self):
-        for ksq, chi in self.covered_pairs(10):
+        for ksq, chi in covered_pairs(10):
             cert = construct(ksq, chi)
             if cert.region == LINE_4CHI_MINUS_5 or (ksq, chi) == (2, 4):
                 assert cert.ampleness == NEF_ONLY, (ksq, chi)
@@ -377,6 +379,53 @@ class TestSweep:
             else:
                 assert cert.ampleness == AMPLE, (ksq, chi)
                 assert cert.notes == (), (ksq, chi)
+
+
+# the fibration genus of each region's certificates, as the family table
+# once declared it by hand
+FIBRATION_GENUS = {
+    PLANE_SPECIAL_12: None,
+    PLANE_SPECIAL_13: None,
+    GENUS3: 3,
+    GENUS2_GENERAL: 2,
+    NOETHER_LINE: 2,
+    LINE_4CHI_MINUS_5: 2,
+    LINE_4CHI_MINUS_4: 2,
+    PRODUCT_LINE: None,
+}
+
+
+class TestFibration:
+    def test_genus_and_epsilon_on_every_pair_to_chi_60(self):
+        seen = dict.fromkeys(FIBRATION_GENUS, 0)
+        for ksq, chi in covered_pairs(60):
+            cert = construct(ksq, chi)
+            genus = FIBRATION_GENUS[cert.region]
+            assert cert.fibration_genus == genus, (ksq, chi)
+            if genus == 2:
+                assert cert.epsilon == ksq - (2 * chi - 6), (ksq, chi)
+            elif genus == 3:
+                assert cert.epsilon == cert.parameters["epsilon"], (ksq, chi)
+            else:
+                assert cert.epsilon is None, (ksq, chi)
+            seen[cert.region] += 1
+        assert sum(seen.values()) == 10971
+        assert seen[PRODUCT_LINE] == 60
+        assert seen[PLANE_SPECIAL_12] == seen[PLANE_SPECIAL_13] == 1
+
+    def test_no_fibration_when_a_bundle_misses_the_ruling(self):
+        # D1 = 6D0+6F, four fibers in D2 and D3 = 0 on F_1: L1 = 2F meets
+        # the ruling F in 0 points, so the cover of a fiber is two genus-2
+        # curves, not one curve of genus D1.F + D2.F + D3.F - 3 = 3
+        amb = hirzebruch(1)
+        d1, d2 = amb.divisor(6, 6), amb.divisor(0, 4)
+        comps = (Component("d1", 1, d1), Component("f", 2, amb.divisor(0, 1), count=4))
+        data = building_data(amb, d1, d2, amb.zero(), comps)
+        assert data.l1.coords[0] == 0
+        cert = certify(12, 6, FAMILY[PRODUCT_LINE], {}, data, None)
+        assert cert.ok
+        assert cert.fibration_genus is None and cert.epsilon is None
+        assert cert.to_doc()["fibration"] is None
 
 
 class TestCertificateDoc:
