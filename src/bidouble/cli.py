@@ -11,7 +11,7 @@ Subcommands:
 
 Exit status: 0 on success, 1 when a verification or check fails, 2 when the
 request itself is bad (pair outside the covered range, unreadable
-certificate, unknown format).
+certificate, unwritable atlas path, unknown format).
 """
 
 from __future__ import annotations
@@ -293,9 +293,13 @@ def _cmd_atlas(args) -> int:
     text = emit(atlas(args.chi_max), args.format)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -11,7 +11,7 @@ minus the product line).  ``recipe`` builds a pair's branch data from its
 family's parameters and resolves the marked triple points, and ``certify``
 derives the rest of the certificate from that data: recomputed invariants,
 side conditions with values, the positivity verdict of the direct image of
-2K, and the fibration genus where one exists.  ``construct`` runs the two in
+2K, and the fibration, derived from the ruling.  ``construct`` runs the two in
 turn.  A certificate is fixed by its pair, so ``verify`` compares a stored
 one with the rebuilt data and certifies only data that matches.
 """
@@ -456,17 +456,15 @@ class Degeneration:
 class Family:
     """One covered region: the locus of its pairs, the parameters and the
     branch data built from them (before any marked triple point is
-    resolved), the side conditions beyond the smoothness stamps, the genus
-    of its fibration, the note a NefOnly verdict carries (None where no pair
-    of the family is NefOnly), its atlas fill and its degeneration (None
-    where the family has none)."""
+    resolved), the side conditions beyond the smoothness stamps, the note a
+    NefOnly verdict carries (None where no pair of the family is NefOnly),
+    its atlas fill and its degeneration (None where the family has none)."""
 
     name: str
     locus: Callable[[int, int], bool]
     parameters: Callable[[int, int], dict[str, int]]
     data: Callable[[dict[str, int]], BuildingData]
     conditions: Callable[[dict[str, int], BuildingData, int, int], list[SideCondition]]
-    genus: int | None
     nef_only_note: str | None
     fill: str
     degeneration: Degeneration | None
@@ -477,7 +475,7 @@ class Family:
 FAMILIES = (
     Family(
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
-        lambda p: _plane_data(3, 3), _no_conditions, None, None, "#9467bd",
+        lambda p: _plane_data(3, 3), _no_conditions, None, "#9467bd",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the line moves through a point of the two cubics",
@@ -486,7 +484,7 @@ FAMILIES = (
     ),
     Family(
         PLANE_SPECIAL_13, lambda ksq, chi: (ksq, chi) == (1, 3), lambda ksq, chi: {},
-        lambda p: _plane_data(1, 5), _no_conditions, None, None, "#8c564b",
+        lambda p: _plane_data(1, 5), _no_conditions, None, "#8c564b",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the first line moves through a point of the quintic and the other line",
@@ -495,7 +493,7 @@ FAMILIES = (
     ),
     Family(
         GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
-        _genus3_data, _genus3_conditions, 3, None, "#17becf",
+        _genus3_data, _genus3_conditions, None, "#17becf",
         Degeneration(
             _spare_fiber_through_point,
             "one more fiber of the first branch moves through a point of the other branches",
@@ -504,7 +502,7 @@ FAMILIES = (
     ),
     Family(
         GENUS2_GENERAL, lambda ksq, chi: 2 * chi - 5 <= ksq <= 4 * chi - 6, _genus2_parameters,
-        _genus2_family_data, _genus2_conditions, 2, None, "#2ca02c",
+        _genus2_family_data, _genus2_conditions, None, "#2ca02c",
         Degeneration(
             _through_point("p", ("d1", "d2", "d3")),
             "the trisection moves through a point of the two bisections",
@@ -513,7 +511,7 @@ FAMILIES = (
     ),
     Family(
         NOETHER_LINE, lambda ksq, chi: ksq == 2 * chi - 6, _noether_parameters,
-        _genus2_family_data, _no_conditions, 2, PAIR_2_4_NOTE, "#1f77b4",
+        _genus2_family_data, _no_conditions, PAIR_2_4_NOTE, "#1f77b4",
         Degeneration(
             _shared_section,
             "the second branch degenerates onto the section already contained in "
@@ -523,7 +521,7 @@ FAMILIES = (
     ),
     Family(
         LINE_4CHI_MINUS_5, lambda ksq, chi: ksq == 4 * chi - 5, lambda ksq, chi: {"chi": chi},
-        lambda p: _ruling_triple_data(p["chi"], marked=True), _line5_conditions, 2,
+        lambda p: _ruling_triple_data(p["chi"], marked=True), _line5_conditions,
         LINE5_AMPLENESS_NOTE, "#d62728",
         Degeneration(
             _through_point("pPrime", ("d1", "d2", "delta2")),
@@ -534,7 +532,7 @@ FAMILIES = (
     ),
     Family(
         LINE_4CHI_MINUS_4, lambda ksq, chi: ksq == 4 * chi - 4, lambda ksq, chi: {"chi": chi},
-        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, 2, None, "#ff7f0e",
+        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, None, "#ff7f0e",
         Degeneration(
             _through_point("p", ("d1", "d2", "delta1")),
             "a ruling member of the third branch moves through a point of the two "
@@ -544,7 +542,7 @@ FAMILIES = (
     ),
     Family(
         PRODUCT_LINE, lambda ksq, chi: ksq == 8 * chi, lambda ksq, chi: {"chi": chi},
-        lambda p: _product_data(p["chi"]), _no_conditions, None, None, "#e377c2", None,
+        lambda p: _product_data(p["chi"]), _no_conditions, None, "#e377c2", None,
     ),
 )
 
@@ -599,6 +597,15 @@ def certify(
     inv = invariants(data)
     amp = positivity(data.ambient, inv.two_k_plus_b)
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
+    # the fibration is the preimage of the ruling F, and L_i.F is the first
+    # coordinate of L_i: a fiber's cover is connected exactly when every
+    # L_i.F > 0, and then has genus sum L_i.F - 3 by Riemann-Hurwitz;
+    # epsilon is K^2 - (2chi - 6) in genus 2, the resolved points in genus 3
+    genus = epsilon = None
+    f1, f2, f3 = data.l1.coords[0], data.l2.coords[0], data.l3.coords[0]
+    if f1 > 0 and f2 > 0 and f3 > 0 and data.ambient.kind != PLANE:
+        genus = f1 + f2 + f3 - 3
+        epsilon = ksq - (2 * chi - 6) if genus == 2 else len(data.ambient.points)
     return ConstructionCertificate(
         requested_ksq=ksq,
         requested_chi=chi,
@@ -608,9 +615,8 @@ def certify(
         invariants=inv,
         side_conditions=conds,
         ampleness=amp,
-        fibration_genus=family.genus,
-        # Horikawa's K^2 - (2chi - 6) in genus 2; the marked points in genus 3
-        epsilon=ksq - (2 * chi - 6) if family.genus == 2 else params.get("epsilon"),
+        fibration_genus=genus,
+        epsilon=epsilon,
         parameters=params,
         notes=(family.nef_only_note,) if amp == NEF_ONLY else (),
         ok=ok,

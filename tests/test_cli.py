@@ -604,6 +604,17 @@ class TestAtlas:
         _, second, _ = run(capsys, "atlas", "--chi-max", "3", "--format", "json")
         assert first == second
 
+    @pytest.mark.parametrize("where", ["missing/dir/atlas.csv", "."])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, where):
+        # a file in a directory that does not exist, and a directory itself
+        path = tmp_path / where
+        code, out, err = run(capsys, "atlas", "--chi-max", "2", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
 
 @pytest.mark.parametrize(
     "argv",
