@@ -18,6 +18,9 @@ output (no ``--json``) of every covered pair with chi <= 6, row after row.
 The sweep digest pins ``canonical_json(construct(ksq, chi).to_doc())`` of
 every covered pair with chi <= 60, in (chi, Ksq) order, concatenated.  It
 reaches the large-alpha Genus3 data that the chi <= 12 rows never build.
+The degenerate sweep digest does the same for
+``canonical_json(degenerate(construct(ksq, chi)).to_doc())``, leaving out
+the product line.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import io
 import pytest
 
 from bidouble.cli import main
+from bidouble.degenerations import degenerate
 from bidouble.geography import canonical_json
 from bidouble.recipes import construct
 
@@ -51,6 +55,7 @@ TEXT_DIGESTS = {
 
 SWEEP_CHI_MAX = 60
 SWEEP_DIGEST = "1859d06ab675120b7ff20314c95070e8df79f453c3220cfdd031ec3e9d06f823"
+DEGENERATE_SWEEP_DIGEST = "c0e5191d28e41697ec67338bcb7cf766e312d41bee555dd3f44fdc3c9d3e0675"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -134,6 +139,16 @@ def test_sweep_digest():
         for ksq in row_pairs(chi):
             h.update(canonical_json(construct(ksq, chi).to_doc()).encode("utf-8"))
     assert h.hexdigest() == SWEEP_DIGEST
+
+
+def test_degenerate_sweep_digest():
+    h = hashlib.sha256()
+    for chi in range(1, SWEEP_CHI_MAX + 1):
+        for ksq in row_pairs(chi):
+            if ksq == 8 * chi:
+                continue
+            h.update(canonical_json(degenerate(construct(ksq, chi)).to_doc()).encode("utf-8"))
+    assert h.hexdigest() == DEGENERATE_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
