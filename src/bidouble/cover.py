@@ -47,7 +47,6 @@ from .lattice import (
     doc_str,
     h0_flagged,
     intersect,
-    pullback,
 )
 
 QUARTER_POINT = "QuarterPoint"
@@ -438,10 +437,8 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     return tuple(entries)
 
 
-def resolve_triple_points(
-    bd: BuildingData, points: Iterable[PointLabel | str]
-) -> BuildingData:
-    """Blow up marked triple points, in order, and pull the data back.
+def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingData:
+    """Blow up the marked triple points named, in order, and lift the data.
 
     Each point must lie on all three branches of a ruled model and name one
     single-copy component per branch.  Every branch class and every component
@@ -449,21 +446,23 @@ def resolve_triple_points(
     the incidence list into the ambient's centre list.  K^2 drops by one per
     point and chi is unchanged.
 
-    ``bd`` was validated when it was built, and the pullback keeps what that
+    ``bd`` was validated when it was built, and the lift keeps what that
     validation showed: names, incidence, reducedness, parity, and the
     component sums in the old coordinates.  So the lifted data is checked
-    only for what a blow-up can break.  The line bundles are ``bd``'s,
-    pulled back with tail (-1, ..., -1) like the branch classes: deriving
-    them from the lifted classes gives the same classes and cannot fail,
-    since each exceptional coordinate of D_i + D_j is -2 and every L_i
-    keeps a nonzero -1 there.  Each lifted branch class must stay
-    effective: its h0 estimate drops by one per centre, so a branch of one
-    fiber through two marked points fails (h0 2 - 2 = 0), and a centre not
-    flagged general raises UnsupportedClass.  The lifted components must
-    sum to the lifted branch classes; only the exceptional coordinates can
-    fail, where the copies of a branch's components through a point must
-    total one, which catches a name shared by two branches of non-reduced
-    data.
+    only for what a blow-up can break.  A class is lifted by appending its
+    exceptional coordinates to its coordinates on ``bd``'s ambient, which
+    the blow-up built here extends by one centre per point.  The line
+    bundles are ``bd``'s, lifted with tail (-1, ..., -1) like the branch
+    classes: deriving them from the lifted classes gives the same classes
+    and cannot fail, since each exceptional coordinate of D_i + D_j is -2
+    and every L_i keeps a nonzero -1 there.  Each lifted branch class must
+    stay effective: its h0 estimate drops by one per centre, so a branch of
+    one fiber through two marked points fails (h0 2 - 2 = 0), and a centre
+    not flagged general raises UnsupportedClass.  The lifted components
+    must sum to the lifted branch classes; only the exceptional coordinates
+    can fail, where the copies of a branch's components through a point
+    must total one, which catches a name shared by two branches of
+    non-reduced data.
 
     Resolving the points one at a time gives the same data and fails on the
     same data: an h0 estimate or a sum that holds with every centre holds at
@@ -471,8 +470,7 @@ def resolve_triple_points(
     """
     marked: list[PointLabel] = []
     through: list[frozenset[str]] = []
-    for point in points:
-        name = point if isinstance(point, str) else point.name
+    for name in names:
         # a point resolved earlier in the sequence is no longer marked
         if any(q.name == name for q in marked):
             raise InvalidBuildingData(f"no marked point named {name!r}")
@@ -500,7 +498,9 @@ def resolve_triple_points(
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
     # every branch class and every line bundle passes through every point
     every = (-1,) * len(marked)
-    d1, d2, d3, l1, l2, l3 = (pullback(amb2, d, every) for d in bd.branches() + bd.bundles())
+    d1, d2, d3, l1, l2, l3 = (
+        _trusted(amb2, d.coords + every) for d in bd.branches() + bd.bundles()
+    )
     for i, d in enumerate((d1, d2, d3), start=1):
         if h0_flagged(amb2, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
@@ -508,7 +508,7 @@ def resolve_triple_points(
         Component(
             c.name,
             c.branch,
-            pullback(amb2, c.cls, tuple([-1 if c.name in names else 0 for names in through])),
+            _trusted(amb2, c.cls.coords + tuple([-1 if c.name in via else 0 for via in through])),
             c.count,
         )
         for c in bd.components
@@ -529,6 +529,6 @@ def resolve_triple_points(
     )
 
 
-def resolve_triple_point(bd: BuildingData, point: PointLabel | str) -> BuildingData:
+def resolve_triple_point(bd: BuildingData, name: str) -> BuildingData:
     """Blow up one marked triple point; see :func:`resolve_triple_points`."""
-    return resolve_triple_points(bd, (point,))
+    return resolve_triple_points(bd, (name,))

@@ -26,12 +26,12 @@ refuses a centre that is not a ``PointLabel``.  Only arithmetic on classes
 that already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
 vectors of the ambient's rank are again such vectors.  That arithmetic is
-``+``, ``-``, unary ``-``, integer ``*``, ``pullback``, the empty sum
-``Ambient.zero()``, ``canonical_class``, and the coordinate kernels of
-``cover``: the line bundles, 2K + B and the adjoint classes K + L_i, each
-computed on coordinate tuples and wrapped once.  The lift of a class
-through blown-up triple points is ``pullback`` with the exceptional
-coordinates given as its tail.
+``+``, ``-``, unary ``-``, integer ``*``, the empty sum ``Ambient.zero()``,
+``canonical_class``, and the coordinate kernels of ``cover``: the line
+bundles, 2K + B, the adjoint classes K + L_i and the lift through blown-up
+triple points, each computed on coordinate tuples and wrapped once.  The
+resolution builds the blow-up itself and appends each class's exceptional
+tail to its coordinates on the ambient it extends.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,
@@ -321,46 +321,6 @@ def canonical_class(ambient: Ambient) -> DivClass:
     if ambient.kind == PLANE:
         return _trusted(ambient, (-3,))
     return _trusted(ambient, (-2, -(ambient.e + 2)) + (1,) * len(ambient.points))
-
-
-def pullback(
-    target: Ambient, d: DivClass, tail: tuple[int, ...] | None = None
-) -> DivClass:
-    """Total transform of ``d`` on a blow-up of its ambient.
-
-    ``target`` must extend d.ambient: same e, and d's centres (if any) a
-    prefix of target's.  ``tail``, when given, replaces the zero
-    coordinates over the new centres: (-1, 0) gives the total transform
-    minus the first new exceptional class.
-    """
-    src = d.ambient
-    if src.kind == PLANE or target.kind == PLANE:
-        raise LatticeError("pullback is defined between ruled models only")
-    if target.e != src.e or target.points[: len(src.points)] != src.points:
-        raise AmbientMismatch("target is not a blow-up of the class's ambient")
-    pad = target.rank - src.rank
-    if pad < 0:
-        raise AmbientMismatch("target has lower rank than the class's ambient")
-    if tail is None:
-        return _trusted(target, d.coords + (0,) * pad)
-    tail = tuple(tail)
-    # a type other than int among the tail's entries fails too
-    if len(tail) != pad or set(map(type, tail)) - {int}:
-        raise LatticeError(f"a pullback tail needs {pad} integer coordinates")
-    return _trusted(target, d.coords + tail)
-
-
-def exceptional(ambient: Ambient, index: int) -> DivClass:
-    """The class E_{index+1} over ambient.points[index]."""
-    if ambient.kind != BLOWUP:
-        raise LatticeError("exceptional classes live on blow-ups")
-    k = len(ambient.points)
-    if not -k <= index < k:
-        raise LatticeError(f"no exceptional class with index {index}")
-    index %= k
-    coords = [0] * ambient.rank
-    coords[2 + index] = 1
-    return DivClass(ambient, tuple(coords))
 
 
 def _h0_ruled(e: int, a: int, b: int) -> int:

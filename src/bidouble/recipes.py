@@ -573,7 +573,7 @@ def recipe(
     family = FAMILY[_covered_region(ksq, chi)]
     params = family.parameters(ksq, chi)
     pre = family.data(params)
-    marked = [p for p in pre.incidence if p.is_triple]
+    marked = [p.name for p in pre.incidence if p.is_triple]
     if not marked:
         return family, params, pre, None
     return family, params, resolve_triple_points(pre, marked), pre

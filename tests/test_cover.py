@@ -38,12 +38,10 @@ from bidouble.lattice import (
     LatticeError,
     PointLabel,
     UnsupportedClass,
-    exceptional,
     h0_flagged,
     hirzebruch,
     intersect,
     plane,
-    pullback,
 )
 from bidouble.recipes import NOT_ADMISSIBLE, NOT_COVERED, SideCondition, classify, construct
 
@@ -369,11 +367,11 @@ def resolve_one_reference(bd, name):
     if {c.branch for c in named} != {1, 2, 3}:
         raise CoverError("one component per branch is required")
     amb = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + (p,))
-    exc = exceptional(amb, -1)
+    exc = DivClass(amb, (0,) * (amb.rank - 1) + (1,))
     through = {c.name for c in named}
 
     def lift(d, passes):
-        out = pullback(amb, d)
+        out = DivClass(amb, d.coords + (0,))
         return out - exc if passes else out
 
     comps = tuple(
@@ -481,7 +479,7 @@ class TestResolveTriplePoints:
         folded = fold_reference(pre, names)
         assert resolve_triple_points(pre, names) == folded == cert.data
         assert functools.reduce(resolve_triple_point, names, pre) == folded
-        assert resolve_triple_points(pre, pre.incidence) == folded
+        assert resolve_triple_points(pre, (p.name for p in pre.incidence)) == folded
 
     def test_epsilon_one_to_three_covered(self):
         eps = {(-ksq) % 4 for ksq, chi in RESOLVED_PAIRS if ksq != 4 * chi - 5}
@@ -569,6 +567,25 @@ class TestResolveTriplePoints:
             resolved += construct(ksq, chi).pre_resolution is not None
             assert len(calls) == 1, (ksq, chi)
         assert resolved >= 20
+
+    def test_marked_point_named_like_a_centre(self):
+        # the blow-up would carry two centres named p
+        amb = Ambient(BLOWUP, 0, (PointLabel("p"),))
+        fiber = amb.divisor(1, 0, 0)
+        comps = (
+            Component("d1", 1, amb.divisor(1, 2, 0)),
+            Component("d2", 2, amb.divisor(1, 6, 0)),
+            Component("delta1", 3, fiber),
+            Component("delta2", 3, fiber),
+            Component("delta3", 3, fiber),
+        )
+        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        bd = building_data(
+            amb, amb.divisor(1, 2, 0), amb.divisor(1, 6, 0), amb.divisor(3, 0, 0), comps, pts
+        )
+        for resolve in (resolve_triple_points, fold_reference):
+            with pytest.raises(LatticeError, match="distinct names"):
+                resolve(bd, ["p"])
 
     def test_plane_refused(self):
         amb = plane()
@@ -741,7 +758,9 @@ def random_datum(rng):
     elif shape < 0.15:
         d1 = amb.divisor(*((2, -2) + tuple(tails) if ruled else (-1,)))  # never effective
     elif shape < 0.25 and amb.points:
-        d1 = d1 - 2 * exceptional(amb, rng.randrange(len(amb.points)))
+        exc = [0] * amb.rank
+        exc[n + rng.randrange(len(amb.points))] = 1
+        d1 = d1 - 2 * amb.divisor(*exc)
     comps = []
     for branch, total in ((1, d1), (2, d2), (3, d3)):
         if rng.random() < 0.3:

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 module-level name is used somewhere in the package or exported by
-``__all__``, and every function the benchmark's tracer wraps exists.
+``__all__``, every exported name is read by a library module or wrapped by
+the benchmark's tracer, and every function the tracer wraps exists.
 
 No linter is part of the toolchain, so this walks the syntax tree instead.
 ``__init__.py`` is skipped for imports: they are the package's re-exports.
@@ -138,6 +139,21 @@ def test_no_unreferenced_private_names():
 
 def test_every_public_name_is_read_or_exported():
     assert dead_public(package_sources()) == []
+
+
+def test_every_export_is_read():
+    # a name that only __init__.py and the tests read is test-only API; the
+    # functions the benchmark's tracer wraps are kept for it
+    sources = package_sources()
+    public = frozenset(assigned_literal(sources.pop("__init__.py"), "__all__"))
+    tracing = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    traced = {attr for _, attr, _ in assigned_literal(tracing, "TRACED") if "." not in attr}
+    defined = {
+        name for source in sources.values() for st in ast.parse(source).body
+        for name in defined_names(st)
+    }
+    assert public <= defined
+    assert unreferenced_names(sources, lambda name: name in public and name not in traced) == []
 
 
 def test_traced_functions_resolve():

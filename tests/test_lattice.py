@@ -18,14 +18,12 @@ from bidouble.lattice import (
     PointLabel,
     UnsupportedClass,
     canonical_class,
-    exceptional,
     h0,
     h0_flagged,
     hirzebruch,
     intersect,
     plane,
     positivity,
-    pullback,
 )
 
 
@@ -88,10 +86,10 @@ class TestIntersect:
 
     def test_exceptional_orthogonal_to_pullbacks(self):
         amb = blowup_of_f0(2)
-        e1 = exceptional(amb, 0)
+        e1 = amb.divisor(0, 0, 1, 0)
         assert intersect(e1, e1) == -1
-        assert intersect(e1, exceptional(amb, 1)) == 0
-        assert intersect(e1, pullback(amb, hirzebruch(0).divisor(3, 7))) == 0
+        assert intersect(e1, amb.divisor(0, 0, 0, 1)) == 0
+        assert intersect(e1, amb.divisor(3, 7, 0, 0)) == 0
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
@@ -279,25 +277,15 @@ class TestPositivity:
 
 
 class TestPullback:
-    def test_shape(self):
-        base = hirzebruch(0)
-        amb = blow_up(base, PointLabel("p"))
-        d = pullback(amb, base.divisor(3, 7))
-        assert d.coords == (3, 7, 0)
-
     def test_product_rule(self):
+        # total transforms minus the exceptional class meet once less
         base = hirzebruch(0)
         amb = blow_up(base, PointLabel("p"))
         for a in range(-3, 4):
             for b in range(-3, 4):
-                u = pullback(amb, base.divisor(a, b)) - exceptional(amb, 0)
-                v = pullback(amb, base.divisor(b, a)) - exceptional(amb, 0)
+                u = amb.divisor(a, b, -1)
+                v = amb.divisor(b, a, -1)
                 assert intersect(u, v) == intersect(base.divisor(a, b), base.divisor(b, a)) - 1
-
-    def test_wrong_base_rejected(self):
-        amb = blow_up(hirzebruch(0), PointLabel("p"))
-        with pytest.raises(AmbientMismatch):
-            pullback(amb, hirzebruch(1).divisor(1, 0))
 
 
 class TestFormatting:
@@ -361,20 +349,9 @@ class TestTrustedArithmetic:
         assert intersect(u, v) == intersect(v, u) == 1
         assert h0(amb, v) == h0(copy, v)
         assert positivity(amb, v) == positivity(copy, v)
-        assert pullback(blow_up(copy, PointLabel("q")), u).coords == (1, 1, -1, 0)
 
 
 class TestLincomb:
-    def test_pullback_tail(self):
-        base = blow_up(hirzebruch(0), PointLabel("p"))
-        amb = blow_up(blow_up(base, PointLabel("q")), PointLabel("r"))
-        d = base.divisor(3, 4, -1)
-        assert pullback(amb, d, (-1, 0)) == pullback(amb, d) - exceptional(amb, 1)
-        assert pullback(amb, d, (0, 0)) == pullback(amb, d)
-        for tail in ((-1,), (-1, 0, 0), (-1.0, 0), (True, 0)):
-            with pytest.raises(LatticeError):
-                pullback(amb, d, tail)
-
     def test_non_integer_e_refused(self):
         for e in (1.5, 2.0, "1", True, False):
             with pytest.raises(LatticeError):
@@ -457,6 +434,13 @@ class TestDocumentIntegers:
             Ambient(BLOWUP, 0, (centre,))
         with pytest.raises(LatticeError, match="centres must be point labels"):
             Ambient(BLOWUP, 0, (PointLabel("q"), centre))
+
+    def test_centre_names_must_be_distinct(self):
+        p = PointLabel("p", frozenset({1, 2, 3}))
+        with pytest.raises(LatticeError, match="distinct names"):
+            Ambient(BLOWUP, 0, (p, PointLabel("q"), PointLabel("p")))
+        with pytest.raises(LatticeError, match="distinct names"):
+            Ambient.from_doc({"kind": BLOWUP, "e": 1, "points": [p.to_doc(), p.to_doc()]})
 
     def test_integers_accepted(self):
         amb = Ambient.from_doc(
