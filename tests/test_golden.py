@@ -21,20 +21,29 @@ reaches the large-alpha Genus3 data that the chi <= 12 rows never build.
 The degenerate sweep digest does the same for
 ``canonical_json(degenerate(construct(ksq, chi)).to_doc())``, leaving out
 the product line.
+
+The verify digest pins the ``verify --json`` report, with its exit code, on
+the genuine construction and degeneration documents of the first covered
+pair of each family, and on one single-leaf forgery per top-level field of
+each of those documents: the field's first leaf in sorted order, where an
+integer moves by one, a boolean flips, a string gains "x", null becomes 0
+and an empty container becomes null.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
+import json
 
 import pytest
 
 from bidouble.cli import main
 from bidouble.degenerations import degenerate
 from bidouble.geography import canonical_json
-from bidouble.recipes import construct
+from bidouble.recipes import FAMILY, classify, construct
 
 ATLAS_CHI_MAX = 30
 
@@ -56,6 +65,8 @@ TEXT_DIGESTS = {
 SWEEP_CHI_MAX = 60
 SWEEP_DIGEST = "1859d06ab675120b7ff20314c95070e8df79f453c3220cfdd031ec3e9d06f823"
 DEGENERATE_SWEEP_DIGEST = "c0e5191d28e41697ec67338bcb7cf766e312d41bee555dd3f44fdc3c9d3e0675"
+
+VERIFY_DIGEST = "5404f7c89f6228e16dbb4dabd7c6afbe0ba9d14613560f9322487bc5d4c1cb73"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -106,6 +117,47 @@ def feed_row(h, command: str, chi: int, *flags: str) -> None:
         if command == "degenerate" and ksq == 8 * chi:
             continue
         h.update(cli_stdout([command, str(ksq), str(chi), *flags]))
+
+
+def first_pair_of_each_family() -> list[tuple[int, int]]:
+    firsts: dict[str, tuple[int, int]] = {}
+    for chi in range(1, 5):
+        for ksq in row_pairs(chi):
+            firsts.setdefault(classify(ksq, chi), (ksq, chi))
+    assert firsts.keys() == FAMILY.keys()
+    return sorted(firsts.values(), key=lambda pair: pair[::-1])
+
+
+def first_leaf(node, path=()):
+    """Path to the first scalar of ``node`` in sorted key order, or to
+    ``node`` itself when it is an empty container."""
+    if isinstance(node, dict) and node:
+        key = min(node)
+        return first_leaf(node[key], path + (key,))
+    if isinstance(node, list) and node:
+        return first_leaf(node[0], path + (0,))
+    return path
+
+
+def forged(doc: dict, field: str) -> dict:
+    out = copy.deepcopy(doc)
+    path = first_leaf(out[field], (field,))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    if isinstance(value, bool):
+        edit = not value
+    elif isinstance(value, int):
+        edit = value + 1
+    elif isinstance(value, str):
+        edit = value + "x"
+    elif value is None:
+        edit = 0
+    else:  # an empty container
+        edit = None
+    node[path[-1]] = edit
+    return out
 
 
 def row_digest(command: str, chi: int) -> str:
@@ -159,3 +211,22 @@ def test_construct_digest(chi):
 @pytest.mark.parametrize("chi", sorted(DEGENERATE_DIGESTS))
 def test_degenerate_digest(chi):
     assert row_digest("degenerate", chi) == DEGENERATE_DIGESTS[chi]
+
+
+def test_verify_json_digest(tmp_path):
+    h = hashlib.sha256()
+    for ksq, chi in first_pair_of_each_family():
+        for command in ("construct", "degenerate"):
+            if command == "degenerate" and ksq == 8 * chi:
+                continue
+            genuine = json.loads(cli_stdout([command, str(ksq), str(chi), "--json"]))
+            docs = [genuine] + [forged(genuine, field) for field in sorted(genuine)]
+            for i, doc in enumerate(docs):
+                path = tmp_path / f"{command}-{ksq}-{chi}-{i}.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["verify", str(path), "--json"])
+                assert (code == 0) == (i == 0), path
+                h.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+    assert h.hexdigest() == VERIFY_DIGEST
