@@ -8,6 +8,7 @@ library: mismatches flag a defect in either path.
 
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -257,6 +258,12 @@ def check_emission_determinism(chi_max: int = 6) -> CheckResult:
     for fmt in FORMATS:
         if first[fmt] != second[fmt]:
             return CheckResult("emissionDeterminism", False, f"{fmt} output drifted")
+    # the JSON must read back as the rows it was given; both sides go through
+    # the stdlib's compact encoder, which, unlike ==, tells true from 1
+    expected = {"chiMax": chi_max, "rows": [r.to_doc() for r in rows]}
+    parsed = json.loads(first["json"])
+    if json.dumps(parsed, sort_keys=True) != json.dumps(expected, sort_keys=True):
+        return CheckResult("emissionDeterminism", False, "json output does not parse back")
     sizes = ", ".join(f"{fmt} {len(first[fmt])}B" for fmt in FORMATS)
     return CheckResult("emissionDeterminism", True, sizes)
 

@@ -4,15 +4,17 @@ One row per admissible integer pair with chi up to a bound.  Covered pairs
 carry the certificate summary (geometric genus, irregularity, positivity
 verdict, notes); pairs in the uncovered strip are listed with empty fields.
 Emission is byte-deterministic: running the same atlas twice produces
-identical CSV, JSON and SVG output.
+identical CSV, JSON and SVG output.  ``canonical_json`` writes its layout
+itself rather than through ``json.dumps(indent=2)``, because on CPython 3.11
+any indent makes ``json`` fall back from its C encoder to a pure-Python one.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .degenerations import degenerate
 from .recipes import FAMILIES, FAMILY, NOT_COVERED, admissible, classify, construct
@@ -34,8 +36,57 @@ FORMATS = ("csv", "json", "svg")
 
 def canonical_json(doc) -> str:
     """The one JSON serialization used everywhere: sorted keys, two-space
-    indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    indent, ASCII escapes, trailing newline; the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    A document is a dict with ``str`` keys, a list, a ``str``, an ``int``, a
+    ``bool`` or ``None``, nested to any depth.  Anything else (a float, a
+    tuple, an ``int`` subclass other than ``bool``, a non-string key) raises
+    ``TypeError`` naming its type."""
+    parts: list[str] = []
+    _emit_value(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit_value(value, newline: str, parts: list[str]) -> None:
+    # exact types only, so that an IntEnum or a str subclass cannot slip in
+    kind = type(value)
+    if kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            # the escaper itself refuses a key that is not a str, naming its type
+            parts += (separator, encode_basestring_ascii(key), ": ")
+            _emit_value(value[key], inner, parts)
+            separator = "," + inner
+        parts += (newline, "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _emit_value(item, inner, parts)
+            separator = "," + inner
+        parts += (newline, "]")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not a document value")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidouble import checks
+from bidouble import checks, geography
 from bidouble.cli import main
 from bidouble.geography import canonical_json
 from bidouble.recipes import FAMILIES, classify
@@ -674,6 +674,24 @@ class TestCheck:
         assert code == 1
         assert "FAIL horikawaPairing: (4, 2): forced failure" in out
         assert "checks: 8/9 passed" in out
+
+    @staticmethod
+    def drop_last_row(real, doc):
+        return real({**doc, "rows": doc["rows"][:-1]})
+
+    @staticmethod
+    def true_as_one(real, doc):
+        return real(doc).replace(": true", ": 1")
+
+    @pytest.mark.parametrize(
+        "broken", [drop_last_row, true_as_one], ids=["drop_last_row", "true_as_one"]
+    )
+    def test_broken_json_emitter_fails_emission_check(self, monkeypatch, broken):
+        real = geography.canonical_json
+        monkeypatch.setattr(geography, "canonical_json", lambda doc: broken(real, doc))
+        result = checks.check_emission_determinism(2)
+        assert not result.passed
+        assert result.detail == "json output does not parse back"
 
 
 class TestParserReuse:

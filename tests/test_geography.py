@@ -1,9 +1,12 @@
 """Atlas rows and deterministic emission."""
 
+import enum
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bidouble.geography import (
     CSV_COLUMNS,
@@ -12,7 +15,8 @@ from bidouble.geography import (
     canonical_json,
     emit,
 )
-from bidouble.recipes import NOT_COVERED, PRODUCT_LINE
+from bidouble.degenerations import degenerate
+from bidouble.recipes import FAMILY, NOT_COVERED, PRODUCT_LINE, classify, construct
 
 
 class TestAtlas:
@@ -100,6 +104,82 @@ class TestJson:
     def test_canonical_json_is_sorted_with_trailing_newline(self):
         text = canonical_json({"b": 1, "a": 2})
         assert text == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+def reference_json(doc) -> str:
+    """The stdlib's layout of a document, the independent reference."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# strings json escapes: non-ASCII, an astral character (a surrogate pair),
+# the line separator, control characters, the quote and the backslash
+AWKWARD_STRINGS = ["", "\u00e9", "\U0001d11e", "\u2028", "\x00\x1f\x7f", '"', "\\", "a\tb\n"]
+# negative and past 64 bits
+AWKWARD_INTEGERS = [-1, -(2**63), 2**64, 2**64 + 1, -(2**70), 10**40]
+
+strings = st.one_of(st.sampled_from(AWKWARD_STRINGS), st.text())
+# booleans and integers drawn in the same places, so true sits where 1 could
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(AWKWARD_INTEGERS),
+    strings,
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(strings, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def first_pair(family: str) -> tuple[int, int]:
+    return next(
+        (ksq, chi)
+        for chi in range(1, 5)
+        for ksq in range(max(1, 2 * chi - 6), 9 * chi + 1)
+        if classify(ksq, chi) == family
+    )
+
+
+class TestCanonicalJson:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(documents)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [], "c": [{}, []]})
+    @example([True, 1, False, 0, None])
+    @example({s: s for s in AWKWARD_STRINGS})
+    @example(AWKWARD_INTEGERS)
+    def test_matches_stdlib_layout(self, doc):
+        assert canonical_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY))
+    def test_certificates_match_stdlib_layout(self, family):
+        cert = construct(*first_pair(family))
+        assert canonical_json(cert.to_doc()) == reference_json(cert.to_doc())
+        if cert.region != PRODUCT_LINE:
+            doc = degenerate(cert).to_doc()
+            assert canonical_json(doc) == reference_json(doc)
+
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    REFUSED = {
+        "float": 1.5,
+        "tuple": (1, 2),
+        "set": {1, 2},
+        "Colour": Colour.RED,
+        "int": {1: "a"},  # an int key
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refuses_what_is_not_a_document_value(self, name):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            canonical_json({"data": [self.REFUSED[name]]})
 
 
 class TestSvg:
