@@ -26,6 +26,17 @@ wrapped once through ``lattice._trusted``.  The intersection form and h0
 stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
 definition.  So ``invariants`` and ``two_k_plus_b`` expect data built by
 ``building_data`` or ``resolve_triple_points``, not assembled by hand.
+
+Values whose fields are already validated are stored without their frozen
+``__init__``, through the slot descriptors, as ``_trusted`` stores a class:
+``building_data`` and ``resolve_triple_points`` assemble the
+``BuildingData`` they return once every check has passed, ``invariants``
+its ``Invariants`` once the sign of q is checked, and the resolution lifts
+each component, whose name, branch and count ``bd`` already validated, with
+only its class replaced.  The resolution keeps every check a blow-up can
+fail: the distinct-centre refusal of ``Ambient``, the effectivity of the
+lifted branch classes, the lifted component sums, and at each point a
+single copy of one component per branch.
 """
 
 from __future__ import annotations
@@ -35,11 +46,13 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .lattice import (
+    _TRIPLE,
     BLOWUP,
     PLANE,
     Ambient,
     DivClass,
     PointLabel,
+    _new,
     _trusted,
     canonical_class,
     doc_coords,
@@ -212,6 +225,8 @@ class BuildingData:
         return self.d1 + self.d2 + self.d3
 
     def branch(self, i: int) -> DivClass:
+        if type(i) is not int or not 1 <= i <= 3:
+            raise InvalidBuildingData(f"branch index must be 1..3, got {i!r}")
         return self.branches()[i - 1]
 
     def component(self, name: str) -> Component:
@@ -262,6 +277,62 @@ class BuildingData:
         return building_data(
             ambient, ds[0], ds[1], ds[2], comps, pts, allow_nonreduced=True
         )
+
+
+# the slot descriptors store past the frozen __setattr__
+_set_name, _set_branch, _set_cls, _set_count = (
+    getattr(Component, f).__set__ for f in ("name", "branch", "cls", "count")
+)
+(
+    _set_ambient,
+    _set_d1,
+    _set_d2,
+    _set_d3,
+    _set_l1,
+    _set_l2,
+    _set_l3,
+    _set_components,
+    _set_incidence,
+    _set_reduced,
+) = (getattr(BuildingData, f).__set__ for f in BuildingData.__slots__)
+
+
+def _lift(c: Component, cls: DivClass) -> Component:
+    # c with its class lifted to a blow-up: name, branch and count were
+    # validated when c was built, so __post_init__ does not run again
+    out = _new(Component)
+    _set_name(out, c.name)
+    _set_branch(out, c.branch)
+    _set_cls(out, cls)
+    _set_count(out, c.count)
+    return out
+
+
+def _assemble(
+    ambient: Ambient,
+    d1: DivClass,
+    d2: DivClass,
+    d3: DivClass,
+    l1: DivClass,
+    l2: DivClass,
+    l3: DivClass,
+    components: tuple[Component, ...],
+    incidence: tuple[PointLabel, ...],
+    reduced: bool,
+) -> BuildingData:
+    # BuildingData from validated fields, without the frozen __init__
+    bd = _new(BuildingData)
+    _set_ambient(bd, ambient)
+    _set_d1(bd, d1)
+    _set_d2(bd, d2)
+    _set_d3(bd, d3)
+    _set_l1(bd, l1)
+    _set_l2(bd, l2)
+    _set_l3(bd, l3)
+    _set_components(bd, components)
+    _set_incidence(bd, incidence)
+    _set_reduced(bd, reduced)
+    return bd
 
 
 def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
@@ -321,9 +392,7 @@ def building_data(
     if d1.is_zero() or d2.is_zero():
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
-    for i, d in enumerate((d1, d2, d3), start=1):
-        if d.is_zero():
-            continue
+    for i, d in enumerate((d1, d2) if d3.is_zero() else (d1, d2, d3), start=1):
         if h0_flagged(ambient, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
@@ -346,39 +415,53 @@ def building_data(
             "total branch is non-reduced (a component is repeated); "
             "only degeneration data may be non-reduced"
         )
-    return BuildingData(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
+    return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
 
 
 def two_k_plus_b(bd: BuildingData) -> DivClass:
     """2K_Y + D1 + D2 + D3, the class on the base whose pullback is 2K_X."""
     amb = bd.ambient
-    columns = zip(canonical_class(amb).coords, bd.d1.coords, bd.d2.coords, bd.d3.coords)
+    columns = zip(amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords)
     return _trusted(amb, tuple([2 * k + a + b + c for k, a, b, c in columns]))
 
 
-# the slot descriptor stores past the frozen __setattr__
-_keep_two_k_plus_b = Invariants.two_k_plus_b.__set__
+# the slot descriptors store past the frozen __setattr__
+_set_ksq, _set_chi, _set_pg, _set_q, _set_pg_estimated, _keep_two_k_plus_b = (
+    getattr(Invariants, f).__set__ for f in Invariants.__slots__
+)
 
 
 def invariants(bd: BuildingData) -> Invariants:
-    """Numerical invariants of the covering surface, exact integers."""
+    """Numerical invariants of the covering surface, exact integers.
+
+    q is pg - chi + 1 by its definition, so of the checks of ``Invariants``
+    only the sign of q is left to make."""
     amb = bd.ambient
     pushed = two_k_plus_b(bd)
     ksq = intersect(pushed, pushed)
-    k = canonical_class(amb).coords
+    k = amb._canonical
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
-    adjoints = [(l, _trusted(amb, tuple(map(add, k, l.coords)))) for l in bd.bundles()]
-    tot = sum(intersect(l, kl) for l, kl in adjoints)
+    l1, l2, l3 = bd.l1, bd.l2, bd.l3
+    k1 = _trusted(amb, tuple(map(add, k, l1.coords)))
+    k2 = _trusted(amb, tuple(map(add, k, l2.coords)))
+    k3 = _trusted(amb, tuple(map(add, k, l3.coords)))
+    tot = intersect(l1, k1) + intersect(l2, k2) + intersect(l3, k3)
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
     chi = 4 + tot // 2
-    pg = 0
-    estimated = False
-    for _, kl in adjoints:
-        val, flagged = h0_flagged(amb, kl)
-        pg += val
-        estimated = estimated or flagged
-    inv = Invariants(ksq=ksq, chi=chi, pg=pg, q=pg - chi + 1, pg_estimated=estimated)
+    h1, f1 = h0_flagged(amb, k1)
+    h2, f2 = h0_flagged(amb, k2)
+    h3, f3 = h0_flagged(amb, k3)
+    pg = h1 + h2 + h3
+    q = pg - chi + 1
+    if q < 0:
+        raise InvalidBuildingData("negative irregularity; data is not a valid cover")
+    inv = _new(Invariants)
+    _set_ksq(inv, ksq)
+    _set_chi(inv, chi)
+    _set_pg(inv, pg)
+    _set_q(inv, q)
+    _set_pg_estimated(inv, f1 or f2 or f3)
     _keep_two_k_plus_b(inv, pushed)
     return inv
 
@@ -462,37 +545,46 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     must sum to the lifted branch classes; only the exceptional coordinates
     can fail, where the copies of a branch's components through a point
     must total one, which catches a name shared by two branches of
-    non-reduced data.
+    non-reduced data.  The blow-up ambient is built through its validating
+    constructor, which refuses a point named like a centre already there.
+
+    Built trusted, with no second validation: the lifted classes (through
+    ``lattice._trusted``), each lifted component (``bd``'s name, branch and
+    count, with the lifted class) and the returned ``BuildingData``.
 
     Resolving the points one at a time gives the same data and fails on the
     same data: an h0 estimate or a sum that holds with every centre holds at
     each stage before.  An error here names the classes over every centre.
     """
     marked: list[PointLabel] = []
+    resolved: list[str] = []
     through: list[frozenset[str]] = []
+    # the first component of each name, as bd.component finds it
+    by_name = {c.name: c for c in reversed(bd.components)}
     for name in names:
         # a point resolved earlier in the sequence is no longer marked
-        if any(q.name == name for q in marked):
+        if name in resolved:
             raise InvalidBuildingData(f"no marked point named {name!r}")
         p = bd.point(name)
         if not p.is_triple:
             raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
         if bd.ambient.kind == PLANE:
             raise CoverError("triple point resolution is implemented on ruled models only")
-        named = []
+        branches = set()
         for cname in p.components:
-            c = bd.component(cname)
+            c = by_name.get(cname) or bd.component(cname)
             if c.count != 1:
                 raise CoverError(
                     f"component {cname!r} through {p.name!r} must be a single copy"
                 )
-            named.append(c)
-        if {c.branch for c in named} != {1, 2, 3}:
+            branches.add(c.branch)
+        if branches != _TRIPLE:
             raise CoverError(
                 f"point {p.name!r} must name exactly one component per branch to resolve"
             )
         marked.append(p)
-        through.append(frozenset(c.name for c in named))
+        resolved.append(name)
+        through.append(frozenset(p.components))
     if not marked:
         return bd
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
@@ -505,17 +597,14 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
         if h0_flagged(amb2, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(
-        Component(
-            c.name,
-            c.branch,
+        _lift(
+            c,
             _trusted(amb2, c.cls.coords + tuple([-1 if c.name in via else 0 for via in through])),
-            c.count,
         )
         for c in bd.components
     )
     _check_component_sums(amb2, comps, (d1, d2, d3))
-    resolved = {p.name for p in marked}
-    return BuildingData(
+    return _assemble(
         amb2,
         d1,
         d2,

@@ -14,7 +14,10 @@ record, never coordinates; "general position" is an assumption recorded on
 the label, not a fact the lattice can check.
 
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
-plus the sum of exceptional classes on a blow-up.
+plus the sum of exceptional classes on a blow-up.  An ``Ambient`` computes
+these canonical coordinates once, when it is built, into its derived field
+``_canonical`` (like ``rank``, neither compared nor shown);
+``canonical_class`` and the kernels of ``cover`` that need K read them.
 
 Trusted construction: the public ``DivClass(...)`` constructor refuses a
 coordinate that is not a true integer (``type(c) is int``: a bool, float or
@@ -26,7 +29,8 @@ refuses a centre that is not a ``PointLabel``.  Only arithmetic on classes
 that already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
 vectors of the ambient's rank are again such vectors.  That arithmetic is
-``+``, ``-``, unary ``-``, integer ``*``, the empty sum ``Ambient.zero()``,
+``+``, ``-``, unary ``-``, ``*`` by an ``int`` (never a bool or an int
+subclass, as in the constructor), the empty sum ``Ambient.zero()``,
 ``canonical_class``, and the coordinate kernels of ``cover``: the line
 bundles, 2K + B, the adjoint classes K + L_i and the lift through blown-up
 triple points, each computed on coordinate tuples and wrapped once.  The
@@ -54,6 +58,10 @@ AMPLE = "Ample"
 NEF_ONLY = "NefOnly"
 UNKNOWN = "Unknown"
 NOT_NEF = "NotNef"
+
+
+# the branch set of a point on all three branch divisors
+_TRIPLE = frozenset({1, 2, 3})
 
 
 class LatticeError(ValueError):
@@ -129,7 +137,7 @@ class PointLabel:
 
     @property
     def is_triple(self) -> bool:
-        return self.branches == frozenset({1, 2, 3})
+        return self.branches == _TRIPLE
 
     def to_doc(self) -> dict:
         return {
@@ -153,18 +161,21 @@ class PointLabel:
 
 @dataclass(frozen=True, slots=True)
 class Ambient:
-    """One of the three surface models; immutable and hashable."""
+    """One of the three surface models; immutable and hashable.  ``rank``
+    and ``_canonical``, the coordinates of the canonical class, are derived
+    from the other fields when the ambient is built."""
 
     kind: str
     e: int = 0
     points: tuple[PointLabel, ...] = ()
     rank: int = field(init=False, repr=False, compare=False)
+    _canonical: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in (PLANE, HIRZEBRUCH, BLOWUP):
             raise LatticeError(f"unknown ambient kind {self.kind!r}")
-        # canonical_class builds its coordinates from e without a check
+        # the canonical coordinates below are built from e without a check
         if type(self.e) is not int:
             raise LatticeError(f"Hirzebruch parameter e must be an integer, got {self.e!r}")
         if self.e < 0:
@@ -181,7 +192,14 @@ class Ambient:
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
             raise LatticeError("blown-up centres must have distinct names")
-        object.__setattr__(self, "rank", 1 if self.kind == PLANE else 2 + len(self.points))
+        if self.kind == PLANE:
+            object.__setattr__(self, "rank", 1)
+            object.__setattr__(self, "_canonical", (-3,))
+        else:
+            object.__setattr__(self, "rank", 2 + len(self.points))
+            object.__setattr__(
+                self, "_canonical", (-2, -(self.e + 2)) + (1,) * len(self.points)
+            )
 
     def basis_labels(self) -> tuple[str, ...]:
         if self.kind == PLANE:
@@ -262,7 +280,8 @@ class DivClass:
         return _trusted(self.ambient, tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "DivClass":
-        if not isinstance(n, int):
+        # the constructor's rule: a bool or an int subclass is no scalar
+        if type(n) is not int:
             return NotImplemented
         return _trusted(self.ambient, tuple([n * a for a in self.coords]))
 
@@ -306,30 +325,21 @@ def _trusted(ambient: Ambient, coords: tuple[int, ...]) -> DivClass:
 
 def intersect(a: DivClass, b: DivClass) -> int:
     """Intersection number of two classes on the same ambient."""
-    if a.ambient is not b.ambient and a.ambient != b.ambient:
+    amb = a.ambient
+    if amb is not b.ambient and amb != b.ambient:
         raise AmbientMismatch("intersection needs both classes on one ambient")
     u, v = a.coords, b.coords
-    if a.ambient.kind == PLANE:
-        return u[0] * v[0]
-    s = -a.ambient.e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
+    u0, v0 = u[0], v[0]
+    if amb.kind == PLANE:
+        return u0 * v0
+    s = u0 * (v[1] - amb.e * v0) + u[1] * v0
     if len(u) > 2:
         s -= sum(map(mul, u[2:], v[2:]))
     return s
 
 
 def canonical_class(ambient: Ambient) -> DivClass:
-    if ambient.kind == PLANE:
-        return _trusted(ambient, (-3,))
-    return _trusted(ambient, (-2, -(ambient.e + 2)) + (1,) * len(ambient.points))
-
-
-def _h0_ruled(e: int, a: int, b: int) -> int:
-    # pushforward along the ruling: sum over j = 0..a of h0(O(b - j*e)) on the
-    # line, whose terms b - j*e + 1 stay positive up to j = m
-    if a < 0 or b < 0:
-        return 0
-    m = a if e == 0 else min(a, b // e)
-    return (m + 1) * (b + 1) - e * m * (m + 1) // 2
+    return _trusted(ambient, ambient._canonical)
 
 
 def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
@@ -342,25 +352,34 @@ def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
     """
     if d.ambient is not ambient and d.ambient != ambient:
         raise AmbientMismatch("class does not live on the given ambient")
+    u = d.coords
     if ambient.kind == PLANE:
-        n = d.coords[0]
+        n = u[0]
         return ((n + 1) * (n + 2) // 2 if n >= 0 else 0, False)
-    if ambient.kind == HIRZEBRUCH:
-        return (_h0_ruled(ambient.e, d.coords[0], d.coords[1]), False)
-    tail = d.coords[2:]
-    for c in tail:
-        if c not in (0, -1):
+    k = 0
+    if ambient.kind == BLOWUP:
+        tail = u[2:]
+        # the shape is refused before generality is asked
+        k = tail.count(-1)
+        if k + tail.count(0) != len(tail):
             raise UnsupportedClass(
                 f"unsupported blow-up class shape {d}: exceptional multiplicities must be 0 or 1"
             )
-    for c, p in zip(tail, ambient.points):
-        if c and not p.general:
-            raise UnsupportedClass(
-                f"point {p.name} is not flagged general; h0 estimate refused"
-            )
-    k = -sum(tail)
-    base = _h0_ruled(ambient.e, d.coords[0], d.coords[1])
-    return (max(0, base - k), k > 0)
+        if k:
+            for c, p in zip(tail, ambient.points):
+                if c and not p.general:
+                    raise UnsupportedClass(
+                        f"point {p.name} is not flagged general; h0 estimate refused"
+                    )
+    a, b = u[0], u[1]
+    if a < 0 or b < 0:
+        return (0, k > 0)
+    # pushforward along the ruling: sum over j = 0..a of h0(O(b - j*e)) on
+    # the line, whose terms b - j*e + 1 stay positive up to j = m
+    e = ambient.e
+    m = a if e == 0 else min(a, b // e)
+    base = (m + 1) * (b + 1) - e * m * (m + 1) // 2
+    return (max(0, base - k), True) if k else (base, False)
 
 
 def h0(ambient: Ambient, d: DivClass) -> int:
@@ -403,23 +422,17 @@ def positivity(ambient: Ambient, d: DivClass) -> str:
             return NEF_ONLY
         return NOT_NEF
     pairings = _blowup_pairings(d)
-    if any(v < 0 for v in pairings):
+    if min(pairings) < 0:
         return NOT_NEF
     if ambient.e != 0:
         return UNKNOWN
     a, b = d.coords[0], d.coords[1]
-    mults = [-c for c in d.coords[2:]]
+    # the multiplicities -c_i; a blow-up has at least one centre
+    tail = d.coords[2:]
+    least, most = -max(tail), -min(tail)
     dd = intersect(d, d)
-    if (
-        a > 0
-        and b > 0
-        and all(m > 0 for m in mults)
-        and all(a - m > 0 for m in mults)
-        and all(b - m > 0 for m in mults)
-        and dd > 0
-        and sum(mults) < a + b
-    ):
+    if a > 0 and b > 0 and least > 0 and a > most and b > most and dd > 0 and -sum(tail) < a + b:
         return AMPLE
-    if any(v == 0 for v in pairings) and dd >= 0:
+    if 0 in pairings and dd >= 0:
         return NEF_ONLY
     return UNKNOWN

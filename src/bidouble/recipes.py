@@ -4,7 +4,7 @@ Admissible pairs satisfy chi >= 1, K^2 >= 1 and 2chi-6 <= K^2 <= 9chi.
 ``FAMILIES`` holds one ``Family`` record per covered region, and ``classify``
 returns the first family whose locus holds the pair.  The loci are pairwise
 disjoint but for one overlap: the plane pairs (1, 2) and (1, 3) lie inside
-the Genus2General strip, so their families come first.
+the Genus2General strip, so their families come before it.
 
 Everything else admissible is NotCovered (the strip 8chi-8 < K^2 < 9chi
 minus the product line).  ``recipe`` builds a pair's branch data from its
@@ -31,12 +31,14 @@ from .cover import (
 )
 from .cover import Invariants
 from .lattice import (
+    _TRIPLE,
     BLOWUP,
     NEF_ONLY,
     PLANE,
     Ambient,
     DivClass,
     PointLabel,
+    _new,
     h0,
     hirzebruch,
     intersect,
@@ -96,7 +98,7 @@ class SideCondition(NamedTuple):
         return {"name": self.name, "value": self.value, "satisfied": self.satisfied}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionCertificate:
     requested_ksq: int
     requested_chi: int
@@ -193,7 +195,6 @@ def _plane_data(deg2: int, deg3: int) -> BuildingData:
 _F0 = hirzebruch(0)
 _D0 = _F0.divisor(1, 0)
 _FIBER = _F0.divisor(0, 1)
-_TRIPLE = frozenset({1, 2, 3})
 _GENUS3_FIBERS = tuple(Component(f"f{i}", 1, _FIBER) for i in (1, 2, 3))
 _GENUS3_POINTS = tuple(
     PointLabel(f"p{i}", _TRIPLE, (f"f{i}", "d2", "d3")) for i in (1, 2, 3)
@@ -268,19 +269,26 @@ def _smooth_stamp(amb: Ambient, d: DivClass, fibers: bool) -> tuple[str, bool]:
     return (prefix + "basepoint-free class", a >= 0 and b >= amb.e * a)
 
 
+# the stamps' names, one per branch, and the first two coordinates of the
+# ruling classes: F and D0 on F_0, F alone on F_e with e > 0
+_STAMP_NAMES = ("smoothGeneralMemberD1", "smoothGeneralMemberD2", "smoothGeneralMemberD3")
+_RULINGS_F0 = frozenset({(0, 1), (1, 0)})
+_RULINGS_FE = frozenset({(0, 1)})
+
+
 def _stamps(bd: BuildingData) -> list[SideCondition]:
     amb = bd.ambient
-    ruling = {(0, 1), (1, 0)} if amb.e == 0 else {(0, 1)}
+    ruling = _RULINGS_F0 if amb.e == 0 else _RULINGS_FE
     # per branch: None before its first component, then whether every
     # component so far is a ruling fiber
-    fibers: dict[int, bool | None] = {1: None, 2: None, 3: None}
+    fibers: list[bool | None] = [None, None, None]
     for c in bd.components:
-        fibers[c.branch] = fibers[c.branch] is not False and c.cls.coords[:2] in ruling
-    out = []
-    for i, d in enumerate(bd.branches(), start=1):
-        reason, ok = _smooth_stamp(amb, d, bool(fibers[i]))
-        out.append(SideCondition(f"smoothGeneralMemberD{i}", reason, ok))
-    return out
+        i = c.branch - 1
+        fibers[i] = fibers[i] is not False and c.cls.coords[:2] in ruling
+    return [
+        SideCondition(name, *_smooth_stamp(amb, d, bool(f)))
+        for name, d, f in zip(_STAMP_NAMES, bd.branches(), fibers)
+    ]
 
 
 def _no_conditions(params: dict[str, int], base: BuildingData, ksq: int, chi: int) -> list:
@@ -396,7 +404,7 @@ def _through_point(
 ) -> Callable[[BuildingData, dict[str, int]], BuildingData]:
     """The recipe that marks one more point on the named components, one
     per branch."""
-    point = PointLabel(witness, frozenset({1, 2, 3}), component_names)
+    point = PointLabel(witness, _TRIPLE, component_names)
     return lambda data, params: _with_point(data, data.components, point)
 
 
@@ -413,7 +421,7 @@ def _spare_fiber_through_point(data: BuildingData, params: dict[str, int]) -> Bu
         comps.append(Component(new_fiber, 1, c.cls))
         if c.count > 1:
             comps.append(Component("f_rest", 1, c.cls, c.count - 1))
-    point = PointLabel(f"p{eps + 1}", frozenset({1, 2, 3}), (new_fiber, "d2", "d3"))
+    point = PointLabel(f"p{eps + 1}", _TRIPLE, (new_fiber, "d2", "d3"))
     return _with_point(data, tuple(comps), point)
 
 
@@ -470,9 +478,18 @@ class Family:
     degeneration: Degeneration | None
 
 
-# walked in this order by classify: the plane pairs before the Genus2General
-# strip that holds them, then Genus3 and Genus2General, which hold most pairs
+# walked in this order by classify: Genus3 and Genus2General hold most pairs,
+# and the plane pairs come before the Genus2General strip that holds them
 FAMILIES = (
+    Family(
+        GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
+        _genus3_data, _genus3_conditions, None, "#17becf",
+        Degeneration(
+            _spare_fiber_through_point,
+            "one more fiber of the first branch moves through a point of the other branches",
+            _spare_fibers,
+        ),
+    ),
     Family(
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
         lambda p: _plane_data(3, 3), _no_conditions, None, "#9467bd",
@@ -489,15 +506,6 @@ FAMILIES = (
             _through_point("p", ("d1", "d2", "d3")),
             "the first line moves through a point of the quintic and the other line",
             _candidates(2, 3),
-        ),
-    ),
-    Family(
-        GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
-        _genus3_data, _genus3_conditions, None, "#17becf",
-        Degeneration(
-            _spare_fiber_through_point,
-            "one more fiber of the first branch moves through a point of the other branches",
-            _spare_fibers,
         ),
     ),
     Family(
@@ -579,6 +587,24 @@ def recipe(
     return family, params, resolve_triple_points(pre, marked), pre
 
 
+# the slot descriptors store past the frozen __setattr__
+(
+    _set_requested_ksq,
+    _set_requested_chi,
+    _set_region,
+    _set_data,
+    _set_pre_resolution,
+    _set_invariants,
+    _set_side_conditions,
+    _set_ampleness,
+    _set_fibration_genus,
+    _set_epsilon,
+    _set_parameters,
+    _set_notes,
+    _set_ok,
+) = (getattr(ConstructionCertificate, f).__set__ for f in ConstructionCertificate.__slots__)
+
+
 def certify(
     ksq: int,
     chi: int,
@@ -606,21 +632,22 @@ def certify(
     if f1 > 0 and f2 > 0 and f3 > 0 and data.ambient.kind != PLANE:
         genus = f1 + f2 + f3 - 3
         epsilon = ksq - (2 * chi - 6) if genus == 2 else len(data.ambient.points)
-    return ConstructionCertificate(
-        requested_ksq=ksq,
-        requested_chi=chi,
-        region=family.name,
-        data=data,
-        pre_resolution=pre,
-        invariants=inv,
-        side_conditions=conds,
-        ampleness=amp,
-        fibration_genus=genus,
-        epsilon=epsilon,
-        parameters=params,
-        notes=(family.nef_only_note,) if amp == NEF_ONLY else (),
-        ok=ok,
-    )
+    # every field is derived above, so the frozen __init__ is passed by
+    cert = _new(ConstructionCertificate)
+    _set_requested_ksq(cert, ksq)
+    _set_requested_chi(cert, chi)
+    _set_region(cert, family.name)
+    _set_data(cert, data)
+    _set_pre_resolution(cert, pre)
+    _set_invariants(cert, inv)
+    _set_side_conditions(cert, conds)
+    _set_ampleness(cert, amp)
+    _set_fibration_genus(cert, genus)
+    _set_epsilon(cert, epsilon)
+    _set_parameters(cert, params)
+    _set_notes(cert, (family.nef_only_note,) if amp == NEF_ONLY else ())
+    _set_ok(cert, ok)
+    return cert
 
 
 def construct(ksq: int, chi: int) -> ConstructionCertificate:

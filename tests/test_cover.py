@@ -38,12 +38,20 @@ from bidouble.lattice import (
     LatticeError,
     PointLabel,
     UnsupportedClass,
+    canonical_class,
     h0_flagged,
     hirzebruch,
     intersect,
     plane,
 )
-from bidouble.recipes import NOT_ADMISSIBLE, NOT_COVERED, SideCondition, classify, construct
+from bidouble.recipes import (
+    NOT_ADMISSIBLE,
+    NOT_COVERED,
+    SideCondition,
+    classify,
+    construct,
+    recipe,
+)
 
 
 def plane_cover(deg1, deg2, deg3):
@@ -600,6 +608,98 @@ class TestResolveTriplePoints:
         assert self.raised(fold_reference, bd, ["p"]) is CoverError
 
 
+def public_rebuild(bd):
+    """``bd`` built again through the validating constructors alone."""
+    given = bd.ambient
+    amb = Ambient(
+        given.kind,
+        given.e,
+        tuple(PointLabel(p.name, p.branches, p.components, p.general) for p in given.points),
+    )
+    comps = tuple(
+        Component(c.name, c.branch, DivClass(amb, c.cls.coords), c.count) for c in bd.components
+    )
+    pts = tuple(PointLabel(p.name, p.branches, p.components, p.general) for p in bd.incidence)
+    d1, d2, d3 = (DivClass(amb, d.coords) for d in bd.branches())
+    return building_data(amb, d1, d2, d3, comps, pts, allow_nonreduced=not bd.reduced)
+
+
+class TestTrustedBuilders:
+    """The values stored past their frozen __init__ equal the values the
+    validating constructors build, down to the type of every field."""
+
+    def test_recipe_data_equals_public_rebuild(self):
+        resolved = 0
+        for ksq, chi in checks.covered_pairs(12):
+            _, _, data, pre = recipe(ksq, chi)
+            resolved += pre is not None
+            for bd in (data, pre):
+                if bd is None:
+                    continue
+                rebuilt = public_rebuild(bd)
+                assert rebuilt == bd and rebuilt.reduced == bd.reduced, (ksq, chi)
+                assert type(bd) is BuildingData
+                assert all(type(c) is Component for c in bd.components)
+                classes = bd.branches() + bd.bundles() + tuple(c.cls for c in bd.components)
+                for d in classes:
+                    assert type(d) is DivClass and d.ambient == bd.ambient
+                    assert all(type(x) is int for x in d.coords), (ksq, chi, d)
+                    assert len(d.coords) == bd.ambient.rank
+        assert resolved >= 100
+
+    def test_invariants_equal_public_constructor(self):
+        for ksq, chi in ((20, 7), (17, 5), (21, 5), (1, 2), (40, 5)):
+            inv = construct(ksq, chi).invariants
+            assert type(inv) is Invariants
+            assert inv == Invariants(inv.ksq, inv.chi, inv.pg, inv.q, inv.pg_estimated)
+            assert all(type(x) is int for x in (inv.ksq, inv.chi, inv.pg, inv.q))
+            assert type(inv.pg_estimated) is bool
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3])
+    def test_canonical_class_is_the_literal_formula(self, e):
+        assert canonical_class(plane()) == DivClass(plane(), (-3,))
+        assert canonical_class(hirzebruch(e)) == DivClass(hirzebruch(e), (-2, -e - 2))
+        for n in (1, 2, 3):
+            amb = Ambient(BLOWUP, e, tuple(PointLabel(f"q{i}") for i in range(n)))
+            expected = DivClass(amb, (-2, -e - 2) + (1,) * n)
+            assert canonical_class(amb) == expected == reference_canonical(amb)
+            assert amb._canonical == expected.coords
+
+    def test_resolution_runs_no_component_post_init(self, monkeypatch):
+        calls = []
+        real = Component.__post_init__
+
+        def counted(self):
+            calls.append(self.name)
+            real(self)
+
+        monkeypatch.setattr(Component, "__post_init__", counted)
+        Component("probe", 1, hirzebruch(0).divisor(0, 1))
+        assert calls == ["probe"]
+        resolved = 0
+        for ksq, chi in checks.covered_pairs(6):
+            _, _, data, pre = recipe(ksq, chi)
+            if pre is None:
+                continue
+            del calls[:]
+            lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
+            assert calls == [] and lifted == data, (ksq, chi)
+            resolved += 1
+        assert resolved >= 20
+
+
+class TestBranchIndex:
+    def test_one_to_three(self):
+        bd = construct(20, 7).data
+        assert [bd.branch(i) for i in (1, 2, 3)] == [bd.d1, bd.d2, bd.d3]
+
+    @pytest.mark.parametrize("i", [0, -1, 4, True, 1.0])
+    def test_others_refused(self, i):
+        bd = construct(20, 7).data
+        with pytest.raises(InvalidBuildingData, match=f"branch index must be 1..3, got {i!r}"):
+            bd.branch(i)
+
+
 # The reference below is the operator form of the validation and invariant
 # path, kept literal: every step is DivClass operator arithmetic on classes
 # built by the validating constructor, one allocation per operator, so it
@@ -899,6 +999,8 @@ class TestAgainstReferenceFold:
 
         for name in (
             "_trusted",
+            "_lift",
+            "_assemble",
             "_check_component_sums",
             "derive_line_bundles",
             "two_k_plus_b",

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 
 import pytest
@@ -311,8 +312,12 @@ class TestTrustedArithmetic:
         assert all(type(c) is int for c in (u + v).coords)
 
     def test_non_integer_scalar_rejected(self):
+        # the constructor's rule: a bool or an int subclass is no scalar
+        class Two(enum.IntEnum):
+            TWO = 2
+
         d = hirzebruch(0).divisor(1, 2)
-        for n in (2.5, 2.0, "2"):
+        for n in (2.5, 2.0, "2", True, Two.TWO):
             with pytest.raises(TypeError):
                 n * d
             with pytest.raises(TypeError):
