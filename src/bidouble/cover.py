@@ -27,16 +27,16 @@ stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
 definition.  So ``invariants`` and ``two_k_plus_b`` expect data built by
 ``building_data`` or ``resolve_triple_points``, not assembled by hand.
 
-Values whose fields are already validated are stored without their frozen
-``__init__``, through the slot descriptors, as ``_trusted`` stores a class:
-``building_data`` and ``resolve_triple_points`` assemble the
-``BuildingData`` they return once every check has passed, ``invariants``
-its ``Invariants`` once the sign of q is checked, and the resolution lifts
-each component, whose name, branch and count ``bd`` already validated, with
-only its class replaced.  The resolution keeps every check a blow-up can
-fail: the distinct-centre refusal of ``Ambient``, the effectivity of the
-lifted branch classes, the lifted component sums, and at each point a
-single copy of one component per branch.
+Values whose fields are already validated are built without their frozen
+``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
+builds a class: ``building_data`` and ``resolve_triple_points`` assemble
+the ``BuildingData`` they return once every check has passed,
+``invariants`` its ``Invariants`` once the sign of q is checked, and the
+resolution lifts each component, whose name, branch and count ``bd``
+already validated, with only its class replaced.  The resolution keeps
+every check a blow-up can fail: the distinct-centre refusal of ``Ambient``,
+the effectivity of the lifted branch classes, the lifted component sums,
+and at each point a single copy of one component per branch.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .lattice import (
     Ambient,
     DivClass,
     PointLabel,
-    _new,
+    _builder,
     _trusted,
     canonical_class,
     doc_coords,
@@ -279,60 +279,9 @@ class BuildingData:
         )
 
 
-# the slot descriptors store past the frozen __setattr__
-_set_name, _set_branch, _set_cls, _set_count = (
-    getattr(Component, f).__set__ for f in ("name", "branch", "cls", "count")
-)
-(
-    _set_ambient,
-    _set_d1,
-    _set_d2,
-    _set_d3,
-    _set_l1,
-    _set_l2,
-    _set_l3,
-    _set_components,
-    _set_incidence,
-    _set_reduced,
-) = (getattr(BuildingData, f).__set__ for f in BuildingData.__slots__)
-
-
-def _lift(c: Component, cls: DivClass) -> Component:
-    # c with its class lifted to a blow-up: name, branch and count were
-    # validated when c was built, so __post_init__ does not run again
-    out = _new(Component)
-    _set_name(out, c.name)
-    _set_branch(out, c.branch)
-    _set_cls(out, cls)
-    _set_count(out, c.count)
-    return out
-
-
-def _assemble(
-    ambient: Ambient,
-    d1: DivClass,
-    d2: DivClass,
-    d3: DivClass,
-    l1: DivClass,
-    l2: DivClass,
-    l3: DivClass,
-    components: tuple[Component, ...],
-    incidence: tuple[PointLabel, ...],
-    reduced: bool,
-) -> BuildingData:
-    # BuildingData from validated fields, without the frozen __init__
-    bd = _new(BuildingData)
-    _set_ambient(bd, ambient)
-    _set_d1(bd, d1)
-    _set_d2(bd, d2)
-    _set_d3(bd, d3)
-    _set_l1(bd, l1)
-    _set_l2(bd, l2)
-    _set_l3(bd, l3)
-    _set_components(bd, components)
-    _set_incidence(bd, incidence)
-    _set_reduced(bd, reduced)
-    return bd
+# a component lifted to a blow-up, and data whose every check has passed
+_lift = _builder(Component)
+_assemble = _builder(BuildingData)
 
 
 def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
@@ -425,10 +374,7 @@ def two_k_plus_b(bd: BuildingData) -> DivClass:
     return _trusted(amb, tuple([2 * k + a + b + c for k, a, b, c in columns]))
 
 
-# the slot descriptors store past the frozen __setattr__
-_set_ksq, _set_chi, _set_pg, _set_q, _set_pg_estimated, _keep_two_k_plus_b = (
-    getattr(Invariants, f).__set__ for f in Invariants.__slots__
-)
+_invariants = _builder(Invariants)
 
 
 def invariants(bd: BuildingData) -> Invariants:
@@ -456,14 +402,7 @@ def invariants(bd: BuildingData) -> Invariants:
     q = pg - chi + 1
     if q < 0:
         raise InvalidBuildingData("negative irregularity; data is not a valid cover")
-    inv = _new(Invariants)
-    _set_ksq(inv, ksq)
-    _set_chi(inv, chi)
-    _set_pg(inv, pg)
-    _set_q(inv, q)
-    _set_pg_estimated(inv, f1 or f2 or f3)
-    _keep_two_k_plus_b(inv, pushed)
-    return inv
+    return _invariants(ksq, chi, pg, q, f1 or f2 or f3, pushed)
 
 
 def chi_oracle(bd: BuildingData) -> int:
@@ -548,9 +487,10 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     non-reduced data.  The blow-up ambient is built through its validating
     constructor, which refuses a point named like a centre already there.
 
-    Built trusted, with no second validation: the lifted classes (through
-    ``lattice._trusted``), each lifted component (``bd``'s name, branch and
-    count, with the lifted class) and the returned ``BuildingData``.
+    Built trusted, with no second validation, by builders from
+    ``lattice._builder``: the lifted classes (``_trusted``), each lifted
+    component (``bd``'s name, branch and count, with the lifted class) and
+    the returned ``BuildingData``.
 
     Resolving the points one at a time gives the same data and fails on the
     same data: an h0 estimate or a sum that holds with every centre holds at
@@ -596,26 +536,13 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     for i, d in enumerate((d1, d2, d3), start=1):
         if h0_flagged(amb2, d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = tuple(
-        _lift(
-            c,
-            _trusted(amb2, c.cls.coords + tuple([-1 if c.name in via else 0 for via in through])),
-        )
-        for c in bd.components
-    )
+    comps = []
+    for c in bd.components:
+        tail = tuple([-1 if c.name in via else 0 for via in through])
+        comps.append(_lift(c.name, c.branch, _trusted(amb2, c.cls.coords + tail), c.count))
     _check_component_sums(amb2, comps, (d1, d2, d3))
-    return _assemble(
-        amb2,
-        d1,
-        d2,
-        d3,
-        l1,
-        l2,
-        l3,
-        comps,
-        tuple(q for q in bd.incidence if q.name not in resolved),
-        bd.reduced,
-    )
+    incidence = tuple(q for q in bd.incidence if q.name not in resolved)
+    return _assemble(amb2, d1, d2, d3, l1, l2, l3, tuple(comps), incidence, bd.reduced)
 
 
 def resolve_triple_point(bd: BuildingData, name: str) -> BuildingData:

@@ -35,7 +35,11 @@ subclass, as in the constructor), the empty sum ``Ambient.zero()``,
 bundles, 2K + B, the adjoint classes K + L_i and the lift through blown-up
 triple points, each computed on coordinate tuples and wrapped once.  The
 resolution builds the blow-up itself and appends each class's exceptional
-tail to its coordinates on the ambient it extends.
+tail to its coordinates on the ambient it extends.  ``_builder`` makes
+``_trusted``, and it is the one place that builds a value type without its
+frozen ``__init__`` and ``__post_init__``: ``cover`` and ``recipes`` take
+from it their builders of components, building data, invariants and
+certificates whose fields have passed every check.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,
@@ -47,6 +51,7 @@ separately (as by ``from_doc``) still match.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
 
@@ -309,18 +314,30 @@ class DivClass:
         return "".join(parts) if parts else "0"
 
 
-_new = object.__new__
-# the slot descriptors store past the frozen __setattr__
-_set_ambient = DivClass.ambient.__set__
-_set_coords = DivClass.coords.__set__
+def _builder(cls: type) -> Callable:
+    """A positional constructor of the frozen slotted dataclass ``cls`` for
+    fields that are already validated: it stores each argument, in
+    ``__slots__`` order, through its slot descriptor, so neither the frozen
+    ``__init__`` nor ``__post_init__`` runs.
+
+    Its code is generated once, as ``dataclasses`` generates ``__init__``,
+    because a loop over the descriptors costs about as much as the
+    ``__init__`` it passes by.  The generated code never names a field, so a
+    field named like one of its own names (``c``, ``new``, ``o``) is safe.
+    """
+    slots = cls.__slots__
+    args = ", ".join(f"a{i}" for i in range(len(slots)))
+    stores = "".join(f"    s{i}(o, a{i})\n" for i in range(len(slots)))
+    scope = {f"s{i}": getattr(cls, f).__set__ for i, f in enumerate(slots)}
+    scope.update(c=cls, new=object.__new__)
+    exec(f"def build({args}):\n    o = new(c)\n{stores}    return o\n", scope)
+    build = scope["build"]
+    build.__qualname__ = f"_builder({cls.__name__})"
+    return build
 
 
-def _trusted(ambient: Ambient, coords: tuple[int, ...]) -> DivClass:
-    # result of arithmetic on validated classes: skips __post_init__
-    d = _new(DivClass)
-    _set_ambient(d, ambient)
-    _set_coords(d, coords)
-    return d
+# results of arithmetic on validated classes
+_trusted = _builder(DivClass)
 
 
 def intersect(a: DivClass, b: DivClass) -> int:

@@ -38,7 +38,7 @@ from .lattice import (
     Ambient,
     DivClass,
     PointLabel,
-    _new,
+    _builder,
     h0,
     hirzebruch,
     intersect,
@@ -558,6 +558,10 @@ FAMILY = {family.name: family for family in FAMILIES}
 
 
 def _covered_region(ksq: int, chi: int) -> str:
+    # a bool, float or int subclass compares equal to an int in classify
+    # and would reach the recipes, or a certificate, unconverted
+    if type(ksq) is not int or type(chi) is not int:
+        raise RegionError(f"pair (K^2, chi) = ({ksq!r}, {chi!r}) must be two integers")
     region = classify(ksq, chi)
     if region == NOT_ADMISSIBLE:
         raise RegionError(
@@ -577,7 +581,8 @@ def recipe(
 ) -> tuple[Family, dict[str, int], BuildingData, BuildingData | None]:
     """The family of a covered pair, its parameters, the recipe's building
     data, and the data before its marked triple points were resolved (None
-    when it marks none).  Raises RegionError outside the covered set."""
+    when it marks none).  Raises RegionError outside the covered set and
+    unless both values are exactly ``int``."""
     family = FAMILY[_covered_region(ksq, chi)]
     params = family.parameters(ksq, chi)
     pre = family.data(params)
@@ -587,22 +592,7 @@ def recipe(
     return family, params, resolve_triple_points(pre, marked), pre
 
 
-# the slot descriptors store past the frozen __setattr__
-(
-    _set_requested_ksq,
-    _set_requested_chi,
-    _set_region,
-    _set_data,
-    _set_pre_resolution,
-    _set_invariants,
-    _set_side_conditions,
-    _set_ampleness,
-    _set_fibration_genus,
-    _set_epsilon,
-    _set_parameters,
-    _set_notes,
-    _set_ok,
-) = (getattr(ConstructionCertificate, f).__set__ for f in ConstructionCertificate.__slots__)
+_certificate = _builder(ConstructionCertificate)
 
 
 def certify(
@@ -632,22 +622,11 @@ def certify(
     if f1 > 0 and f2 > 0 and f3 > 0 and data.ambient.kind != PLANE:
         genus = f1 + f2 + f3 - 3
         epsilon = ksq - (2 * chi - 6) if genus == 2 else len(data.ambient.points)
+    notes = (family.nef_only_note,) if amp == NEF_ONLY else ()
     # every field is derived above, so the frozen __init__ is passed by
-    cert = _new(ConstructionCertificate)
-    _set_requested_ksq(cert, ksq)
-    _set_requested_chi(cert, chi)
-    _set_region(cert, family.name)
-    _set_data(cert, data)
-    _set_pre_resolution(cert, pre)
-    _set_invariants(cert, inv)
-    _set_side_conditions(cert, conds)
-    _set_ampleness(cert, amp)
-    _set_fibration_genus(cert, genus)
-    _set_epsilon(cert, epsilon)
-    _set_parameters(cert, params)
-    _set_notes(cert, (family.nef_only_note,) if amp == NEF_ONLY else ())
-    _set_ok(cert, ok)
-    return cert
+    return _certificate(
+        ksq, chi, family.name, data, pre, inv, conds, amp, genus, epsilon, params, notes, ok
+    )
 
 
 def construct(ksq: int, chi: int) -> ConstructionCertificate:

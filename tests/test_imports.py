@@ -120,6 +120,39 @@ def test_detector_finds_dead_public_names():
     assert dead_public(sources) == ["a.py:TABLE", "a.py:dead"]
 
 
+def slot_stores(source: str) -> list[str]:
+    """Uses of what stores past a frozen dataclass's checks: a slot
+    descriptor's ``__set__``, ``object.__new__`` and generated code."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "__set__":
+            out.append("__set__")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            out.append("object.__new__")
+        elif isinstance(node, ast.Name) and node.id == "exec":
+            out.append("exec")
+    return sorted(out)
+
+
+def test_detector_finds_slot_stores():
+    source = (
+        "s = C.f.__set__\nnew = object.__new__\nexec('x = 1')\n"
+        "object.__setattr__(o, 'f', 1)\nC.__new__(C)\n"
+    )
+    assert slot_stores(source) == ["__set__", "exec", "object.__new__"]
+
+
+def test_slot_stores_only_in_lattice():
+    # skipping a value type's validation is decided once, by lattice._builder
+    found = {name: slot_stores(source) for name, source in package_sources().items()}
+    assert {name for name, uses in found.items() if uses} == {"lattice.py"}
+
+
 def test_modules_found():
     assert {"cli.py", "cover.py", "recipes.py"} <= set(MODULES)
 

@@ -18,6 +18,7 @@ from bidouble.lattice import (
     LatticeError,
     PointLabel,
     UnsupportedClass,
+    _builder,
     canonical_class,
     h0,
     h0_flagged,
@@ -354,6 +355,51 @@ class TestTrustedArithmetic:
         assert intersect(u, v) == intersect(v, u) == 1
         assert h0(amb, v) == h0(copy, v)
         assert positivity(amb, v) == positivity(copy, v)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Named:
+    """Fields named like the builder's own names, and a check that logs."""
+
+    cls: int
+    obj: str
+    _new: tuple
+    c: int
+    new: int
+    o: int
+    build: int
+    a0: int
+    s0: int
+
+    def __post_init__(self):
+        POST_INIT_RAN.append(self)
+
+
+POST_INIT_RAN: list = []
+
+
+class TestBuilder:
+    ARGS = (1, "x", (2,), 3, 4, 5, 6, 7, 8)
+
+    def test_equals_public_constructor_without_post_init(self):
+        POST_INIT_RAN.clear()
+        built = _builder(Named)(*self.ARGS)
+        assert POST_INIT_RAN == []
+        public = Named(*self.ARGS)
+        assert POST_INIT_RAN == [public]
+        assert type(built) is Named and built == public and hash(built) == hash(public)
+        assert tuple(getattr(built, f) for f in Named.__slots__) == self.ARGS
+
+    def test_wrong_argument_count_refused(self):
+        build = _builder(Named)
+        for args in (self.ARGS[:-1], self.ARGS + (9,), ()):
+            with pytest.raises(TypeError):
+                build(*args)
+
+    def test_result_stays_frozen(self):
+        built = _builder(Named)(*self.ARGS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.cls = 2
 
 
 class TestLincomb:

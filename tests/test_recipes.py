@@ -4,6 +4,7 @@ Frozen expectations below were computed by hand from the intersection
 pairing and the h0 enumerations before the recipes existed.
 """
 
+import enum
 import json
 
 import pytest
@@ -29,6 +30,7 @@ from bidouble.recipes import (
     certify,
     classify,
     construct,
+    recipe,
 )
 
 COVERED_REGIONS = frozenset(FAMILY)
@@ -309,6 +311,10 @@ class TestConstructFrozen:
         assert cert.ok
 
 
+class Chi(enum.IntEnum):
+    SEVEN = 7
+
+
 class TestConstructErrors:
     def test_not_admissible_raises(self):
         with pytest.raises(RegionError, match="not admissible"):
@@ -321,6 +327,18 @@ class TestConstructErrors:
             construct(9, 1)
         with pytest.raises(RegionError, match="8chi-8 < K\\^2 < 9chi"):
             construct(23, 3)
+
+    @pytest.mark.parametrize(
+        "ksq, chi", [(True, 2), (20, True), (20.0, 5), (2, 4.0), (20, Chi.SEVEN)]
+    )
+    def test_non_integer_pair_refused(self, ksq, chi):
+        # classify stays total and places each like the integer pair it
+        # equals; construction refuses it before any recipe runs
+        assert classify(ksq, chi) == classify(int(ksq), int(chi))
+        for build in (construct, recipe):
+            with pytest.raises(RegionError, match="must be two integers") as err:
+                build(ksq, chi)
+            assert f"({ksq!r}, {chi!r})" in str(err.value)
 
 
 class TestSweep:
