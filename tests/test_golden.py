@@ -22,6 +22,13 @@ The degenerate sweep digest does the same for
 ``canonical_json(degenerate(construct(ksq, chi)).to_doc())``, leaving out
 the product line.
 
+The oracle stream digest pins the random data behind ``check``'s oracle
+sample: ``canonical_json(bd.to_doc())`` of each of the 10,000 valid data
+that ``sample_building_data`` draws from ``random.Random(ORACLE_SEED)``,
+concatenated, and the number of draws they take.  The ``check`` report
+shows only the sample count, so without this pin a change to the sampler
+could change the sample silently.
+
 The verify digest pins the ``verify --json`` report, with its exit code, on
 the genuine construction and degeneration documents of the first covered
 pair of each family, and on one single-leaf forgery per top-level field of
@@ -38,9 +45,13 @@ import hashlib
 import io
 import json
 
+import random
+
 import pytest
 
+from bidouble.checks import ORACLE_SAMPLES, ORACLE_SEED, sample_building_data
 from bidouble.cli import main
+from bidouble.cover import CoverError
 from bidouble.degenerations import degenerate
 from bidouble.geography import canonical_json
 from bidouble.recipes import FAMILY, classify, construct
@@ -65,6 +76,9 @@ TEXT_DIGESTS = {
 SWEEP_CHI_MAX = 60
 SWEEP_DIGEST = "1859d06ab675120b7ff20314c95070e8df79f453c3220cfdd031ec3e9d06f823"
 DEGENERATE_SWEEP_DIGEST = "c0e5191d28e41697ec67338bcb7cf766e312d41bee555dd3f44fdc3c9d3e0675"
+
+ORACLE_STREAM_DRAWS = 10_120
+ORACLE_STREAM_DIGEST = "e519cdefa835e85b1a78f44c669fd90d8adc4310e21e52c8cd04e79920106599"
 
 VERIFY_DIGEST = "5404f7c89f6228e16dbb4dabd7c6afbe0ba9d14613560f9322487bc5d4c1cb73"
 
@@ -201,6 +215,21 @@ def test_degenerate_sweep_digest():
                 continue
             h.update(canonical_json(degenerate(construct(ksq, chi)).to_doc()).encode("utf-8"))
     assert h.hexdigest() == DEGENERATE_SWEEP_DIGEST
+
+
+def test_oracle_stream_digest():
+    rng = random.Random(ORACLE_SEED)
+    h = hashlib.sha256()
+    valid = draws = 0
+    while valid < ORACLE_SAMPLES:
+        draws += 1
+        try:
+            bd = sample_building_data(rng)
+        except CoverError:
+            continue
+        valid += 1
+        h.update(canonical_json(bd.to_doc()).encode("utf-8"))
+    assert (draws, h.hexdigest()) == (ORACLE_STREAM_DRAWS, ORACLE_STREAM_DIGEST)
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
