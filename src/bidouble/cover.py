@@ -24,8 +24,17 @@ classes K + L_i are computed directly on the coordinate tuples of classes
 already validated on the data's ambient, and each resulting class is
 wrapped once through ``lattice._trusted``.  The intersection form and h0
 stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
-definition.  So ``invariants`` and ``two_k_plus_b`` expect data built by
-``building_data`` or ``resolve_triple_points``, not assembled by hand.
+definition in the library.  So ``invariants`` and ``two_k_plus_b`` expect
+data built by ``building_data`` or ``resolve_triple_points``, not assembled
+by hand.
+
+``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
+shares with the library only the line bundles L_i that ``building_data``
+derives.  They do not share the form, K or the class arithmetic: each
+writes the intersection form and K_Y out from the basis rules and works on
+plain integer coordinates, with no ``DivClass``, so a wrong sign in
+``lattice.intersect`` or a wrong ``Ambient._canonical`` moves
+``invariants`` and not them.
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
@@ -41,9 +50,9 @@ and at each point a single copy of one component per branch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul, sub
 
 from .lattice import (
     _TRIPLE,
@@ -54,7 +63,6 @@ from .lattice import (
     PointLabel,
     _builder,
     _trusted,
-    canonical_class,
     doc_coords,
     doc_int,
     doc_str,
@@ -405,17 +413,41 @@ def invariants(bd: BuildingData) -> Invariants:
     return _invariants(ksq, chi, pg, q, f1 or f2 or f3, pushed)
 
 
+def _oracle_form(plane: bool, e: int, u: Sequence[int], v: Sequence[int]) -> int:
+    """u.v written out from the basis rules for the oracles: H.H = 1 on the
+    plane, and otherwise D0.D0 = -e, D0.F = 1, F.F = 0, Ei.Ej = -delta_ij."""
+    if plane:
+        return u[0] * v[0]
+    u0, v0 = u[0], v[0]
+    s = u0 * v[1] + u[1] * v0 - e * u0 * v0
+    if len(u) > 2:
+        s -= sum(map(mul, u[2:], v[2:]))
+    return s
+
+
+def _oracle_k(plane: bool, e: int, rank: int) -> tuple[int, ...]:
+    """K_Y written out from the basis rules for the oracles: -3H on the
+    plane, and otherwise -2D0 - (e+2)F + sum E_i."""
+    if plane:
+        return (-3,)
+    return (-2, -e - 2) + (1,) * (rank - 2)
+
+
 def chi_oracle(bd: BuildingData) -> int:
     """chi(O_X) summed character by character.
 
     Independent path: chi(O_Y) plus one Riemann-Roch evaluation of
-    chi(O_Y(-L_i)) per bundle, each term halved separately.
+    chi(O_Y(-L_i)) per bundle, each term halved separately, on the
+    oracles' own form and K_Y.
     """
-    k = canonical_class(bd.ambient)
+    amb = bd.ambient
+    plane, e = amb.kind == PLANE, amb.e
+    l1 = bd.l1.coords
+    k = _oracle_k(plane, e, len(l1))
     total = 1
-    for l in bd.bundles():
-        d = -l
-        pairing = intersect(d, d - k)
+    for l in (l1, bd.l2.coords, bd.l3.coords):
+        d = [-x for x in l]
+        pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
         if pairing % 2:
             raise InvalidBuildingData("parity failure in Riemann-Roch term")
         total += 1 + pairing // 2
@@ -423,10 +455,17 @@ def chi_oracle(bd: BuildingData) -> int:
 
 
 def ksq_oracle(bd: BuildingData) -> int:
-    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B."""
-    k = canonical_class(bd.ambient)
-    b = bd.branch_total()
-    return 4 * intersect(k, k) + 4 * intersect(k, b) + intersect(b, b)
+    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the
+    oracles' own form and K_Y."""
+    amb = bd.ambient
+    plane, e = amb.kind == PLANE, amb.e
+    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
+    k = _oracle_k(plane, e, len(b))
+    return (
+        4 * _oracle_form(plane, e, k, k)
+        + 4 * _oracle_form(plane, e, k, b)
+        + _oracle_form(plane, e, b, b)
+    )
 
 
 def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:

@@ -16,8 +16,9 @@ the label, not a fact the lattice can check.
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
 plus the sum of exceptional classes on a blow-up.  An ``Ambient`` computes
 these canonical coordinates once, when it is built, into its derived field
-``_canonical`` (like ``rank``, neither compared nor shown);
-``canonical_class`` and the kernels of ``cover`` that need K read them.
+``_canonical`` (like ``rank``, neither compared nor shown), which the
+kernels of ``cover`` that need K read; ``cover``'s oracles write K out on
+their own instead.
 
 Trusted construction: the public ``DivClass(...)`` constructor refuses a
 coordinate that is not a true integer (``type(c) is int``: a bool, float or
@@ -30,16 +31,16 @@ that already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
 vectors of the ambient's rank are again such vectors.  That arithmetic is
 ``+``, ``-``, unary ``-``, ``*`` by an ``int`` (never a bool or an int
-subclass, as in the constructor), the empty sum ``Ambient.zero()``,
-``canonical_class``, and the coordinate kernels of ``cover``: the line
-bundles, 2K + B, the adjoint classes K + L_i and the lift through blown-up
-triple points, each computed on coordinate tuples and wrapped once.  The
-resolution builds the blow-up itself and appends each class's exceptional
-tail to its coordinates on the ambient it extends.  ``_builder`` makes
-``_trusted``, and it is the one place that builds a value type without its
-frozen ``__init__`` and ``__post_init__``: ``cover`` and ``recipes`` take
-from it their builders of components, building data, invariants and
-certificates whose fields have passed every check.
+subclass, as in the constructor), the empty sum ``Ambient.zero()``, and
+the coordinate kernels of ``cover``: the line bundles, 2K + B, the adjoint
+classes K + L_i and the lift through blown-up triple points, each computed
+on coordinate tuples and wrapped once.  The resolution builds the blow-up
+itself and appends each class's exceptional tail to its coordinates on the
+ambient it extends.  ``_builder`` makes ``_trusted``, and it is the one
+place that builds a value type without its frozen ``__init__`` and
+``__post_init__``: ``cover`` and ``recipes`` take from it their builders of
+components, building data, invariants and certificates whose fields have
+passed every check.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,
@@ -238,8 +239,9 @@ class Ambient:
 
 
 _PLANE = Ambient(PLANE)
-# the recipes build on F_0, F_1 and F_2; other e get a fresh instance
-_HIRZEBRUCH = {e: Ambient(HIRZEBRUCH, e) for e in range(3)}
+# the recipes build on F_0, F_1 and F_2, and check's oracle sample draws on
+# F_0 to F_3; other e get a fresh instance
+_HIRZEBRUCH = {e: Ambient(HIRZEBRUCH, e) for e in range(4)}
 
 
 def plane() -> Ambient:
@@ -353,10 +355,6 @@ def intersect(a: DivClass, b: DivClass) -> int:
     if len(u) > 2:
         s -= sum(map(mul, u[2:], v[2:]))
     return s
-
-
-def canonical_class(ambient: Ambient) -> DivClass:
-    return _trusted(ambient, ambient._canonical)
 
 
 def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:

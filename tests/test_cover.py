@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bidouble import checks, cover
+from bidouble import checks, cover, lattice
 from bidouble.cover import (
     NON_NORMAL_GLUING,
     QUARTER_POINT,
@@ -38,7 +38,6 @@ from bidouble.lattice import (
     LatticeError,
     PointLabel,
     UnsupportedClass,
-    canonical_class,
     h0_flagged,
     hirzebruch,
     intersect,
@@ -52,6 +51,7 @@ from bidouble.recipes import (
     construct,
     recipe,
 )
+from test_acceptance import pair_inline
 
 
 def plane_cover(deg1, deg2, deg3):
@@ -657,12 +657,13 @@ class TestTrustedBuilders:
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3])
     def test_canonical_class_is_the_literal_formula(self, e):
-        assert canonical_class(plane()) == DivClass(plane(), (-3,))
-        assert canonical_class(hirzebruch(e)) == DivClass(hirzebruch(e), (-2, -e - 2))
+        assert plane()._canonical == reference_canonical(plane()).coords == (-3,)
+        assert hirzebruch(e)._canonical == (-2, -e - 2)
+        assert Ambient(HIRZEBRUCH, e)._canonical == (-2, -e - 2)
         for n in (1, 2, 3):
             amb = Ambient(BLOWUP, e, tuple(PointLabel(f"q{i}") for i in range(n)))
             expected = DivClass(amb, (-2, -e - 2) + (1,) * n)
-            assert canonical_class(amb) == expected == reference_canonical(amb)
+            assert expected == reference_canonical(amb)
             assert amb._canonical == expected.coords
 
     def test_resolution_runs_no_component_post_init(self, monkeypatch):
@@ -1005,11 +1006,83 @@ class TestAgainstReferenceFold:
             "derive_line_bundles",
             "two_k_plus_b",
             "invariants",
+            "intersect",
         ):
             monkeypatch.setattr(cover, name, refuse)
+        # nor the library's form under its own name
+        monkeypatch.setattr(lattice, "intersect", refuse)
         assert [(chi_oracle(bd), ksq_oracle(bd)) for bd in bds] == expected
         amb = hirzebruch(2)
         assert checks.monomial_count(amb, amb.divisor(2, 5)) == 6 + 4 + 2
+
+    @staticmethod
+    def inline_values(bd):
+        """(chi, K^2) of ruled data from the acceptance test's inline form."""
+        e = bd.ambient.e
+        k = (-2, -(e + 2))
+        b = tuple(x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords))
+        total = sum(
+            pair_inline(e, l.coords, tuple(x + y for x, y in zip(l.coords, k)))
+            for l in bd.bundles()
+        )
+        ksq = 4 * pair_inline(e, k, k) + 4 * pair_inline(e, k, b) + pair_inline(e, b, b)
+        return 4 + total // 2, ksq
+
+    def test_oracles_ignore_a_wrong_canonical_class(self):
+        # a fresh F_5, so that no shared ambient is touched, whose K is
+        # overwritten with F_3's: invariants reads it, the oracles do not
+        amb = Ambient(HIRZEBRUCH, 5)
+        bd = building_data(amb, amb.divisor(2, 10), amb.divisor(2, 12), amb.divisor(2, 14))
+        before = invariants(bd)
+        assert (before.chi, before.ksq) == self.inline_values(bd) == (19, 68)
+        object.__setattr__(amb, "_canonical", (-2, -5))
+        after = invariants(bd)
+        assert (after.chi, after.ksq) == (25, 84)
+        assert (chi_oracle(bd), ksq_oracle(bd)) == self.inline_values(bd)
+
+    @staticmethod
+    def plus_e_intersect(a, b):
+        # the library's form with the wrong sign D0.D0 = +e
+        if a.ambient.kind == PLANE:
+            return intersect(a, b)
+        return intersect(a, b) + 2 * a.ambient.e * a.coords[0] * b.coords[0]
+
+    def test_oracles_ignore_a_wrong_intersection_sign(self, monkeypatch):
+        rng = random.Random(checks.ORACLE_SEED)
+        bds = []
+        while len(bds) < 200:
+            try:
+                bds.append(checks.sample_building_data(rng))
+            except CoverError:
+                continue
+        expected = [self.inline_values(bd) for bd in bds]
+        before = [outcome(invariants, bd) for bd in bds]
+        monkeypatch.setattr(cover, "intersect", self.plus_e_intersect)
+        monkeypatch.setattr(lattice, "intersect", self.plus_e_intersect)
+        assert [(chi_oracle(bd), ksq_oracle(bd)) for bd in bds] == expected
+        after = [outcome(invariants, bd) for bd in bds]
+        assert sum(x != y for x, y in zip(before, after)) > 50
+
+    @pytest.mark.parametrize("defect", ["intersection sign", "canonical class"])
+    def test_oracle_sample_reports_a_library_defect(self, monkeypatch, defect):
+        # invariants raises on some sampled data under either defect; the
+        # check counts those as mismatches instead of letting them escape
+        saved = [(amb, amb._canonical) for amb in lattice._HIRZEBRUCH.values()]
+        if defect == "intersection sign":
+            monkeypatch.setattr(cover, "intersect", self.plus_e_intersect)
+        else:
+            # K = -2D0 - eF on the shared F_0..F_3 that the sample draws on
+            for amb, _ in saved:
+                object.__setattr__(amb, "_canonical", (-2, -amb.e))
+        try:
+            result = checks.check_oracle_sample()
+        finally:
+            for amb, k in saved:
+                object.__setattr__(amb, "_canonical", k)
+        assert not result.passed
+        samples, mismatches = result.detail.split(", ")
+        assert samples == "10000 samples"
+        assert int(mismatches.split()[0]) > 0
 
 
 # two centres on F_e, for the kernels' blow-up branch

@@ -153,6 +153,48 @@ def test_slot_stores_only_in_lattice():
     assert {name for name, uses in found.items() if uses} == {"lattice.py"}
 
 
+def names_reached(source: str, function: str) -> set[str]:
+    """Every variable and attribute name that the module-level function
+    reads, and that the module-level functions it names read in turn."""
+    defs = {st.name: st for st in ast.parse(source).body if isinstance(st, ast.FunctionDef)}
+    if function not in defs:
+        raise AssertionError(f"no module-level function {function}")
+    names: set[str] = set()
+    todo = [function]
+    while todo:
+        found = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(defs.pop(todo.pop()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        names |= found
+        todo.extend(name for name in found if name in defs and name not in todo)
+    return names
+
+
+# what the oracles must not share with the closed forms they check
+ORACLE_FORBIDDEN = frozenset({"intersect", "canonical_class", "_canonical", "_trusted", "DivClass"})
+
+
+def test_detector_finds_names_reached():
+    source = (
+        "def f(bd):\n    k = bd.ambient._canonical\n    return intersect(k, k)\n"
+        "def g(bd):\n    return h(bd) + g(bd)\n"
+        "def h(bd):\n    return DivClass\n"
+        "def unread():\n    return _trusted\n"
+    )
+    assert names_reached(source, "f") & ORACLE_FORBIDDEN == {"_canonical", "intersect"}
+    assert names_reached(source, "g") & ORACLE_FORBIDDEN == {"DivClass"}
+
+
+@pytest.mark.parametrize("oracle", ["chi_oracle", "ksq_oracle"])
+def test_oracles_name_no_library_form(oracle):
+    # the oracles, and the helpers of cover they call, write the form and
+    # K_Y out themselves and build no class
+    source = (SRC / "cover.py").read_text(encoding="utf-8")
+    assert names_reached(source, oracle) & ORACLE_FORBIDDEN == set()
+
+
 def test_modules_found():
     assert {"cli.py", "cover.py", "recipes.py"} <= set(MODULES)
 

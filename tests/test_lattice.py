@@ -19,7 +19,6 @@ from bidouble.lattice import (
     PointLabel,
     UnsupportedClass,
     _builder,
-    canonical_class,
     h0,
     h0_flagged,
     hirzebruch,
@@ -126,24 +125,28 @@ class TestIntersect:
         assert intersect(n * a, b) == n * intersect(a, b)
 
 
+def canonical(amb):
+    return DivClass(amb, amb._canonical)
+
+
 class TestCanonical:
     def test_plane(self):
-        assert canonical_class(plane()).coords == (-3,)
+        assert plane()._canonical == (-3,)
 
     def test_hirzebruch(self):
-        assert canonical_class(hirzebruch(0)).coords == (-2, -2)
-        assert canonical_class(hirzebruch(2)).coords == (-2, -4)
+        assert hirzebruch(0)._canonical == (-2, -2)
+        assert hirzebruch(2)._canonical == (-2, -4)
 
     def test_blowup(self):
-        assert canonical_class(blowup_of_f0(2)).coords == (-2, -2, 1, 1)
+        assert blowup_of_f0(2)._canonical == (-2, -2, 1, 1)
 
     def test_canonical_squares(self):
         # K.K = 9 on the plane, 8 on F_e, 8 - k on k-point blow-ups
-        assert intersect(canonical_class(plane()), canonical_class(plane())) == 9
+        assert intersect(canonical(plane()), canonical(plane())) == 9
         for e in range(4):
-            k = canonical_class(hirzebruch(e))
+            k = canonical(hirzebruch(e))
             assert intersect(k, k) == 8
-        k = canonical_class(blowup_of_f0(3))
+        k = canonical(blowup_of_f0(3))
         assert intersect(k, k) == 5
 
 
@@ -204,7 +207,7 @@ class TestH0:
         # chi(d) = 1 + d.(d - K)/2 equals h0 when a >= 0 and b >= a*e
         for e in range(4):
             amb = hirzebruch(e)
-            k = canonical_class(amb)
+            k = canonical(amb)
             for a in range(9):
                 for b in range(a * e, 13):
                     d = amb.divisor(a, b)
@@ -410,10 +413,9 @@ class TestLincomb:
 
     def test_canonical_class_is_the_validated_class(self):
         for amb in (plane(), hirzebruch(0), hirzebruch(3), blowup_of_f0(2)):
-            k = canonical_class(amb)
             coords = (-3,) if amb.kind == "ProjectivePlane" else (-2, -(amb.e + 2)) + (1,) * len(amb.points)
-            assert k == DivClass(amb, coords)
-            assert all(type(c) is int for c in k.coords)
+            assert amb._canonical == DivClass(amb, coords).coords
+            assert all(type(c) is int for c in amb._canonical)
 
 
 class TestSlottedValues:
