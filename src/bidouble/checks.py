@@ -35,6 +35,7 @@ from .lattice import (
     Ambient,
     DivClass,
     LatticeError,
+    _trusted,
     h0,
     hirzebruch,
     intersect,
@@ -188,9 +189,11 @@ def sample_building_data(rng: random.Random) -> BuildingData:
     # D1 and D2 match D3's parity: lo + 2j <= 12 with j drawn below 7 - lo
     lo_a, lo_b = a3 & 1, b3 & 1
     n_a, n_b = 7 - lo_a, 7 - lo_b
-    d3 = amb.divisor(a3, b3)
-    d1 = amb.divisor(lo_a + 2 * rng.randrange(n_a), lo_b + 2 * rng.randrange(n_b))
-    d2 = amb.divisor(lo_a + 2 * rng.randrange(n_a), lo_b + 2 * rng.randrange(n_b))
+    # randrange draws ints, two per class on a rank-2 ambient, so the
+    # classes are built trusted; building_data validates the datum
+    d3 = _trusted(amb, (a3, b3))
+    d1 = _trusted(amb, (lo_a + 2 * rng.randrange(n_a), lo_b + 2 * rng.randrange(n_b)))
+    d2 = _trusted(amb, (lo_a + 2 * rng.randrange(n_a), lo_b + 2 * rng.randrange(n_b)))
     return building_data(amb, d1, d2, d3)
 
 

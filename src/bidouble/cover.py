@@ -45,7 +45,12 @@ resolution lifts each component, whose name, branch and count ``bd``
 already validated, with only its class replaced.  The resolution keeps
 every check a blow-up can fail: the distinct-centre refusal of ``Ambient``,
 the effectivity of the lifted branch classes, the lifted component sums,
-and at each point a single copy of one component per branch.
+and at each point a single copy of one component per branch.  The lifted
+sums are checked on the exceptional tails, the only coordinates a blow-up
+adds, and the full sum check runs only to name a failure.  ``recipes``
+builds its fixed-shape components with ``_lift`` too, since their fields
+are literals or exact integers, and leaves the checks to
+``building_data``.
 """
 
 from __future__ import annotations
@@ -287,7 +292,8 @@ class BuildingData:
         )
 
 
-# a component lifted to a blow-up, and data whose every check has passed
+# a component whose fields need no check, lifted to a blow-up or built by a
+# recipe from literals and exact integers, and data whose every check has passed
 _lift = _builder(Component)
 _assemble = _builder(BuildingData)
 
@@ -520,11 +526,19 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     stay effective: its h0 estimate drops by one per centre, so a branch of
     one fiber through two marked points fails (h0 2 - 2 = 0), and a centre
     not flagged general raises UnsupportedClass.  The lifted components
-    must sum to the lifted branch classes; only the exceptional coordinates
-    can fail, where the copies of a branch's components through a point
-    must total one, which catches a name shared by two branches of
-    non-reduced data.  The blow-up ambient is built through its validating
-    constructor, which refuses a point named like a centre already there.
+    must sum to the lifted branch classes.  Their old coordinates already
+    do, so only the exceptional tails can fail: each component's tail is
+    computed once, and the sums hold exactly when, per branch and per
+    point, one copy of the branch's components passes through the point.
+    In reduced data each name is one component, and the components a point
+    names are single copies covering all three branches, so every such
+    count is one exactly when the point names three distinct components.
+    A point naming two components of one branch fails that, and data that
+    is not reduced, where one name may lie in two branches, never passes
+    it.  Only then does the full sum check run, to decide and to name a
+    failure as ``building_data`` would.  The blow-up ambient is built
+    through its validating constructor, which refuses a point named like a
+    centre already there.
 
     Built trusted, with no second validation, by builders from
     ``lattice._builder``: the lifted classes (``_trusted``), each lifted
@@ -536,15 +550,16 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     each stage before.  An error here names the classes over every centre.
     """
     marked: list[PointLabel] = []
-    resolved: list[str] = []
     through: list[frozenset[str]] = []
-    # the first component of each name, as bd.component finds it
+    # the marked points left to resolve (bd's names are distinct), and the
+    # first component of each name, as bd.component finds it
+    unresolved = {p.name: p for p in bd.incidence}
     by_name = {c.name: c for c in reversed(bd.components)}
     for name in names:
         # a point resolved earlier in the sequence is no longer marked
-        if name in resolved:
+        p = unresolved.pop(name, None)
+        if p is None:
             raise InvalidBuildingData(f"no marked point named {name!r}")
-        p = bd.point(name)
         if not p.is_triple:
             raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
         if bd.ambient.kind == PLANE:
@@ -562,7 +577,6 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
                 f"point {p.name!r} must name exactly one component per branch to resolve"
             )
         marked.append(p)
-        resolved.append(name)
         through.append(frozenset(p.components))
     if not marked:
         return bd
@@ -579,8 +593,12 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     for c in bd.components:
         tail = tuple([-1 if c.name in via else 0 for via in through])
         comps.append(_lift(c.name, c.branch, _trusted(amb2, c.cls.coords + tail), c.count))
-    _check_component_sums(amb2, comps, (d1, d2, d3))
-    incidence = tuple(q for q in bd.incidence if q.name not in resolved)
+    # reduced data names each component once, so a point that names three
+    # distinct components, one per branch, has one copy of each branch
+    # through it; otherwise the full check decides, and names a failure
+    if not bd.reduced or any(len(via) != 3 for via in through):
+        _check_component_sums(amb2, comps, (d1, d2, d3))
+    incidence = tuple(q for q in bd.incidence if q.name in unresolved)
     return _assemble(amb2, d1, d2, d3, l1, l2, l3, tuple(comps), incidence, bd.reduced)
 
 

@@ -26,8 +26,8 @@ string is never rounded) and checks the count against the ambient's rank;
 the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
 rule, and a ``PointLabel`` refuses a name or component name that is not a
 ``str`` and a ``general`` flag that is not a ``bool``, and an ``Ambient``
-refuses a centre that is not a ``PointLabel``.  Only arithmetic on classes
-that already passed it builds its result through ``_trusted``, which skips
+refuses a centre that is not a ``PointLabel``.  Arithmetic on classes that
+already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
 vectors of the ambient's rank are again such vectors.  That arithmetic is
 ``+``, ``-``, unary ``-``, ``*`` by an ``int`` (never a bool or an int
@@ -36,11 +36,19 @@ the coordinate kernels of ``cover``: the line bundles, 2K + B, the adjoint
 classes K + L_i and the lift through blown-up triple points, each computed
 on coordinate tuples and wrapped once.  The resolution builds the blow-up
 itself and appends each class's exceptional tail to its coordinates on the
-ambient it extends.  ``_builder`` makes ``_trusted``, and it is the one
-place that builds a value type without its frozen ``__init__`` and
-``__post_init__``: ``cover`` and ``recipes`` take from it their builders of
-components, building data, invariants and certificates whose fields have
-passed every check.
+ambient it extends.  Two builders of fixed-shape inputs use ``_trusted``
+too, since each coordinate they pass is an ``int`` by construction and
+their count is the ambient's rank: the data recipes of ``recipes`` (the
+plane, Genus2, ruling-triple, Genus3 and product data), whose coordinates
+are literals or integer arithmetic on a pair that ``recipe`` has refused
+unless it is two ``int``s, and the sampler of ``check``'s oracle, whose
+coordinates are ``randrange`` draws on a shared F_e of rank 2.
+``building_data`` validates each datum they make, once.  ``_builder``
+makes ``_trusted``, and it is the one place that builds a value type
+without its frozen ``__init__`` and ``__post_init__``: ``cover`` and
+``recipes`` take from it their builders of components, building data,
+invariants and certificates whose fields have passed every check or, for
+the recipes' components, are literals and exact integers.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .cover import (
     BuildingData,
     Component,
+    _lift,
     building_data,
     invariants,
     resolve_triple_points,
@@ -39,6 +40,7 @@ from .lattice import (
     DivClass,
     PointLabel,
     _builder,
+    _trusted,
     h0,
     hirzebruch,
     intersect,
@@ -167,8 +169,14 @@ def _genus3_parameters(ksq: int, chi: int) -> dict[str, int]:
     return {"alpha": t // 2 - 2 * chi + 5, "beta": 2 * chi - t // 4 - 2, "gamma": 1, "epsilon": eps}
 
 
+# The data recipes build their classes with _trusted and their components
+# with cover._lift: every coordinate and count is a literal or exact integer
+# arithmetic on the pair, which recipe has refused unless it is two ints, and
+# building_data then validates the datum once.
+
+
 def _one_curve_per_branch(amb: Ambient, d1: DivClass, d2: DivClass, d3: DivClass) -> BuildingData:
-    comps = (Component("d1", 1, d1), Component("d2", 2, d2), Component("d3", 3, d3))
+    comps = (_lift("d1", 1, d1, 1), _lift("d2", 2, d2, 1), _lift("d3", 3, d3, 1))
     return building_data(amb, d1, d2, d3, comps)
 
 
@@ -177,16 +185,18 @@ def _genus2_family_data(params: dict[str, int]) -> BuildingData:
     amb = hirzebruch(params["e"])
     return _one_curve_per_branch(
         amb,
-        amb.divisor(1, params["alpha"]),
-        amb.divisor(1, params["beta"]),
-        amb.divisor(3, params["gamma"]),
+        _trusted(amb, (1, params["alpha"])),
+        _trusted(amb, (1, params["beta"])),
+        _trusted(amb, (3, params["gamma"])),
     )
 
 
 def _plane_data(deg2: int, deg3: int) -> BuildingData:
     # a line and two plane curves of the given degrees
     amb = plane()
-    return _one_curve_per_branch(amb, amb.divisor(1), amb.divisor(deg2), amb.divisor(deg3))
+    return _one_curve_per_branch(
+        amb, _trusted(amb, (1,)), _trusted(amb, (deg2,)), _trusted(amb, (deg3,))
+    )
 
 
 # the recipes' fixed pieces on F_0, built once: the two rulings D0 and F,
@@ -208,8 +218,8 @@ _RULING_POINT = PointLabel("p", _TRIPLE, ("d1", "d2", "delta1"))
 def _ruling_triple_data(chi: int, marked: bool) -> BuildingData:
     # D1 = D0+2F, D2 = D0+2chi F, D3 = three members of |D0| on F_0; when
     # marked, the first member passes through a point of D1 and D2
-    d2 = _F0.divisor(1, 2 * chi)
-    comps = (Component("d1", 1, _RULING_D1), Component("d2", 2, d2), *_RULING_DELTAS)
+    d2 = _trusted(_F0, (1, 2 * chi))
+    comps = (_lift("d1", 1, _RULING_D1, 1), _lift("d2", 2, d2, 1), *_RULING_DELTAS)
     incidence = (_RULING_POINT,) if marked else ()
     return building_data(_F0, _RULING_D1, d2, _RULING_D3, comps, incidence)
 
@@ -224,26 +234,26 @@ def _genus3_data(params: dict[str, int]) -> BuildingData:
         params["gamma"],
         params["epsilon"],
     )
-    d2 = _F0.divisor(2, beta)
-    d3 = _F0.divisor(4, gamma)
+    d2 = _trusted(_F0, (2, beta))
+    d3 = _trusted(_F0, (4, gamma))
     comps = list(_GENUS3_FIBERS[:eps])
     if alpha > eps:
-        comps.append(Component("f_rest", 1, _FIBER, count=alpha - eps))
-    comps.append(Component("d2", 2, d2))
-    comps.append(Component("d3", 3, d3))
+        comps.append(_lift("f_rest", 1, _FIBER, alpha - eps))
+    comps.append(_lift("d2", 2, d2, 1))
+    comps.append(_lift("d3", 3, d3, 1))
     return building_data(
-        _F0, _F0.divisor(0, alpha), d2, d3, tuple(comps), _GENUS3_POINTS[:eps]
+        _F0, _trusted(_F0, (0, alpha)), d2, d3, tuple(comps), _GENUS3_POINTS[:eps]
     )
 
 
 def _product_data(chi: int) -> BuildingData:
     # 6 rulings in one direction, 2chi+4 in the other, empty third branch
-    d2 = _F0.divisor(0, 2 * chi + 4)
+    d2 = _trusted(_F0, (0, 2 * chi + 4))
     comps = (
-        Component("d1_rulings", 1, _D0, count=6),
-        Component("d2_fibers", 2, _FIBER, count=2 * chi + 4),
+        _lift("d1_rulings", 1, _D0, 6),
+        _lift("d2_fibers", 2, _FIBER, 2 * chi + 4),
     )
-    return building_data(_F0, _F0.divisor(6, 0), d2, _F0.zero(), comps)
+    return building_data(_F0, _trusted(_F0, (6, 0)), d2, _F0.zero(), comps)
 
 
 def _smooth_stamp(amb: Ambient, d: DivClass, fibers: bool) -> tuple[str, bool]:

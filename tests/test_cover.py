@@ -530,6 +530,20 @@ class TestResolveTriplePoints:
         assert self.raised(resolve_triple_points, bd, names) is expected
         assert self.raised(fold_reference, bd, names) is expected
 
+    def test_two_copies_of_one_branch_caught_on_the_tail(self):
+        # p1 names two fibers of D1: each named component is a single copy
+        # and the three branches are named, so only the lifted sum of
+        # branch 1 can fail, and it names the same classes as the fold
+        bd = self.with_incidence(
+            PointLabel("p1", frozenset({1, 2, 3}), ("f1", "f2", "d2", "d3"))
+        )
+        expected = (
+            InvalidBuildingData,
+            "components of branch 1 sum to 8F-2E1, expected 8F-E1",
+        )
+        assert outcome(fold_reference, bd, ["p1"]) == expected
+        assert outcome(resolve_triple_points, bd, ["p1"]) == expected
+
     def test_random_data_equals_fold(self):
         # the resolution validates only what a blow-up can break; the fold
         # re-validates every stage in full
@@ -685,6 +699,47 @@ class TestTrustedBuilders:
             del calls[:]
             lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
             assert calls == [] and lifted == data, (ksq, chi)
+            resolved += 1
+        assert resolved >= 20
+
+
+    def test_construction_runs_no_validating_constructor(self, monkeypatch):
+        # the recipes build their fixed-shape classes and components trusted,
+        # and a resolution whose tails all hold adds no coordinate again
+        built = []
+
+        def counting(cls):
+            real = cls.__post_init__
+
+            def counted(self):
+                built.append(cls)
+                real(self)
+
+            return counted
+
+        for cls in (DivClass, Component):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls))
+        sums = []
+        real_sums = cover._check_component_sums
+
+        def counted_sums(*args):
+            sums.append(args)
+            real_sums(*args)
+
+        monkeypatch.setattr(cover, "_check_component_sums", counted_sums)
+        Component("probe", 1, hirzebruch(0).divisor(0, 1))
+        assert built == [DivClass, Component]
+        resolved = 0
+        for ksq, chi in checks.covered_pairs(6):
+            del built[:], sums[:]
+            _, _, data, pre = recipe(ksq, chi)
+            # building_data checks the sums of the recipe's datum once
+            assert built == [] and len(sums) == 1, (ksq, chi)
+            if pre is None:
+                continue
+            del sums[:]
+            lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
+            assert sums == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
 

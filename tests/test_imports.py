@@ -195,6 +195,49 @@ def test_oracles_name_no_library_form(oracle):
     assert names_reached(source, oracle) & ORACLE_FORBIDDEN == set()
 
 
+def body_names(source: str, function: str) -> set[str]:
+    """Every variable and attribute name that the body of the module-level
+    function reads; the annotations of its signature are left out."""
+    for st in ast.parse(source).body:
+        if isinstance(st, ast.FunctionDef) and st.name == function:
+            return {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for stmt in st.body
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    raise AssertionError(f"no module-level function {function}")
+
+
+# the validating constructors that the recipes' fixed-shape inputs pass by;
+# the degeneration recipes keep them
+RECIPE_FORBIDDEN = frozenset({"divisor", "DivClass", "Component"})
+DATA_RECIPES = [
+    "_genus3_data",
+    "_genus2_family_data",
+    "_one_curve_per_branch",
+    "_ruling_triple_data",
+    "_product_data",
+    "_plane_data",
+]
+
+
+def test_detector_finds_body_names():
+    source = (
+        "def f(d: DivClass) -> Component:\n    return amb.divisor(1, 0)\n"
+        "def g():\n    return _trusted(amb, (1,))\n"
+    )
+    assert body_names(source, "f") & RECIPE_FORBIDDEN == {"divisor"}
+    assert body_names(source, "g") & RECIPE_FORBIDDEN == set()
+
+
+@pytest.mark.parametrize("recipe", DATA_RECIPES)
+def test_data_recipes_build_trusted(recipe):
+    # building_data validates each datum a recipe makes, once
+    source = (SRC / "recipes.py").read_text(encoding="utf-8")
+    assert body_names(source, recipe) & RECIPE_FORBIDDEN == set()
+
+
 def test_modules_found():
     assert {"cli.py", "cover.py", "recipes.py"} <= set(MODULES)
 
