@@ -32,7 +32,6 @@ from .geography import FORMATS, atlas, emit
 from .lattice import (
     HIRZEBRUCH,
     PLANE,
-    Ambient,
     DivClass,
     LatticeError,
     _trusted,
@@ -172,7 +171,7 @@ def check_h0_d3_identity(cert: ConstructionCertificate) -> int | str:
     if cert.region != GENUS2_GENERAL:
         return 0
     ksq, chi = cert.requested_ksq, cert.requested_chi
-    val = h0(cert.data.ambient, cert.data.d3)
+    val = h0(cert.data.d3)
     if val != 8 * chi - 4 - 2 * ksq or val < 8:
         return f"({ksq}, {chi}): h0(D3) = {val}"
     return 1
@@ -229,8 +228,9 @@ def check_oracle_sample() -> CheckResult:
     )
 
 
-def monomial_count(ambient: Ambient, d: DivClass) -> int:
+def monomial_count(d: DivClass) -> int:
     """Sections counted as lattice points, term by term; no closed form."""
+    ambient = d.ambient
     if ambient.kind == PLANE:
         deg = d.coords[0]
         return sum(
@@ -254,7 +254,7 @@ def check_h0_monomial_grid() -> CheckResult:
     amb = plane()
     for deg in range(MONOMIAL_GRID + 1):
         d = amb.divisor(deg)
-        if h0(amb, d) != monomial_count(amb, d):
+        if h0(d) != monomial_count(d):
             return CheckResult("h0MonomialGrid", False, f"plane degree {deg}")
         tested += 1
     for e in range(4):
@@ -262,7 +262,7 @@ def check_h0_monomial_grid() -> CheckResult:
         for a in range(MONOMIAL_GRID + 1):
             for b in range(MONOMIAL_GRID + 1):
                 d = amb.divisor(a, b)
-                if h0(amb, d) != monomial_count(amb, d):
+                if h0(d) != monomial_count(d):
                     return CheckResult(
                         "h0MonomialGrid", False, f"F_{e} class ({a}, {b})"
                     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from .cover import CoverError
 from .checks import CheckResult, run_all
@@ -46,28 +47,28 @@ def _ambient_label(amb: Ambient) -> str:
     return f"F_{amb.e} blown up at {names}"
 
 
-def _print_report(cert, resolution: list[str], details: list[str], notes: list[str]) -> None:
-    """The report both certificate kinds share, with each kind's own lines
-    after the branches, after the invariants and before the status."""
+def _report(cert, resolution: list[str], details: list[str], notes: list[str]) -> str:
+    """The text report both certificate kinds share, with each kind's own
+    lines after the branches, after the invariants and before the status."""
     d, inv = cert.data, cert.invariants
-    print(f"pair: Ksq = {cert.requested_ksq}, chi = {cert.requested_chi}")
-    print(f"region: {cert.region}")
-    print(f"ambient: {_ambient_label(d.ambient)}")
-    print(f"branches: D1 = {d.d1}, D2 = {d.d2}, D3 = {d.d3}")
-    for line in resolution:
-        print(line)
-    print(f"invariants: Ksq = {inv.ksq}, chi = {inv.chi}, pg = {inv.pg}, q = {inv.q}")
-    for line in details:
-        print(line)
+    lines = [
+        f"pair: Ksq = {cert.requested_ksq}, chi = {cert.requested_chi}",
+        f"region: {cert.region}",
+        f"ambient: {_ambient_label(d.ambient)}",
+        f"branches: D1 = {d.d1}, D2 = {d.d2}, D3 = {d.d3}",
+        *resolution,
+        f"invariants: Ksq = {inv.ksq}, chi = {inv.chi}, pg = {inv.pg}, q = {inv.q}",
+        *details,
+    ]
     for c in cert.side_conditions:
         mark = "ok" if c.satisfied else "VIOLATED"
-        print(f"  {mark} {c.name} = {c.value}")
-    for line in notes:
-        print(line)
-    print(f"status: {'OK' if cert.ok else 'FAILED'}")
+        lines.append(f"  {mark} {c.name} = {c.value}")
+    lines += notes
+    lines.append(f"status: {'OK' if cert.ok else 'FAILED'}")
+    return "\n".join(lines) + "\n"
 
 
-def _print_construction(cert) -> None:
+def _construction_report(cert) -> str:
     d = cert.data
     resolution = [f"bundles:  L1 = {d.l1}, L2 = {d.l2}, L3 = {d.l3}"]
     if cert.pre_resolution is not None:
@@ -82,10 +83,10 @@ def _print_construction(cert) -> None:
         details.append(f"fibration: genus {cert.fibration_genus}, epsilon = {cert.epsilon}")
     good = sum(1 for c in cert.side_conditions if c.satisfied)
     details.append(f"side conditions: {good}/{len(cert.side_conditions)} satisfied")
-    _print_report(cert, resolution, details, [f"note: {note}" for note in cert.notes])
+    return _report(cert, resolution, details, [f"note: {note}" for note in cert.notes])
 
 
-def _print_degeneration(dc) -> None:
+def _degeneration_report(dc) -> str:
     details = [f"family: {dc.family_note}", "ledger:"]
     for e in dc.ledger:
         where = f"at {e.witness_point}" if e.witness_point else f"along {e.witness_class}"
@@ -96,7 +97,25 @@ def _print_degeneration(dc) -> None:
         details.append(
             f"normalization: C1 = {n.c1}, C2 = {n.c2}, C3 = {n.c3} (two disjoint copies)"
         )
-    _print_report(dc, [], details, [])
+    return _report(dc, [], details, [])
+
+
+def _write_certificate(cert, as_json: bool, report: Callable) -> int:
+    """Write a certificate as its document or its text report, whole or not
+    at all.  Both are rendered before anything is written, since an integer
+    past the interpreter's digit limit for ``str`` makes rendering raise:
+    a pair just under the limit has side-condition values just over it."""
+    try:
+        text = canonical_json(cert.to_doc()) if as_json else report(cert)
+    except ValueError:
+        print(
+            "error: the certificate holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, which cannot be written",
+            file=sys.stderr,
+        )
+        return 2
+    sys.stdout.write(text)
+    return 0
 
 
 def _require(doc: dict, *keys: str) -> None:
@@ -240,21 +259,12 @@ def _verify_doc(doc: dict) -> list[CheckResult]:
 
 
 def _cmd_construct(args) -> int:
-    cert = construct(args.ksq, args.chi)
-    if args.json:
-        print(canonical_json(cert.to_doc()), end="")
-    else:
-        _print_construction(cert)
-    return 0
+    return _write_certificate(construct(args.ksq, args.chi), args.json, _construction_report)
 
 
 def _cmd_degenerate(args) -> int:
     dc = degenerate(construct(args.ksq, args.chi))
-    if args.json:
-        print(canonical_json(dc.to_doc()), end="")
-    else:
-        _print_degeneration(dc)
-    return 0
+    return _write_certificate(dc, args.json, _degeneration_report)
 
 
 def _cmd_verify(args) -> int:

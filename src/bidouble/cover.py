@@ -234,9 +234,6 @@ class BuildingData:
     def bundles(self) -> tuple[DivClass, DivClass, DivClass]:
         return (self.l1, self.l2, self.l3)
 
-    def branch_total(self) -> DivClass:
-        return self.d1 + self.d2 + self.d3
-
     def branch(self, i: int) -> DivClass:
         if type(i) is not int or not 1 <= i <= 3:
             raise InvalidBuildingData(f"branch index must be 1..3, got {i!r}")
@@ -305,12 +302,11 @@ def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
     return sorted(name for name, n in seen.items() if n > 1)
 
 
-def _check_component_sums(
-    ambient: Ambient, components: Iterable[Component], totals: tuple[DivClass, ...]
-) -> None:
+def _check_component_sums(components: Iterable[Component], totals: tuple[DivClass, ...]) -> None:
     """Each branch's components, counted with their copies, sum to its
-    class; branches in order, and in each a component on another ambient
-    is reported before the sum."""
+    class on the ambient of the totals; branches in order, and in each a
+    component on another ambient is reported before the sum."""
+    ambient = totals[0].ambient
     sums: list[tuple[int, ...] | None] = [None, None, None]
     foreign: list[str | None] = [None, None, None]
     for c in components:
@@ -356,10 +352,10 @@ def building_data(
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
     for i, d in enumerate((d1, d2) if d3.is_zero() else (d1, d2, d3), start=1):
-        if h0_flagged(ambient, d)[0] <= 0:
+        if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
-    _check_component_sums(ambient, comps, (d1, d2, d3))
+    _check_component_sums(comps, (d1, d2, d3))
     names = {c.name for c in comps}
     pts = tuple(incidence)
     seen_pts = set()
@@ -409,9 +405,9 @@ def invariants(bd: BuildingData) -> Invariants:
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
     chi = 4 + tot // 2
-    h1, f1 = h0_flagged(amb, k1)
-    h2, f2 = h0_flagged(amb, k2)
-    h3, f3 = h0_flagged(amb, k3)
+    h1, f1 = h0_flagged(k1)
+    h2, f2 = h0_flagged(k2)
+    h3, f3 = h0_flagged(k3)
     pg = h1 + h2 + h3
     q = pg - chi + 1
     if q < 0:
@@ -587,7 +583,7 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
         _trusted(amb2, d.coords + every) for d in bd.branches() + bd.bundles()
     )
     for i, d in enumerate((d1, d2, d3), start=1):
-        if h0_flagged(amb2, d)[0] <= 0:
+        if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = []
     for c in bd.components:
@@ -597,7 +593,7 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     # distinct components, one per branch, has one copy of each branch
     # through it; otherwise the full check decides, and names a failure
     if not bd.reduced or any(len(via) != 3 for via in through):
-        _check_component_sums(amb2, comps, (d1, d2, d3))
+        _check_component_sums(comps, (d1, d2, d3))
     incidence = tuple(q for q in bd.incidence if q.name in unresolved)
     return _assemble(amb2, d1, d2, d3, l1, l2, l3, tuple(comps), incidence, bd.reduced)
 

@@ -47,8 +47,9 @@ coordinates are ``randrange`` draws on a shared F_e of rank 2.
 makes ``_trusted``, and it is the one place that builds a value type
 without its frozen ``__init__`` and ``__post_init__``: ``cover`` and
 ``recipes`` take from it their builders of components, building data,
-invariants and certificates whose fields have passed every check or, for
-the recipes' components, are literals and exact integers.
+invariants, side conditions and certificates whose fields have passed
+every check or, for the recipes' components, are literals and exact
+integers.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,
@@ -134,11 +135,18 @@ class PointLabel:
     def __post_init__(self) -> None:
         if type(self.name) is not str:
             raise LatticeError(f"point name must be a string, got {self.name!r}")
-        object.__setattr__(self, "branches", frozenset(self.branches))
-        object.__setattr__(self, "components", tuple(self.components))
-        for b in self.branches:
+        # each branch is checked before the frozenset is built, where True
+        # would merge with 1, and a bare string is no sequence of names
+        branches = tuple(self.branches)
+        for b in branches:
             if type(b) is not int:
                 raise LatticeError(f"branch indices must be integers, got {b!r}")
+        if type(self.components) is str:
+            raise LatticeError(
+                f"point components must be a sequence of names, got {self.components!r}"
+            )
+        object.__setattr__(self, "branches", frozenset(branches))
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.branches <= {1, 2, 3}:
             raise LatticeError(
                 f"branch indices must lie in {{1,2,3}}, got {sorted(self.branches)}"
@@ -257,7 +265,9 @@ def plane() -> Ambient:
 
 
 def hirzebruch(e: int) -> Ambient:
-    amb = _HIRZEBRUCH.get(e)
+    # True and 2.0 hash like 1 and 2, so only an int may hit the cache;
+    # anything else goes to the constructor, which refuses it
+    amb = _HIRZEBRUCH.get(e) if type(e) is int else None
     return amb if amb is not None else Ambient(HIRZEBRUCH, e)
 
 
@@ -365,16 +375,16 @@ def intersect(a: DivClass, b: DivClass) -> int:
     return s
 
 
-def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
-    """h0 together with a flag marking use of the generic-position estimate.
+def h0_flagged(d: DivClass) -> tuple[int, bool]:
+    """h0 of ``d`` on its own ambient, together with a flag marking use of
+    the generic-position estimate.
 
     On the plane and on F_e the value is exact and the flag is False.  On a
     blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are supported;
     the value is max(0, h0(A) - #{m_i = 1}), an estimate valid for points in
     general position, and the flag is True exactly when some m_i = 1.
     """
-    if d.ambient is not ambient and d.ambient != ambient:
-        raise AmbientMismatch("class does not live on the given ambient")
+    ambient = d.ambient
     u = d.coords
     if ambient.kind == PLANE:
         n = u[0]
@@ -405,8 +415,8 @@ def h0_flagged(ambient: Ambient, d: DivClass) -> tuple[int, bool]:
     return (max(0, base - k), True) if k else (base, False)
 
 
-def h0(ambient: Ambient, d: DivClass) -> int:
-    return h0_flagged(ambient, d)[0]
+def h0(d: DivClass) -> int:
+    return h0_flagged(d)[0]
 
 
 def _blowup_pairings(d: DivClass) -> list[int]:
@@ -421,8 +431,9 @@ def _blowup_pairings(d: DivClass) -> list[int]:
     return vals
 
 
-def positivity(ambient: Ambient, d: DivClass) -> str:
-    """Positivity verdict: Ample, NefOnly, Unknown or NotNef.
+def positivity(d: DivClass) -> str:
+    """Positivity verdict of ``d`` on its own ambient: Ample, NefOnly,
+    Unknown or NotNef.
 
     Exact on the plane and on F_e.  On blow-ups of F_0 the Ample branch is a
     sufficient test (the coefficient bound sum c_i < a + b rules out curves
@@ -430,8 +441,7 @@ def positivity(ambient: Ambient, d: DivClass) -> str:
     test pairing nonnegative, at least one zero, and d.d >= 0.  Blow-ups of
     F_e with e > 0 only ever report NotNef or Unknown.
     """
-    if d.ambient is not ambient and d.ambient != ambient:
-        raise AmbientMismatch("class does not live on the given ambient")
+    ambient = d.ambient
     if ambient.kind == PLANE:
         n = d.coords[0]
         if n > 0:

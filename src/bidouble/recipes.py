@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .cover import (
     BuildingData,
@@ -79,25 +78,22 @@ def classify(ksq: int, chi: int) -> str:
     return NOT_COVERED
 
 
-class SideCondition(NamedTuple):
-    """A recorded condition, its value and whether it holds.  A named tuple,
-    since a certificate builds six or more: it is immutable and hashable, and
-    it equals only another SideCondition with the same fields."""
+@dataclass(frozen=True, slots=True)
+class SideCondition:
+    """A recorded condition, its value and whether it holds.  It equals only
+    another SideCondition with the same fields.  The recipes build theirs,
+    six or more a certificate, through ``_condition``."""
 
     name: str
     value: int | bool | str
     satisfied: bool
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is SideCondition and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
     def to_doc(self) -> dict:
         return {"name": self.name, "value": self.value, "satisfied": self.satisfied}
+
+
+# a side condition's fields need no check, so the frozen __init__ is passed by
+_condition = _builder(SideCondition)
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +252,7 @@ def _product_data(chi: int) -> BuildingData:
     return building_data(_F0, _trusted(_F0, (6, 0)), d2, _F0.zero(), comps)
 
 
-def _smooth_stamp(amb: Ambient, d: DivClass, fibers: bool) -> tuple[str, bool]:
+def _smooth_stamp(d: DivClass, fibers: bool) -> tuple[str, bool]:
     """Why the general member of a branch of class ``d`` is smooth; recorded,
     not proved.  ``fibers`` says the branch has components, each a ruling
     fiber.
@@ -268,6 +264,7 @@ def _smooth_stamp(amb: Ambient, d: DivClass, fibers: bool) -> tuple[str, bool]:
     """
     if d.is_zero():
         return ("empty branch", True)
+    amb = d.ambient
     if amb.kind == PLANE:
         return ("basepoint-free class", d.coords[0] >= 0)
     prefix = "strict transform of " if amb.kind == BLOWUP else ""
@@ -296,7 +293,7 @@ def _stamps(bd: BuildingData) -> list[SideCondition]:
         i = c.branch - 1
         fibers[i] = fibers[i] is not False and c.cls.coords[:2] in ruling
     return [
-        SideCondition(name, *_smooth_stamp(amb, d, bool(f)))
+        _condition(name, *_smooth_stamp(d, bool(f)))
         for name, d, f in zip(_STAMP_NAMES, bd.branches(), fibers)
     ]
 
@@ -311,12 +308,12 @@ def _genus2_conditions(
     d12 = intersect(base.d1, base.d2)
     d13 = intersect(base.d1, base.d3)
     d23 = intersect(base.d2, base.d3)
-    h0d3 = h0(base.ambient, base.d3)
+    h0d3 = h0(base.d3)
     return [
-        SideCondition("D1.D2", d12, d12 > 0),
-        SideCondition("D1.D3", d13, d13 > 0),
-        SideCondition("D2.D3", d23, d23 > 0),
-        SideCondition("h0(D3)", h0d3, h0d3 == 8 * chi - 4 - 2 * ksq and h0d3 >= 8),
+        _condition("D1.D2", d12, d12 > 0),
+        _condition("D1.D3", d13, d13 > 0),
+        _condition("D2.D3", d23, d23 > 0),
+        _condition("h0(D3)", h0d3, h0d3 == 8 * chi - 4 - 2 * ksq and h0d3 >= 8),
     ]
 
 
@@ -326,8 +323,8 @@ def _line5_conditions(
     cand = intersect(base.d1, base.d2)
     marked = sum(1 for p in base.incidence if p.is_triple)
     return [
-        SideCondition("triplePointCandidates", cand, cand >= 1),
-        SideCondition("markedTriplePoints", marked, marked == 1),
+        _condition("triplePointCandidates", cand, cand >= 1),
+        _condition("markedTriplePoints", marked, marked == 1),
     ]
 
 
@@ -337,9 +334,9 @@ def _genus3_conditions(
     alpha, eps = params["alpha"], params["epsilon"]
     d23 = intersect(base.d2, base.d3)
     return [
-        SideCondition("alpha", alpha, alpha >= 4),
-        SideCondition("D2.D3", d23, d23 >= 6),
-        SideCondition("markedTriplePoints", eps, eps <= d23),
+        _condition("alpha", alpha, alpha >= 4),
+        _condition("D2.D3", d23, d23 >= 6),
+        _condition("markedTriplePoints", eps, eps <= d23),
     ]
 
 
@@ -443,7 +440,7 @@ def _candidates(i: int, j: int) -> Availability:
 
     def check(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
         cand = intersect(data.branch(i), data.branch(j))
-        return (SideCondition("triplePointCandidates", cand, cand >= 1),)
+        return (_condition("triplePointCandidates", cand, cand >= 1),)
 
     return check
 
@@ -451,12 +448,12 @@ def _candidates(i: int, j: int) -> Availability:
 def _shared_fits(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
     rest = data.d2 - data.d1
     fits = rest.coords[0] == 0 and rest.coords[1] >= 0
-    return (SideCondition("sharedComponentFits", str(rest), fits),)
+    return (_condition("sharedComponentFits", str(rest), fits),)
 
 
 def _spare_fibers(cert: ConstructionCertificate, data: BuildingData) -> tuple[SideCondition, ...]:
     spare = cert.parameters["alpha"] - cert.parameters["epsilon"]
-    return _candidates(2, 3)(cert, data) + (SideCondition("spareFibers", spare, spare >= 1),)
+    return _candidates(2, 3)(cert, data) + (_condition("spareFibers", spare, spare >= 1),)
 
 
 @dataclass(frozen=True)
@@ -621,7 +618,7 @@ def certify(
     """
     conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
-    amp = positivity(data.ambient, inv.two_k_plus_b)
+    amp = positivity(inv.two_k_plus_b)
     ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
     # the fibration is the preimage of the ruling F, and L_i.F is the first
     # coordinate of L_i: a fiber's cover is connected exactly when every

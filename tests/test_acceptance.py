@@ -244,7 +244,7 @@ def test_criterion_8_section_counts(sweep):
         lattice_points = sum(
             1 for i in range(deg + 1) for j in range(deg + 1 - i)
         )
-        if h0(amb, amb.divisor(deg)) != lattice_points:
+        if h0(amb.divisor(deg)) != lattice_points:
             bad.append(("plane", deg))
     for e in range(4):
         amb = hirzebruch(e)
@@ -255,14 +255,14 @@ def test_criterion_8_section_counts(sweep):
                     for i in range(a + 1)
                     for j in range(b - i * e + 1)
                 )
-                if h0(amb, amb.divisor(a, b)) != lattice_points:
+                if h0(amb.divisor(a, b)) != lattice_points:
                     bad.append((e, a, b))
     seen = 0
     for (ksq, chi), cert in certs.items():
         if cert.region != GENUS2_GENERAL:
             continue
         seen += 1
-        val = h0(cert.data.ambient, cert.data.d3)
+        val = h0(cert.data.d3)
         if val != 8 * chi - 4 - 2 * ksq or val < 8:
             bad.append((ksq, chi, val))
     report(

@@ -118,6 +118,17 @@ class TestConstruct:
         assert "not covered" in err
         assert "8chi-8 < K^2 < 9chi" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_past_digit_limit_exit_two(self, capsys, flags):
+        # both inputs have as many digits as str() may write, and the side
+        # condition h0(D3) = 4chi + 6 one more
+        chi = 3 * 10 ** (sys.get_int_max_str_digits() - 1)
+        ksq = 2 * chi - 5
+        assert classify(ksq, chi) == "Genus2General"
+        code, out, err = run(capsys, "construct", str(ksq), str(chi), *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_resolved_family_mentions_origin(self, capsys):
         _, out, _ = run(capsys, "construct", "7", "3")
         assert "resolved from:" in out

@@ -383,7 +383,7 @@ class TestSweep:
             cert = construct(ksq, chi)
             if cert.region != GENUS2_GENERAL:
                 continue
-            val = h0(cert.data.ambient, cert.data.d3)
+            val = h0(cert.data.d3)
             assert val == 8 * chi - 4 - 2 * ksq
             assert val >= 8
 
