@@ -48,8 +48,9 @@ the effectivity of the lifted branch classes, the lifted component sums,
 and at each point a single copy of one component per branch.  The lifted
 sums are checked on the exceptional tails, the only coordinates a blow-up
 adds, and the full sum check runs only to name a failure.  ``recipes``
-builds its fixed-shape components with ``_lift`` too, since their fields
-are literals or exact integers, and leaves the checks to
+builds its fixed-shape components with ``_lift`` too, in its construction
+and its degeneration recipes, since their fields are literals, exact
+integers or classes of validated data, and leaves the checks to
 ``building_data``.
 """
 
@@ -146,6 +147,14 @@ class Invariants:
     two_k_plus_b: DivClass | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("ksq", "chi", "pg", "q"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidBuildingData(f"{name} must be an integer, got {value!r}")
+        if type(self.pg_estimated) is not bool:
+            raise InvalidBuildingData(
+                f"pg_estimated must be a boolean, got {self.pg_estimated!r}"
+            )
         if self.q != self.pg - self.chi + 1:
             raise InvalidBuildingData("q must equal pg - chi + 1")
         if self.q < 0:
@@ -290,7 +299,8 @@ class BuildingData:
 
 
 # a component whose fields need no check, lifted to a blow-up or built by a
-# recipe from literals and exact integers, and data whose every check has passed
+# recipe from literals, exact integers and validated classes, and data whose
+# every check has passed
 _lift = _builder(Component)
 _assemble = _builder(BuildingData)
 
@@ -310,6 +320,8 @@ def _check_component_sums(components: Iterable[Component], totals: tuple[DivClas
     sums: list[tuple[int, ...] | None] = [None, None, None]
     foreign: list[str | None] = [None, None, None]
     for c in components:
+        if type(c) is not Component:
+            raise InvalidBuildingData(f"component {c!r} is not a Component")
         i = c.branch - 1
         cls = c.cls
         if cls.ambient is not ambient and cls.ambient != ambient:
@@ -342,12 +354,17 @@ def building_data(
 ) -> BuildingData:
     """Validate and assemble cover building data.
 
-    Checks parity, nonzero derived bundles, effectivity of the branch
-    classes, per-branch component sums and incidence consistency.  A
+    Checks the types of the entries and of the flag, parity, nonzero
+    derived bundles, effectivity of the branch classes, per-branch
+    component sums and incidence consistency.  A
     repeated component makes the total branch non-reduced, which the
     standard validator rejects; degeneration callers pass
     ``allow_nonreduced=True``.
     """
+    if type(allow_nonreduced) is not bool:
+        raise InvalidBuildingData(
+            f"allow_nonreduced must be a boolean, got {allow_nonreduced!r}"
+        )
     if d1.is_zero() or d2.is_zero():
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
@@ -360,6 +377,8 @@ def building_data(
     pts = tuple(incidence)
     seen_pts = set()
     for p in pts:
+        if type(p) is not PointLabel:
+            raise InvalidBuildingData(f"marked point {p!r} is not a PointLabel")
         if p.name in seen_pts:
             raise InvalidBuildingData(f"marked point {p.name!r} repeated")
         seen_pts.add(p.name)

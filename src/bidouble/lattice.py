@@ -39,17 +39,18 @@ itself and appends each class's exceptional tail to its coordinates on the
 ambient it extends.  Two builders of fixed-shape inputs use ``_trusted``
 too, since each coordinate they pass is an ``int`` by construction and
 their count is the ambient's rank: the data recipes of ``recipes`` (the
-plane, Genus2, ruling-triple, Genus3 and product data), whose coordinates
-are literals or integer arithmetic on a pair that ``recipe`` has refused
-unless it is two ``int``s, and the sampler of ``check``'s oracle, whose
-coordinates are ``randrange`` draws on a shared F_e of rank 2.
+plane, Genus2, Genus3 and product data, and the shared-section
+degeneration's fiber on F_e), whose coordinates are literals or integer
+arithmetic on a pair that ``recipe`` has refused unless it is two
+``int``s, and the sampler of ``check``'s oracle, whose coordinates are
+``randrange`` draws on a shared F_e of rank 2.
 ``building_data`` validates each datum they make, once.  ``_builder``
 makes ``_trusted``, and it is the one place that builds a value type
 without its frozen ``__init__`` and ``__post_init__``: ``cover`` and
 ``recipes`` take from it their builders of components, building data,
 invariants, side conditions and certificates whose fields have passed
-every check or, for the recipes' components, are literals and exact
-integers.
+every check or, for the recipes' components, are literals, exact
+integers and classes of data already validated.
 Integers read from a document pass the same rule (``doc_int``) before they
 reach a constructor, so a JSON boolean or float never passes as a
 coordinate; booleans and names are checked the same way (``doc_bool``,

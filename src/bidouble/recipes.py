@@ -168,7 +168,8 @@ def _genus3_parameters(ksq: int, chi: int) -> dict[str, int]:
 # The data recipes build their classes with _trusted and their components
 # with cover._lift: every coordinate and count is a literal or exact integer
 # arithmetic on the pair, which recipe has refused unless it is two ints, and
-# building_data then validates the datum once.
+# building_data then validates the datum once.  The degeneration recipes do
+# the same from the validated data they degenerate.
 
 
 def _one_curve_per_branch(amb: Ambient, d1: DivClass, d2: DivClass, d3: DivClass) -> BuildingData:
@@ -196,28 +197,15 @@ def _plane_data(deg2: int, deg3: int) -> BuildingData:
 
 
 # the recipes' fixed pieces on F_0, built once: the two rulings D0 and F,
-# Genus3's marked fibers and points (epsilon <= 3), and the ruling-triple
-# data but for D2
+# and Genus3's marked fibers and points, p1..p(epsilon) for the recipe
+# (epsilon <= 3) and p(epsilon+1) for its degeneration
 _F0 = hirzebruch(0)
 _D0 = _F0.divisor(1, 0)
 _FIBER = _F0.divisor(0, 1)
 _GENUS3_FIBERS = tuple(Component(f"f{i}", 1, _FIBER) for i in (1, 2, 3))
 _GENUS3_POINTS = tuple(
-    PointLabel(f"p{i}", _TRIPLE, (f"f{i}", "d2", "d3")) for i in (1, 2, 3)
+    PointLabel(f"p{i}", _TRIPLE, (f"f{i}", "d2", "d3")) for i in (1, 2, 3, 4)
 )
-_RULING_D1 = _F0.divisor(1, 2)
-_RULING_D3 = _F0.divisor(3, 0)
-_RULING_DELTAS = tuple(Component(f"delta{i}", 3, _D0) for i in (1, 2, 3))
-_RULING_POINT = PointLabel("p", _TRIPLE, ("d1", "d2", "delta1"))
-
-
-def _ruling_triple_data(chi: int, marked: bool) -> BuildingData:
-    # D1 = D0+2F, D2 = D0+2chi F, D3 = three members of |D0| on F_0; when
-    # marked, the first member passes through a point of D1 and D2
-    d2 = _trusted(_F0, (1, 2 * chi))
-    comps = (_lift("d1", 1, _RULING_D1, 1), _lift("d2", 2, d2, 1), *_RULING_DELTAS)
-    incidence = (_RULING_POINT,) if marked else ()
-    return building_data(_F0, _RULING_D1, d2, _RULING_D3, comps, incidence)
 
 
 def _genus3_data(params: dict[str, int]) -> BuildingData:
@@ -317,24 +305,17 @@ def _genus2_conditions(
     ]
 
 
-def _line5_conditions(
-    params: dict[str, int], base: BuildingData, ksq: int, chi: int
-) -> list[SideCondition]:
-    cand = intersect(base.d1, base.d2)
-    marked = sum(1 for p in base.incidence if p.is_triple)
-    return [
-        _condition("triplePointCandidates", cand, cand >= 1),
-        _condition("markedTriplePoints", marked, marked == 1),
-    ]
-
-
 def _genus3_conditions(
     params: dict[str, int], base: BuildingData, ksq: int, chi: int
 ) -> list[SideCondition]:
+    """The designated degeneration moves a spare fiber of D1, one that no
+    marked point names, so alpha >= epsilon + 1.  The bound is tight at the
+    foot 4chi - 3 of the Genus3 locus with chi even (alpha = 4, epsilon = 3);
+    on the lines 4chi - 5 and 4chi - 4 alpha is 2 or 3 and epsilon 1 or 0."""
     alpha, eps = params["alpha"], params["epsilon"]
     d23 = intersect(base.d2, base.d3)
     return [
-        _condition("alpha", alpha, alpha >= 4),
+        _condition("alpha", alpha, alpha >= eps + 1),
         _condition("D2.D3", d23, d23 >= 6),
         _condition("markedTriplePoints", eps, eps <= d23),
     ]
@@ -353,19 +334,21 @@ def evaluate_side_conditions(
     return tuple(_stamps(base) + family.conditions(params, base, ksq, chi))
 
 
-LINE5_AMPLENESS_NOTE = (
-    "canonical ampleness not certified: the direct image of 2K pairs to zero "
-    "against the ruling strict transform q*F-E, so the verdict is NefOnly "
-    "(nef and big, since its self-intersection is positive); no implemented "
-    "sufficient test promotes it to Ample"
-)
-
 # NoetherLine's 2K + B is D0 + (chi-2)F on F_2 (even chi) and D0 + (chi-3)F
 # on F_0 (odd chi), so its only NefOnly pair is (2, 4)
 PAIR_2_4_NOTE = (
     "pair (2,4): recipe applied and verified numerically although the direct "
     "image of 2K sits on the nef-cone boundary of F_2, so the ampleness "
     "verdict is NefOnly rather than Ample"
+)
+
+# on Line4chiMinus5 only (3, 2) is NefOnly: on F_0 blown up at p1 its 2K + B
+# is 2D0 + F - E1, which pairs to zero against D0 - E1
+PAIR_3_2_NOTE = (
+    "pair (3,2): recipe applied and verified numerically although the direct "
+    "image of 2K, 2D0+F-E1 on F_0 blown up at p1, pairs to zero against the "
+    "ruling strict transform D0-E1, so the ampleness verdict is NefOnly rather "
+    "than Ample"
 )
 
 
@@ -378,15 +361,15 @@ def _shared_section(src: BuildingData, params: dict[str, int]) -> BuildingData:
     # named d1 now sits in both branches, plus enough fibers to fill the
     # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
     amb = src.ambient
-    fiber = amb.divisor(0, 1)
+    fiber = _trusted(amb, (0, 1))
     rest = src.d2 - src.d1
     if rest.coords[0] != 0 or rest.coords[1] < 0:
         raise DegenerationError(
             f"D2 - D1 = {rest} is not a nonnegative fiber multiple"
         )
-    branch2 = [Component("d1", 2, src.d1)]
-    branch2 += [Component(f"f{i}", 2, fiber) for i in range(1, rest.coords[1] + 1)]
-    comps = (Component("d1", 1, src.d1), *branch2, Component("d3", 3, src.d3))
+    branch2 = [_lift("d1", 2, src.d1, 1)]
+    branch2 += [_lift(f"f{i}", 2, fiber, 1) for i in range(1, rest.coords[1] + 1)]
+    comps = (_lift("d1", 1, src.d1, 1), *branch2, _lift("d3", 3, src.d3, 1))
     return building_data(
         amb, src.d1, src.d2, src.d3, comps, allow_nonreduced=True
     )
@@ -417,18 +400,19 @@ def _through_point(
 
 def _spare_fiber_through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
     # split one fiber off the unmarked bulk of D1 and pass it through a
-    # point of D2 and D3; the new point is numbered after the resolved ones
-    eps = params["epsilon"]
-    new_fiber = f"f{eps + 1}"
-    comps: list[Component] = []
+    # point of D2 and D3; the new point is numbered after the resolved ones.
+    # Both pieces keep f_rest's class, which is on the blow-up once a point
+    # is resolved
+    point = _GENUS3_POINTS[params["epsilon"]]
+    new_fiber = point.components[0]
+    comps = []
     for c in data.components:
         if c.name != "f_rest":
             comps.append(c)
             continue
-        comps.append(Component(new_fiber, 1, c.cls))
+        comps.append(_lift(new_fiber, 1, c.cls, 1))
         if c.count > 1:
-            comps.append(Component("f_rest", 1, c.cls, c.count - 1))
-    point = PointLabel(f"p{eps + 1}", _TRIPLE, (new_fiber, "d2", "d3"))
+            comps.append(_lift("f_rest", 1, c.cls, c.count - 1))
     return _with_point(data, tuple(comps), point)
 
 
@@ -485,17 +469,20 @@ class Family:
     degeneration: Degeneration | None
 
 
+# Genus3's designated degeneration, shared with the two lines below its
+# foot, which are built by its recipe too
+_GENUS3_DEGENERATION = Degeneration(
+    _spare_fiber_through_point,
+    "one more fiber of the first branch moves through a point of the other branches",
+    _spare_fibers,
+)
+
 # walked in this order by classify: Genus3 and Genus2General hold most pairs,
 # and the plane pairs come before the Genus2General strip that holds them
 FAMILIES = (
     Family(
         GENUS3, lambda ksq, chi: 4 * chi - 3 <= ksq <= 8 * chi - 8, _genus3_parameters,
-        _genus3_data, _genus3_conditions, None, "#17becf",
-        Degeneration(
-            _spare_fiber_through_point,
-            "one more fiber of the first branch moves through a point of the other branches",
-            _spare_fibers,
-        ),
+        _genus3_data, _genus3_conditions, None, "#17becf", _GENUS3_DEGENERATION,
     ),
     Family(
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
@@ -535,25 +522,12 @@ FAMILIES = (
         ),
     ),
     Family(
-        LINE_4CHI_MINUS_5, lambda ksq, chi: ksq == 4 * chi - 5, lambda ksq, chi: {"chi": chi},
-        lambda p: _ruling_triple_data(p["chi"], marked=True), _line5_conditions,
-        LINE5_AMPLENESS_NOTE, "#d62728",
-        Degeneration(
-            _through_point("pPrime", ("d1", "d2", "delta2")),
-            "a second ruling member of the third branch moves through a point of "
-            "the strict transforms of the bisections",
-            _candidates(1, 2),
-        ),
+        LINE_4CHI_MINUS_5, lambda ksq, chi: ksq == 4 * chi - 5, _genus3_parameters,
+        _genus3_data, _genus3_conditions, PAIR_3_2_NOTE, "#d62728", _GENUS3_DEGENERATION,
     ),
     Family(
-        LINE_4CHI_MINUS_4, lambda ksq, chi: ksq == 4 * chi - 4, lambda ksq, chi: {"chi": chi},
-        lambda p: _ruling_triple_data(p["chi"], marked=False), _no_conditions, None, "#ff7f0e",
-        Degeneration(
-            _through_point("p", ("d1", "d2", "delta1")),
-            "a ruling member of the third branch moves through a point of the two "
-            "bisections",
-            _candidates(1, 2),
-        ),
+        LINE_4CHI_MINUS_4, lambda ksq, chi: ksq == 4 * chi - 4, _genus3_parameters,
+        _genus3_data, _genus3_conditions, None, "#ff7f0e", _GENUS3_DEGENERATION,
     ),
     Family(
         PRODUCT_LINE, lambda ksq, chi: ksq == 8 * chi, lambda ksq, chi: {"chi": chi},

@@ -7,6 +7,8 @@ arithmetic on coordinate tuples and literal lattice-point enumeration,
 independent of the library's closed forms.
 """
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -17,10 +19,19 @@ from itertools import chain
 import pytest
 
 from bidouble.checks import sample_building_data
-from bidouble.cover import CoverError, invariants, resolve_triple_point
-from bidouble.geography import FORMATS, atlas, emit
-from bidouble.lattice import h0, hirzebruch, plane
-from bidouble.recipes import GENUS2_GENERAL, NOETHER_LINE, PRODUCT_LINE, construct
+from bidouble.cli import main
+from bidouble.cover import QUARTER_POINT, CoverError, invariants, resolve_triple_point
+from bidouble.geography import FORMATS, atlas, canonical_json, emit
+from bidouble.lattice import AMPLE, NEF_ONLY, h0, hirzebruch, plane
+from bidouble.recipes import (
+    GENUS2_GENERAL,
+    LINE_4CHI_MINUS_4,
+    LINE_4CHI_MINUS_5,
+    NOETHER_LINE,
+    PAIR_3_2_NOTE,
+    PRODUCT_LINE,
+    construct,
+)
 from bidouble.degenerations import degenerate
 
 CHI_MAX = 60
@@ -301,4 +312,50 @@ def test_criterion_9_atlas_determinism(tmp_path):
         9,
         "atlas emission is byte-identical across runs (in-process and subprocess)",
         in_process and subprocess_same,
+    )
+
+
+def test_criterion_10_lines_by_the_genus3_recipe(sweep, tmp_path):
+    # the lines 4chi - 5 and 4chi - 4 below the Genus3 foot are built by the
+    # Genus3 recipe: epsilon 1 and 0 resolved points, and a spare fiber
+    # through one new point p(epsilon+1) in the degeneration
+    certs, _ = sweep
+    epsilon = {LINE_4CHI_MINUS_5: 1, LINE_4CHI_MINUS_4: 0}
+    seen = 0
+    bad = []
+    for (ksq, chi), cert in certs.items():
+        if cert.region not in epsilon:
+            continue
+        seen += 1
+        inv = cert.invariants
+        if (
+            not cert.ok
+            or (inv.ksq, inv.chi, inv.q) != (ksq, chi, 0)
+            or inv.pg_estimated
+            or (cert.fibration_genus, cert.epsilon) != (3, epsilon[cert.region])
+        ):
+            bad.append((ksq, chi, "construction"))
+        nef_only = (ksq, chi) == (3, 2)
+        if cert.ampleness != (NEF_ONLY if nef_only else AMPLE) or cert.notes != (
+            (PAIR_3_2_NOTE,) if nef_only else ()
+        ):
+            bad.append((ksq, chi, "ampleness"))
+        dc = degenerate(cert)
+        witness = f"p{cert.epsilon + 1}"
+        if not dc.ok or [(e.kind, e.witness_point) for e in dc.ledger] != [
+            (QUARTER_POINT, witness)
+        ]:
+            bad.append((ksq, chi, "degeneration"))
+        for kind, doc in (("construction", cert.to_doc()), ("degeneration", dc.to_doc())):
+            path = tmp_path / f"{kind}-{ksq}-{chi}.json"
+            path.write_text(canonical_json(doc), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(["verify", str(path)]) != 0:
+                    bad.append((ksq, chi, f"verify {kind}"))
+    report(
+        10,
+        f"{seen} pairs on 4chi - 5 and 4chi - 4 built by the Genus3 recipe, "
+        "exact, degenerate through a spare fiber and verify",
+        seen == 118 and not bad,
+        str(bad[:5]),
     )

@@ -207,7 +207,8 @@ class TestVerify:
     def test_tampered_ampleness_fails(self, capsys, tmp_path):
         path = self.write_doc(capsys, tmp_path, "construct", "7", "3", "--json")
         doc = json.loads(path.read_text())
-        doc["ampleness"] = "Ample"
+        assert doc["ampleness"] == "Ample"
+        doc["ampleness"] = "NefOnly"
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1

@@ -219,6 +219,42 @@ class TestValidation:
             )
 
 
+    def test_component_entry_must_be_a_component(self):
+        # the component-sum loop refuses the entry before reading a field
+        d = hirzebruch(0).divisor(2, 2)
+        with pytest.raises(InvalidBuildingData, match="component 'x' is not a Component"):
+            building_data(hirzebruch(0), d, d, d, ("x",))
+
+    def test_marked_point_entry_must_be_a_point_label(self):
+        d = hirzebruch(0).divisor(2, 2)
+        with pytest.raises(InvalidBuildingData, match="marked point 'p' is not a PointLabel"):
+            building_data(hirzebruch(0), d, d, d, (), ("p",))
+
+    @pytest.mark.parametrize("flag", [1, 0, None, "yes"])
+    def test_allow_nonreduced_must_be_a_boolean(self, flag):
+        d = hirzebruch(0).divisor(2, 2)
+        with pytest.raises(InvalidBuildingData, match="allow_nonreduced must be a boolean"):
+            building_data(hirzebruch(0), d, d, d, allow_nonreduced=flag)
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("ksq", (True, 1, 0, 0, False)),
+            ("chi", (1, 1.0, 0, 0, False)),
+            ("pg", (1, 1, False, 0, False)),
+            ("q", (1, 1, 0, 0.0, False)),
+        ],
+    )
+    def test_invariants_integers_not_coerced(self, field, args):
+        with pytest.raises(InvalidBuildingData, match=f"{field} must be an integer"):
+            Invariants(*args)
+
+    @pytest.mark.parametrize("flag", [1, 0, None])
+    def test_invariants_pg_estimated_must_be_a_boolean(self, flag):
+        with pytest.raises(InvalidBuildingData, match="pg_estimated must be a boolean"):
+            Invariants(1, 1, 0, 0, flag)
+
+
 class TestSingularityScan:
     def test_empty_for_plain_data(self):
         assert singularity_scan(plane_cover(1, 3, 3)) == ()

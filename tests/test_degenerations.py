@@ -62,8 +62,8 @@ class TestMarkedPointFamilies:
             (1, 2, "p", 9),
             (1, 3, "p", 5),
             (20, 7, "p", 12),
-            (8, 3, "p", 8),
-            (7, 3, "pPrime", 7),
+            (8, 3, "p1", 16),
+            (7, 3, "p2", 15),
             (17, 5, "p4", 11),
             (16, 4, "p1", 16),
         ],
@@ -88,11 +88,19 @@ class TestMarkedPointFamilies:
         assert point.branches == frozenset({1, 2, 3})
 
     def test_line5_marks_a_fresh_fiber(self):
+        # alpha = 2 and epsilon = 1: the one spare fiber moves, so no bulk
+        # fiber is left
         dc = degenerate(construct(7, 3))
-        point = dc.data.point("pPrime")
-        assert point.components == ("d1", "d2", "delta2")
-        # the resolved construction point is in the ambient, not incidence
-        assert [p.name for p in dc.data.ambient.points] == ["p"]
+        names = [c.name for c in dc.data.components if c.branch == 1]
+        assert names == ["f1", "f2"]
+        assert dc.data.point("p2").components == ("f2", "d2", "d3")
+        # the resolved construction point is in the ambient, not incidence,
+        # and the new fiber keeps the lifted class, off the exceptional curve
+        assert [p.name for p in dc.data.ambient.points] == ["p1"]
+        assert dc.data.component("f2").cls.coords == (0, 1, 0)
+        by_name = {c.name: c for c in dc.side_conditions}
+        assert by_name["spareFibers"].value == 1
+        assert dc.ok
 
     def test_genus3_splits_the_bulk_fiber(self):
         dc = degenerate(construct(17, 5))

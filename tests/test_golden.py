@@ -59,56 +59,56 @@ from bidouble.recipes import FAMILY, classify, construct
 ATLAS_CHI_MAX = 30
 
 ATLAS_DIGESTS = {
-    "csv": "43f5a9acfed1e91f4fd6ed8ce35db8d4e9eae70b80532c90f90974bbc6881237",
-    "json": "f171c7617a97893fd6321b8d8c0e9b3d3dab4a01ed7880c1bf139160a39bd004",
+    "csv": "1cf823da5c6507e883900caf096adb2f622b2aac505d4f1eb7e1fff68d56b6d4",
+    "json": "3094015a3465488147c321dadc0021faf7a72342b9bd48be1e57c360eaaaaccb",
     "svg": "d1d1d7720221fc2c6eaaf6dbd0e0b442f4779dcecaeb5d78451acdbb3d998a2b",
 }
 
 CHECK_CHI_MAX = 6
-CHECK_DIGEST = "6a5eb0d674dbf2843afb9fecb753e835a0601fb1592797c17feb1f8fd139373b"
+CHECK_DIGEST = "287f7268f65ce2947fabe2d4916e725098d3cd20a1cac1eb035336bfdbb66a96"
 
 TEXT_CHI_MAX = 6
 TEXT_DIGESTS = {
-    "construct": "74af715d95dc017e38103b4c87fb9a814b6e3635e45fb6a8009d8838135e67ff",
-    "degenerate": "6d8842eb20eb36397c6376e01f27b4c530a63626486413ff9ce51e80e216c952",
+    "construct": "d2975465b5a90e55dd0909fdd3ceec820f7f355da0ff789eae5fcb13244276c6",
+    "degenerate": "ed69b64407828ba90cc75c5e6d7aa0c1e41b8a98662ac42cdc86bd8c8479fb1c",
 }
 
 SWEEP_CHI_MAX = 60
-SWEEP_DIGEST = "1859d06ab675120b7ff20314c95070e8df79f453c3220cfdd031ec3e9d06f823"
-DEGENERATE_SWEEP_DIGEST = "c0e5191d28e41697ec67338bcb7cf766e312d41bee555dd3f44fdc3c9d3e0675"
+SWEEP_DIGEST = "65198845f618c9c8161427b18e97896a2f01fb04b4e068ff24963fa6f3578938"
+DEGENERATE_SWEEP_DIGEST = "46dfd02336167c8d7b7c326fdb27958bd59e04bf2c0ae6e7e4a0f51359c5f5f0"
 
 ORACLE_STREAM_DRAWS = 10_120
 ORACLE_STREAM_DIGEST = "e519cdefa835e85b1a78f44c669fd90d8adc4310e21e52c8cd04e79920106599"
 
-VERIFY_DIGEST = "5404f7c89f6228e16dbb4dabd7c6afbe0ba9d14613560f9322487bc5d4c1cb73"
+VERIFY_DIGEST = "00d92353e7a78b443bf0dfb76fbeba0d2562e204cd588110d692fa2384a5d7d2"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
-    2: "17dac4bdf6b634f13a81a071a06226c1cec8713983c04ad4cb1a73fff58a65ca",
-    3: "5b4486ee4a80584e9649dc8443dc522c3ec68c1ea6ff5ccc296eadc3c6cbbc74",
-    4: "493e59f9f2ffcd6f09f41fb7f5ad8d3d184a69b7eca0e135b04f87c7eaf87a60",
-    5: "46a24b609d0d39d475eb7263dcd5f490c6f90c9993b1d9c252325e2d3659c3a6",
-    6: "6344f0628742b0791a497174c9a2a399cad58d9a930e421cbc45fb4fcb9ebe8e",
-    7: "428141f48973ce27853007a0e1eaa3bcb1026fb3146c70afb4cddb2082ce4a5a",
-    8: "91a2e65aa1c4c8924b12a86aae634a43087b2dd2db650a669be2ce7fe307257b",
-    9: "bce32f2a0bc146557a4845782a4d077873d1215fbb71de45848daf78d18c2455",
-    10: "422d1b929c981e13a6df8ffc6cb4ae8debc5e2574c12a801cededf86f1fd71ff",
-    11: "10c16d5d5d59572e1f7b2c0d52620e83db58c423be570757e614716895551a50",
-    12: "4951f992a6e21889eff974ac961d2b4d48c64db889115c85b5110c05d256098d",
+    2: "237b76ad1079c116b8fe39989718cb38e72a59983f38a3afbde0edbee5d507e1",
+    3: "d45a9106a3aa4f3dfede0ec49b10fd1ab37ab2c467b4fbdd1defa6cee470a9a3",
+    4: "e327195092479ed24617fff5e519bddcaea00d6dbac7febad3f91922a6d97cee",
+    5: "5ed33b19031fba21776bf0ec0ea816f0bd488f51371b9892b07f70741eba1ce1",
+    6: "82506505a9082348d2dbbc5624f29abbd7a734ee82cca76d4ddf5f43bb1645ed",
+    7: "adf2a68cb10b4dab87ca4d8e842f370e7f6a5341de5e8d98015fd7f77b63a034",
+    8: "9d3946982a216a8d6fc71d16a01f562eddbac8b105e7f7eb08c8cfd90899fb72",
+    9: "8030399897545fe24d84eaaad924c71ad261e7e3bd5d67cf3d64acd34186d6cb",
+    10: "e223c2f7ab826f94c0c7cd722cc564c46e27c62122a275a150e2c2c20a6d5002",
+    11: "f1d6f15ad53145b88cd63c697b4f6d213df7fb55c82dfb8add47082c7cdde8fd",
+    12: "37f4fa59be2fcc171781ddd986d3ca969ac8472e65b13fa1ccf2e97d6b72d598",
 }
 
 DEGENERATE_DIGESTS = {
-    2: "95d628a24d0e22f088804d8b4afd5097b41f774b0b6a8393d6bed14e432cfaeb",
-    3: "28e3f138bd0a5810671c907dcc234d492795c40a7e9cc1fe71a077e282eacbcd",
-    4: "8d6ba6a3cf37e26209490e2af009d804986553bd8ab0e8c9a7bbe1f117eb2d51",
-    5: "e37353a9e7aabd25b1505156f0eab6da3ed09d1ccdf39d7900a6cb143b064a3a",
-    6: "87b9eef145cf1f2bca5d64e494935433100883a1642e85198497a189f942cadb",
-    7: "129dc40cf7062bdc89b787265cabe9dffaec1cf6f08892b6017d72b8d953945a",
-    8: "4182269ad6deb174946a997434474d91a00f03edbb19b3ba6584aac91c2ea075",
-    9: "82985da5b848bedf0828ba394e8a90aed2bdf6723f1cc2330109f6a1c3dc00a1",
-    10: "f6ca64e29b384a271afda253cc058d6dde5f7f6e1a62e1d376fba18db1a5034a",
-    11: "fd3058cc9f1f12f1f7b9ac05cf6a400e20137eb66b593f0c72b80405787e19ec",
-    12: "1b863b64f16a1f07fcb6d792e49fa0d9d13fb3f910557cbfff37d4cddab101a5",
+    2: "c2f69f757c042d000d397196260e81a94974dfbe998a900524e42674e6582d5c",
+    3: "1b54fde6fddc7f712ebec8531ab5e247c09f9cf4f57569b6fd3e84b953f126e8",
+    4: "f9df97e75d5de96b704c19ccc144a0eda133d480a2aaf97ba82a4a908b9bcf7a",
+    5: "a673fe4f5f53104ba3dc2af76aae3ba488c4a285577bccc7940e8622ee28dda6",
+    6: "7cca1d72f4bfefdfc5407c12ca801a082148fe519cdb1ddf3f51af4515244925",
+    7: "c62ae43a073fad2aac2cfaacf44ea9aefa18af997247f70f97972966b686b5b1",
+    8: "3f163205c73b1b9eb8c48ce4ec2259532b692616efe5794403ca853f5a33b29c",
+    9: "23ef2a037bad5f42c722121af9959ee79ec1add71f709f397bbb478e98f9d309",
+    10: "ed9f7c89e01bbc448664bbf5dc2f46f08b49931c73591c544728de9f41477dde",
+    11: "640b8896da70299013485a8d545f62b9fce34d031f91c4b0d7502c273d5563f5",
+    12: "0218943c28185b34f806fc09dda40e5c79bbaffa773334c893099e0be5469495",
 }
 
 

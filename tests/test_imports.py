@@ -209,16 +209,17 @@ def body_names(source: str, function: str) -> set[str]:
     raise AssertionError(f"no module-level function {function}")
 
 
-# the validating constructors that the recipes' fixed-shape inputs pass by;
-# the degeneration recipes keep them
+# the validating constructors that the data recipes pass by: those of the
+# constructions and the two degenerations that build new components
 RECIPE_FORBIDDEN = frozenset({"divisor", "DivClass", "Component"})
 DATA_RECIPES = [
     "_genus3_data",
     "_genus2_family_data",
     "_one_curve_per_branch",
-    "_ruling_triple_data",
     "_product_data",
     "_plane_data",
+    "_spare_fiber_through_point",
+    "_shared_section",
 ]
 
 

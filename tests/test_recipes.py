@@ -22,6 +22,7 @@ from bidouble.recipes import (
     NOETHER_LINE,
     NOT_ADMISSIBLE,
     NOT_COVERED,
+    PAIR_3_2_NOTE,
     PLANE_SPECIAL_12,
     PLANE_SPECIAL_13,
     PRODUCT_LINE,
@@ -280,25 +281,44 @@ class TestConstructFrozen:
         assert cert.notes == ()
 
     def test_line5_7_3(self):
+        # the Genus3 recipe below its foot: alpha = 2 fibers, one of them
+        # through the marked point p1 of D2 = 2D0+4F and D3 = 4D0
         cert = construct(7, 3)
         inv = cert.invariants
         assert (inv.ksq, inv.chi, inv.pg, inv.q) == (7, 3, 2, 0)
-        assert cert.ampleness == NEF_ONLY
-        assert any("NefOnly" in n for n in cert.notes)
+        assert cert.parameters == {"alpha": 2, "beta": 4, "gamma": 0, "epsilon": 1}
+        assert cert.ampleness == AMPLE
+        assert cert.notes == ()
+        assert (cert.fibration_genus, cert.epsilon) == (3, 1)
         assert cert.pre_resolution is not None
         from bidouble.cover import invariants as cover_invariants
 
         pre = cover_invariants(cert.pre_resolution)
         assert (pre.ksq, pre.chi) == (8, 3)
-        assert cert.data.ambient.points[0].name == "p"
+        assert [p.name for p in cert.data.ambient.points] == ["p1"]
+        by_name = {c.name: c for c in cert.side_conditions}
+        assert (by_name["alpha"].value, by_name["alpha"].satisfied) == (2, True)
         assert cert.ok
 
     def test_line4_8_3(self):
         cert = construct(8, 3)
         inv = cert.invariants
         assert (inv.ksq, inv.chi, inv.pg, inv.q) == (8, 3, 2, 0)
+        assert cert.parameters == {"alpha": 2, "beta": 4, "gamma": 0, "epsilon": 0}
         assert cert.ampleness == AMPLE
+        assert (cert.fibration_genus, cert.epsilon) == (3, 0)
         assert cert.pre_resolution is None
+        assert [c.name for c in cert.data.components] == ["f_rest", "d2", "d3"]
+        assert cert.ok
+
+    def test_line5_3_2_nef_only(self):
+        # on F_0 blown up at p1, 2K + B = 2D0 + F - E1 pairs to zero
+        # against the strict transform D0 - E1 of the ruling through p1
+        cert = construct(3, 2)
+        assert cert.invariants.two_k_plus_b.coords == (2, 1, -1)
+        assert intersect(cert.invariants.two_k_plus_b, cert.data.ambient.divisor(1, 0, -1)) == 0
+        assert cert.ampleness == NEF_ONLY
+        assert cert.notes == (PAIR_3_2_NOTE,)
         assert cert.ok
 
     def test_product_24_3(self):
@@ -390,7 +410,7 @@ class TestSweep:
     def test_ampleness_exceptions_are_exactly_two_families(self):
         for ksq, chi in covered_pairs(10):
             cert = construct(ksq, chi)
-            if cert.region == LINE_4CHI_MINUS_5 or (ksq, chi) == (2, 4):
+            if (ksq, chi) in ((2, 4), (3, 2)):
                 assert cert.ampleness == NEF_ONLY, (ksq, chi)
                 assert cert.notes == (FAMILY[cert.region].nef_only_note,)
                 assert isinstance(cert.notes[0], str)
@@ -407,8 +427,8 @@ FIBRATION_GENUS = {
     GENUS3: 3,
     GENUS2_GENERAL: 2,
     NOETHER_LINE: 2,
-    LINE_4CHI_MINUS_5: 2,
-    LINE_4CHI_MINUS_4: 2,
+    LINE_4CHI_MINUS_5: 3,
+    LINE_4CHI_MINUS_4: 3,
     PRODUCT_LINE: None,
 }
 
