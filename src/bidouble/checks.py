@@ -112,11 +112,12 @@ def check_classify_totality(chi_max: int = 12) -> CheckResult:
 def check_construction_sweep(cert: ConstructionCertificate) -> int | str:
     ksq, chi = cert.requested_ksq, cert.requested_chi
     inv = cert.invariants
+    # ok includes the pair match, so the match is tested first to be named
+    if (inv.ksq, inv.chi) != (ksq, chi):
+        return f"({ksq}, {chi}) rebuilt as ({inv.ksq}, {inv.chi})"
     if not cert.ok:
         bad = [c.name for c in cert.side_conditions if not c.satisfied]
         return f"({ksq}, {chi}) failed conditions {bad}"
-    if (inv.ksq, inv.chi) != (ksq, chi):
-        return f"({ksq}, {chi}) rebuilt as ({inv.ksq}, {inv.chi})"
     if inv.pg_estimated:
         return f"({ksq}, {chi}) pg only estimated"
     if cert.region == PRODUCT_LINE:

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from .lattice import (
-    _TRIPLE,
     BLOWUP,
     PLANE,
     Ambient,
@@ -356,10 +355,11 @@ def building_data(
 
     Checks the types of the entries and of the flag, parity, nonzero
     derived bundles, effectivity of the branch classes, per-branch
-    component sums and incidence consistency.  A
-    repeated component makes the total branch non-reduced, which the
-    standard validator rejects; degeneration callers pass
-    ``allow_nonreduced=True``.
+    component sums and incidence consistency: distinct point names, and
+    a point that names components names known ones, each once, lying on
+    exactly the point's branches.  A repeated component makes the total
+    branch non-reduced, which the standard validator rejects; degeneration
+    callers pass ``allow_nonreduced=True``.
     """
     if type(allow_nonreduced) is not bool:
         raise InvalidBuildingData(
@@ -382,11 +382,21 @@ def building_data(
         if p.name in seen_pts:
             raise InvalidBuildingData(f"marked point {p.name!r} repeated")
         seen_pts.add(p.name)
+        if not p.components:
+            continue
         for cname in p.components:
             if cname not in names:
                 raise InvalidBuildingData(
                     f"point {p.name!r} names unknown component {cname!r}"
                 )
+        if len(set(p.components)) != len(p.components):
+            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
+        on = {c.branch for c in comps if c.name in p.components}
+        if on != p.branches:
+            raise InvalidBuildingData(
+                f"point {p.name!r} lies on branches {sorted(p.branches)}, "
+                f"but the components it names lie on branches {sorted(on)}"
+            )
     reduced = len(names) == len(comps)
     if not reduced and not allow_nonreduced:
         raise InvalidBuildingData(
@@ -545,13 +555,12 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     do, so only the exceptional tails can fail: each component's tail is
     computed once, and the sums hold exactly when, per branch and per
     point, one copy of the branch's components passes through the point.
-    In reduced data each name is one component, and the components a point
-    names are single copies covering all three branches, so every such
-    count is one exactly when the point names three distinct components.
-    A point naming two components of one branch fails that, and data that
-    is not reduced, where one name may lie in two branches, never passes
-    it.  Only then does the full sum check run, to decide and to name a
-    failure as ``building_data`` would.  The blow-up ambient is built
+    In reduced data each name is one component, and a point names distinct
+    single copies covering all three branches, as ``building_data`` showed,
+    so every such count is one exactly when it names three components; data
+    that is not reduced, where one name may lie in two branches, never
+    passes that.  Only then does the full sum check run, to decide and to
+    name a failure as ``building_data`` would.  The blow-up ambient is built
     through its validating constructor, which refuses a point named like a
     centre already there.
 
@@ -567,7 +576,7 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     marked: list[PointLabel] = []
     through: list[frozenset[str]] = []
     # the marked points left to resolve (bd's names are distinct), and the
-    # first component of each name, as bd.component finds it
+    # first component of each name
     unresolved = {p.name: p for p in bd.incidence}
     by_name = {c.name: c for c in reversed(bd.components)}
     for name in names:
@@ -579,18 +588,16 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
             raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
         if bd.ambient.kind == PLANE:
             raise CoverError("triple point resolution is implemented on ruled models only")
-        branches = set()
-        for cname in p.components:
-            c = by_name.get(cname) or bd.component(cname)
-            if c.count != 1:
-                raise CoverError(
-                    f"component {cname!r} through {p.name!r} must be a single copy"
-                )
-            branches.add(c.branch)
-        if branches != _TRIPLE:
+        # bd's validation showed that named components lie on the point's branches
+        if not p.components:
             raise CoverError(
                 f"point {p.name!r} must name exactly one component per branch to resolve"
             )
+        for cname in p.components:
+            if by_name[cname].count != 1:
+                raise CoverError(
+                    f"component {cname!r} through {p.name!r} must be a single copy"
+                )
         marked.append(p)
         through.append(frozenset(p.components))
     if not marked:

@@ -122,10 +122,12 @@ def degeneration_certificate(
 ) -> DegenerationCertificate:
     """Derive every other field of a degeneration certificate from its data.
 
-    Invariants are recomputed from the degenerate data and must match the
-    parent; the singularity scan supplies the index-2 ledger.  Shared by
-    degenerate and by certificate verification.  Raises DegenerationError
-    for the product family, which stays smooth.
+    Invariants are recomputed from the degenerate data; the singularity scan
+    supplies the index-2 ledger.  The certificate is ok only over an ok
+    parent, with every availability condition satisfied, the parent's
+    invariants kept and a non-empty ledger.  Shared by degenerate and by
+    certificate verification.  Raises DegenerationError for the product
+    family, which stays smooth.
     """
     note = designated(parent.region).note
     inv = invariants(data)
@@ -133,7 +135,8 @@ def degeneration_certificate(
     conds = availability_conditions(parent, data)
     norm = None if data.reduced else _normalization_from_data(data)
     ok = (
-        all(c.satisfied for c in conds)
+        parent.ok
+        and all(c.satisfied for c in conds)
         and inv == parent.invariants
         and bool(ledger)
     )

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -14,16 +15,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidouble import checks, geography
+from bidouble import checks, cover, geography, recipes
 from bidouble.cli import main
 from bidouble.geography import canonical_json
-from bidouble.recipes import FAMILIES, classify
+from bidouble.recipes import FAMILIES, GENUS3, classify, construct
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_marked_triple_points(monkeypatch):
+    """Make Genus3's markedTriplePoints condition fail on every pair, so
+    that a genuine Genus3 certificate is built not ok."""
+    genus3 = recipes.FAMILY[GENUS3]
+
+    def conditions(*args):
+        return [
+            dataclasses.replace(c, satisfied=False) if c.name == "markedTriplePoints" else c
+            for c in genus3.conditions(*args)
+        ]
+
+    monkeypatch.setitem(recipes.FAMILY, GENUS3, dataclasses.replace(genus3, conditions=conditions))
 
 
 def dotted(leaf):
@@ -183,6 +198,20 @@ class TestVerify:
         assert code == 0
         assert "verified: PASS" in out
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("command", ["construct", "degenerate"])
+    def test_genuine_document_not_ok_fails(self, capsys, tmp_path, monkeypatch, command):
+        # the stored ok agrees with the rebuild, so only the validity check
+        # refuses the document
+        fail_marked_triple_points(monkeypatch)
+        path = self.write_doc(capsys, tmp_path, command, "45", "10", "--json")
+        assert json.loads(path.read_text())["ok"] is False
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+            "MISMATCH valid: the rebuilt certificate is not ok",
+            "verified: FAIL",
+        ]
 
     def test_tampered_invariants_fail(self, capsys, tmp_path):
         path = self.write_doc(capsys, tmp_path, "construct", "20", "7", "--json")
@@ -500,9 +529,9 @@ class TestVerify:
             "preResolution",
             "region",
             "invariants",
-            "requestedMatch",
             "sideConditions",
             "ampleness",
+            "valid",
         }
 
     def test_unreadable_file_exit_two(self, capsys, tmp_path):
@@ -686,6 +715,25 @@ class TestCheck:
         assert code == 1
         assert "FAIL horikawaPairing: (4, 2): forced failure" in out
         assert "checks: 8/9 passed" in out
+
+    def test_construction_sweep_names_a_pair_mismatch(self, monkeypatch):
+        # the pair match is part of ok, so it is tested first to be named
+        real = recipes.invariants
+
+        def one_more_ksq(bd):
+            inv = real(bd)
+            return cover._invariants(
+                inv.ksq + 1, inv.chi, inv.pg, inv.q, inv.pg_estimated, inv.two_k_plus_b
+            )
+
+        monkeypatch.setattr(recipes, "invariants", one_more_ksq)
+        got = checks.check_construction_sweep(construct(20, 7))
+        assert got == "(20, 7) rebuilt as (21, 7)"
+
+    def test_construction_sweep_names_failed_conditions(self, monkeypatch):
+        fail_marked_triple_points(monkeypatch)
+        got = checks.check_construction_sweep(construct(45, 10))
+        assert got == "(45, 10) failed conditions ['markedTriplePoints']"
 
     @staticmethod
     def drop_last_row(real, doc):

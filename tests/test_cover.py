@@ -218,6 +218,29 @@ class TestValidation:
                 incidence=(PointLabel("p", frozenset({1, 2}), components=("ghost",)),),
             )
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            # no branch-3 component passes through p, so p is no triple point
+            (PointLabel("p", frozenset({1, 2, 3}), ("a", "b")), "lies on branches"),
+            (PointLabel("p", frozenset({1, 2}), ("a", "b", "c")), "lies on branches"),
+            (PointLabel("p", frozenset({1, 2}), ("a", "a", "b")), "names a component twice"),
+        ],
+    )
+    def test_point_components_match_its_branches(self, point, message):
+        amb = hirzebruch(0)
+        d = amb.divisor(2, 2)
+        comps = tuple(Component(name, i, d) for i, name in enumerate("abc", start=1))
+        with pytest.raises(InvalidBuildingData, match=message):
+            building_data(amb, d, d, d, comps, (point,))
+
+    def test_point_naming_no_component_of_a_branch(self):
+        # on (30, 6), f2 and d2 lie on branches 1 and 2 only
+        pre = construct(30, 6).pre_resolution
+        point = PointLabel("p2", frozenset({1, 2, 3}), ("f2", "d2"))
+        with pytest.raises(InvalidBuildingData, match="lies on branches"):
+            building_data(pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, (point,))
+
 
     def test_component_entry_must_be_a_component(self):
         # the component-sum loop refuses the entry before reading a field
@@ -555,7 +578,8 @@ class TestResolveTriplePoints:
             ((P1, PointLabel("p2", frozenset({2, 3}), ("d2", "d3"))), ["p2", "p1"], NotTriplePoint),
             ((P1, PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3"))), ["p1", "p2"], CoverError),
             ((PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3")), P1), ["p2", "p1"], CoverError),
-            ((P1, PointLabel("p2", frozenset({1, 2, 3}), ("f2", "d2"))), ["p1", "p2"], CoverError),
+            # a triple point that names no component
+            ((P1, PointLabel("p2", frozenset({1, 2, 3}))), ["p1", "p2"], CoverError),
             ((P1,), ["p1", "p1"], InvalidBuildingData),
             ((P1,), ["p9"], InvalidBuildingData),
         ],

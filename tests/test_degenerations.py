@@ -1,5 +1,6 @@
 """Degeneration certificates: ledgers, normalizations, invariant stability."""
 
+import dataclasses
 import json
 
 import pytest
@@ -139,6 +140,14 @@ class TestAvailability:
             else:
                 assert [e.kind for e in dc.ledger] == [QUARTER_POINT]
                 assert dc.normalization is None
+
+    @pytest.mark.parametrize("ksq, chi", [(4, 5), (20, 7), (45, 10)])
+    def test_parent_not_ok_is_not_ok(self, ksq, chi):
+        # the degenerate data and every condition of its own are as for an
+        # ok parent, so only the parent's ok can make the difference
+        parent = construct(ksq, chi)
+        assert degenerate(parent).ok
+        assert not degenerate(dataclasses.replace(parent, ok=False)).ok
 
 
 class TestDoc:

@@ -80,7 +80,7 @@ DEGENERATE_SWEEP_DIGEST = "46dfd02336167c8d7b7c326fdb27958bd59e04bf2c0ae6e7e4a0f
 ORACLE_STREAM_DRAWS = 10_120
 ORACLE_STREAM_DIGEST = "e519cdefa835e85b1a78f44c669fd90d8adc4310e21e52c8cd04e79920106599"
 
-VERIFY_DIGEST = "00d92353e7a78b443bf0dfb76fbeba0d2562e204cd588110d692fa2384a5d7d2"
+VERIFY_DIGEST = "ef22d2636d0a8fdbc8c6eac4319892af3931c3e25115c2a2f5ef7a1e481cb493"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
