@@ -15,9 +15,11 @@ numerical invariants of the covering surface X are computed on the base Y
     q(X)     = p_g - chi + 1
 
 Components give names to the irreducible pieces of each branch divisor and
-incidence records marked points; both are combinatorial bookkeeping.  The
-total branch must be reduced (no component shared between branch divisors)
-unless the caller is explicitly building degeneration data.
+incidence records marked points; both are combinatorial bookkeeping.  A
+marked point names one single-copy component of each branch through it,
+a rule ``building_data`` alone checks.  The total branch must be reduced
+(no component shared between branch divisors) unless the caller is
+explicitly building degeneration data.
 
 The line bundles, the per-branch component sums, 2K + B and the adjoint
 classes K + L_i are computed directly on the coordinate tuples of classes
@@ -43,11 +45,9 @@ the ``BuildingData`` they return once every check has passed,
 ``invariants`` its ``Invariants`` once the sign of q is checked, and the
 resolution lifts each component, whose name, branch and count ``bd``
 already validated, with only its class replaced.  The resolution keeps
-every check a blow-up can fail: the distinct-centre refusal of ``Ambient``,
-the effectivity of the lifted branch classes, the lifted component sums,
-and at each point a single copy of one component per branch.  The lifted
-sums are checked on the exceptional tails, the only coordinates a blow-up
-adds, and the full sum check runs only to name a failure.  ``recipes``
+the checks a blow-up can fail: the distinct-centre refusal of ``Ambient``
+and the effectivity of the lifted branch classes; the lifted component
+sums hold by the incidence rule.  ``recipes``
 builds its fixed-shape components with ``_lift`` too, in its construction
 and its degeneration recipes, since their fields are literals, exact
 integers or classes of validated data, and leaves the checks to
@@ -247,18 +247,6 @@ class BuildingData:
             raise InvalidBuildingData(f"branch index must be 1..3, got {i!r}")
         return self.branches()[i - 1]
 
-    def component(self, name: str) -> Component:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise InvalidBuildingData(f"no component named {name!r}")
-
-    def point(self, name: str) -> PointLabel:
-        for p in self.incidence:
-            if p.name == name:
-                return p
-        raise InvalidBuildingData(f"no marked point named {name!r}")
-
     def to_doc(self) -> dict:
         return {
             "ambient": self.ambient.to_doc(),
@@ -311,37 +299,6 @@ def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
     return sorted(name for name, n in seen.items() if n > 1)
 
 
-def _check_component_sums(components: Iterable[Component], totals: tuple[DivClass, ...]) -> None:
-    """Each branch's components, counted with their copies, sum to its
-    class on the ambient of the totals; branches in order, and in each a
-    component on another ambient is reported before the sum."""
-    ambient = totals[0].ambient
-    sums: list[tuple[int, ...] | None] = [None, None, None]
-    foreign: list[str | None] = [None, None, None]
-    for c in components:
-        if type(c) is not Component:
-            raise InvalidBuildingData(f"component {c!r} is not a Component")
-        i = c.branch - 1
-        cls = c.cls
-        if cls.ambient is not ambient and cls.ambient != ambient:
-            if foreign[i] is None:
-                foreign[i] = c.name
-            continue
-        n = c.count
-        x = cls.coords if n == 1 else tuple([n * t for t in cls.coords])
-        acc = sums[i]
-        sums[i] = x if acc is None else tuple(map(add, acc, x))
-    for i, total in enumerate(totals):
-        if foreign[i] is not None:
-            raise InvalidBuildingData(f"component {foreign[i]!r} lives on a different ambient")
-        acc = sums[i]
-        if acc is not None and acc != total.coords:
-            raise InvalidBuildingData(
-                f"components of branch {i + 1} sum to {_trusted(ambient, acc)}, "
-                f"expected {total}"
-            )
-
-
 def building_data(
     ambient: Ambient,
     d1: DivClass,
@@ -355,11 +312,21 @@ def building_data(
 
     Checks the types of the entries and of the flag, parity, nonzero
     derived bundles, effectivity of the branch classes, per-branch
-    component sums and incidence consistency: distinct point names, and
-    a point that names components names known ones, each once, lying on
-    exactly the point's branches.  A repeated component makes the total
-    branch non-reduced, which the standard validator rejects; degeneration
-    callers pass ``allow_nonreduced=True``.
+    component sums and incidence.  Each branch's components, counted with
+    their copies, sum to its class: branches in order, and in each a
+    component on another ambient is reported before the sum.
+
+    Incidence is owned here.  Point names are distinct, and every marked
+    point names known components, each once, that are one single curve of
+    each branch through it: the components carrying its names, counting
+    every component of a shared name, lie on exactly its branches, once
+    each, and each is a single copy.  A point naming a component of n
+    copies does not say which of the n curves it lies on, and two curves
+    of one branch through a point make that branch singular there.
+
+    A repeated component makes the total branch non-reduced, which the
+    standard validator rejects; degeneration callers pass
+    ``allow_nonreduced=True``.
     """
     if type(allow_nonreduced) is not bool:
         raise InvalidBuildingData(
@@ -372,7 +339,30 @@ def building_data(
         if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
-    _check_component_sums(comps, (d1, d2, d3))
+    sums: list[tuple[int, ...] | None] = [None, None, None]
+    foreign: list[str | None] = [None, None, None]
+    for c in comps:
+        if type(c) is not Component:
+            raise InvalidBuildingData(f"component {c!r} is not a Component")
+        i = c.branch - 1
+        cls = c.cls
+        if cls.ambient is not ambient and cls.ambient != ambient:
+            if foreign[i] is None:
+                foreign[i] = c.name
+            continue
+        n = c.count
+        x = cls.coords if n == 1 else tuple([n * t for t in cls.coords])
+        acc = sums[i]
+        sums[i] = x if acc is None else tuple(map(add, acc, x))
+    for i, total in enumerate((d1, d2, d3)):
+        if foreign[i] is not None:
+            raise InvalidBuildingData(f"component {foreign[i]!r} lives on a different ambient")
+        acc = sums[i]
+        if acc is not None and acc != total.coords:
+            raise InvalidBuildingData(
+                f"components of branch {i + 1} sum to {_trusted(ambient, acc)}, "
+                f"expected {total}"
+            )
     names = {c.name for c in comps}
     pts = tuple(incidence)
     seen_pts = set()
@@ -382,8 +372,6 @@ def building_data(
         if p.name in seen_pts:
             raise InvalidBuildingData(f"marked point {p.name!r} repeated")
         seen_pts.add(p.name)
-        if not p.components:
-            continue
         for cname in p.components:
             if cname not in names:
                 raise InvalidBuildingData(
@@ -391,12 +379,19 @@ def building_data(
                 )
         if len(set(p.components)) != len(p.components):
             raise InvalidBuildingData(f"point {p.name!r} names a component twice")
-        on = {c.branch for c in comps if c.name in p.components}
-        if on != p.branches:
+        named = [c for c in comps if c.name in p.components]
+        on = sorted([c.branch for c in named])
+        if on != sorted(p.branches):
             raise InvalidBuildingData(
                 f"point {p.name!r} lies on branches {sorted(p.branches)}, "
-                f"but the components it names lie on branches {sorted(on)}"
+                f"but the components it names lie on branches {on}"
             )
+        for c in named:
+            if c.count != 1:
+                raise InvalidBuildingData(
+                    f"point {p.name!r} names component {c.name!r} of {c.count} copies, "
+                    "not a single curve"
+                )
     reduced = len(names) == len(comps)
     if not reduced and not allow_nonreduced:
         raise InvalidBuildingData(
@@ -502,7 +497,9 @@ def ksq_oracle(bd: BuildingData) -> int:
 def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     """Index-2 singularity ledger of the cover described by ``bd``.
 
-    One QuarterPoint per marked point lying on all three branch divisors;
+    One QuarterPoint per marked point lying on all three branch divisors,
+    where one single curve of each branch meets, as ``building_data``
+    showed;
     one NonNormalGluing per repeated component, whose count is the number
     of pinch points, i.e. the intersection of the shared curve with the
     branch divisors it does not belong to.  Deterministic: entries are
@@ -532,35 +529,27 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
 def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingData:
     """Blow up the marked triple points named, in order, and lift the data.
 
-    Each point must lie on all three branches of a ruled model and name one
-    single-copy component per branch.  Every branch class and every component
-    through a point picks up minus its exceptional class; the points move from
-    the incidence list into the ambient's centre list.  K^2 drops by one per
-    point and chi is unchanged.
+    Each point must lie on all three branches of a ruled model.  Every
+    branch class and every component through a point picks up minus its
+    exceptional class; the points move from the incidence list into the
+    ambient's centre list.  K^2 drops by one per point and chi is unchanged.
 
     ``bd`` was validated when it was built, and the lift keeps what that
     validation showed: names, incidence, reducedness, parity, and the
-    component sums in the old coordinates.  So the lifted data is checked
-    only for what a blow-up can break.  A class is lifted by appending its
-    exceptional coordinates to its coordinates on ``bd``'s ambient, which
-    the blow-up built here extends by one centre per point.  The line
-    bundles are ``bd``'s, lifted with tail (-1, ..., -1) like the branch
-    classes: deriving them from the lifted classes gives the same classes
-    and cannot fail, since each exceptional coordinate of D_i + D_j is -2
-    and every L_i keeps a nonzero -1 there.  Each lifted branch class must
-    stay effective: its h0 estimate drops by one per centre, so a branch of
-    one fiber through two marked points fails (h0 2 - 2 = 0), and a centre
-    not flagged general raises UnsupportedClass.  The lifted components
-    must sum to the lifted branch classes.  Their old coordinates already
-    do, so only the exceptional tails can fail: each component's tail is
-    computed once, and the sums hold exactly when, per branch and per
-    point, one copy of the branch's components passes through the point.
-    In reduced data each name is one component, and a point names distinct
-    single copies covering all three branches, as ``building_data`` showed,
-    so every such count is one exactly when it names three components; data
-    that is not reduced, where one name may lie in two branches, never
-    passes that.  Only then does the full sum check run, to decide and to
-    name a failure as ``building_data`` would.  The blow-up ambient is built
+    component sums.  Each marked point names one single-copy curve per
+    branch, so on each branch exactly one copy of its components passes
+    through each point, and the lifted components sum to the lifted branch
+    classes by construction.  So the lifted data is checked only for what a
+    blow-up can break.  A class is lifted by appending its exceptional
+    coordinates to its coordinates on ``bd``'s ambient, which the blow-up
+    built here extends by one centre per point.  The line bundles are
+    ``bd``'s, lifted with tail (-1, ..., -1) like the branch classes:
+    deriving them from the lifted classes gives the same classes and cannot
+    fail, since each exceptional coordinate of D_i + D_j is -2 and every L_i
+    keeps a nonzero -1 there.  Each lifted branch class must stay
+    effective: its h0 estimate drops by one per centre, so a branch of one
+    fiber through two marked points fails (h0 2 - 2 = 0), and a centre not
+    flagged general raises UnsupportedClass.  The blow-up ambient is built
     through its validating constructor, which refuses a point named like a
     centre already there.
 
@@ -570,15 +559,12 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     the returned ``BuildingData``.
 
     Resolving the points one at a time gives the same data and fails on the
-    same data: an h0 estimate or a sum that holds with every centre holds at
-    each stage before.  An error here names the classes over every centre.
+    same data: an h0 estimate that holds with every centre holds at each
+    stage before.  An error here names the classes over every centre.
     """
     marked: list[PointLabel] = []
-    through: list[frozenset[str]] = []
-    # the marked points left to resolve (bd's names are distinct), and the
-    # first component of each name
+    # the marked points left to resolve (bd's names are distinct)
     unresolved = {p.name: p for p in bd.incidence}
-    by_name = {c.name: c for c in reversed(bd.components)}
     for name in names:
         # a point resolved earlier in the sequence is no longer marked
         p = unresolved.pop(name, None)
@@ -588,18 +574,7 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
             raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
         if bd.ambient.kind == PLANE:
             raise CoverError("triple point resolution is implemented on ruled models only")
-        # bd's validation showed that named components lie on the point's branches
-        if not p.components:
-            raise CoverError(
-                f"point {p.name!r} must name exactly one component per branch to resolve"
-            )
-        for cname in p.components:
-            if by_name[cname].count != 1:
-                raise CoverError(
-                    f"component {cname!r} through {p.name!r} must be a single copy"
-                )
         marked.append(p)
-        through.append(frozenset(p.components))
     if not marked:
         return bd
     amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
@@ -613,13 +588,8 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = []
     for c in bd.components:
-        tail = tuple([-1 if c.name in via else 0 for via in through])
+        tail = tuple([-1 if c.name in p.components else 0 for p in marked])
         comps.append(_lift(c.name, c.branch, _trusted(amb2, c.cls.coords + tail), c.count))
-    # reduced data names each component once, so a point that names three
-    # distinct components, one per branch, has one copy of each branch
-    # through it; otherwise the full check decides, and names a failure
-    if not bd.reduced or any(len(via) != 3 for via in through):
-        _check_component_sums(comps, (d1, d2, d3))
     incidence = tuple(q for q in bd.incidence if q.name in unresolved)
     return _assemble(amb2, d1, d2, d3, l1, l2, l3, tuple(comps), incidence, bd.reduced)
 

@@ -30,11 +30,10 @@ refuses a centre that is not a ``PointLabel``.  Arithmetic on classes that
 already passed it builds its result through ``_trusted``, which skips
 both: sums, differences, integer multiples and exact quotients of integer
 vectors of the ambient's rank are again such vectors.  That arithmetic is
-``+``, ``-``, unary ``-``, ``*`` by an ``int`` (never a bool or an int
-subclass, as in the constructor), the empty sum ``Ambient.zero()``, and
-the coordinate kernels of ``cover``: the line bundles, 2K + B, the adjoint
-classes K + L_i and the lift through blown-up triple points, each computed
-on coordinate tuples and wrapped once.  The resolution builds the blow-up
+``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
+kernels of ``cover``: the line bundles, 2K + B, the adjoint classes
+K + L_i and the lift through blown-up triple points, each computed on
+coordinate tuples and wrapped once.  The resolution builds the blow-up
 itself and appends each class's exceptional tail to its coordinates on the
 ambient it extends.  Two builders of fixed-shape inputs use ``_trusted``
 too, since each coordinate they pass is an ``int`` by construction and
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 PLANE = "ProjectivePlane"
 HIRZEBRUCH = "Hirzebruch"
@@ -123,9 +122,11 @@ class PointLabel:
     """A named point together with its branch incidence record.
 
     ``branches`` lists which of the three branch divisors pass through the
-    point; multiplicity is always one.  ``components`` optionally names the
-    irreducible branch pieces through the point.  ``general`` records the
-    blanket general-position assumption for the label.
+    point; multiplicity is always one.  ``components`` names the
+    irreducible branch pieces through the point: on a marked point of
+    building data, one single-copy component of each branch in
+    ``branches``, a rule ``cover.building_data`` checks.  ``general``
+    records the blanket general-position assumption for the label.
     """
 
     name: str
@@ -301,17 +302,6 @@ class DivClass:
     def __sub__(self, other: "DivClass") -> "DivClass":
         self._same(other)
         return _trusted(self.ambient, tuple(map(sub, self.coords, other.coords)))
-
-    def __neg__(self) -> "DivClass":
-        return _trusted(self.ambient, tuple(map(neg, self.coords)))
-
-    def __mul__(self, n: int) -> "DivClass":
-        # the constructor's rule: a bool or an int subclass is no scalar
-        if type(n) is not int:
-            return NotImplemented
-        return _trusted(self.ambient, tuple([n * a for a in self.coords]))
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bidouble import checks, cover, lattice
+from bidouble import checks, cover, lattice, recipes
 from bidouble.cover import (
     NON_NORMAL_GLUING,
     QUARTER_POINT,
@@ -225,6 +225,8 @@ class TestValidation:
             (PointLabel("p", frozenset({1, 2, 3}), ("a", "b")), "lies on branches"),
             (PointLabel("p", frozenset({1, 2}), ("a", "b", "c")), "lies on branches"),
             (PointLabel("p", frozenset({1, 2}), ("a", "a", "b")), "names a component twice"),
+            # a triple point that names no curve was once booked as a quarter point
+            (PointLabel("p", frozenset({1, 2, 3})), "lies on branches"),
         ],
     )
     def test_point_components_match_its_branches(self, point, message):
@@ -241,6 +243,45 @@ class TestValidation:
         with pytest.raises(InvalidBuildingData, match="lies on branches"):
             building_data(pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, (point,))
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            # f_rest is 6 fibers of D1: the point names none of them
+            (PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3")), "'f_rest' of 6 copies"),
+            # two fibers of D1 through p1 would make D1 singular there
+            (
+                PointLabel("p1", frozenset({1, 2, 3}), ("f1", "f2", "d2", "d3")),
+                r"lie on branches \[1, 1, 2, 3\]",
+            ),
+        ],
+        ids=["multi_copy_component", "two_curves_of_one_branch"],
+    )
+    def test_point_names_one_single_curve_per_branch(self, point, message):
+        # (30, 6): Genus3 with alpha 8, fibers f1, f2 and 6 copies of f_rest
+        pre = construct(30, 6).pre_resolution
+        with pytest.raises(InvalidBuildingData, match=message):
+            building_data(pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, (point,))
+
+    def test_shared_name_counts_every_component(self):
+        # s is one curve on branches 2 and 3: a point naming it and d3 has
+        # two curves of branch 3 through it; naming it alone is one per branch
+        amb = hirzebruch(0)
+        fiber, section = amb.divisor(0, 1), amb.divisor(1, 0)
+        comps = (
+            Component("f", 1, fiber),
+            Component("g", 1, fiber),
+            Component("d2", 2, amb.divisor(1, 2)),
+            Component("s", 2, section),
+            Component("d3", 3, amb.divisor(1, 2)),
+            Component("s", 3, section),
+        )
+        d1, d2 = amb.divisor(0, 2), amb.divisor(2, 2)
+        bad = PointLabel("p", frozenset({1, 2, 3}), ("f", "s", "d3"))
+        with pytest.raises(InvalidBuildingData, match=r"lie on branches \[1, 2, 3, 3\]"):
+            building_data(amb, d1, d2, d2, comps, (bad,), allow_nonreduced=True)
+        good = PointLabel("p", frozenset({1, 2, 3}), ("f", "s"))
+        bd = building_data(amb, d1, d2, d2, comps, (good,), allow_nonreduced=True)
+        assert bd.incidence == (good,)
 
     def test_component_entry_must_be_a_component(self):
         # the component-sum loop refuses the entry before reading a field
@@ -292,7 +333,7 @@ class TestSingularityScan:
         pts = (
             PointLabel("p2", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
             PointLabel("p1", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
-            PointLabel("q", frozenset({1, 2})),
+            PointLabel("q", frozenset({1, 2}), ("d1", "d2")),
         )
         bd = building_data(amb, amb.divisor(1, 2), amb.divisor(1, 2), amb.divisor(1, 0), comps, pts)
         ledger = singularity_scan(bd)
@@ -369,8 +410,9 @@ class TestResolveTriplePoint:
         assert bd.d1.coords == (1, 2, -1)
         assert bd.d2.coords == (1, 6, -1)
         assert bd.d3.coords == (3, 0, -1)
-        assert bd.component("delta1").cls.coords == (1, 0, -1)
-        assert bd.component("delta2").cls.coords == (1, 0, 0)
+        lifted = {c.name: c.cls.coords for c in bd.components}
+        assert lifted["delta1"] == (1, 0, -1)
+        assert lifted["delta2"] == (1, 0, 0)
         assert bd.incidence == ()
         assert len(bd.ambient.points) == 1
 
@@ -418,30 +460,26 @@ class TestSerialization:
 
 def resolve_one_reference(bd, name):
     """One blow-up as a single literal step, re-validated from scratch: the
-    reference that the all-at-once resolution is compared against."""
-    p = bd.point(name)
+    reference that the all-at-once resolution is compared against.  Every
+    component carrying a name the point names passes through it, and
+    ``building_data`` then checks the lifted sums in full."""
+    marked = {p.name: p for p in bd.incidence}
+    if name not in marked:
+        raise InvalidBuildingData(f"no marked point named {name!r}")
+    p = marked[name]
     if not p.is_triple:
         raise NotTriplePoint(f"point {name!r} does not lie on all three branches")
     if bd.ambient.kind == PLANE:
         raise CoverError("triple point resolution is implemented on ruled models only")
-    named = []
-    for cname in p.components:
-        c = bd.component(cname)
-        if c.count != 1:
-            raise CoverError(f"component {cname!r} is not a single copy")
-        named.append(c)
-    if {c.branch for c in named} != {1, 2, 3}:
-        raise CoverError("one component per branch is required")
     amb = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + (p,))
     exc = DivClass(amb, (0,) * (amb.rank - 1) + (1,))
-    through = {c.name for c in named}
 
     def lift(d, passes):
         out = DivClass(amb, d.coords + (0,))
         return out - exc if passes else out
 
     comps = tuple(
-        Component(c.name, c.branch, lift(c.cls, c.name in through), c.count)
+        Component(c.name, c.branch, lift(c.cls, c.name in p.components), c.count)
         for c in bd.components
     )
     return building_data(
@@ -464,14 +502,18 @@ F0 = hirzebruch(0)
 
 def random_marked_datum(rng):
     """Pre-resolution data of Genus3 or ruling-triple shape on F_0 with one
-    to three marked triple points, the order to resolve them, and the fault
-    it carries, if any, at the last point resolved: a fiber through two
-    marked points on a branch left with no sections ("fiber"), a point not
-    flagged general ("general"), or a component name shared by branches 2
-    and 3 that the point names ("shared").  A fault at an earlier point
-    would stop the fold at an earlier stage, whose error names fewer
-    exceptional classes."""
+    to three marked triple points, as ``outcome`` of ``building_data``
+    returns it, the order to resolve them, and the fault it carries, if
+    any, at the last point resolved: a fiber through two marked points on
+    a branch left with no sections ("fiber"), a point not flagged general
+    ("general"), or a point naming a component name shared by branches 2
+    and 3 and also a curve of branch 3 ("shared"), which ``building_data``
+    refuses.  In half the data with no fault, the last point names such a
+    shared name as its one curve of branches 2 and 3.  A fault at an
+    earlier point would stop the fold at an earlier stage, whose error
+    names fewer exceptional classes."""
     fault = rng.choice((None, None, None, "fiber", "general", "shared"))
+    shared = fault == "shared" or (fault is None and rng.random() < 0.5)
     k = 2 if fault == "fiber" else rng.randint(1, 3)
     if rng.random() < 0.5:
         # Genus3: D1 = alpha fibers, k of them named by a point each unless
@@ -483,7 +525,7 @@ def random_marked_datum(rng):
         comps = [Component(f"f{i}", 1, F0.divisor(0, 1)) for i in range(1, named + 1)]
         if alpha > named:
             comps.append(Component("f_rest", 1, F0.divisor(0, 1), alpha - named))
-        if fault == "shared":
+        if shared:
             comps += [
                 Component("d2", 2, F0.divisor(1, beta)),
                 Component("s", 2, F0.divisor(1, 0)),
@@ -493,8 +535,8 @@ def random_marked_datum(rng):
         else:
             comps += [Component("d2", 2, d2), Component("d3", 3, d3)]
         through = [(f"f{min(i, named)}", "d2", "d3") for i in range(1, k + 1)]
-        if fault == "shared":
-            through[-1] = (f"f{k}", "s", "d3")
+        if shared:
+            through[-1] = (f"f{k}", "s", "d3") if fault else (f"f{k}", "s")
     else:
         # ruling triple: D1 = D0 + 2F, D2 = D0 + 2c F, D3 = m members of
         # |D0|; with one member, two points on it leave D3 ineffective
@@ -502,7 +544,7 @@ def random_marked_datum(rng):
         c = rng.randint(1, 6)
         d1, d2, d3 = F0.divisor(1, 2), F0.divisor(1, 2 * c), F0.divisor(m, 0)
         comps = [Component("d1", 1, d1)]
-        if fault == "shared":
+        if shared:
             comps += [Component("d2", 2, F0.divisor(0, 2 * c)), Component("s", 2, F0.divisor(1, 0))]
             comps += [Component("delta1", 3, F0.divisor(1, 0)), Component("delta2", 3, F0.divisor(1, 0))]
             comps.append(Component("s", 3, F0.divisor(1, 0)))
@@ -510,15 +552,13 @@ def random_marked_datum(rng):
             comps.append(Component("d2", 2, d2))
             comps += [Component(f"delta{i}", 3, F0.divisor(1, 0)) for i in range(1, m + 1)]
         through = [("d1", "d2", f"delta{min(i, m)}") for i in range(1, k + 1)]
-        if fault == "shared":
-            through[-1] = ("d1", "s", "delta1")
+        if shared:
+            through[-1] = ("d1", "s", "delta1") if fault else ("d1", "s")
     points = [
         PointLabel(f"p{i}", frozenset({1, 2, 3}), names, general=not (fault == "general" and i == k))
         for i, names in enumerate(through, start=1)
     ]
-    pre = building_data(
-        F0, d1, d2, d3, tuple(comps), tuple(points), allow_nonreduced=fault == "shared"
-    )
+    pre = outcome(building_data, F0, d1, d2, d3, tuple(comps), tuple(points), shared)
     order = [p.name for p in points[:-1]]
     rng.shuffle(order)
     return pre, order + [points[-1].name], fault
@@ -585,35 +625,57 @@ class TestResolveTriplePoints:
         ],
     )
     def test_same_error_as_fold(self, points, names, expected):
+        if expected is CoverError:
+            # a point naming the 6 copies of f_rest, or no component, is
+            # refused by the incidence rule before either resolution runs
+            with pytest.raises(InvalidBuildingData):
+                self.with_incidence(*points)
+            return
         bd = self.with_incidence(*points)
         assert self.raised(resolve_triple_points, bd, names) is expected
         assert self.raised(fold_reference, bd, names) is expected
 
-    def test_two_copies_of_one_branch_caught_on_the_tail(self):
-        # p1 names two fibers of D1: each named component is a single copy
-        # and the three branches are named, so only the lifted sum of
-        # branch 1 can fail, and it names the same classes as the fold
-        bd = self.with_incidence(
-            PointLabel("p1", frozenset({1, 2, 3}), ("f1", "f2", "d2", "d3"))
+    def test_shared_name_equals_fold(self):
+        # s is one curve on branches 2 and 3, so p2 names one curve per
+        # branch with two names, and both components named s are lifted
+        comps = (
+            Component("f1", 1, F0.divisor(0, 1)),
+            Component("f2", 1, F0.divisor(0, 1)),
+            Component("d2", 2, F0.divisor(1, 2)),
+            Component("s", 2, F0.divisor(1, 0)),
+            Component("d3", 3, F0.divisor(3, 2)),
+            Component("s", 3, F0.divisor(1, 0)),
         )
-        expected = (
-            InvalidBuildingData,
-            "components of branch 1 sum to 8F-2E1, expected 8F-E1",
+        points = (
+            PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3")),
+            PointLabel("p2", frozenset({1, 2, 3}), ("f2", "s")),
         )
-        assert outcome(fold_reference, bd, ["p1"]) == expected
-        assert outcome(resolve_triple_points, bd, ["p1"]) == expected
+        pre = building_data(
+            F0, F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2), comps, points,
+            allow_nonreduced=True,
+        )
+        for names in (["p1", "p2"], ["p2", "p1"]):
+            lifted = resolve_triple_points(pre, names)
+            assert lifted == fold_reference(pre, names)
+            shared = [c.cls.coords[2:] for c in lifted.components if c.name == "s"]
+            assert shared == [(0, -1) if names[0] == "p1" else (-1, 0)] * 2
 
     def test_random_data_equals_fold(self):
         # the resolution validates only what a blow-up can break; the fold
         # re-validates every stage in full
         rng = random.Random(20261019)
         seen = set()
+        nonreduced = 0
         for _ in range(600):
             pre, names, fault = random_marked_datum(rng)
-            got = outcome(resolve_triple_points, pre, names)
-            assert got == outcome(fold_reference, pre, names), (fault, names)
+            got = pre
+            if isinstance(pre, BuildingData):
+                got = outcome(resolve_triple_points, pre, names)
+                assert got == outcome(fold_reference, pre, names), (fault, names)
             resolved = isinstance(got, BuildingData)
+            nonreduced += resolved and not got.reduced
             seen.add((fault, resolved if resolved else got[0].__name__))
+        assert nonreduced >= 100
         assert seen == {
             (None, True),
             ("fiber", "InvalidBuildingData"),
@@ -764,7 +826,7 @@ class TestTrustedBuilders:
 
     def test_construction_runs_no_validating_constructor(self, monkeypatch):
         # the recipes build their fixed-shape classes and components trusted,
-        # and a resolution whose tails all hold adds no coordinate again
+        # and a resolution runs no sum check: it does not call building_data
         built = []
 
         def counting(cls):
@@ -778,27 +840,28 @@ class TestTrustedBuilders:
 
         for cls in (DivClass, Component):
             monkeypatch.setattr(cls, "__post_init__", counting(cls))
-        sums = []
-        real_sums = cover._check_component_sums
+        validated = []
+        real_building_data = cover.building_data
 
-        def counted_sums(*args):
-            sums.append(args)
-            real_sums(*args)
+        def counted_validation(*args, **kwargs):
+            validated.append(args)
+            return real_building_data(*args, **kwargs)
 
-        monkeypatch.setattr(cover, "_check_component_sums", counted_sums)
+        monkeypatch.setattr(cover, "building_data", counted_validation)
+        monkeypatch.setattr(recipes, "building_data", counted_validation)
         Component("probe", 1, hirzebruch(0).divisor(0, 1))
         assert built == [DivClass, Component]
         resolved = 0
         for ksq, chi in checks.covered_pairs(6):
-            del built[:], sums[:]
+            del built[:], validated[:]
             _, _, data, pre = recipe(ksq, chi)
             # building_data checks the sums of the recipe's datum once
-            assert built == [] and len(sums) == 1, (ksq, chi)
+            assert built == [] and len(validated) == 1, (ksq, chi)
             if pre is None:
                 continue
-            del sums[:]
+            del validated[:]
             lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
-            assert sums == [] and lifted == data, (ksq, chi)
+            assert validated == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
 
@@ -819,6 +882,11 @@ class TestBranchIndex:
 # path, kept literal: every step is DivClass operator arithmetic on classes
 # built by the validating constructor, one allocation per operator, so it
 # shares no code with the coordinate kernels of the library.
+
+
+def times(n, d):
+    """n d, through the validating constructor: classes have no scalar product."""
+    return DivClass(d.ambient, tuple(n * x for x in d.coords))
 
 
 def reference_canonical(amb):
@@ -859,7 +927,7 @@ def reference_component_sums(ambient, comps, totals):
         for c in entries:
             if c.cls.ambient != ambient:
                 raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
-            acc = acc + c.count * c.cls
+            acc = acc + times(c.count, c.cls)
         if acc != total:
             raise InvalidBuildingData(
                 f"components of branch {branch} sum to {acc}, expected {total}"
@@ -884,6 +952,21 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), al
         for cname in p.components:
             if cname not in names:
                 raise InvalidBuildingData(f"point {p.name!r} names unknown component {cname!r}")
+        if len(set(p.components)) != len(p.components):
+            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
+        named = [c for c in comps if c.name in p.components]
+        on = sorted(c.branch for c in named)
+        if on != sorted(p.branches):
+            raise InvalidBuildingData(
+                f"point {p.name!r} lies on branches {sorted(p.branches)}, "
+                f"but the components it names lie on branches {on}"
+            )
+        for c in named:
+            if c.count != 1:
+                raise InvalidBuildingData(
+                    f"point {p.name!r} names component {c.name!r} of {c.count} copies, "
+                    "not a single curve"
+                )
     reduced = len(names) == len(comps)
     if not reduced and not allow_nonreduced:
         raise InvalidBuildingData(
@@ -895,7 +978,7 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), al
 
 def reference_invariants(bd):
     k = reference_canonical(bd.ambient)
-    two_k_plus_b = 2 * k + bd.d1 + bd.d2 + bd.d3
+    two_k_plus_b = times(2, k) + bd.d1 + bd.d2 + bd.d3
     ksq = intersect(two_k_plus_b, two_k_plus_b)
     tot = sum(intersect(l, l + k) for l in bd.bundles())
     if tot % 2:
@@ -967,15 +1050,15 @@ def random_datum(rng):
     d2 = cls(None if odd else d3)
     shape = rng.random()
     if shape < 0.05:
-        d3 = -d2  # L1 = 0
+        d3 = times(-1, d2)  # L1 = 0
     elif shape < 0.1:
-        d2 = -d1 + 2 * rng.randrange(3) * unit  # L3 = fibers or lines, maybe 0
+        d2 = times(-1, d1) + times(2 * rng.randrange(3), unit)  # L3 = fibers or lines, maybe 0
     elif shape < 0.15:
         d1 = amb.divisor(*((2, -2) + tuple(tails) if ruled else (-1,)))  # never effective
     elif shape < 0.25 and amb.points:
         exc = [0] * amb.rank
         exc[n + rng.randrange(len(amb.points))] = 1
-        d1 = d1 - 2 * amb.divisor(*exc)
+        d1 = d1 - times(2, amb.divisor(*exc))
     comps = []
     for branch, total in ((1, d1), (2, d2), (3, d3)):
         if rng.random() < 0.3:
@@ -986,7 +1069,7 @@ def random_datum(rng):
             piece = amb.divisor(*head, *(-rng.randrange(2) for _ in amb.points))
             count = rng.randrange(1, 3)
             comps.append(Component(f"c{branch}{i}", branch, piece, count))
-            rest = rest - count * piece
+            rest = rest - times(count, piece)
         comps.append(Component(f"c{branch}rest", branch, rest))
     if comps and rng.random() < 0.1:
         i = rng.randrange(len(comps))
@@ -1022,7 +1105,7 @@ class TestAgainstReferenceFold:
                 kinds.append("invariants " + outcome_kind(inv))
                 if isinstance(inv, Invariants):
                     k = reference_canonical(amb)
-                    assert inv.two_k_plus_b == 2 * k + d1 + d2 + d3 == two_k_plus_b(got)
+                    assert inv.two_k_plus_b == times(2, k) + d1 + d2 + d3 == two_k_plus_b(got)
             for kind in kinds:
                 seen[amb.kind, kind] = seen.get((amb.kind, kind), 0) + 1
         # every validation on the path is reached on every ambient kind:
@@ -1116,7 +1199,6 @@ class TestAgainstReferenceFold:
             "_trusted",
             "_lift",
             "_assemble",
-            "_check_component_sums",
             "derive_line_bundles",
             "two_k_plus_b",
             "invariants",
@@ -1241,16 +1323,16 @@ class TestCoordinateKernels:
                 if entries:
                     ds[i] = amb.zero()
                     for c in entries:
-                        ds[i] = ds[i] + c.count * c.cls
+                        ds[i] = ds[i] + times(c.count, c.cls)
         d1, d2, d3 = ds
         assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
             reference_line_bundles, amb, d1, d2, d3
         )
-        assert outcome(cover._check_component_sums, components, (d1, d2, d3)) == outcome(
-            reference_component_sums, amb, components, (d1, d2, d3)
+        assert outcome(building_data, amb, d1, d2, d3, components) == outcome(
+            reference_building_data, amb, d1, d2, d3, components
         )
         pushed = two_k_plus_b(BuildingData(amb, d1, d2, d3, d1, d2, d3))
-        assert pushed == 2 * reference_canonical(amb) + d1 + d2 + d3
+        assert pushed == times(2, reference_canonical(amb)) + d1 + d2 + d3
         assert all(type(c) is int for c in pushed.coords)
 
     def test_refuses_foreign_classes_and_scalars(self):

@@ -84,7 +84,8 @@ class TestMarkedPointFamilies:
 
     def test_genus2_point_sits_on_all_named_components(self):
         dc = degenerate(construct(20, 7))
-        point = dc.data.point("p")
+        (point,) = dc.data.incidence
+        assert point.name == "p"
         assert point.components == ("d1", "d2", "d3")
         assert point.branches == frozenset({1, 2, 3})
 
@@ -94,11 +95,13 @@ class TestMarkedPointFamilies:
         dc = degenerate(construct(7, 3))
         names = [c.name for c in dc.data.components if c.branch == 1]
         assert names == ["f1", "f2"]
-        assert dc.data.point("p2").components == ("f2", "d2", "d3")
+        assert [(p.name, p.components) for p in dc.data.incidence] == [
+            ("p2", ("f2", "d2", "d3"))
+        ]
         # the resolved construction point is in the ambient, not incidence,
         # and the new fiber keeps the lifted class, off the exceptional curve
         assert [p.name for p in dc.data.ambient.points] == ["p1"]
-        assert dc.data.component("f2").cls.coords == (0, 1, 0)
+        assert [c.cls.coords for c in dc.data.components if c.name == "f2"] == [(0, 1, 0)]
         by_name = {c.name: c for c in dc.side_conditions}
         assert by_name["spareFibers"].value == 1
         assert dc.ok
@@ -107,8 +110,10 @@ class TestMarkedPointFamilies:
         dc = degenerate(construct(17, 5))
         names = [c.name for c in dc.data.components if c.branch == 1]
         assert names == ["f1", "f2", "f3", "f4", "f_rest"]
-        assert dc.data.component("f_rest").count == 1
-        assert dc.data.point("p4").components == ("f4", "d2", "d3")
+        assert [c.count for c in dc.data.components if c.name == "f_rest"] == [1]
+        assert [(p.name, p.components) for p in dc.data.incidence] == [
+            ("p4", ("f4", "d2", "d3"))
+        ]
         by_name = {c.name: c for c in dc.side_conditions}
         assert by_name["spareFibers"].value == 2
 
@@ -116,7 +121,9 @@ class TestMarkedPointFamilies:
         dc = degenerate(construct(5, 2))
         names = [c.name for c in dc.data.components if c.branch == 1]
         assert names == ["f1", "f2", "f3", "f4"]
-        assert dc.data.point("p4").components == ("f4", "d2", "d3")
+        assert [(p.name, p.components) for p in dc.data.incidence] == [
+            ("p4", ("f4", "d2", "d3"))
+        ]
         assert dc.ok
 
 

@@ -122,7 +122,7 @@ class TestIntersect:
         c = DivClass(amb, tuple(w[:r]))
         assert intersect(a, b) == intersect(b, a)
         assert intersect(a, b + c) == intersect(a, b) + intersect(a, c)
-        assert intersect(n * a, b) == n * intersect(a, b)
+        assert intersect(DivClass(amb, tuple(n * x for x in a.coords)), b) == n * intersect(a, b)
 
 
 def canonical(amb):
@@ -310,22 +310,22 @@ class TestTrustedArithmetic:
         u, v = amb.divisor(3, 4, -1, 0), amb.divisor(1, -2, 0, -1)
         assert u + v == DivClass(amb, (4, 2, -1, -1))
         assert u - v == DivClass(amb, (2, 6, -1, 1))
-        assert -u == DivClass(amb, (-3, -4, 1, 0))
-        assert 3 * u == u * 3 == DivClass(amb, (9, 12, -3, 0))
         assert hash(u + v) == hash(DivClass(amb, (4, 2, -1, -1)))
         assert all(type(c) is int for c in (u + v).coords)
 
     def test_non_integer_scalar_rejected(self):
-        # the constructor's rule: a bool or an int subclass is no scalar
+        # classes have no scalar product, so no scalar passes, an int included
         class Two(enum.IntEnum):
             TWO = 2
 
         d = hirzebruch(0).divisor(1, 2)
-        for n in (2.5, 2.0, "2", True, Two.TWO):
+        for n in (2, 2.5, 2.0, "2", True, Two.TWO):
             with pytest.raises(TypeError):
                 n * d
             with pytest.raises(TypeError):
                 d * n
+        with pytest.raises(TypeError):
+            -d
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(LatticeError):
