@@ -44,14 +44,16 @@ builds a class: ``building_data`` and ``resolve_triple_points`` assemble
 the ``BuildingData`` they return once every check has passed,
 ``invariants`` its ``Invariants`` once the sign of q is checked, and the
 resolution lifts each component, whose name, branch and count ``bd``
-already validated, with only its class replaced.  The resolution keeps
-the checks a blow-up can fail: the distinct-centre refusal of ``Ambient``
-and the effectivity of the lifted branch classes; the lifted component
-sums hold by the incidence rule.  ``recipes``
-builds its fixed-shape components with ``_lift`` too, in its construction
-and its degeneration recipes, since their fields are literals, exact
-integers or classes of validated data, and leaves the checks to
-``building_data``.
+already validated, with only its class replaced.  It builds the blow-up
+with ``lattice._blow_up``, past the checks of ``Ambient``: its ambient and
+centres come from validated data, and ``building_data`` refuses a marked
+point named like a centre, so the centres' names stay distinct.  The
+resolution keeps the one check a blow-up can fail, the effectivity of the
+lifted branch classes; the lifted component sums hold by the incidence
+rule.  ``recipes`` builds its fixed-shape components with ``_lift`` too,
+in its construction and its degeneration recipes, since their fields are
+literals, exact integers or classes of validated data, and leaves the
+checks to ``building_data``.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from .lattice import (
-    BLOWUP,
     PLANE,
     Ambient,
     DivClass,
     PointLabel,
+    _blow_up,
     _builder,
     _trusted,
     doc_coords,
@@ -299,6 +301,53 @@ def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
     return sorted(name for name, n in seen.items() if n > 1)
 
 
+def _check_incidence(
+    ambient: Ambient, comps: tuple[Component, ...], pts: tuple[PointLabel, ...]
+) -> dict[str, list[Component]]:
+    """The incidence rule of ``building_data``, on components whose types
+    and sums it has checked; returns the components of each name."""
+    # the components of each name, in component order
+    index: dict[str, list[Component]] = {}
+    for c in comps:
+        index.setdefault(c.name, []).append(c)
+    centres = {q.name for q in ambient.points}
+    seen_pts = set()
+    for p in pts:
+        if type(p) is not PointLabel:
+            raise InvalidBuildingData(f"marked point {p!r} is not a PointLabel")
+        if p.name in seen_pts:
+            raise InvalidBuildingData(f"marked point {p.name!r} repeated")
+        seen_pts.add(p.name)
+        if p.name in centres:
+            raise InvalidBuildingData(
+                f"marked point {p.name!r} is named like a centre of the ambient"
+            )
+        try:
+            named = [c for cname in p.components for c in index[cname]]
+        except KeyError as unknown:
+            # the first unknown name in the point's order
+            raise InvalidBuildingData(
+                f"point {p.name!r} names unknown component {unknown.args[0]!r}"
+            ) from None
+        if len(set(p.components)) != len(p.components):
+            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
+        # the named branches are the point's, once each
+        if len(named) != len(p.branches) or {c.branch for c in named} != p.branches:
+            raise InvalidBuildingData(
+                f"point {p.name!r} lies on branches {sorted(p.branches)}, but the "
+                f"components it names lie on branches {sorted([c.branch for c in named])}"
+            )
+        for c in named:
+            if c.count != 1:
+                # the message names the first offender in component order
+                first = next(x for x in comps if x.count != 1 and x.name in p.components)
+                raise InvalidBuildingData(
+                    f"point {p.name!r} names component {first.name!r} of {first.count} "
+                    "copies, not a single curve"
+                )
+    return index
+
+
 def building_data(
     ambient: Ambient,
     d1: DivClass,
@@ -316,13 +365,16 @@ def building_data(
     their copies, sum to its class: branches in order, and in each a
     component on another ambient is reported before the sum.
 
-    Incidence is owned here.  Point names are distinct, and every marked
-    point names known components, each once, that are one single curve of
-    each branch through it: the components carrying its names, counting
-    every component of a shared name, lie on exactly its branches, once
-    each, and each is a single copy.  A point naming a component of n
-    copies does not say which of the n curves it lies on, and two curves
-    of one branch through a point make that branch singular there.
+    Incidence is owned here.  Point names are distinct and none is the
+    name of a centre of the ambient, so resolving any of the points gives
+    centres of distinct names.  Every marked point names known components,
+    each once, that are one single curve of each branch through it: the
+    components carrying its names, counting every component of a shared
+    name, lie on exactly its branches, once each, and each is a single
+    copy.  A point naming a component of n copies does not say which of
+    the n curves it lies on, and two curves of one branch through a point
+    make that branch singular there.  Data with marked points indexes its
+    components by name once, and each point's checks read that index.
 
     A repeated component makes the total branch non-reduced, which the
     standard validator rejects; degeneration callers pass
@@ -363,35 +415,8 @@ def building_data(
                 f"components of branch {i + 1} sum to {_trusted(ambient, acc)}, "
                 f"expected {total}"
             )
-    names = {c.name for c in comps}
     pts = tuple(incidence)
-    seen_pts = set()
-    for p in pts:
-        if type(p) is not PointLabel:
-            raise InvalidBuildingData(f"marked point {p!r} is not a PointLabel")
-        if p.name in seen_pts:
-            raise InvalidBuildingData(f"marked point {p.name!r} repeated")
-        seen_pts.add(p.name)
-        for cname in p.components:
-            if cname not in names:
-                raise InvalidBuildingData(
-                    f"point {p.name!r} names unknown component {cname!r}"
-                )
-        if len(set(p.components)) != len(p.components):
-            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
-        named = [c for c in comps if c.name in p.components]
-        on = sorted([c.branch for c in named])
-        if on != sorted(p.branches):
-            raise InvalidBuildingData(
-                f"point {p.name!r} lies on branches {sorted(p.branches)}, "
-                f"but the components it names lie on branches {on}"
-            )
-        for c in named:
-            if c.count != 1:
-                raise InvalidBuildingData(
-                    f"point {p.name!r} names component {c.name!r} of {c.count} copies, "
-                    "not a single curve"
-                )
+    names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
     reduced = len(names) == len(comps)
     if not reduced and not allow_nonreduced:
         raise InvalidBuildingData(
@@ -549,14 +574,14 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     keeps a nonzero -1 there.  Each lifted branch class must stay
     effective: its h0 estimate drops by one per centre, so a branch of one
     fiber through two marked points fails (h0 2 - 2 = 0), and a centre not
-    flagged general raises UnsupportedClass.  The blow-up ambient is built
-    through its validating constructor, which refuses a point named like a
-    centre already there.
+    flagged general raises UnsupportedClass.
 
     Built trusted, with no second validation, by builders from
-    ``lattice._builder``: the lifted classes (``_trusted``), each lifted
-    component (``bd``'s name, branch and count, with the lifted class) and
-    the returned ``BuildingData``.
+    ``lattice._builder``: the blow-up ambient (``lattice._blow_up``, since
+    ``bd``'s ambient and marked points are validated, and ``building_data``
+    refused a point named like a centre), the lifted classes
+    (``_trusted``), each lifted component (``bd``'s name, branch and count,
+    with the lifted class) and the returned ``BuildingData``.
 
     Resolving the points one at a time gives the same data and fails on the
     same data: an h0 estimate that holds with every centre holds at each
@@ -577,21 +602,34 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
         marked.append(p)
     if not marked:
         return bd
-    amb2 = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + tuple(marked))
+    amb2 = _blow_up(bd.ambient, tuple(marked))
     # every branch class and every line bundle passes through every point
-    every = (-1,) * len(marked)
-    d1, d2, d3, l1, l2, l3 = (
-        _trusted(amb2, d.coords + every) for d in bd.branches() + bd.bundles()
-    )
+    n = len(marked)
+    every = (-1,) * n
+    d1 = _trusted(amb2, bd.d1.coords + every)
+    d2 = _trusted(amb2, bd.d2.coords + every)
+    d3 = _trusted(amb2, bd.d3.coords + every)
     for i, d in enumerate((d1, d2, d3), start=1):
         if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = []
-    for c in bd.components:
-        tail = tuple([-1 if c.name in p.components else 0 for p in marked])
-        comps.append(_lift(c.name, c.branch, _trusted(amb2, c.cls.coords + tail), c.count))
-    incidence = tuple(q for q in bd.incidence if q.name in unresolved)
-    return _assemble(amb2, d1, d2, d3, l1, l2, l3, tuple(comps), incidence, bd.reduced)
+    l1 = _trusted(amb2, bd.l1.coords + every)
+    l2 = _trusted(amb2, bd.l2.coords + every)
+    l3 = _trusted(amb2, bd.l3.coords + every)
+    # the exceptional tail of each name some point names: every component
+    # of a name passes through the points naming it, and no other does
+    tails: dict[str, list[int]] = {}
+    for i, p in enumerate(marked):
+        for cname in p.components:
+            tails.setdefault(cname, [0] * n)[i] = -1
+    zero = [0] * n
+    comps = tuple([
+        _lift(
+            c.name, c.branch, _trusted(amb2, c.cls.coords + tuple(tails.get(c.name, zero))), c.count
+        )
+        for c in bd.components
+    ])
+    incidence = tuple([q for q in bd.incidence if q.name in unresolved])
+    return _assemble(amb2, d1, d2, d3, l1, l2, l3, comps, incidence, bd.reduced)
 
 
 def resolve_triple_point(bd: BuildingData, name: str) -> BuildingData:

@@ -33,8 +33,13 @@ vectors of the ambient's rank are again such vectors.  That arithmetic is
 ``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
 kernels of ``cover``: the line bundles, 2K + B, the adjoint classes
 K + L_i and the lift through blown-up triple points, each computed on
-coordinate tuples and wrapped once.  The resolution builds the blow-up
-itself and appends each class's exceptional tail to its coordinates on the
+coordinate tuples and wrapped once.  The resolution builds its blow-up
+with ``_blow_up``, which skips the checks of ``Ambient`` too: the ruled
+ambient it extends and the marked points it adds as centres passed them
+already, and ``building_data`` refuses a marked point named like a centre,
+so the centres' names stay distinct.  ``_blow_up`` sets ``rank`` and
+``_canonical`` by the rule of ``Ambient.__post_init__``, and the
+resolution appends each class's exceptional tail to its coordinates on the
 ambient it extends.  Two builders of fixed-shape inputs use ``_trusted``
 too, since each coordinate they pass is an ``int`` by construction and
 their count is the ambient's rank: the data recipes of ``recipes`` (the
@@ -44,8 +49,9 @@ arithmetic on a pair that ``recipe`` has refused unless it is two
 ``int``s, and the sampler of ``check``'s oracle, whose coordinates are
 ``randrange`` draws on a shared F_e of rank 2.
 ``building_data`` validates each datum they make, once.  ``_builder``
-makes ``_trusted``, and it is the one place that builds a value type
-without its frozen ``__init__`` and ``__post_init__``: ``cover`` and
+makes ``_trusted`` and the ambient builder of ``_blow_up``, and it is the
+one place that builds a value type without its frozen ``__init__`` and
+``__post_init__``: ``cover`` and
 ``recipes`` take from it their builders of components, building data,
 invariants, side conditions and certificates whose fields have passed
 every check or, for the recipes' components, are literals, exact
@@ -183,6 +189,11 @@ class PointLabel:
         )
 
 
+def _ruled_canonical(e: int, centres: int) -> tuple[int, ...]:
+    """K on F_e blown up at ``centres`` points: -2*D0 - (e+2)*F + sum E_i."""
+    return (-2, -(e + 2)) + (1,) * centres
+
+
 @dataclass(frozen=True, slots=True)
 class Ambient:
     """One of the three surface models; immutable and hashable.  ``rank``
@@ -216,14 +227,9 @@ class Ambient:
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
             raise LatticeError("blown-up centres must have distinct names")
-        if self.kind == PLANE:
-            object.__setattr__(self, "rank", 1)
-            object.__setattr__(self, "_canonical", (-3,))
-        else:
-            object.__setattr__(self, "rank", 2 + len(self.points))
-            object.__setattr__(
-                self, "_canonical", (-2, -(self.e + 2)) + (1,) * len(self.points)
-            )
+        canonical = (-3,) if self.kind == PLANE else _ruled_canonical(self.e, len(self.points))
+        object.__setattr__(self, "rank", len(canonical))
+        object.__setattr__(self, "_canonical", canonical)
 
     def basis_labels(self) -> tuple[str, ...]:
         if self.kind == PLANE:
@@ -349,6 +355,18 @@ def _builder(cls: type) -> Callable:
 
 # results of arithmetic on validated classes
 _trusted = _builder(DivClass)
+_ambient = _builder(Ambient)
+
+
+def _blow_up(ambient: Ambient, centres: tuple[PointLabel, ...]) -> Ambient:
+    """The blow-up of the ruled ``ambient`` at ``centres`` besides its own,
+    built without the checks of ``Ambient``: the caller passes a validated
+    ruled ambient and validated point labels whose names are distinct and
+    are no centre's name.  ``rank`` and ``_canonical`` follow the rule of
+    ``Ambient.__post_init__``."""
+    points = ambient.points + centres
+    canonical = _ruled_canonical(ambient.e, len(points))
+    return _ambient(BLOWUP, ambient.e, points, len(canonical), canonical)
 
 
 def intersect(a: DivClass, b: DivClass) -> int:
@@ -410,18 +428,6 @@ def h0(d: DivClass) -> int:
     return h0_flagged(d)[0]
 
 
-def _blowup_pairings(d: DivClass) -> list[int]:
-    # pairings against the test classes q*F, q*D0, and for each centre
-    # E_i, q*F - E_i, q*D0 - E_i
-    a, b = d.coords[0], d.coords[1]
-    e = d.ambient.e
-    vals = [a, b - a * e]
-    for c in d.coords[2:]:
-        ci = -c
-        vals.extend((ci, a - ci, b - a * e - ci))
-    return vals
-
-
 def positivity(d: DivClass) -> str:
     """Positivity verdict of ``d`` on its own ambient: Ample, NefOnly,
     Unknown or NotNef.
@@ -445,18 +451,22 @@ def positivity(d: DivClass) -> str:
         if a >= 0 and b >= a * ambient.e:
             return NEF_ONLY
         return NOT_NEF
-    pairings = _blowup_pairings(d)
-    if min(pairings) < 0:
+    # d pairs with the test classes F, D0 and, for each centre, E_i, F - E_i
+    # and D0 - E_i to a, f, m_i, a - m_i and f - m_i, where m_i = -c_i; so
+    # the least pairing, gap, needs only the least and the most m_i
+    a, b = d.coords[0], d.coords[1]
+    f = b - a * ambient.e
+    # a blow-up has at least one centre
+    tail = d.coords[2:]
+    least, most = -max(tail), -min(tail)
+    gap = min(a, f, least, a - most, f - most)
+    if gap < 0:
         return NOT_NEF
     if ambient.e != 0:
         return UNKNOWN
-    a, b = d.coords[0], d.coords[1]
-    # the multiplicities -c_i; a blow-up has at least one centre
-    tail = d.coords[2:]
-    least, most = -max(tail), -min(tail)
     dd = intersect(d, d)
-    if a > 0 and b > 0 and least > 0 and a > most and b > most and dd > 0 and -sum(tail) < a + b:
+    if gap > 0 and dd > 0 and -sum(tail) < a + b:
         return AMPLE
-    if 0 in pairings and dd >= 0:
+    if gap == 0 and dd >= 0:
         return NEF_ONLY
     return UNKNOWN

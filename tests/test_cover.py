@@ -283,6 +283,26 @@ class TestValidation:
         bd = building_data(amb, d1, d2, d2, comps, (good,), allow_nonreduced=True)
         assert bd.incidence == (good,)
 
+    def test_marked_point_named_like_a_centre(self):
+        # resolving p would give a blow-up with two centres named p
+        amb = Ambient(BLOWUP, 0, (PointLabel("p"),))
+        fiber = amb.divisor(1, 0, 0)
+        comps = (
+            Component("d1", 1, amb.divisor(1, 2, 0)),
+            Component("d2", 2, amb.divisor(1, 6, 0)),
+            Component("delta1", 3, fiber),
+            Component("delta2", 3, fiber),
+            Component("delta3", 3, fiber),
+        )
+        d1, d2, d3 = amb.divisor(1, 2, 0), amb.divisor(1, 6, 0), amb.divisor(3, 0, 0)
+        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        with pytest.raises(InvalidBuildingData, match="'p' is named like a centre"):
+            building_data(amb, d1, d2, d3, comps, pts)
+        # the same point under another name builds and resolves
+        q = (PointLabel("q", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        bd = building_data(amb, d1, d2, d3, comps, q)
+        assert resolve_triple_points(bd, ["q"]) == fold_reference(bd, ["q"])
+
     def test_component_entry_must_be_a_component(self):
         # the component-sum loop refuses the entry before reading a field
         d = hirzebruch(0).divisor(2, 2)
@@ -711,25 +731,6 @@ class TestResolveTriplePoints:
             assert len(calls) == 1, (ksq, chi)
         assert resolved >= 20
 
-    def test_marked_point_named_like_a_centre(self):
-        # the blow-up would carry two centres named p
-        amb = Ambient(BLOWUP, 0, (PointLabel("p"),))
-        fiber = amb.divisor(1, 0, 0)
-        comps = (
-            Component("d1", 1, amb.divisor(1, 2, 0)),
-            Component("d2", 2, amb.divisor(1, 6, 0)),
-            Component("delta1", 3, fiber),
-            Component("delta2", 3, fiber),
-            Component("delta3", 3, fiber),
-        )
-        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
-        bd = building_data(
-            amb, amb.divisor(1, 2, 0), amb.divisor(1, 6, 0), amb.divisor(3, 0, 0), comps, pts
-        )
-        for resolve in (resolve_triple_points, fold_reference):
-            with pytest.raises(LatticeError, match="distinct names"):
-                resolve(bd, ["p"])
-
     def test_plane_refused(self):
         amb = plane()
         comps = (
@@ -796,10 +797,21 @@ class TestTrustedBuilders:
         assert hirzebruch(e)._canonical == (-2, -e - 2)
         assert Ambient(HIRZEBRUCH, e)._canonical == (-2, -e - 2)
         for n in (1, 2, 3):
-            amb = Ambient(BLOWUP, e, tuple(PointLabel(f"q{i}") for i in range(n)))
+            centres = tuple(PointLabel(f"q{i}") for i in range(n))
+            amb = Ambient(BLOWUP, e, centres)
             expected = DivClass(amb, (-2, -e - 2) + (1,) * n)
             assert expected == reference_canonical(amb)
             assert amb._canonical == expected.coords
+            # the resolution's blow-up, built past the checks, and a second
+            # blow-up of it at one more centre
+            trusted = lattice._blow_up(hirzebruch(e), centres)
+            again = lattice._blow_up(trusted, (PointLabel("r"),))
+            validated = Ambient(BLOWUP, e, centres + (PointLabel("r"),))
+            for got, want in ((trusted, amb), (again, validated)):
+                assert type(got) is Ambient and got == want and hash(got) == hash(want)
+                assert got.points == want.points and got.kind == BLOWUP and got.e == e
+                assert got.rank == want.rank == len(want.points) + 2
+                assert got._canonical == want._canonical == reference_canonical(want).coords
 
     def test_resolution_runs_no_component_post_init(self, monkeypatch):
         calls = []
@@ -827,6 +839,7 @@ class TestTrustedBuilders:
     def test_construction_runs_no_validating_constructor(self, monkeypatch):
         # the recipes build their fixed-shape classes and components trusted,
         # and a resolution runs no sum check: it does not call building_data
+        # and builds its blow-up past the checks of Ambient
         built = []
 
         def counting(cls):
@@ -838,7 +851,7 @@ class TestTrustedBuilders:
 
             return counted
 
-        for cls in (DivClass, Component):
+        for cls in (Ambient, DivClass, Component):
             monkeypatch.setattr(cls, "__post_init__", counting(cls))
         validated = []
         real_building_data = cover.building_data
@@ -849,8 +862,8 @@ class TestTrustedBuilders:
 
         monkeypatch.setattr(cover, "building_data", counted_validation)
         monkeypatch.setattr(recipes, "building_data", counted_validation)
-        Component("probe", 1, hirzebruch(0).divisor(0, 1))
-        assert built == [DivClass, Component]
+        Component("probe", 1, Ambient(HIRZEBRUCH, 0).divisor(0, 1))
+        assert built == [Ambient, DivClass, Component]
         resolved = 0
         for ksq, chi in checks.covered_pairs(6):
             del built[:], validated[:]
@@ -949,6 +962,10 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), al
         if p.name in seen:
             raise InvalidBuildingData(f"marked point {p.name!r} repeated")
         seen.add(p.name)
+        if p.name in {q.name for q in ambient.points}:
+            raise InvalidBuildingData(
+                f"marked point {p.name!r} is named like a centre of the ambient"
+            )
         for cname in p.components:
             if cname not in names:
                 raise InvalidBuildingData(f"point {p.name!r} names unknown component {cname!r}")

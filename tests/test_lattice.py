@@ -215,6 +215,36 @@ class TestH0:
                     assert h0(d) == chi
 
 
+def blowup_pairings(d: DivClass) -> list[int]:
+    # pairings against the test classes q*F, q*D0, and for each centre
+    # E_i, q*E_i, q*F - E_i, q*D0 - E_i
+    a, b = d.coords[0], d.coords[1]
+    e = d.ambient.e
+    vals = [a, b - a * e]
+    for c in d.coords[2:]:
+        ci = -c
+        vals.extend((ci, a - ci, b - a * e - ci))
+    return vals
+
+
+def blowup_positivity_reference(d: DivClass) -> str:
+    """The verdict on a blow-up read off the full list of test pairings."""
+    pairings = blowup_pairings(d)
+    if min(pairings) < 0:
+        return NOT_NEF
+    if d.ambient.e != 0:
+        return UNKNOWN
+    a, b = d.coords[0], d.coords[1]
+    tail = d.coords[2:]
+    least, most = -max(tail), -min(tail)
+    dd = intersect(d, d)
+    if a > 0 and b > 0 and least > 0 and a > most and b > most and dd > 0 and -sum(tail) < a + b:
+        return AMPLE
+    if 0 in pairings and dd >= 0:
+        return NEF_ONLY
+    return UNKNOWN
+
+
 class TestPositivity:
     def test_plane(self):
         assert positivity(plane().divisor(1)) == AMPLE
@@ -254,6 +284,24 @@ class TestPositivity:
         assert positivity(amb.divisor(2, 9, -1)) == UNKNOWN
         assert positivity(amb.divisor(1, 0, -1)) == NOT_NEF
 
+    @pytest.mark.parametrize("e", [0, 1, 2, 3])
+    def test_blowup_matches_the_pairing_list(self, e):
+        # the verdict reads the least and most multiplicity, not each pairing
+        seen = set()
+        for n in (1, 2, 3):
+            amb = hirzebruch(e)
+            for i in range(n):
+                amb = blow_up(amb, PointLabel(f"p{i + 1}"))
+            for ms in itertools.product(range(-1, 5), repeat=n):
+                tail = tuple(-m for m in ms)
+                for a in range(-1, 6):
+                    for b in range(-1, 5 * e + 9):
+                        d = DivClass(amb, (a, b) + tail)
+                        verdict = positivity(d)
+                        assert verdict == blowup_positivity_reference(d), d.coords
+                        seen.add(verdict)
+        assert seen == ({AMPLE, NEF_ONLY, UNKNOWN, NOT_NEF} if e == 0 else {UNKNOWN, NOT_NEF})
+
     @given(
         a=st.integers(-6, 10),
         b=st.integers(-6, 14),
@@ -268,9 +316,7 @@ class TestPositivity:
         d = DivClass(amb, (a, b) + tuple(-m for m in ms))
         verdict = positivity(d)
         if amb.kind == "BlownUp":
-            from bidouble.lattice import _blowup_pairings
-
-            pairings = _blowup_pairings(d)
+            pairings = blowup_pairings(d)
         else:
             pairings = [d.coords[0], d.coords[1] - d.coords[0] * e]
         if verdict == AMPLE:
