@@ -169,10 +169,12 @@ def check_degeneration_sweep(cert: ConstructionCertificate) -> int | str:
 
 
 def check_h0_d3_identity(cert: ConstructionCertificate) -> int | str:
+    # counted term by term, so that the check does not repeat the h0 call
+    # behind Genus2General's own h0(D3) side condition
     if cert.region != GENUS2_GENERAL:
         return 0
     ksq, chi = cert.requested_ksq, cert.requested_chi
-    val = h0(cert.data.d3)
+    val = monomial_count(cert.data.d3)
     if val != 8 * chi - 4 - 2 * ksq or val < 8:
         return f"({ksq}, {chi}): h0(D3) = {val}"
     return 1

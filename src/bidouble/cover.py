@@ -27,7 +27,7 @@ already validated on the data's ambient, and each resulting class is
 wrapped once through ``lattice._trusted``.  The intersection form and h0
 stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
 definition in the library.  So ``invariants`` and ``two_k_plus_b`` expect
-data built by ``building_data`` or ``resolve_triple_points``, not assembled
+data built by ``building_data`` or ``resolve_triple_point``, not assembled
 by hand.
 
 ``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
@@ -40,7 +40,7 @@ plain integer coordinates, with no ``DivClass``, so a wrong sign in
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
-builds a class: ``building_data`` and ``resolve_triple_points`` assemble
+builds a class: ``building_data`` and ``resolve_triple_point`` assemble
 the ``BuildingData`` they return once every check has passed,
 ``invariants`` its ``Invariants`` once the sign of q is checked, and the
 resolution lifts each component, whose name, branch and count ``bd``
@@ -58,7 +58,7 @@ checks to ``building_data``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import add, mul, sub
 
@@ -70,9 +70,6 @@ from .lattice import (
     _blow_up,
     _builder,
     _trusted,
-    doc_coords,
-    doc_int,
-    doc_str,
     h0_flagged,
     intersect,
 )
@@ -241,9 +238,6 @@ class BuildingData:
     def branches(self) -> tuple[DivClass, DivClass, DivClass]:
         return (self.d1, self.d2, self.d3)
 
-    def bundles(self) -> tuple[DivClass, DivClass, DivClass]:
-        return (self.l1, self.l2, self.l3)
-
     def branch(self, i: int) -> DivClass:
         if type(i) is not int or not 1 <= i <= 3:
             raise InvalidBuildingData(f"branch index must be 1..3, got {i!r}")
@@ -267,24 +261,28 @@ class BuildingData:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BuildingData":
-        ambient = Ambient.from_doc(doc["ambient"])
-        ds = [
-            DivClass(ambient, doc_coords(doc["classes"][k], f"class {k}"))
-            for k in ("d1", "d2", "d3")
-        ]
+        """The data a ``to_doc`` document describes, built through the public
+        constructors, so that the constructor owning each field checks it."""
+        amb = doc["ambient"]
+        points = tuple(_point(p) for p in amb.get("points", ()))
+        # a ruled document without e is refused by Ambient, not read as F_0
+        e = amb.get("e", 0 if amb["kind"] == PLANE else None)
+        ambient = Ambient(amb["kind"], e, points)
+        ds = [DivClass(ambient, doc["classes"][k]) for k in ("d1", "d2", "d3")]
         comps = tuple(
-            Component(
-                name=doc_str(c["name"], "component name"),
-                branch=doc_int(c["branch"], "component branch"),
-                cls=DivClass(ambient, doc_coords(c["class"], "component class")),
-                count=doc_int(c.get("count", 1), "component count"),
-            )
+            Component(c["name"], c["branch"], DivClass(ambient, c["class"]), c.get("count", 1))
             for c in doc.get("components", [])
         )
-        pts = tuple(PointLabel.from_doc(p) for p in doc.get("incidence", []))
+        pts = tuple(_point(p) for p in doc.get("incidence", []))
         return building_data(
             ambient, ds[0], ds[1], ds[2], comps, pts, allow_nonreduced=True
         )
+
+
+def _point(doc: dict) -> PointLabel:
+    return PointLabel(
+        doc["name"], doc["branches"], doc.get("components", ()), doc.get("general", True)
+    )
 
 
 # a component whose fields need no check, lifted to a blow-up or built by a
@@ -551,7 +549,7 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     return tuple(entries)
 
 
-def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingData:
+def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
     """Blow up the marked triple points named, in order, and lift the data.
 
     Each point must lie on all three branches of a ruled model.  Every
@@ -631,7 +629,3 @@ def resolve_triple_points(bd: BuildingData, names: Iterable[str]) -> BuildingDat
     incidence = tuple([q for q in bd.incidence if q.name in unresolved])
     return _assemble(amb2, d1, d2, d3, l1, l2, l3, comps, incidence, bd.reduced)
 
-
-def resolve_triple_point(bd: BuildingData, name: str) -> BuildingData:
-    """Blow up one marked triple point; see :func:`resolve_triple_points`."""
-    return resolve_triple_points(bd, (name,))

@@ -56,13 +56,13 @@ one place that builds a value type without its frozen ``__init__`` and
 invariants, side conditions and certificates whose fields have passed
 every check or, for the recipes' components, are literals, exact
 integers and classes of data already validated.
-Integers read from a document pass the same rule (``doc_int``) before they
-reach a constructor, so a JSON boolean or float never passes as a
-coordinate; booleans and names are checked the same way (``doc_bool``,
-``doc_str``).
+A document's fields reach these constructors as they are, so a JSON
+boolean or float never passes as a coordinate and a string never passes
+as a sequence of names; ``doc_int`` applies the same rule to an integer
+that no constructor owns.
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
-separately (as by ``from_doc``) still match.
+separately (as from a document) still match.
 """
 
 from __future__ import annotations
@@ -102,25 +102,6 @@ def doc_int(value: object, what: str) -> int:
     if type(value) is not int:
         raise LatticeError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def doc_bool(value: object, what: str) -> bool:
-    """A boolean field of an input document; integers are refused."""
-    if type(value) is not bool:
-        raise LatticeError(f"{what} must be a boolean, got {value!r}")
-    return value
-
-
-def doc_str(value: object, what: str) -> str:
-    """A name field of an input document; any other JSON type is refused."""
-    if type(value) is not str:
-        raise LatticeError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def doc_coords(values: list, what: str) -> tuple[int, ...]:
-    """The coordinate list of a class in an input document, as integers."""
-    return tuple(doc_int(c, what) for c in values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,17 +157,6 @@ class PointLabel:
             "components": list(self.components),
             "general": self.general,
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PointLabel":
-        return cls(
-            name=doc_str(doc["name"], "point name"),
-            branches=frozenset(doc_int(b, "point branch") for b in doc["branches"]),
-            components=tuple(
-                doc_str(c, "point component") for c in doc.get("components", [])
-            ),
-            general=doc_bool(doc.get("general", True), "point general"),
-        )
 
 
 def _ruled_canonical(e: int, centres: int) -> tuple[int, ...]:
@@ -248,18 +218,6 @@ class Ambient:
         if self.kind == HIRZEBRUCH:
             return {"kind": HIRZEBRUCH, "e": self.e}
         return {"kind": BLOWUP, "e": self.e, "points": [p.to_doc() for p in self.points]}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Ambient":
-        kind = doc["kind"]
-        if kind == PLANE:
-            return cls(PLANE)
-        if kind == HIRZEBRUCH:
-            return cls(HIRZEBRUCH, doc_int(doc["e"], "e"))
-        if kind == BLOWUP:
-            pts = tuple(PointLabel.from_doc(p) for p in doc["points"])
-            return cls(BLOWUP, doc_int(doc["e"], "e"), pts)
-        raise LatticeError(f"unknown ambient kind {kind!r}")
 
 
 _PLANE = Ambient(PLANE)

@@ -27,7 +27,7 @@ from .cover import (
     _lift,
     building_data,
     invariants,
-    resolve_triple_points,
+    resolve_triple_point,
 )
 from .cover import Invariants
 from .lattice import (
@@ -570,7 +570,7 @@ def recipe(
     marked = [p.name for p in pre.incidence if p.is_triple]
     if not marked:
         return family, params, pre, None
-    return family, params, resolve_triple_points(pre, marked), pre
+    return family, params, resolve_triple_point(pre, *marked), pre
 
 
 _certificate = _builder(ConstructionCertificate)

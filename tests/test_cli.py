@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidouble import checks, cover, geography, recipes
+from bidouble import checks, cover, geography, lattice, recipes
 from bidouble.cli import main
 from bidouble.geography import canonical_json
 from bidouble.recipes import FAMILIES, GENUS3, classify, construct
@@ -734,6 +734,18 @@ class TestCheck:
         fail_marked_triple_points(monkeypatch)
         got = checks.check_construction_sweep(construct(45, 10))
         assert got == "(45, 10) failed conditions ['markedTriplePoints']"
+
+    def test_h0_d3_identity_calls_no_h0(self, monkeypatch):
+        # the check counts sections itself, so it stays independent of the
+        # h0 behind Genus2General's own h0(D3) side condition
+        certs = [construct(ksq, chi) for ksq, chi in ((8, 4), (20, 7), (200, 60))]
+
+        def refused(*args):
+            raise AssertionError("h0 called")
+
+        for owner, name in ((lattice, "h0"), (lattice, "h0_flagged"), (checks, "h0")):
+            monkeypatch.setattr(owner, name, refused)
+        assert [checks.check_h0_d3_identity(c) for c in certs] == [1, 1, 1]
 
     @staticmethod
     def drop_last_row(real, doc):

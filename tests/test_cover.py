@@ -25,7 +25,6 @@ from bidouble.cover import (
     invariants,
     ksq_oracle,
     resolve_triple_point,
-    resolve_triple_points,
     singularity_scan,
     two_k_plus_b,
 )
@@ -301,7 +300,7 @@ class TestValidation:
         # the same point under another name builds and resolves
         q = (PointLabel("q", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
         bd = building_data(amb, d1, d2, d3, comps, q)
-        assert resolve_triple_points(bd, ["q"]) == fold_reference(bd, ["q"])
+        assert resolve_triple_point(bd, "q") == fold_reference(bd, "q")
 
     def test_component_entry_must_be_a_component(self):
         # the component-sum loop refuses the entry before reading a field
@@ -458,23 +457,65 @@ class TestSerialization:
         bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
         assert BuildingData.from_doc(bd.to_doc()) == bd
 
+    # each edit returns the error and wording of the constructor that owns
+    # the field it spoils
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda doc: doc["classes"]["d1"].__setitem__(0, True),
-            lambda doc: doc["classes"]["d3"].__setitem__(0, 3.0),
-            lambda doc: doc["components"][0]["class"].__setitem__(0, True),
-            lambda doc: doc["components"][0].__setitem__("branch", True),
-            lambda doc: doc["components"][0].__setitem__("count", True),
-            lambda doc: doc["components"][2].__setitem__("count", 1.0),
-            lambda doc: doc["incidence"][0].__setitem__("branches", [True, 2, 3]),
-            lambda doc: doc["ambient"].__setitem__("e", False),
+            lambda doc: doc["classes"]["d1"].__setitem__(0, True)
+            or (LatticeError, "class coordinates must be integers, got True"),
+            lambda doc: doc["classes"]["d3"].__setitem__(0, 3.0)
+            or (LatticeError, "class coordinates must be integers, got 3.0"),
+            lambda doc: doc["components"][0]["class"].__setitem__(0, True)
+            or (LatticeError, "class coordinates must be integers, got True"),
+            lambda doc: doc["components"][0].__setitem__("branch", True)
+            or (InvalidBuildingData, r"component branch must be 1\.\.3, got True"),
+            lambda doc: doc["components"][0].__setitem__("count", True)
+            or (InvalidBuildingData, "component count must be an integer >= 1, got True"),
+            lambda doc: doc["components"][2].__setitem__("count", 1.0)
+            or (InvalidBuildingData, "component count must be an integer >= 1, got 1.0"),
+            lambda doc: doc["incidence"][0].__setitem__("branches", [True, 2, 3])
+            or (LatticeError, "branch indices must be integers, got True"),
+            lambda doc: doc["ambient"].__setitem__("e", False)
+            or (LatticeError, "parameter e must be an integer, got False"),
         ],
     )
     def test_non_integers_rejected(self, edit):
         doc = TestResolveTriplePoint.marked_line5_data(4).to_doc()
-        edit(doc)
-        with pytest.raises(LatticeError, match="must be an integer"):
+        error, wording = edit(doc)
+        with pytest.raises(error, match=wording):
+            BuildingData.from_doc(doc)
+
+    def test_string_components_refused_on_a_centre(self):
+        # a string is no sequence of names, here as in PointLabel itself
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        doc = bd.to_doc()
+        doc["ambient"]["points"][0]["components"] = "d1"
+        with pytest.raises(LatticeError, match="must be a sequence of names, got 'd1'"):
+            BuildingData.from_doc(doc)
+
+    def test_string_components_refused_on_a_marked_point(self):
+        doc = TestResolveTriplePoint.marked_line5_data(4).to_doc()
+        doc["incidence"][0]["components"] = "d1"
+        with pytest.raises(LatticeError, match="must be a sequence of names, got 'd1'"):
+            BuildingData.from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "ambient,wording",
+        [
+            (
+                {"kind": HIRZEBRUCH, "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]},
+                "an unblown Hirzebruch surface carries no points",
+            ),
+            ({"kind": PLANE, "e": 1}, "the plane carries no e parameter"),
+            ({"kind": HIRZEBRUCH}, "parameter e must be an integer, got None"),
+            ({"kind": BLOWUP, "e": 0}, "a blow-up needs at least one centre"),
+        ],
+    )
+    def test_ambient_keys_must_fit_the_kind(self, ambient, wording):
+        doc = TestResolveTriplePoint.marked_line5_data(4).to_doc()
+        doc["ambient"] = ambient
+        with pytest.raises(LatticeError, match=wording):
             BuildingData.from_doc(doc)
 
 
@@ -513,7 +554,7 @@ def resolve_one_reference(bd, name):
     )
 
 
-def fold_reference(bd, names):
+def fold_reference(bd, *names):
     return functools.reduce(resolve_one_reference, names, bd)
 
 
@@ -602,10 +643,10 @@ class TestResolveTriplePoints:
         pre = cert.pre_resolution
         names = [p.name for p in pre.incidence]
         assert 1 <= len(names) <= 3
-        folded = fold_reference(pre, names)
-        assert resolve_triple_points(pre, names) == folded == cert.data
+        folded = fold_reference(pre, *names)
+        assert resolve_triple_point(pre, *names) == folded == cert.data
         assert functools.reduce(resolve_triple_point, names, pre) == folded
-        assert resolve_triple_points(pre, (p.name for p in pre.incidence)) == folded
+        assert resolve_triple_point(pre, *(p.name for p in pre.incidence)) == folded
 
     def test_epsilon_one_to_three_covered(self):
         eps = {(-ksq) % 4 for ksq, chi in RESOLVED_PAIRS if ksq != 4 * chi - 5}
@@ -613,7 +654,7 @@ class TestResolveTriplePoints:
 
     def test_no_points_is_identity(self):
         pre = construct(30, 6).pre_resolution
-        assert resolve_triple_points(pre, []) is pre
+        assert resolve_triple_point(pre) is pre
 
     @staticmethod
     def with_incidence(*points):
@@ -626,7 +667,7 @@ class TestResolveTriplePoints:
     @staticmethod
     def raised(resolve, bd, names):
         with pytest.raises(CoverError) as info:
-            resolve(bd, names)
+            resolve(bd, *names)
         return type(info.value)
 
     P1 = PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3"))
@@ -652,7 +693,7 @@ class TestResolveTriplePoints:
                 self.with_incidence(*points)
             return
         bd = self.with_incidence(*points)
-        assert self.raised(resolve_triple_points, bd, names) is expected
+        assert self.raised(resolve_triple_point, bd, names) is expected
         assert self.raised(fold_reference, bd, names) is expected
 
     def test_shared_name_equals_fold(self):
@@ -675,8 +716,8 @@ class TestResolveTriplePoints:
             allow_nonreduced=True,
         )
         for names in (["p1", "p2"], ["p2", "p1"]):
-            lifted = resolve_triple_points(pre, names)
-            assert lifted == fold_reference(pre, names)
+            lifted = resolve_triple_point(pre, *names)
+            assert lifted == fold_reference(pre, *names)
             shared = [c.cls.coords[2:] for c in lifted.components if c.name == "s"]
             assert shared == [(0, -1) if names[0] == "p1" else (-1, 0)] * 2
 
@@ -690,8 +731,8 @@ class TestResolveTriplePoints:
             pre, names, fault = random_marked_datum(rng)
             got = pre
             if isinstance(pre, BuildingData):
-                got = outcome(resolve_triple_points, pre, names)
-                assert got == outcome(fold_reference, pre, names), (fault, names)
+                got = outcome(resolve_triple_point, pre, *names)
+                assert got == outcome(fold_reference, pre, *names), (fault, names)
             resolved = isinstance(got, BuildingData)
             nonreduced += resolved and not got.reduced
             seen.add((fault, resolved if resolved else got[0].__name__))
@@ -740,7 +781,7 @@ class TestResolveTriplePoints:
         )
         pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "d3")),)
         bd = building_data(amb, amb.divisor(1), amb.divisor(3), amb.divisor(3), comps, pts)
-        assert self.raised(resolve_triple_points, bd, ["p"]) is CoverError
+        assert self.raised(resolve_triple_point, bd, ["p"]) is CoverError
         assert self.raised(fold_reference, bd, ["p"]) is CoverError
 
 
@@ -776,7 +817,7 @@ class TestTrustedBuilders:
                 assert rebuilt == bd and rebuilt.reduced == bd.reduced, (ksq, chi)
                 assert type(bd) is BuildingData
                 assert all(type(c) is Component for c in bd.components)
-                classes = bd.branches() + bd.bundles() + tuple(c.cls for c in bd.components)
+                classes = bd.branches() + (bd.l1, bd.l2, bd.l3) + tuple(c.cls for c in bd.components)
                 for d in classes:
                     assert type(d) is DivClass and d.ambient == bd.ambient
                     assert all(type(x) is int for x in d.coords), (ksq, chi, d)
@@ -830,7 +871,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del calls[:]
-            lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
+            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence if p.is_triple])
             assert calls == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
@@ -873,7 +914,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del validated[:]
-            lifted = resolve_triple_points(pre, [p.name for p in pre.incidence if p.is_triple])
+            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence if p.is_triple])
             assert validated == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
@@ -997,12 +1038,12 @@ def reference_invariants(bd):
     k = reference_canonical(bd.ambient)
     two_k_plus_b = times(2, k) + bd.d1 + bd.d2 + bd.d3
     ksq = intersect(two_k_plus_b, two_k_plus_b)
-    tot = sum(intersect(l, l + k) for l in bd.bundles())
+    tot = sum(intersect(l, l + k) for l in (bd.l1, bd.l2, bd.l3))
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
     chi = 4 + tot // 2
     pg, estimated = 0, False
-    for l in bd.bundles():
+    for l in (bd.l1, bd.l2, bd.l3):
         val, flagged = h0_flagged(k + l)
         pg += val
         estimated = estimated or flagged
@@ -1236,7 +1277,7 @@ class TestAgainstReferenceFold:
         b = tuple(x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords))
         total = sum(
             pair_inline(e, l.coords, tuple(x + y for x, y in zip(l.coords, k)))
-            for l in bd.bundles()
+            for l in (bd.l1, bd.l2, bd.l3)
         )
         ksq = 4 * pair_inline(e, k, k) + 4 * pair_inline(e, k, b) + pair_inline(e, b, b)
         return 4 + total // 2, ksq

@@ -9,6 +9,7 @@ No linter is part of the toolchain, so this walks the syntax tree instead.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -287,3 +288,23 @@ def test_traced_functions_resolve():
             owner = getattr(owner, cls)
         # the tracer takes a method from its class's own namespace
         assert name in (vars(owner) if classes else dir(owner)), f"{module_name}.{attr}"
+
+
+def test_tracer_counts_each_resolution():
+    # the tracer's resolution label counts one call per pair that resolves
+    # triple points, however many it resolves
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name in {module_name for module_name, _, _ in tracing.TRACED}:
+        importlib.import_module(f"bidouble.{module_name}")
+    recipes = importlib.import_module("bidouble.recipes")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        certs = [recipes.construct(ksq, 20) for ksq in (96, 97, 99)]
+    finally:
+        tracer.uninstall()
+    # Genus3 pairs with 0, 3 and 1 resolved triple points
+    assert [(c.region, c.epsilon) for c in certs] == [("Genus3", 0), ("Genus3", 3), ("Genus3", 1)]
+    assert tracer.stats["cover.resolve_triple_point"][0] == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidouble.cover import BuildingData, building_data
 from bidouble.lattice import (
     AMPLE,
     BLOWUP,
@@ -403,7 +404,7 @@ class TestTrustedArithmetic:
 
     def test_equal_distinct_ambients_match(self):
         amb = blowup_of_f0(1)
-        copy = Ambient.from_doc(amb.to_doc())
+        copy = Ambient(amb.kind, amb.e, amb.points)
         assert copy == amb and copy is not amb and copy.rank == amb.rank == 3
         u, v = amb.divisor(1, 1, -1), copy.divisor(2, 0, -1)
         assert (u + v).coords == (3, 1, -2)
@@ -490,16 +491,26 @@ class TestSlottedValues:
     def test_equal_and_hashable(self):
         for value, again in zip(self.values(), self.values()):
             assert value == again and hash(value) == hash(again)
-        rebuilt = Ambient.from_doc(hirzebruch(0).to_doc())
+        f0 = hirzebruch(0)
+        rebuilt = Ambient(f0.kind, f0.e, f0.points)
         assert rebuilt == hirzebruch(0) and rebuilt is not hirzebruch(0)
         assert hash(rebuilt) == hash(hirzebruch(0))
         assert {hirzebruch(0).divisor(1, 2)} == {rebuilt.divisor(1, 2)}
         amb = blowup_of_f0(1)
-        assert Ambient.from_doc(amb.to_doc()) == amb
-        assert hash(Ambient.from_doc(amb.to_doc())) == hash(amb)
+        assert Ambient(amb.kind, amb.e, amb.points) == amb
+        assert hash(Ambient(amb.kind, amb.e, amb.points)) == hash(amb)
+
+
+def data_doc(ambient: dict) -> dict:
+    """A document of building data on F_0 blown up at one point, with
+    ``ambient`` in place of its ambient's document."""
+    amb = Ambient(BLOWUP, 0, (PointLabel("p", frozenset({1, 2, 3})),))
+    d = amb.divisor(2, 2, 0)
+    return {**building_data(amb, d, d, d).to_doc(), "ambient": ambient}
 
 
 class TestDocumentIntegers:
+    # documents are read by BuildingData.from_doc through the constructors
     @pytest.mark.parametrize(
         "doc",
         [
@@ -511,8 +522,8 @@ class TestDocumentIntegers:
         ],
     )
     def test_booleans_and_floats_rejected(self, doc):
-        with pytest.raises(LatticeError):
-            Ambient.from_doc(doc)
+        with pytest.raises(LatticeError, match="must be (an integer|integers)"):
+            BuildingData.from_doc(data_doc(doc))
 
     @pytest.mark.parametrize(
         "branches", [{1.0, 2, 3}, {True, 2, 3}, {"1", 2}, frozenset({True, 2}), [1, True, 2]]
@@ -549,18 +560,20 @@ class TestDocumentIntegers:
         with pytest.raises(LatticeError, match="distinct names"):
             Ambient(BLOWUP, 0, (p, PointLabel("q"), PointLabel("p")))
         with pytest.raises(LatticeError, match="distinct names"):
-            Ambient.from_doc({"kind": BLOWUP, "e": 1, "points": [p.to_doc(), p.to_doc()]})
+            BuildingData.from_doc(
+                data_doc({"kind": BLOWUP, "e": 1, "points": [p.to_doc(), p.to_doc()]})
+            )
 
     def test_integers_accepted(self):
-        amb = Ambient.from_doc(
-            {"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]}
+        bd = BuildingData.from_doc(
+            data_doc({"kind": "BlownUp", "e": 0, "points": [{"name": "p", "branches": [1, 2, 3]}]})
         )
-        assert amb.points[0].is_triple
+        assert bd.ambient.points[0].is_triple
 
     @pytest.mark.parametrize("bad", [[], {}, float("inf"), 1, None, True])
     @pytest.mark.parametrize("field", ["name", "components"])
     def test_point_names_must_be_strings(self, bad, field):
         point = {"name": "p", "branches": [1, 2, 3], "components": ["a"]}
         point[field] = bad if field == "name" else ["a", bad]
-        with pytest.raises(LatticeError, match="must be a string"):
-            Ambient.from_doc({"kind": "BlownUp", "e": 0, "points": [point]})
+        with pytest.raises(LatticeError, match="must be (a string|strings)"):
+            BuildingData.from_doc(data_doc({"kind": "BlownUp", "e": 0, "points": [point]}))
