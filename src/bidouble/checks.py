@@ -112,7 +112,10 @@ def check_classify_totality(chi_max: int = 12) -> CheckResult:
 def check_construction_sweep(cert: ConstructionCertificate) -> int | str:
     ksq, chi = cert.requested_ksq, cert.requested_chi
     inv = cert.invariants
-    # ok includes the pair match, so the match is tested first to be named
+    # ok includes reducedness and the pair match, so these are tested first
+    # to be named
+    if not cert.data.reduced:
+        return f"({ksq}, {chi}) data is non-reduced"
     if (inv.ksq, inv.chi) != (ksq, chi):
         return f"({ksq}, {chi}) rebuilt as ({inv.ksq}, {inv.chi})"
     if not cert.ok:

@@ -118,10 +118,10 @@ def _write_certificate(cert, as_json: bool, report: Callable) -> int:
     return 0
 
 
-def _require(doc: dict, *keys: str) -> None:
+def _require(doc: dict, *keys: str, within: str = "") -> None:
     for key in keys:
         if key not in doc:
-            raise CertificateFormatError(f"certificate is missing field {key!r}")
+            raise CertificateFormatError(f"certificate is missing field {within + key!r}")
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -133,6 +133,7 @@ def _object(doc: dict, key: str) -> dict:
 
 def _requested(doc: dict) -> tuple[int, int]:
     req = _object(doc, "requested")
+    _require(req, "ksq", "chi", within="requested.")
     return doc_int(req["ksq"], "requested.ksq"), doc_int(req["chi"], "requested.chi")
 
 

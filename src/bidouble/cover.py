@@ -17,9 +17,11 @@ numerical invariants of the covering surface X are computed on the base Y
 Components give names to the irreducible pieces of each branch divisor and
 incidence records marked points; both are combinatorial bookkeeping.  A
 marked point names one single-copy component of each branch through it,
-a rule ``building_data`` alone checks.  The total branch must be reduced
-(no component shared between branch divisors) unless the caller is
-explicitly building degeneration data.
+a rule ``building_data`` alone checks.  A component shared between
+branch divisors makes the total branch non-reduced; such data builds, as
+degeneration data must, and records ``reduced`` as False.  Only a smooth
+construction needs a reduced branch, and ``recipes.certify`` owns that
+rule.
 
 The line bundles, the per-branch component sums, 2K + B and the adjoint
 classes K + L_i are computed directly on the coordinate tuples of classes
@@ -66,6 +68,7 @@ from .lattice import (
     PLANE,
     Ambient,
     DivClass,
+    LatticeError,
     PointLabel,
     _blow_up,
     _builder,
@@ -274,15 +277,14 @@ class BuildingData:
             for c in doc.get("components", [])
         )
         pts = tuple(_point(p) for p in doc.get("incidence", []))
-        return building_data(
-            ambient, ds[0], ds[1], ds[2], comps, pts, allow_nonreduced=True
-        )
+        return building_data(ambient, ds[0], ds[1], ds[2], comps, pts)
 
 
 def _point(doc: dict) -> PointLabel:
-    return PointLabel(
-        doc["name"], doc["branches"], doc.get("components", ()), doc.get("general", True)
-    )
+    # every point is assumed in general position, which a document records
+    if doc.get("general", True) is not True:
+        raise LatticeError(f"point general flag must be true, got {doc['general']!r}")
+    return PointLabel(doc["name"], doc["branches"], doc.get("components", ()))
 
 
 # a component whose fields need no check, lifted to a blow-up or built by a
@@ -353,15 +355,14 @@ def building_data(
     d3: DivClass,
     components: tuple[Component, ...] = (),
     incidence: tuple[PointLabel, ...] = (),
-    allow_nonreduced: bool = False,
 ) -> BuildingData:
     """Validate and assemble cover building data.
 
-    Checks the types of the entries and of the flag, parity, nonzero
-    derived bundles, effectivity of the branch classes, per-branch
-    component sums and incidence.  Each branch's components, counted with
-    their copies, sum to its class: branches in order, and in each a
-    component on another ambient is reported before the sum.
+    Checks the types of the entries, parity, nonzero derived bundles,
+    effectivity of the branch classes, per-branch component sums and
+    incidence.  Each branch's components, counted with their copies, sum
+    to its class: branches in order, and in each a component on another
+    ambient is reported before the sum.
 
     Incidence is owned here.  Point names are distinct and none is the
     name of a centre of the ambient, so resolving any of the points gives
@@ -374,14 +375,14 @@ def building_data(
     make that branch singular there.  Data with marked points indexes its
     components by name once, and each point's checks read that index.
 
-    A repeated component makes the total branch non-reduced, which the
-    standard validator rejects; degeneration callers pass
-    ``allow_nonreduced=True``.
+    ``components`` and ``incidence`` are ordered, so each is taken only
+    from a list or tuple.  A component name repeated across branches makes
+    the total branch non-reduced: such data builds, with ``reduced`` False.
     """
-    if type(allow_nonreduced) is not bool:
-        raise InvalidBuildingData(
-            f"allow_nonreduced must be a boolean, got {allow_nonreduced!r}"
-        )
+    if type(components) not in (list, tuple):
+        raise InvalidBuildingData(f"components must be a list or tuple, got {components!r}")
+    if type(incidence) not in (list, tuple):
+        raise InvalidBuildingData(f"incidence must be a list or tuple, got {incidence!r}")
     if d1.is_zero() or d2.is_zero():
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
@@ -416,11 +417,6 @@ def building_data(
     pts = tuple(incidence)
     names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
     reduced = len(names) == len(comps)
-    if not reduced and not allow_nonreduced:
-        raise InvalidBuildingData(
-            "total branch is non-reduced (a component is repeated); "
-            "only degeneration data may be non-reduced"
-        )
     return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
 
 
@@ -571,8 +567,7 @@ def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
     fail, since each exceptional coordinate of D_i + D_j is -2 and every L_i
     keeps a nonzero -1 there.  Each lifted branch class must stay
     effective: its h0 estimate drops by one per centre, so a branch of one
-    fiber through two marked points fails (h0 2 - 2 = 0), and a centre not
-    flagged general raises UnsupportedClass.
+    fiber through two marked points fails (h0 2 - 2 = 0).
 
     Built trusted, with no second validation, by builders from
     ``lattice._builder``: the blow-up ambient (``lattice._blow_up``, since

@@ -10,8 +10,9 @@ Picard group:
 
 Divisor classes are integer coordinate vectors in the ambient basis and all
 arithmetic is exact.  Points are combinatorial labels carrying an incidence
-record, never coordinates; "general position" is an assumption recorded on
-the label, not a fact the lattice can check.
+record, never coordinates; every point is assumed in general position, an
+assumption the lattice cannot check and documents record as
+``"general": true``.
 
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
 plus the sum of exceptional classes on a blow-up.  An ``Ambient`` computes
@@ -24,12 +25,14 @@ Trusted construction: the public ``DivClass(...)`` constructor refuses a
 coordinate that is not a true integer (``type(c) is int``: a bool, float or
 string is never rounded) and checks the count against the ambient's rank;
 the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
-rule, and a ``PointLabel`` refuses a name or component name that is not a
-``str`` and a ``general`` flag that is not a ``bool``, and an ``Ambient``
-refuses a centre that is not a ``PointLabel``.  Arithmetic on classes that
-already passed it builds its result through ``_trusted``, which skips
-both: sums, differences, integer multiples and exact quotients of integer
-vectors of the ambient's rank are again such vectors.  That arithmetic is
+rule, a ``PointLabel`` refuses a name or component name that is not a
+``str``, and an ``Ambient`` refuses a centre that is not a ``PointLabel``.
+The ordered fields, a point's ``components`` and an ambient's centres, are
+taken only from a ``list`` or ``tuple``: a set or dict would order them by
+hash seed.  Arithmetic on classes that already passed it builds its result
+through ``_trusted``, which skips both: sums, differences, integer
+multiples and exact quotients of integer vectors of the ambient's rank are
+again such vectors.  That arithmetic is
 ``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
 kernels of ``cover``: the line bundles, 2K + B, the adjoint classes
 K + L_i and the lift through blown-up triple points, each computed on
@@ -57,9 +60,9 @@ invariants, side conditions and certificates whose fields have passed
 every check or, for the recipes' components, are literals, exact
 integers and classes of data already validated.
 A document's fields reach these constructors as they are, so a JSON
-boolean or float never passes as a coordinate and a string never passes
-as a sequence of names; ``doc_int`` applies the same rule to an integer
-that no constructor owns.
+boolean or float never passes as a coordinate and a string or an object
+never passes as a sequence of names; ``doc_int`` applies the same rule to
+an integer that no constructor owns.
 Ambients compare by identity first and by value second: ``plane()`` and
 ``hirzebruch(e)`` hand out shared instances, while equal ambients built
 separately (as from a document) still match.
@@ -110,16 +113,16 @@ class PointLabel:
 
     ``branches`` lists which of the three branch divisors pass through the
     point; multiplicity is always one.  ``components`` names the
-    irreducible branch pieces through the point: on a marked point of
-    building data, one single-copy component of each branch in
-    ``branches``, a rule ``cover.building_data`` checks.  ``general``
-    records the blanket general-position assumption for the label.
+    irreducible branch pieces through the point, from a list or tuple: on
+    a marked point of building data, one single-copy component of each
+    branch in ``branches``, a rule ``cover.building_data`` checks.  Every
+    point is assumed in general position, and ``to_doc`` records that
+    assumption as ``"general": true``.
     """
 
     name: str
     branches: frozenset[int] = frozenset()
     components: tuple[str, ...] = ()
-    general: bool = True
 
     def __post_init__(self) -> None:
         if type(self.name) is not str:
@@ -130,7 +133,7 @@ class PointLabel:
         for b in branches:
             if type(b) is not int:
                 raise LatticeError(f"branch indices must be integers, got {b!r}")
-        if type(self.components) is str:
+        if type(self.components) not in (list, tuple):
             raise LatticeError(
                 f"point components must be a sequence of names, got {self.components!r}"
             )
@@ -143,8 +146,6 @@ class PointLabel:
         for c in self.components:
             if type(c) is not str:
                 raise LatticeError(f"point components must be strings, got {c!r}")
-        if type(self.general) is not bool:
-            raise LatticeError(f"point general flag must be a boolean, got {self.general!r}")
 
     @property
     def is_triple(self) -> bool:
@@ -155,7 +156,7 @@ class PointLabel:
             "name": self.name,
             "branches": sorted(self.branches),
             "components": list(self.components),
-            "general": self.general,
+            "general": True,
         }
 
 
@@ -177,6 +178,10 @@ class Ambient:
     _canonical: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.points) not in (list, tuple):
+            raise LatticeError(
+                f"blown-up centres must be a list or tuple of point labels, got {self.points!r}"
+            )
         object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in (PLANE, HIRZEBRUCH, BLOWUP):
             raise LatticeError(f"unknown ambient kind {self.kind!r}")
@@ -348,8 +353,9 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
 
     On the plane and on F_e the value is exact and the flag is False.  On a
     blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are supported;
-    the value is max(0, h0(A) - #{m_i = 1}), an estimate valid for points in
-    general position, and the flag is True exactly when some m_i = 1.
+    the value is max(0, h0(A) - #{m_i = 1}), an estimate that assumes the
+    centres in general position, as every point is, and the flag is True
+    exactly when some m_i = 1.
     """
     ambient = d.ambient
     u = d.coords
@@ -359,18 +365,11 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
     k = 0
     if ambient.kind == BLOWUP:
         tail = u[2:]
-        # the shape is refused before generality is asked
         k = tail.count(-1)
         if k + tail.count(0) != len(tail):
             raise UnsupportedClass(
                 f"unsupported blow-up class shape {d}: exceptional multiplicities must be 0 or 1"
             )
-        if k:
-            for c, p in zip(tail, ambient.points):
-                if c and not p.general:
-                    raise UnsupportedClass(
-                        f"point {p.name} is not flagged general; h0 estimate refused"
-                    )
     a, b = u[0], u[1]
     if a < 0 or b < 0:
         return (0, k > 0)

@@ -370,23 +370,13 @@ def _shared_section(src: BuildingData, params: dict[str, int]) -> BuildingData:
     branch2 = [_lift("d1", 2, src.d1, 1)]
     branch2 += [_lift(f"f{i}", 2, fiber, 1) for i in range(1, rest.coords[1] + 1)]
     comps = (_lift("d1", 1, src.d1, 1), *branch2, _lift("d3", 3, src.d3, 1))
-    return building_data(
-        amb, src.d1, src.d2, src.d3, comps, allow_nonreduced=True
-    )
+    return building_data(amb, src.d1, src.d2, src.d3, comps)
 
 
 def _with_point(
     src: BuildingData, comps: tuple[Component, ...], point: PointLabel
 ) -> BuildingData:
-    return building_data(
-        src.ambient,
-        src.d1,
-        src.d2,
-        src.d3,
-        comps,
-        src.incidence + (point,),
-        allow_nonreduced=not src.reduced,
-    )
+    return building_data(src.ambient, src.d1, src.d2, src.d3, comps, src.incidence + (point,))
 
 
 def _through_point(
@@ -588,12 +578,13 @@ def certify(
 
     Shared by construct and by certificate verification, which certifies
     only data equal to the rebuild, so a stored field cannot drift from
-    the derivation.
+    the derivation.  A construction is ok only over reduced data: a
+    smooth bidouble cover needs a reduced total branch.
     """
     conds = evaluate_side_conditions(family, params, data, pre, ksq, chi)
     inv = invariants(data)
     amp = positivity(inv.two_k_plus_b)
-    ok = all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
+    ok = data.reduced and all(c.satisfied for c in conds) and (inv.ksq, inv.chi) == (ksq, chi)
     # the fibration is the preimage of the ruling F, and L_i.F is the first
     # coordinate of L_i: a fiber's cover is connected exactly when every
     # L_i.F > 0, and then has genus sum L_i.F - 3 by Riemann-Hurwitz;

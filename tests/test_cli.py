@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bidouble import checks, cover, geography, lattice, recipes
 from bidouble.cli import main
 from bidouble.geography import canonical_json
-from bidouble.recipes import FAMILIES, GENUS3, classify, construct
+from bidouble.recipes import FAMILIES, GENUS3, NOETHER_LINE, classify, construct
 
 
 def run(capsys, *argv):
@@ -39,6 +39,18 @@ def fail_marked_triple_points(monkeypatch):
         ]
 
     monkeypatch.setitem(recipes.FAMILY, GENUS3, dataclasses.replace(genus3, conditions=conditions))
+
+
+def share_a_noether_component(monkeypatch):
+    """Make NoetherLine's data recipe build its degenerate data, whose
+    second branch shares the first branch's section, so that a NoetherLine
+    construction is built over non-reduced data."""
+    noether = recipes.FAMILY[NOETHER_LINE]
+
+    def data(params):
+        return recipes._shared_section(noether.data(params), params)
+
+    monkeypatch.setitem(recipes.FAMILY, NOETHER_LINE, dataclasses.replace(noether, data=data))
 
 
 def dotted(leaf):
@@ -206,6 +218,22 @@ class TestVerify:
         fail_marked_triple_points(monkeypatch)
         path = self.write_doc(capsys, tmp_path, command, "45", "10", "--json")
         assert json.loads(path.read_text())["ok"] is False
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+            "MISMATCH valid: the rebuilt certificate is not ok",
+            "verified: FAIL",
+        ]
+
+    def test_construction_over_nonreduced_data_fails(self, capsys, tmp_path, monkeypatch):
+        # the conditions and the pair hold, so only reducedness makes the
+        # construction not ok
+        share_a_noether_component(monkeypatch)
+        cert = construct(4, 5)
+        assert not cert.data.reduced and not cert.ok
+        assert all(c.satisfied for c in cert.side_conditions)
+        assert (cert.invariants.ksq, cert.invariants.chi) == (4, 5)
+        path = self.write_doc(capsys, tmp_path, "construct", "4", "5", "--json")
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
@@ -568,10 +596,14 @@ class TestVerify:
 
     def test_missing_field_exit_two(self, capsys, tmp_path):
         path = tmp_path / "cut.json"
-        path.write_text('{"kind": "construction", "requested": {"ksq": 1, "chi": 2}}')
-        code, _, err = run(capsys, "verify", str(path))
-        assert code == 2
-        assert "missing field" in err
+        for text, field in (
+            ('{"kind": "construction", "requested": {"ksq": 1, "chi": 2}}', "'data'"),
+            ('{"kind": "construction", "requested": {"ksq": 20}, "data": {}}', "'requested.chi'"),
+        ):
+            path.write_text(text)
+            code, _, err = run(capsys, "verify", str(path))
+            assert code == 2
+            assert f"certificate is missing field {field}" in err
 
 
 def quiet_main(*argv):
@@ -729,6 +761,12 @@ class TestCheck:
         monkeypatch.setattr(recipes, "invariants", one_more_ksq)
         got = checks.check_construction_sweep(construct(20, 7))
         assert got == "(20, 7) rebuilt as (21, 7)"
+
+    def test_construction_sweep_names_nonreduced_data(self, monkeypatch):
+        # reducedness is part of ok, so it is tested first to be named
+        share_a_noether_component(monkeypatch)
+        got = checks.check_construction_sweep(construct(4, 5))
+        assert got == "(4, 5) data is non-reduced"
 
     def test_construction_sweep_names_failed_conditions(self, monkeypatch):
         fail_marked_triple_points(monkeypatch)

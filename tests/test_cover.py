@@ -42,9 +42,11 @@ from bidouble.lattice import (
     intersect,
     plane,
 )
+from bidouble.degenerations import degenerate
 from bidouble.recipes import (
     NOT_ADMISSIBLE,
     NOT_COVERED,
+    PRODUCT_LINE,
     classify,
     construct,
     recipe,
@@ -57,16 +59,10 @@ def plane_cover(deg1, deg2, deg3):
     return building_data(amb, amb.divisor(deg1), amb.divisor(deg2), amb.divisor(deg3))
 
 
-def f_cover(e, d1, d2, d3, components=(), incidence=(), allow_nonreduced=False):
+def f_cover(e, d1, d2, d3, components=(), incidence=()):
     amb = hirzebruch(e)
     return building_data(
-        amb,
-        amb.divisor(*d1),
-        amb.divisor(*d2),
-        amb.divisor(*d3),
-        components,
-        incidence,
-        allow_nonreduced,
+        amb, amb.divisor(*d1), amb.divisor(*d2), amb.divisor(*d3), components, incidence
     )
 
 
@@ -167,7 +163,7 @@ class TestValidation:
                 components=(Component("d1", 1, amb.divisor(1, 0), count=3),),
             )
 
-    def test_nonreduced_rejected_by_default(self):
+    def test_nonreduced_data_builds_and_is_recorded(self):
         amb = hirzebruch(0)
         shared = amb.divisor(1, 0)
         comps = (
@@ -176,13 +172,8 @@ class TestValidation:
             Component("rest1", 1, amb.divisor(1, 0)),
             Component("rest2", 2, amb.divisor(1, 0)),
         )
-        with pytest.raises(InvalidBuildingData):
-            building_data(amb, amb.divisor(2, 0), amb.divisor(2, 0), amb.divisor(0, 2), comps)
-        bd = building_data(
-            amb, amb.divisor(2, 0), amb.divisor(2, 0), amb.divisor(0, 2), comps,
-            allow_nonreduced=True,
-        )
-        assert not bd.reduced
+        bd = building_data(amb, amb.divisor(2, 0), amb.divisor(2, 0), amb.divisor(0, 2), comps)
+        assert not bd.reduced and bd.to_doc()["reduced"] is False
 
     def test_ineffective_branch_rejected(self):
         amb = hirzebruch(1)
@@ -277,9 +268,9 @@ class TestValidation:
         d1, d2 = amb.divisor(0, 2), amb.divisor(2, 2)
         bad = PointLabel("p", frozenset({1, 2, 3}), ("f", "s", "d3"))
         with pytest.raises(InvalidBuildingData, match=r"lie on branches \[1, 2, 3, 3\]"):
-            building_data(amb, d1, d2, d2, comps, (bad,), allow_nonreduced=True)
+            building_data(amb, d1, d2, d2, comps, (bad,))
         good = PointLabel("p", frozenset({1, 2, 3}), ("f", "s"))
-        bd = building_data(amb, d1, d2, d2, comps, (good,), allow_nonreduced=True)
+        bd = building_data(amb, d1, d2, d2, comps, (good,))
         assert bd.incidence == (good,)
 
     def test_marked_point_named_like_a_centre(self):
@@ -313,11 +304,19 @@ class TestValidation:
         with pytest.raises(InvalidBuildingData, match="marked point 'p' is not a PointLabel"):
             building_data(hirzebruch(0), d, d, d, (), ("p",))
 
-    @pytest.mark.parametrize("flag", [1, 0, None, "yes"])
-    def test_allow_nonreduced_must_be_a_boolean(self, flag):
-        d = hirzebruch(0).divisor(2, 2)
-        with pytest.raises(InvalidBuildingData, match="allow_nonreduced must be a boolean"):
-            building_data(hirzebruch(0), d, d, d, allow_nonreduced=flag)
+    def test_ordered_inputs_must_be_lists_or_tuples(self):
+        # a set or dict would order the document's components by hash seed
+        amb = hirzebruch(0)
+        d = amb.divisor(2, 2)
+        comps = [Component(name, i, d) for i, name in enumerate("abc", start=1)]
+        point = PointLabel("p", frozenset({1, 2, 3}), ("a", "b", "c"))
+        assert building_data(amb, d, d, d, comps, [point]).components == tuple(comps)
+        for given in (set(comps), dict.fromkeys(comps), iter(comps)):
+            with pytest.raises(InvalidBuildingData, match="components must be a list or tuple"):
+                building_data(amb, d, d, d, given)
+        for given in ({point}, {point: 0}):
+            with pytest.raises(InvalidBuildingData, match="incidence must be a list or tuple"):
+                building_data(amb, d, d, d, comps, given)
 
     @pytest.mark.parametrize(
         "field, args",
@@ -385,9 +384,7 @@ class TestSingularityScan:
             Component("d1", 2, shared),
             Component("d3", 3, amb.divisor(3, 6)),
         )
-        bd = building_data(
-            amb, shared, shared, amb.divisor(3, 6), comps, allow_nonreduced=True
-        )
+        bd = building_data(amb, shared, shared, amb.divisor(3, 6), comps)
         ledger = singularity_scan(bd)
         assert len(ledger) == 1
         entry = ledger[0]
@@ -500,6 +497,43 @@ class TestSerialization:
         with pytest.raises(LatticeError, match="must be a sequence of names, got 'd1'"):
             BuildingData.from_doc(doc)
 
+    def test_object_components_refused_on_a_centre(self):
+        # a JSON object's keys are no ordered list of names
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        doc = bd.to_doc()
+        doc["ambient"]["points"][0]["components"] = {"d1": 0, "d2": 1, "delta1": 2}
+        with pytest.raises(LatticeError, match="must be a sequence of names"):
+            BuildingData.from_doc(doc)
+
+    @pytest.mark.parametrize("flag", [False, None, 1, "true"])
+    def test_non_general_point_refused(self, flag):
+        # every point is assumed in general position
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        doc = bd.to_doc()
+        doc["ambient"]["points"][0]["general"] = flag
+        with pytest.raises(LatticeError, match="point general flag must be true"):
+            BuildingData.from_doc(doc)
+        doc = TestResolveTriplePoint.marked_line5_data(4).to_doc()
+        doc["incidence"][0]["general"] = flag
+        with pytest.raises(LatticeError, match="point general flag must be true"):
+            BuildingData.from_doc(doc)
+
+    def test_every_document_point_records_general_position(self):
+        points = 0
+        for ksq, chi in checks.covered_pairs(12):
+            cert = construct(ksq, chi)
+            docs = [cert.to_doc()]
+            if cert.region != PRODUCT_LINE:
+                docs.append(degenerate(cert).to_doc())
+            for doc in docs:
+                for block in (doc["data"], doc.get("preResolution")):
+                    if block is None:
+                        continue
+                    for p in block["ambient"].get("points", []) + block["incidence"]:
+                        assert p["general"] is True, (ksq, chi, p)
+                        points += 1
+        assert points >= 100
+
     @pytest.mark.parametrize(
         "ambient,wording",
         [
@@ -550,7 +584,6 @@ def resolve_one_reference(bd, name):
         lift(bd.d3, True),
         comps,
         tuple(q for q in bd.incidence if q.name != name),
-        allow_nonreduced=not bd.reduced,
     )
 
 
@@ -566,14 +599,13 @@ def random_marked_datum(rng):
     to three marked triple points, as ``outcome`` of ``building_data``
     returns it, the order to resolve them, and the fault it carries, if
     any, at the last point resolved: a fiber through two marked points on
-    a branch left with no sections ("fiber"), a point not flagged general
-    ("general"), or a point naming a component name shared by branches 2
-    and 3 and also a curve of branch 3 ("shared"), which ``building_data``
-    refuses.  In half the data with no fault, the last point names such a
+    a branch left with no sections ("fiber"), or a point naming a component
+    name shared by branches 2 and 3 and also a curve of branch 3
+    ("shared"), which ``building_data`` refuses.  In half the data with no fault, the last point names such a
     shared name as its one curve of branches 2 and 3.  A fault at an
     earlier point would stop the fold at an earlier stage, whose error
     names fewer exceptional classes."""
-    fault = rng.choice((None, None, None, "fiber", "general", "shared"))
+    fault = rng.choice((None, None, None, "fiber", "shared"))
     shared = fault == "shared" or (fault is None and rng.random() < 0.5)
     k = 2 if fault == "fiber" else rng.randint(1, 3)
     if rng.random() < 0.5:
@@ -616,10 +648,9 @@ def random_marked_datum(rng):
         if shared:
             through[-1] = ("d1", "s", "delta1") if fault else ("d1", "s")
     points = [
-        PointLabel(f"p{i}", frozenset({1, 2, 3}), names, general=not (fault == "general" and i == k))
-        for i, names in enumerate(through, start=1)
+        PointLabel(f"p{i}", frozenset({1, 2, 3}), names) for i, names in enumerate(through, start=1)
     ]
-    pre = outcome(building_data, F0, d1, d2, d3, tuple(comps), tuple(points), shared)
+    pre = outcome(building_data, F0, d1, d2, d3, tuple(comps), tuple(points))
     order = [p.name for p in points[:-1]]
     rng.shuffle(order)
     return pre, order + [points[-1].name], fault
@@ -711,10 +742,7 @@ class TestResolveTriplePoints:
             PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3")),
             PointLabel("p2", frozenset({1, 2, 3}), ("f2", "s")),
         )
-        pre = building_data(
-            F0, F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2), comps, points,
-            allow_nonreduced=True,
-        )
+        pre = building_data(F0, F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2), comps, points)
         for names in (["p1", "p2"], ["p2", "p1"]):
             lifted = resolve_triple_point(pre, *names)
             assert lifted == fold_reference(pre, *names)
@@ -740,7 +768,6 @@ class TestResolveTriplePoints:
         assert seen == {
             (None, True),
             ("fiber", "InvalidBuildingData"),
-            ("general", "UnsupportedClass"),
             ("shared", "InvalidBuildingData"),
         }
 
@@ -791,14 +818,14 @@ def public_rebuild(bd):
     amb = Ambient(
         given.kind,
         given.e,
-        tuple(PointLabel(p.name, p.branches, p.components, p.general) for p in given.points),
+        tuple(PointLabel(p.name, p.branches, p.components) for p in given.points),
     )
     comps = tuple(
         Component(c.name, c.branch, DivClass(amb, c.cls.coords), c.count) for c in bd.components
     )
-    pts = tuple(PointLabel(p.name, p.branches, p.components, p.general) for p in bd.incidence)
+    pts = tuple(PointLabel(p.name, p.branches, p.components) for p in bd.incidence)
     d1, d2, d3 = (DivClass(amb, d.coords) for d in bd.branches())
-    return building_data(amb, d1, d2, d3, comps, pts, allow_nonreduced=not bd.reduced)
+    return building_data(amb, d1, d2, d3, comps, pts)
 
 
 class TestTrustedBuilders:
@@ -988,7 +1015,10 @@ def reference_component_sums(ambient, comps, totals):
             )
 
 
-def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), allow_nonreduced=False):
+def reference_building_data(ambient, d1, d2, d3, components=(), incidence=()):
+    for what, given in (("components", components), ("incidence", incidence)):
+        if type(given) not in (list, tuple):
+            raise InvalidBuildingData(f"{what} must be a list or tuple, got {given!r}")
     if d1.is_zero() or d2.is_zero():
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = reference_line_bundles(ambient, d1, d2, d3)
@@ -1025,12 +1055,8 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=(), al
                     f"point {p.name!r} names component {c.name!r} of {c.count} copies, "
                     "not a single curve"
                 )
+    # a repeated name makes the total branch non-reduced, which builds
     reduced = len(names) == len(comps)
-    if not reduced and not allow_nonreduced:
-        raise InvalidBuildingData(
-            "total branch is non-reduced (a component is repeated); "
-            "only degeneration data may be non-reduced"
-        )
     return BuildingData(ambient, d1, d2, d3, l1, l2, l3, comps, tuple(incidence), reduced)
 
 
@@ -1060,7 +1086,7 @@ def outcome(fn, *args):
 
 def random_ambient(rng):
     """The plane, F_e with e <= 3, or a blow-up of F_e at one or two
-    centres, the last of which is sometimes not flagged general."""
+    centres."""
     kind = rng.random()
     if kind < 0.2:
         return plane()
@@ -1068,15 +1094,7 @@ def random_ambient(rng):
     if kind < 0.6:
         return hirzebruch(e)
     k = rng.randrange(1, 3)
-    spoilt = rng.random() < 0.2
-    return Ambient(
-        BLOWUP,
-        e,
-        tuple(
-            PointLabel(f"q{i + 1}", frozenset({1, 2, 3}), general=not (spoilt and i == k - 1))
-            for i in range(k)
-        ),
-    )
+    return Ambient(BLOWUP, e, tuple(PointLabel(f"q{i + 1}", frozenset({1, 2, 3})) for i in range(k)))
 
 
 def random_datum(rng):
@@ -1085,8 +1103,7 @@ def random_datum(rng):
     sometimes of odd parity, with a zero bundle, an ineffective class or a
     component that spoils its branch sum.  On a blow-up the exceptional
     coordinates are 0 or -1, equal in the three branches unless the parity
-    is odd, and sometimes one is -2 or -3 in D1; a centre may be one not
-    flagged general."""
+    is odd, and sometimes one is -2 or -3 in D1."""
     amb = random_ambient(rng)
     ruled = amb.kind != PLANE
     # the class of a line on the plane, of a ruling fiber otherwise
@@ -1168,15 +1185,15 @@ class TestAgainstReferenceFold:
                 seen[amb.kind, kind] = seen.get((amb.kind, kind), 0) + 1
         # every validation on the path is reached on every ambient kind:
         # valid data, parity, zero bundle, effectivity and component sums;
-        # on blow-ups also the shape and generality refusals of h0, in the
-        # validation and in the invariants
+        # on blow-ups also the shape refusal of h0, in the validation and in
+        # the invariants
         for kind in (PLANE, HIRZEBRUCH, BLOWUP):
             reached = {k for a, k in seen if a == kind}
             assert reached >= {
                 "valid", "invariants valid", "ParityError", "derived", "branch", "components"
             }, kind
             assert seen[kind, "invariants valid"] >= 150, kind
-        assert {"unsupported", "point", "invariants unsupported"} <= {
+        assert {"unsupported", "invariants unsupported"} <= {
             k for a, k in seen if a == BLOWUP
         }
 
@@ -1198,8 +1215,8 @@ class TestAgainstReferenceFold:
             fn(*args)
         return type(info.value), str(info.value)
 
-    # a blow-up of F_0 at one point not flagged general
-    NON_GENERAL = Ambient(BLOWUP, 0, (PointLabel("q", frozenset({1, 2, 3}), general=False),))
+    # a blow-up of F_0 at one point
+    BLOWN_UP_ONCE = Ambient(BLOWUP, 0, (PointLabel("q", frozenset({1, 2, 3})),))
 
     @pytest.mark.parametrize(
         "e, d1, d2, d3, comps, expected",
@@ -1217,9 +1234,8 @@ class TestAgainstReferenceFold:
             # a short branch-1 sum wins over a branch-2 component living on
             # F_1 (a fifth entry names the component's own F_e)
             (0, (2, 0), (0, 2), (0, 0), (("a", 1, (1, 0), 1), ("b", 2, (0, 2), 1, 1)), InvalidBuildingData),
-            # multiplicity 2 at a point not flagged general: the shape error
-            # wins over the generality error
-            (NON_GENERAL, (1, 0, -2), (1, 0, 0), (1, 0, 0), (), UnsupportedClass),
+            # multiplicity 2 at the centre: the shape error
+            (BLOWN_UP_ONCE, (1, 0, -2), (1, 0, 0), (1, 0, 0), (), UnsupportedClass),
         ],
     )
     def test_same_errors_as_reference(self, e, d1, d2, d3, comps, expected):

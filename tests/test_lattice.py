@@ -199,11 +199,6 @@ class TestH0:
         with pytest.raises(UnsupportedClass):
             h0(amb.divisor(3, 4, -2))
 
-    def test_non_general_point_refused(self):
-        amb = blow_up(hirzebruch(0), PointLabel("p", frozenset({1, 2}), general=False))
-        with pytest.raises(UnsupportedClass):
-            h0(amb.divisor(3, 4, -1))
-
     def test_riemann_roch_in_vanishing_regime(self):
         # chi(d) = 1 + d.(d - K)/2 equals h0 when a >= 0 and b >= a*e
         for e in range(4):
@@ -539,8 +534,9 @@ class TestDocumentIntegers:
             lambda: PointLabel(None),
             lambda: PointLabel("p", frozenset({1, 2, 3}), components=(3,)),
             lambda: PointLabel("p", frozenset({1, 2, 3}), components=("d1", None)),
-            lambda: PointLabel("p", frozenset({1, 2, 3}), general=1),
-            lambda: PointLabel("p", general=None),
+            # a set or dict would order the names by hash seed
+            lambda: PointLabel("p", frozenset({1, 2, 3}), {"a", "b", "c"}),
+            lambda: PointLabel("p", frozenset({1, 2, 3}), {"a": 0, "b": 1, "c": 2}),
             lambda: PointLabel("p", (1, 2, 3), "d1"),
         ],
     )
@@ -554,6 +550,14 @@ class TestDocumentIntegers:
             Ambient(BLOWUP, 0, (centre,))
         with pytest.raises(LatticeError, match="centres must be point labels"):
             Ambient(BLOWUP, 0, (PointLabel("q"), centre))
+
+    def test_centres_must_be_a_list_or_tuple(self):
+        # a set would order the centres, and so which one is E1, by hash seed
+        centres = [PointLabel("p"), PointLabel("q"), PointLabel("r")]
+        assert Ambient(BLOWUP, 0, centres).points == tuple(centres)
+        for given in (set(centres), dict.fromkeys(centres), iter(centres)):
+            with pytest.raises(LatticeError, match="centres must be a list or tuple"):
+                Ambient(BLOWUP, 0, given)
 
     def test_centre_names_must_be_distinct(self):
         p = PointLabel("p", frozenset({1, 2, 3}))
