@@ -59,7 +59,7 @@ ORACLE_SAMPLES = 10_000
 MONOMIAL_GRID = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool

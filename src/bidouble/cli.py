@@ -30,7 +30,7 @@ from .degenerations import (
     designated,
 )
 from .geography import FORMATS, atlas, canonical_json, emit
-from .lattice import HIRZEBRUCH, PLANE, Ambient, LatticeError, doc_int
+from .lattice import HIRZEBRUCH, PLANE, Ambient, LatticeError, _builder, doc_int
 from .recipes import RegionError, certify, construct, recipe
 
 
@@ -185,10 +185,15 @@ def _shown(value: object) -> str:
     return "absent" if value is _ABSENT else json.dumps(value)
 
 
+# a check's name, verdict and detail are derived here, so the frozen
+# __init__ is passed by
+_check = _builder(CheckResult)
+
+
 def _compare(field: str, rebuilt: object, stored: object) -> CheckResult:
     found = _difference(rebuilt, stored)
     if found is None:
-        return CheckResult(field, True, "matches the rebuild")
+        return _check(field, True, "matches the rebuild")
     reversed_path, got, want = found
     path = ".".join(map(str, [field, *reversed(reversed_path)]))
     if (
@@ -199,7 +204,7 @@ def _compare(field: str, rebuilt: object, stored: object) -> CheckResult:
         and got is not _ABSENT
     ):
         raise CertificateFormatError(f"{path} must be {_TYPE_NAMES[type(want)]}")
-    return CheckResult(field, False, f"{path}: stored {_shown(got)}, rebuilt {_shown(want)}")
+    return _check(field, False, f"{path}: stored {_shown(got)}, rebuilt {_shown(want)}")
 
 
 def _verify_doc(doc: dict) -> list[CheckResult]:
@@ -236,7 +241,7 @@ def _verify_doc(doc: dict) -> list[CheckResult]:
     checks += [_compare(key, value, doc[key]) for key, value in derived.items()]
     # ok holds the pair match, the conditions and a degeneration's parent and ledger
     detail = "the rebuilt certificate is " + ("ok" if cert.ok else "not ok")
-    checks.append(CheckResult("valid", cert.ok, detail))
+    checks.append(_check("valid", cert.ok, detail))
     return checks
 
 
@@ -265,19 +270,11 @@ def _cmd_verify(args) -> int:
         raise CertificateFormatError(f"malformed certificate: {err}") from err
     passed = all(c.passed for c in checks)
     if args.json:
-        print(
-            canonical_json(
-                {"ok": passed, "checks": [c.to_doc() for c in checks]}
-            ),
-            end="",
-        )
+        sys.stdout.write(canonical_json({"ok": passed, "checks": [c.to_doc() for c in checks]}))
     else:
-        for c in checks:
-            if c.passed:
-                print(f"ok {c.name}")
-            else:
-                print(f"MISMATCH {c.name}: {c.detail}")
-        print(f"verified: {'PASS' if passed else 'FAIL'}")
+        lines = [f"ok {c.name}" if c.passed else f"MISMATCH {c.name}: {c.detail}" for c in checks]
+        lines.append(f"verified: {'PASS' if passed else 'FAIL'}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0 if passed else 1
 
 
@@ -297,15 +294,11 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_check(args) -> int:
     results = run_all(args.chi_max)
-    failures = 0
-    for r in results:
-        if r.passed:
-            print(f"ok {r.name}: {r.detail}")
-        else:
-            failures += 1
-            print(f"FAIL {r.name}: {r.detail}")
-    print(f"checks: {len(results) - failures}/{len(results)} passed")
-    return 0 if failures == 0 else 1
+    lines = [f"{'ok' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    good = sum(r.passed for r in results)
+    lines.append(f"checks: {good}/{len(results)} passed")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0 if good == len(results) else 1
 
 
 def positive(text: str) -> int:

@@ -44,7 +44,8 @@ Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
 builds a class: ``building_data`` and ``resolve_triple_point`` assemble
 the ``BuildingData`` they return once every check has passed,
-``invariants`` its ``Invariants`` once the sign of q is checked, and the
+``invariants`` its ``Invariants`` once the sign of q is checked,
+``singularity_scan`` each ``LedgerEntry`` from validated data, and the
 resolution lifts each component, whose name, branch and count ``bd``
 already validated, with only its class replaced.  It builds the blow-up
 with ``lattice._blow_up``, past the checks of ``Ambient``: its ambient and
@@ -265,26 +266,64 @@ class BuildingData:
     @classmethod
     def from_doc(cls, doc: dict) -> "BuildingData":
         """The data a ``to_doc`` document describes, built through the public
-        constructors, so that the constructor owning each field checks it."""
-        amb = doc["ambient"]
-        points = tuple(_point(p) for p in amb.get("points", ()))
+        constructors, so that the constructor owning each field checks it.
+        The document's shape is checked on the way: a missing field, or a
+        value where an object or a list belongs, is an InvalidBuildingData
+        that names the field."""
+        _fields(doc, "", "ambient", "classes")
+        amb = _fields(doc["ambient"], "ambient", "kind")
+        points = tuple([_point(p, at) for p, at in _entries(amb, "ambient.points")])
         # a ruled document without e is refused by Ambient, not read as F_0
         e = amb.get("e", 0 if amb["kind"] == PLANE else None)
         ambient = Ambient(amb["kind"], e, points)
-        ds = [DivClass(ambient, doc["classes"][k]) for k in ("d1", "d2", "d3")]
-        comps = tuple(
-            Component(c["name"], c["branch"], DivClass(ambient, c["class"]), c.get("count", 1))
-            for c in doc.get("components", [])
-        )
-        pts = tuple(_point(p) for p in doc.get("incidence", []))
-        return building_data(ambient, ds[0], ds[1], ds[2], comps, pts)
+        classes = _fields(doc["classes"], "classes", "d1", "d2", "d3")
+        d1, d2, d3 = [
+            DivClass(ambient, _list(classes[k], f"classes.{k}")) for k in ("d1", "d2", "d3")
+        ]
+        comps = tuple([_component(c, at, ambient) for c, at in _entries(doc, "components")])
+        pts = tuple([_point(p, at) for p, at in _entries(doc, "incidence")])
+        return building_data(ambient, d1, d2, d3, comps, pts)
 
 
-def _point(doc: dict) -> PointLabel:
+def _fields(doc: object, where: str, *keys: str) -> dict:
+    """``doc`` as a document object holding ``keys``; ``where`` is its path
+    in the data document, empty for the document itself."""
+    if type(doc) is not dict:
+        what = f"data field {where!r}" if where else "a data document"
+        raise InvalidBuildingData(f"{what} must be an object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            path = f"{where}.{key}" if where else key
+            raise InvalidBuildingData(f"data document is missing field {path!r}")
+    return doc
+
+
+def _list(value: object, where: str) -> list | tuple:
+    if type(value) not in (list, tuple):
+        raise InvalidBuildingData(f"data field {where!r} must be a list, got {value!r}")
+    return value
+
+
+def _entries(doc: dict, where: str) -> list[tuple[object, str]]:
+    """Each entry of the optional list at path ``where``, the last key of
+    which is read from ``doc``, with the entry's own path."""
+    entries = _list(doc.get(where.rpartition(".")[2], ()), where)
+    return [(x, f"{where}.{i}") for i, x in enumerate(entries)]
+
+
+def _component(doc: object, where: str, ambient: Ambient) -> Component:
+    _fields(doc, where, "name", "branch", "class")
+    coords = _list(doc["class"], f"{where}.class")
+    return Component(doc["name"], doc["branch"], DivClass(ambient, coords), doc.get("count", 1))
+
+
+def _point(doc: object, where: str) -> PointLabel:
+    _fields(doc, where, "name", "branches")
     # every point is assumed in general position, which a document records
     if doc.get("general", True) is not True:
         raise LatticeError(f"point general flag must be true, got {doc['general']!r}")
-    return PointLabel(doc["name"], doc["branches"], doc.get("components", ()))
+    branches = _list(doc["branches"], f"{where}.branches")
+    return PointLabel(doc["name"], branches, doc.get("components", ()))
 
 
 # a component whose fields need no check, lifted to a blow-up or built by a
@@ -513,6 +552,10 @@ def ksq_oracle(bd: BuildingData) -> int:
     )
 
 
+# a ledger entry's fields are derived from validated data
+_entry = _builder(LedgerEntry)
+
+
 def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     """Index-2 singularity ledger of the cover described by ``bd``.
 
@@ -522,14 +565,17 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     one NonNormalGluing per repeated component, whose count is the number
     of pinch points, i.e. the intersection of the shared curve with the
     branch divisors it does not belong to.  Deterministic: entries are
-    sorted by witness, independent of incidence order.
+    sorted by witness, independent of incidence order.  ``building_data``
+    records ``reduced`` exactly when no component name repeats, so reduced
+    data has no NonNormalGluing to look for.
     """
-    entries: list[LedgerEntry] = []
-    for p in sorted(bd.incidence, key=lambda p: p.name):
-        if p.is_triple:
-            entries.append(
-                LedgerEntry(QUARTER_POINT, count=1, gorenstein_index=2, witness_point=p.name)
-            )
+    entries = [
+        _entry(QUARTER_POINT, 1, 2, p.name, None)
+        for p in sorted(bd.incidence, key=lambda p: p.name)
+        if p.is_triple
+    ]
+    if bd.reduced:
+        return tuple(entries)
     for name in _repeated_component_names(bd.components):
         shared = [c for c in bd.components if c.name == name]
         cls = shared[0].cls
@@ -537,11 +583,7 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
         pinch = sum(
             intersect(cls, bd.branch(i)) for i in (1, 2, 3) if i not in in_branches
         )
-        entries.append(
-            LedgerEntry(
-                NON_NORMAL_GLUING, count=pinch, gorenstein_index=2, witness_class=cls
-            )
-        )
+        entries.append(_entry(NON_NORMAL_GLUING, pinch, 2, None, cls))
     return tuple(entries)
 
 

@@ -12,6 +12,11 @@ Gorenstein.
 
 Non-reduced degenerate data also records the building classes of its
 normalization, which splits off the shared curve.
+
+``degeneration_certificate`` derives every field from validated data, so
+it builds the certificate and its normalization through
+``lattice._builder``, past their frozen ``__init__``, as
+``recipes.certify`` builds a construction certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .cover import (
     invariants,
     singularity_scan,
 )
-from .lattice import DivClass
+from .lattice import DivClass, _builder
 from .recipes import (
     FAMILY,
     ConstructionCertificate,
@@ -35,7 +40,7 @@ from .recipes import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Normalization:
     """Building classes of the normalized cover of a non-reduced family.
 
@@ -60,7 +65,7 @@ class Normalization:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegenerationCertificate:
     requested_ksq: int
     requested_chi: int
@@ -94,6 +99,11 @@ class DegenerationCertificate:
             "familyNote": self.family_note,
             "ok": self.ok,
         }
+
+
+# every field is derived from validated data, so the frozen __init__ is passed by
+_certificate = _builder(DegenerationCertificate)
+_normalization = _builder(Normalization)
 
 
 def designated(region: str) -> Degeneration:
@@ -140,19 +150,19 @@ def degeneration_certificate(
         and inv == parent.invariants
         and bool(ledger)
     )
-    return DegenerationCertificate(
-        requested_ksq=parent.requested_ksq,
-        requested_chi=parent.requested_chi,
-        region=parent.region,
-        data=data,
-        invariants=inv,
-        parent_invariants=parent.invariants,
-        ledger=ledger,
-        gorenstein=not ledger,
-        normalization=norm,
-        side_conditions=conds,
-        family_note=note,
-        ok=ok,
+    return _certificate(
+        parent.requested_ksq,
+        parent.requested_chi,
+        parent.region,
+        data,
+        inv,
+        parent.invariants,
+        ledger,
+        not ledger,
+        norm,
+        conds,
+        note,
+        ok,
     )
 
 
@@ -164,15 +174,14 @@ def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
     return degeneration_certificate(cert, designated(cert.region).data(cert.data, cert.parameters))
 
 
+_NORMALIZATION_NOTE = (
+    "normalizing separates the two sheets glued along the shared "
+    "section; the result is the cover built from these classes, and "
+    "the preimage of the shared section falls into two disjoint copies"
+)
+
+
 def _normalization_from_data(data: BuildingData) -> Normalization:
-    zero = data.ambient.zero()
-    return Normalization(
-        c1=zero,
-        c2=data.d2 - data.d1,
-        c3=data.d1 + data.d3,
-        note=(
-            "normalizing separates the two sheets glued along the shared "
-            "section; the result is the cover built from these classes, and "
-            "the preimage of the shared section falls into two disjoint copies"
-        ),
+    return _normalization(
+        data.ambient.zero(), data.d2 - data.d1, data.d1 + data.d3, _NORMALIZATION_NOTE
     )

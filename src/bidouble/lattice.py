@@ -54,11 +54,13 @@ arithmetic on a pair that ``recipe`` has refused unless it is two
 ``building_data`` validates each datum they make, once.  ``_builder``
 makes ``_trusted`` and the ambient builder of ``_blow_up``, and it is the
 one place that builds a value type without its frozen ``__init__`` and
-``__post_init__``: ``cover`` and
-``recipes`` take from it their builders of components, building data,
-invariants, side conditions and certificates whose fields have passed
-every check or, for the recipes' components, are literals, exact
-integers and classes of data already validated.
+``__post_init__``: ``cover``, ``recipes``, ``degenerations`` and ``cli``
+take from it their builders of components, building data, invariants,
+ledger entries, side conditions, construction and degeneration
+certificates, normalizations and ``verify``'s check results, whose fields
+have passed every check or are derived from validated data or, for the
+recipes' components, are literals, exact integers and classes of data
+already validated.
 A document's fields reach these constructors as they are, so a JSON
 boolean or float never passes as a coordinate and a string or an object
 never passes as a sequence of names; ``doc_int`` applies the same rule to

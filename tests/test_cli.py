@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidouble import checks, cover, geography, lattice, recipes
-from bidouble.cli import main
+from bidouble.checks import CheckResult
+from bidouble.cli import _verify_doc, main
+from bidouble.degenerations import degenerate
 from bidouble.geography import canonical_json
 from bidouble.recipes import FAMILIES, GENUS3, NOETHER_LINE, classify, construct
 
@@ -117,6 +119,26 @@ def name_swaps(names):
     return edits
 
 
+class CountingOut(io.StringIO):
+    """A stdout that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def written_once(*argv):
+    """Run the command line on a stdout that counts its writes; returns the
+    exit code and the output, which must arrive in one write."""
+    out = CountingOut()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert out.writes == 1, argv
+    return code, out.getvalue()
+
+
 class TestConstruct:
     def test_human_output(self, capsys):
         code, out, err = run(capsys, "construct", "20", "7")
@@ -210,6 +232,42 @@ class TestVerify:
         assert code == 0
         assert "verified: PASS" in out
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_report_written_once(self, capsys, tmp_path, flags):
+        # a genuine document, then the same with one leaf forged
+        path = self.write_doc(capsys, tmp_path, "degenerate", "20", "7", "--json")
+        genuine = written_once("verify", str(path), *flags)
+        doc = json.loads(path.read_text())
+        doc["ledger"][0]["count"] = 2
+        path.write_text(json.dumps(doc))
+        forged = written_once("verify", str(path), *flags)
+        if flags:
+            assert [(code, json.loads(out)["ok"]) for code, out in (genuine, forged)] == [
+                (0, True),
+                (1, False),
+            ]
+        else:
+            assert genuine[0] == 0 and genuine[1].endswith("verified: PASS\n")
+            assert forged[0] == 1
+            assert "MISMATCH ledger: ledger.0.count: stored 2, rebuilt 1\n" in forged[1]
+
+    @pytest.mark.parametrize("argv", [("construct", "20", "7"), ("degenerate", "4", "5")])
+    def test_check_records_as_constructed(self, argv):
+        # verify builds its check records past the frozen __init__; each
+        # still equals, hashes and freezes as the public constructor's
+        cert = construct(int(argv[1]), int(argv[2]))
+        doc = cert.to_doc() if argv[0] == "construct" else degenerate(cert).to_doc()
+        doc["region"] += "x"
+        results = _verify_doc(doc)
+        passed = {c.name: c.passed for c in results}
+        assert (passed["data"], passed["region"], passed["valid"]) == (True, False, True)
+        for c in results:
+            again = CheckResult(c.name, c.passed, c.detail)
+            assert type(c) is CheckResult and c == again and hash(c) == hash(again)
+            assert not hasattr(c, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.passed = not c.passed
 
     @pytest.mark.parametrize("command", ["construct", "degenerate"])
     def test_genuine_document_not_ok_fails(self, capsys, tmp_path, monkeypatch, command):
@@ -708,6 +766,10 @@ class TestCheck:
         assert code == 0
         assert "checks: 9/9 passed" in out
         assert "ok oracleSample: 10000 samples, 0 mismatches" in out
+
+    def test_report_written_once(self):
+        code, out = written_once("check", "--chi-max", "1")
+        assert code == 0 and out.endswith("checks: 9/9 passed\n")
 
     def test_each_pair_built_once(self, capsys, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import random
@@ -482,6 +483,64 @@ class TestSerialization:
         error, wording = edit(doc)
         with pytest.raises(error, match=wording):
             BuildingData.from_doc(doc)
+
+    # one-field edits of the (45, 10) data document that spoil its shape;
+    # each is refused naming the field, not with a bare KeyError, TypeError
+    # or AttributeError
+    @pytest.mark.parametrize(
+        "edit, wording",
+        [
+            (lambda doc: doc.pop("ambient"), "missing field 'ambient'"),
+            (lambda doc: doc["classes"].pop("d2"), "missing field 'classes.d2'"),
+            (
+                lambda doc: doc.__setitem__("classes", list(doc["classes"].values())),
+                r"field 'classes' must be an object, got \[\[",
+            ),
+            (lambda doc: doc.__setitem__("ambient", 3), "field 'ambient' must be an object, got 3"),
+            (
+                lambda doc: doc["components"].__setitem__(0, list(doc["components"][0].values())),
+                r"field 'components.0' must be an object, got \['f1'",
+            ),
+            (
+                lambda doc: doc["ambient"]["points"][0].pop("name"),
+                "missing field 'ambient.points.0.name'",
+            ),
+        ],
+        ids=["no-ambient", "no-d2", "classes-list", "ambient-number", "component-list", "no-name"],
+    )
+    def test_malformed_shape_names_the_field(self, edit, wording):
+        doc = construct(45, 10).data.to_doc()
+        edit(doc)
+        with pytest.raises(InvalidBuildingData, match=wording):
+            BuildingData.from_doc(doc)
+
+    def test_every_shape_edit_refused_by_the_library(self):
+        # every field deleted or replaced by a value of another shape is
+        # read or refused with a CoverError or LatticeError; any other
+        # exception fails the test
+        base = construct(45, 10).data.to_doc()
+        nodes = [()]
+        for path in nodes:
+            node = functools.reduce(lambda n, k: n[k], path, base)
+            keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+            nodes += [path + (k,) for k in keys]
+        refused = 0
+        for path in nodes:
+            for value in ("delete", 3, "x", None, [], {}, [3], {"x": 3}):
+                doc = copy.deepcopy(base)
+                if not path:
+                    doc = value
+                else:
+                    parent = functools.reduce(lambda n, k: n[k], path[:-1], doc)
+                    if value == "delete":
+                        parent.pop(path[-1])
+                    else:
+                        parent[path[-1]] = value
+                try:
+                    BuildingData.from_doc(doc)
+                except (CoverError, LatticeError):
+                    refused += 1
+        assert refused
 
     def test_string_components_refused_on_a_centre(self):
         # a string is no sequence of names, here as in PointLabel itself

@@ -5,8 +5,16 @@ import json
 
 import pytest
 
-from bidouble.cover import NON_NORMAL_GLUING, QUARTER_POINT
-from bidouble.degenerations import DegenerationError, degenerate
+from bidouble.cover import NON_NORMAL_GLUING, QUARTER_POINT, invariants, singularity_scan
+from bidouble.degenerations import (
+    DegenerationCertificate,
+    DegenerationError,
+    Normalization,
+    availability_conditions,
+    degenerate,
+    degeneration_certificate,
+    designated,
+)
 from bidouble.recipes import NOETHER_LINE, construct
 
 
@@ -155,6 +163,52 @@ class TestAvailability:
         parent = construct(ksq, chi)
         assert degenerate(parent).ok
         assert not degenerate(dataclasses.replace(parent, ok=False)).ok
+
+
+class TestFieldsFromForeignData:
+    # on every genuine certificate the invariants equal the parent's and
+    # gorenstein equals not ok, so only data of another pair shows that each
+    # derived value lands in its own field
+    @pytest.mark.parametrize(
+        "parent, data",
+        [
+            # smooth data of the next Genus3 pair: empty ledger, not ok
+            (construct(45, 10), construct(46, 10).data),
+            # non-reduced degenerate data of another Noether line pair
+            (construct(4, 5), degenerate(construct(6, 6)).data),
+        ],
+    )
+    def test_each_value_in_its_field(self, parent, data):
+        dc = degeneration_certificate(parent, data)
+        assert (dc.requested_ksq, dc.requested_chi) == (parent.requested_ksq, parent.requested_chi)
+        assert dc.region == parent.region and dc.data is data
+        assert dc.invariants == invariants(data)
+        assert dc.parent_invariants == parent.invariants
+        assert dc.invariants != dc.parent_invariants
+        assert dc.ledger == singularity_scan(data)
+        assert dc.gorenstein is (not dc.ledger)
+        assert dc.ok is False
+        assert dc.side_conditions == availability_conditions(parent, data)
+        assert dc.family_note == designated(parent.region).note
+        if data.reduced:
+            assert dc.gorenstein is True and dc.normalization is None
+        else:
+            n = dc.normalization
+            assert (n.c1, n.c2, n.c3) == (data.ambient.zero(), data.d2 - data.d1, data.d1 + data.d3)
+            assert "two disjoint copies" in n.note
+
+    def test_records_are_slotted_and_equal_to_the_constructors(self):
+        dc = degenerate(construct(4, 5))
+        fields = [getattr(dc, f.name) for f in dataclasses.fields(dc)]
+        assert DegenerationCertificate(*fields) == dc
+        assert hash(DegenerationCertificate(*fields)) == hash(dc)
+        n = dc.normalization
+        assert Normalization(n.c1, n.c2, n.c3, n.note) == n
+        for value in (dc, n):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
 
 
 class TestDoc:

@@ -34,7 +34,9 @@ the genuine construction and degeneration documents of the first covered
 pair of each family, and on one single-leaf forgery per top-level field of
 each of those documents: the field's first leaf in sorted order, where an
 integer moves by one, a boolean flips, a string gains "x", null becomes 0
-and an empty container becomes null.
+and an empty container becomes null.  The verify text digest pins the
+report without ``--json`` (its ``ok`` and ``MISMATCH`` lines and the
+closing ``verified:`` line) on the same documents.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ ORACLE_STREAM_DRAWS = 10_120
 ORACLE_STREAM_DIGEST = "e519cdefa835e85b1a78f44c669fd90d8adc4310e21e52c8cd04e79920106599"
 
 VERIFY_DIGEST = "ef22d2636d0a8fdbc8c6eac4319892af3931c3e25115c2a2f5ef7a1e481cb493"
+VERIFY_TEXT_DIGEST = "8d83579910d3a923d8e3927053725ec75481140ba716219b9af97e6caf639f07"
 
 CONSTRUCT_DIGESTS = {
     1: "fcdb6a485f708afc9879f0c35f24d6a8dfa0e36cf5320377b7db9e42759dbf65",
@@ -242,7 +245,9 @@ def test_degenerate_digest(chi):
     assert row_digest("degenerate", chi) == DEGENERATE_DIGESTS[chi]
 
 
-def test_verify_json_digest(tmp_path):
+def verify_digest(tmp_path, *flags: str) -> str:
+    """The digest of ``verify``'s report, with its exit code, on the genuine
+    document of each family's first pair and each of its forgeries."""
     h = hashlib.sha256()
     for ksq, chi in first_pair_of_each_family():
         for command in ("construct", "degenerate"):
@@ -255,7 +260,15 @@ def test_verify_json_digest(tmp_path):
                 path.write_text(json.dumps(doc), encoding="utf-8")
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(["verify", str(path), "--json"])
+                    code = main(["verify", str(path), *flags])
                 assert (code == 0) == (i == 0), path
                 h.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
-    assert h.hexdigest() == VERIFY_DIGEST
+    return h.hexdigest()
+
+
+def test_verify_json_digest(tmp_path):
+    assert verify_digest(tmp_path, "--json") == VERIFY_DIGEST
+
+
+def test_verify_text_digest(tmp_path):
+    assert verify_digest(tmp_path) == VERIFY_TEXT_DIGEST
