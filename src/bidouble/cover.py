@@ -319,7 +319,7 @@ def _component(doc: object, where: str, ambient: Ambient) -> Component:
 
 def _point(doc: object, where: str) -> PointLabel:
     _fields(doc, where, "name", "branches")
-    # every point is assumed in general position, which a document records
+    # the lattice treats every point as in general position, which a document records
     if doc.get("general", True) is not True:
         raise LatticeError(f"point general flag must be true, got {doc['general']!r}")
     branches = _list(doc["branches"], f"{where}.branches")

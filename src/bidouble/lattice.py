@@ -10,9 +10,11 @@ Picard group:
 
 Divisor classes are integer coordinate vectors in the ambient basis and all
 arithmetic is exact.  Points are combinatorial labels carrying an incidence
-record, never coordinates; every point is assumed in general position, an
-assumption the lattice cannot check and documents record as
-``"general": true``.
+record, never coordinates; the lattice treats every point as in general
+position, which it cannot check and documents record as
+``"general": true``.  ``positivity`` is exact on the plane, on F_e and on
+F_0 blown up at up to three centres in general position, and refuses other
+blow-ups.
 
 Canonical classes: -3H on the plane, -2*D0-(e+2)*F on F_e, and the pullback
 plus the sum of exceptional classes on a blow-up.  An ``Ambient`` computes
@@ -82,7 +84,6 @@ BLOWUP = "BlownUp"
 
 AMPLE = "Ample"
 NEF_ONLY = "NefOnly"
-UNKNOWN = "Unknown"
 NOT_NEF = "NotNef"
 
 
@@ -117,9 +118,9 @@ class PointLabel:
     point; multiplicity is always one.  ``components`` names the
     irreducible branch pieces through the point, from a list or tuple: on
     a marked point of building data, one single-copy component of each
-    branch in ``branches``, a rule ``cover.building_data`` checks.  Every
-    point is assumed in general position, and ``to_doc`` records that
-    assumption as ``"general": true``.
+    branch in ``branches``, a rule ``cover.building_data`` checks.  The
+    lattice treats every point as in general position, and ``to_doc``
+    records that assumption as ``"general": true``.
     """
 
     name: str
@@ -356,8 +357,8 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
     On the plane and on F_e the value is exact and the flag is False.  On a
     blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are supported;
     the value is max(0, h0(A) - #{m_i = 1}), an estimate that assumes the
-    centres in general position, as every point is, and the flag is True
-    exactly when some m_i = 1.
+    centres in general position, and the flag is True exactly when some
+    m_i = 1.
     """
     ambient = d.ambient
     u = d.coords
@@ -388,44 +389,36 @@ def h0(d: DivClass) -> int:
 
 
 def positivity(d: DivClass) -> str:
-    """Positivity verdict of ``d`` on its own ambient: Ample, NefOnly,
-    Unknown or NotNef.
+    """Positivity verdict of ``d`` on its own ambient: Ample, NefOnly or
+    NotNef, by the sign of the least pairing of ``d`` with curves that span
+    the ambient's cone of curves.
 
-    Exact on the plane and on F_e.  On blow-ups of F_0 the Ample branch is a
-    sufficient test (the coefficient bound sum c_i < a + b rules out curves
-    of impossible multiplicity through the centres); NefOnly requires every
-    test pairing nonnegative, at least one zero, and d.d >= 0.  Blow-ups of
-    F_e with e > 0 only ever report NotNef or Unknown.
+    Those curves are H on the plane and F, D0 on F_e.  F_0 blown up at k <= 3
+    centres in general position is a del Pezzo surface, whose cone is spanned
+    by its (-1)-curves E_i, F - E_i, D0 - E_i and, for k = 3, D0 + F - E1 -
+    E2 - E3 (Manin, *Cubic Forms*, ch. IV), so the verdict is exact on every
+    supported ambient.  Blow-ups of F_e with e > 0, and blow-ups at more than
+    three centres, raise ``UnsupportedClass``.
     """
     ambient = d.ambient
+    u = d.coords
     if ambient.kind == PLANE:
-        n = d.coords[0]
-        if n > 0:
-            return AMPLE
-        return NEF_ONLY if n == 0 else NOT_NEF
-    if ambient.kind == HIRZEBRUCH:
-        a, b = d.coords
-        if a > 0 and b > a * ambient.e:
-            return AMPLE
-        if a >= 0 and b >= a * ambient.e:
-            return NEF_ONLY
-        return NOT_NEF
-    # d pairs with the test classes F, D0 and, for each centre, E_i, F - E_i
-    # and D0 - E_i to a, f, m_i, a - m_i and f - m_i, where m_i = -c_i; so
-    # the least pairing, gap, needs only the least and the most m_i
-    a, b = d.coords[0], d.coords[1]
-    f = b - a * ambient.e
-    # a blow-up has at least one centre
-    tail = d.coords[2:]
-    least, most = -max(tail), -min(tail)
-    gap = min(a, f, least, a - most, f - most)
-    if gap < 0:
-        return NOT_NEF
-    if ambient.e != 0:
-        return UNKNOWN
-    dd = intersect(d, d)
-    if gap > 0 and dd > 0 and -sum(tail) < a + b:
+        least = u[0]
+    elif ambient.kind == HIRZEBRUCH:
+        least = min(u[0], u[1] - ambient.e * u[0])
+    else:
+        a, b, tail = u[0], u[1], u[2:]
+        if ambient.e or len(tail) > 3:
+            raise UnsupportedClass(
+                f"positivity needs F_0 blown up at up to three centres, got F_{ambient.e}"
+                f" blown up at {len(tail)}"
+            )
+        # d pairs with E_i, F - E_i and D0 - E_i to m_i, a - m_i and b - m_i,
+        # where m_i = -c_i, so only the least and the most m_i matter
+        most = -min(tail)
+        least = min(-max(tail), a - most, b - most)
+        if len(tail) == 3:
+            least = min(least, a + b + sum(tail))
+    if least > 0:
         return AMPLE
-    if gap == 0 and dd >= 0:
-        return NEF_ONLY
-    return UNKNOWN
+    return NEF_ONLY if least == 0 else NOT_NEF

@@ -12,7 +12,6 @@ from bidouble.lattice import (
     BLOWUP,
     NEF_ONLY,
     NOT_NEF,
-    UNKNOWN,
     Ambient,
     AmbientMismatch,
     DivClass,
@@ -211,34 +210,35 @@ class TestH0:
                     assert h0(d) == chi
 
 
+def cone_curves(amb: Ambient) -> list[DivClass]:
+    # the (-1)-curves of F_0 blown up at k <= 3 general points, written out
+    # as classes: E_i, F - E_i, D0 - E_i and, for k = 3, the (1, 1)-curve
+    # through the three centres
+    k = len(amb.points)
+    curves = []
+    for i in range(k):
+        exc = tuple(1 if j == i else 0 for j in range(k))
+        minus = tuple(-c for c in exc)
+        curves += [
+            DivClass(amb, (0, 0) + exc),
+            DivClass(amb, (0, 1) + minus),
+            DivClass(amb, (1, 0) + minus),
+        ]
+    if k == 3:
+        curves.append(DivClass(amb, (1, 1, -1, -1, -1)))
+    return curves
+
+
 def blowup_pairings(d: DivClass) -> list[int]:
-    # pairings against the test classes q*F, q*D0, and for each centre
-    # E_i, q*E_i, q*F - E_i, q*D0 - E_i
-    a, b = d.coords[0], d.coords[1]
-    e = d.ambient.e
-    vals = [a, b - a * e]
-    for c in d.coords[2:]:
-        ci = -c
-        vals.extend((ci, a - ci, b - a * e - ci))
-    return vals
+    return [intersect(d, c) for c in cone_curves(d.ambient)]
 
 
 def blowup_positivity_reference(d: DivClass) -> str:
-    """The verdict on a blow-up read off the full list of test pairings."""
-    pairings = blowup_pairings(d)
-    if min(pairings) < 0:
-        return NOT_NEF
-    if d.ambient.e != 0:
-        return UNKNOWN
-    a, b = d.coords[0], d.coords[1]
-    tail = d.coords[2:]
-    least, most = -max(tail), -min(tail)
-    dd = intersect(d, d)
-    if a > 0 and b > 0 and least > 0 and a > most and b > most and dd > 0 and -sum(tail) < a + b:
+    """The verdict on a blow-up read off its pairings with every (-1)-curve."""
+    least = min(blowup_pairings(d))
+    if least > 0:
         return AMPLE
-    if 0 in pairings and dd >= 0:
-        return NEF_ONLY
-    return UNKNOWN
+    return NEF_ONLY if least == 0 else NOT_NEF
 
 
 class TestPositivity:
@@ -271,14 +271,33 @@ class TestPositivity:
         assert positivity(amb.divisor(1, 8, -2)) == NOT_NEF
 
     def test_blowup_negative_square_not_certified_nef(self):
-        # all test pairings >= 0 but d.d = -1: must not claim nef
+        # D0 + F - E1 - E2 - E3 is itself a (-1)-curve: it pairs to -1 with
+        # itself and to >= 0 with every other (-1)-curve
         amb = blowup_of_f0(3)
-        assert positivity(amb.divisor(1, 1, -1, -1, -1)) == UNKNOWN
+        assert positivity(amb.divisor(1, 1, -1, -1, -1)) == NOT_NEF
 
-    def test_blowup_of_positive_e_unknown(self):
+    def test_pairing_with_the_curve_through_three_centres(self):
+        # every pairing with E_i, F - E_i and D0 - E_i is >= 0, but d pairs
+        # to -1 with D0 + F - E1 - E2 - E3
+        amb = blowup_of_f0(3)
+        d = amb.divisor(6, 6, -6, -4, -3)
+        assert intersect(d, amb.divisor(1, 1, -1, -1, -1)) == -1
+        assert positivity(d) == NOT_NEF
+
+    def test_blowup_outside_support_refused(self):
         amb = blow_up(hirzebruch(1), PointLabel("p"))
-        assert positivity(amb.divisor(2, 9, -1)) == UNKNOWN
-        assert positivity(amb.divisor(1, 0, -1)) == NOT_NEF
+        for coords in ((2, 9, -1), (1, 0, -1)):
+            with pytest.raises(UnsupportedClass):
+                positivity(amb.divisor(*coords))
+        with pytest.raises(UnsupportedClass):
+            positivity(blowup_of_f0(4).divisor(2, 5, -1, -1, -1, -1))
+
+    def test_cone_curves_are_minus_one_curves(self):
+        for k in (1, 2, 3):
+            amb = blowup_of_f0(k)
+            k_amb = canonical(amb)
+            for c in cone_curves(amb):
+                assert (intersect(c, c), intersect(k_amb, c)) == (-1, -1), c
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3])
     def test_blowup_matches_the_pairing_list(self, e):
@@ -293,10 +312,14 @@ class TestPositivity:
                 for a in range(-1, 6):
                     for b in range(-1, 5 * e + 9):
                         d = DivClass(amb, (a, b) + tail)
+                        if e:
+                            with pytest.raises(UnsupportedClass):
+                                positivity(d)
+                            continue
                         verdict = positivity(d)
                         assert verdict == blowup_positivity_reference(d), d.coords
                         seen.add(verdict)
-        assert seen == ({AMPLE, NEF_ONLY, UNKNOWN, NOT_NEF} if e == 0 else {UNKNOWN, NOT_NEF})
+        assert seen == ({AMPLE, NEF_ONLY, NOT_NEF} if e == 0 else set())
 
     @given(
         a=st.integers(-6, 10),
@@ -306,6 +329,9 @@ class TestPositivity:
     )
     @settings(max_examples=400)
     def test_verdict_monotonicity(self, a, b, e, ms):
+        # only F_e and F_0 blown up at up to three centres are supported
+        if ms:
+            e = 0
         amb = hirzebruch(e)
         for i in range(len(ms)):
             amb = blow_up(amb, PointLabel(f"p{i + 1}"))
@@ -315,8 +341,8 @@ class TestPositivity:
             pairings = blowup_pairings(d)
         else:
             pairings = [d.coords[0], d.coords[1] - d.coords[0] * e]
+        assert (verdict == AMPLE) == all(v > 0 for v in pairings)
         if verdict == AMPLE:
-            assert all(v > 0 for v in pairings)
             assert intersect(d, d) > 0
         if verdict == NEF_ONLY:
             assert all(v >= 0 for v in pairings)

@@ -10,8 +10,9 @@ import json
 import pytest
 
 from bidouble.cover import Component, building_data, chi_oracle, ksq_oracle
+from bidouble.degenerations import degenerate
 from bidouble.geography import REGION_FILL
-from bidouble.lattice import AMPLE, NEF_ONLY, hirzebruch, intersect
+from bidouble.lattice import AMPLE, BLOWUP, NEF_ONLY, NOT_NEF, hirzebruch, intersect, positivity
 from bidouble.recipes import (
     FAMILIES,
     FAMILY,
@@ -417,6 +418,25 @@ class TestSweep:
             else:
                 assert cert.ampleness == AMPLE, (ksq, chi)
                 assert cert.notes == (), (ksq, chi)
+
+    def test_every_ambient_has_exact_positivity(self):
+        # positivity is exact, and defined, only on the plane, on F_e and on
+        # F_0 blown up at up to three centres, so every ambient that a
+        # recipe, a resolution or a degeneration builds must be one of these
+        for ksq, chi in covered_pairs(12):
+            cert = construct(ksq, chi)
+            built = [cert.data, cert.pre_resolution]
+            classes = [cert.invariants.two_k_plus_b]
+            if FAMILY[cert.region].degeneration is not None:
+                dc = degenerate(cert)
+                built.append(dc.data)
+                classes.append(dc.invariants.two_k_plus_b)
+            for bd in filter(None, built):
+                amb = bd.ambient
+                supported = amb.kind != BLOWUP or (amb.e == 0 and len(amb.points) <= 3)
+                assert supported, (ksq, chi, amb)
+            for d in classes:
+                assert positivity(d) in (AMPLE, NEF_ONLY, NOT_NEF), (ksq, chi)
 
 
 # the fibration genus of each region's certificates, as the family table
