@@ -15,9 +15,12 @@ numerical invariants of the covering surface X are computed on the base Y
     q(X)     = p_g - chi + 1
 
 Components give names to the irreducible pieces of each branch divisor and
-incidence records marked points; both are combinatorial bookkeeping.  A
-marked point names one single-copy component of each branch through it,
-a rule ``building_data`` alone checks.  A component shared between
+incidence records marked points; both are combinatorial bookkeeping.  The
+cover is smooth over points where at most two branch divisors meet
+transversally, and has a 1/4(1,1) quarter point where all three meet, so
+every marked point is such a triple point: it names one single-copy
+component of each of the three branches, a rule ``building_data`` alone
+checks.  A component shared between
 branch divisors makes the total branch non-reduced; such data builds, as
 degeneration data must, and records ``reduced`` as False.  Only a smooth
 construction needs a reduced branch, and ``recipes.certify`` owns that
@@ -91,10 +94,6 @@ class ParityError(CoverError):
 
 
 class InvalidBuildingData(CoverError):
-    pass
-
-
-class NotTriplePoint(CoverError):
     pass
 
 
@@ -269,7 +268,8 @@ class BuildingData:
         constructors, so that the constructor owning each field checks it.
         The document's shape is checked on the way: a missing field, or a
         value where an object or a list belongs, is an InvalidBuildingData
-        that names the field."""
+        that names the field, and a point's ``branches`` other than the
+        integers [1, 2, 3] is a LatticeError that names it."""
         _fields(doc, "", "ambient", "classes")
         amb = _fields(doc["ambient"], "ambient", "kind")
         points = tuple([_point(p, at) for p, at in _entries(amb, "ambient.points")])
@@ -319,11 +319,18 @@ def _component(doc: object, where: str, ambient: Ambient) -> Component:
 
 def _point(doc: object, where: str) -> PointLabel:
     _fields(doc, where, "name", "branches")
-    # the lattice treats every point as in general position, which a document records
+    # every point is a triple point, and the lattice treats it as in general
+    # position; a document records both.  [True, 2, 3] == [1, 2, 3], so the
+    # types are compared too
+    branches = doc["branches"]
+    ints = type(branches) in (list, tuple) and list(map(type, branches)) == [int, int, int]
+    if not ints or list(branches) != [1, 2, 3]:
+        raise LatticeError(
+            f"data field '{where}.branches' must be integers [1, 2, 3], got {branches!r}"
+        )
     if doc.get("general", True) is not True:
         raise LatticeError(f"point general flag must be true, got {doc['general']!r}")
-    branches = _list(doc["branches"], f"{where}.branches")
-    return PointLabel(doc["name"], branches, doc.get("components", ()))
+    return PointLabel(doc["name"], doc.get("components", ()))
 
 
 # a component whose fields need no check, lifted to a blow-up or built by a
@@ -368,20 +375,18 @@ def _check_incidence(
             raise InvalidBuildingData(
                 f"point {p.name!r} names unknown component {unknown.args[0]!r}"
             ) from None
-        if len(set(p.components)) != len(p.components):
-            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
-        # the named branches are the point's, once each
-        if len(named) != len(p.branches) or {c.branch for c in named} != p.branches:
+        # one curve of each branch; a component counts once per occurrence
+        # of its name, so a name given twice is refused here too
+        on = sorted([c.branch for c in named])
+        if on != [1, 2, 3]:
             raise InvalidBuildingData(
-                f"point {p.name!r} lies on branches {sorted(p.branches)}, but the "
-                f"components it names lie on branches {sorted([c.branch for c in named])}"
+                f"point {p.name!r} lies on branches [1, 2, 3], but the "
+                f"components it names lie on branches {on}"
             )
         for c in named:
             if c.count != 1:
-                # the message names the first offender in component order
-                first = next(x for x in comps if x.count != 1 and x.name in p.components)
                 raise InvalidBuildingData(
-                    f"point {p.name!r} names component {first.name!r} of {first.count} "
+                    f"point {p.name!r} names component {c.name!r} of {c.count} "
                     "copies, not a single curve"
                 )
     return index
@@ -405,11 +410,12 @@ def building_data(
 
     Incidence is owned here.  Point names are distinct and none is the
     name of a centre of the ambient, so resolving any of the points gives
-    centres of distinct names.  Every marked point names known components,
-    each once, that are one single curve of each branch through it: the
-    components carrying its names, counting every component of a shared
-    name, lie on exactly its branches, once each, and each is a single
-    copy.  A point naming a component of n copies does not say which of
+    centres of distinct names.  Every marked point is a triple point, and
+    names known components that are one single curve of each branch: the
+    components carrying its names, counted once per occurrence of a name
+    and counting every component of a shared name, lie on branches exactly
+    [1, 2, 3], and each is a single copy.  So a name given twice is
+    refused.  A point naming a component of n copies does not say which of
     the n curves it lies on, and two curves of one branch through a point
     make that branch singular there.  Data with marked points indexes its
     components by name once, and each point's checks read that index.
@@ -559,10 +565,9 @@ _entry = _builder(LedgerEntry)
 def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     """Index-2 singularity ledger of the cover described by ``bd``.
 
-    One QuarterPoint per marked point lying on all three branch divisors,
-    where one single curve of each branch meets, as ``building_data``
-    showed;
-    one NonNormalGluing per repeated component, whose count is the number
+    One QuarterPoint per marked point, a triple point where one single
+    curve of each branch meets, as ``building_data`` showed; one
+    NonNormalGluing per repeated component, whose count is the number
     of pinch points, i.e. the intersection of the shared curve with the
     branch divisors it does not belong to.  Deterministic: entries are
     sorted by witness, independent of incidence order.  ``building_data``
@@ -572,7 +577,6 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     entries = [
         _entry(QUARTER_POINT, 1, 2, p.name, None)
         for p in sorted(bd.incidence, key=lambda p: p.name)
-        if p.is_triple
     ]
     if bd.reduced:
         return tuple(entries)
@@ -590,10 +594,11 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
 def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
     """Blow up the marked triple points named, in order, and lift the data.
 
-    Each point must lie on all three branches of a ruled model.  Every
-    branch class and every component through a point picks up minus its
-    exceptional class; the points move from the incidence list into the
-    ambient's centre list.  K^2 drops by one per point and chi is unchanged.
+    The model must be ruled.  Every marked point lies on all three
+    branches, so every branch class and every component through a point
+    picks up minus its exceptional class; the points move from the
+    incidence list into the ambient's centre list.  K^2 drops by one per
+    point and chi is unchanged.
 
     ``bd`` was validated when it was built, and the lift keeps what that
     validation showed: names, incidence, reducedness, parity, and the
@@ -630,8 +635,6 @@ def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
         p = unresolved.pop(name, None)
         if p is None:
             raise InvalidBuildingData(f"no marked point named {name!r}")
-        if not p.is_triple:
-            raise NotTriplePoint(f"point {p.name!r} does not lie on all three branches")
         if bd.ambient.kind == PLANE:
             raise CoverError("triple point resolution is implemented on ruled models only")
         marked.append(p)

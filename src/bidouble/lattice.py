@@ -9,10 +9,13 @@ Picard group:
                                                  Ei orthogonal to pullbacks
 
 Divisor classes are integer coordinate vectors in the ambient basis and all
-arithmetic is exact.  Points are combinatorial labels carrying an incidence
-record, never coordinates; the lattice treats every point as in general
-position, which it cannot check and documents record as
-``"general": true``.  ``positivity`` is exact on the plane, on F_e and on
+arithmetic is exact.  Points are combinatorial labels, never coordinates:
+a name and the branch components through it.  Every point is a triple
+point, on all three branch divisors: a bidouble cover is smooth over
+points where at most two of them meet transversally, so no other point is
+marked or blown up.  Documents record that as ``"branches": [1, 2, 3]``.
+The lattice treats every point as in general position, which it cannot
+check and documents record as ``"general": true``.  ``positivity`` is exact on the plane, on F_e and on
 F_0 blown up at up to three centres in general position, and refuses other
 blow-ups.
 
@@ -26,9 +29,9 @@ their own instead.
 Trusted construction: the public ``DivClass(...)`` constructor refuses a
 coordinate that is not a true integer (``type(c) is int``: a bool, float or
 string is never rounded) and checks the count against the ambient's rank;
-the integer fields of ``Ambient`` and ``PointLabel`` are checked by the same
-rule, a ``PointLabel`` refuses a name or component name that is not a
-``str``, and an ``Ambient`` refuses a centre that is not a ``PointLabel``.
+the integer fields of ``Ambient`` are checked by the same rule, a
+``PointLabel`` refuses a name or component name that is not a ``str``, and
+an ``Ambient`` refuses a centre that is not a ``PointLabel``.
 The ordered fields, a point's ``components`` and an ambient's centres, are
 taken only from a ``list`` or ``tuple``: a set or dict would order them by
 hash seed.  Arithmetic on classes that already passed it builds its result
@@ -87,10 +90,6 @@ NEF_ONLY = "NefOnly"
 NOT_NEF = "NotNef"
 
 
-# the branch set of a point on all three branch divisors
-_TRIPLE = frozenset({1, 2, 3})
-
-
 class LatticeError(ValueError):
     pass
 
@@ -112,52 +111,39 @@ def doc_int(value: object, what: str) -> int:
 
 @dataclass(frozen=True, slots=True)
 class PointLabel:
-    """A named point together with its branch incidence record.
+    """A named point on all three branch divisors: a marked triple point of
+    building data, or a blown-up centre of an ambient.
 
-    ``branches`` lists which of the three branch divisors pass through the
-    point; multiplicity is always one.  ``components`` names the
-    irreducible branch pieces through the point, from a list or tuple: on
-    a marked point of building data, one single-copy component of each
-    branch in ``branches``, a rule ``cover.building_data`` checks.  The
-    lattice treats every point as in general position, and ``to_doc``
-    records that assumption as ``"general": true``.
+    Where the three branches meet, the cover has a 1/4(1,1) quarter point,
+    and off such points it stays smooth, so no other kind of point is ever
+    marked.  ``components`` names the irreducible branch pieces through the
+    point, from a list or tuple: on a marked point, one single-copy
+    component of each branch, a rule ``cover.building_data`` checks.
+    ``to_doc`` writes two fixed fields: the branch set, as
+    ``"branches": [1, 2, 3]``, and the general-position assumption of the
+    lattice, as ``"general": true``.
     """
 
     name: str
-    branches: frozenset[int] = frozenset()
     components: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if type(self.name) is not str:
             raise LatticeError(f"point name must be a string, got {self.name!r}")
-        # each branch is checked before the frozenset is built, where True
-        # would merge with 1, and a bare string is no sequence of names
-        branches = tuple(self.branches)
-        for b in branches:
-            if type(b) is not int:
-                raise LatticeError(f"branch indices must be integers, got {b!r}")
+        # a bare string is no sequence of names
         if type(self.components) not in (list, tuple):
             raise LatticeError(
                 f"point components must be a sequence of names, got {self.components!r}"
             )
-        object.__setattr__(self, "branches", frozenset(branches))
         object.__setattr__(self, "components", tuple(self.components))
-        if not self.branches <= {1, 2, 3}:
-            raise LatticeError(
-                f"branch indices must lie in {{1,2,3}}, got {sorted(self.branches)}"
-            )
         for c in self.components:
             if type(c) is not str:
                 raise LatticeError(f"point components must be strings, got {c!r}")
 
-    @property
-    def is_triple(self) -> bool:
-        return self.branches == _TRIPLE
-
     def to_doc(self) -> dict:
         return {
             "name": self.name,
-            "branches": sorted(self.branches),
+            "branches": [1, 2, 3],
             "components": list(self.components),
             "general": True,
         }

@@ -31,7 +31,6 @@ from .cover import (
 )
 from .cover import Invariants
 from .lattice import (
-    _TRIPLE,
     BLOWUP,
     NEF_ONLY,
     PLANE,
@@ -203,9 +202,7 @@ _F0 = hirzebruch(0)
 _D0 = _F0.divisor(1, 0)
 _FIBER = _F0.divisor(0, 1)
 _GENUS3_FIBERS = tuple(Component(f"f{i}", 1, _FIBER) for i in (1, 2, 3))
-_GENUS3_POINTS = tuple(
-    PointLabel(f"p{i}", _TRIPLE, (f"f{i}", "d2", "d3")) for i in (1, 2, 3, 4)
-)
+_GENUS3_POINTS = tuple(PointLabel(f"p{i}", (f"f{i}", "d2", "d3")) for i in (1, 2, 3, 4))
 
 
 def _genus3_data(params: dict[str, int]) -> BuildingData:
@@ -384,7 +381,7 @@ def _through_point(
 ) -> Callable[[BuildingData, dict[str, int]], BuildingData]:
     """The recipe that marks one more point on the named components, one
     per branch."""
-    point = PointLabel(witness, _TRIPLE, component_names)
+    point = PointLabel(witness, component_names)
     return lambda data, params: _with_point(data, data.components, point)
 
 
@@ -557,10 +554,9 @@ def recipe(
     family = FAMILY[_covered_region(ksq, chi)]
     params = family.parameters(ksq, chi)
     pre = family.data(params)
-    marked = [p.name for p in pre.incidence if p.is_triple]
-    if not marked:
+    if not pre.incidence:
         return family, params, pre, None
-    return family, params, resolve_triple_point(pre, *marked), pre
+    return family, params, resolve_triple_point(pre, *[p.name for p in pre.incidence]), pre
 
 
 _certificate = _builder(ConstructionCertificate)

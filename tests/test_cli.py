@@ -568,6 +568,8 @@ class TestVerify:
             (("construct", "20", "7"), ("data", "reduced"), False, "reduced"),
             (("degenerate", "20", "7"), ("data", "reduced"), False, "reduced"),
             (("construct", "17", "5"), ("preResolution", "classes", "l1", 0), 99, "lineBundles"),
+            # a point's fixed branch set is compared with the rebuild, not read
+            (("construct", "45", "10"), ("preResolution", "incidence", 0, "branches"), [1, 2], "branches"),
         ],
     )
     def test_forged_stored_classes_fail(self, capsys, tmp_path, argv, leaf, value, forged):

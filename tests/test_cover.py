@@ -18,7 +18,6 @@ from bidouble.cover import (
     Invariants,
     InvalidBuildingData,
     LedgerEntry,
-    NotTriplePoint,
     ParityError,
     building_data,
     chi_oracle,
@@ -206,18 +205,20 @@ class TestValidation:
                 amb.divisor(1, 0),
                 amb.divisor(1, 0),
                 amb.divisor(1, 2),
-                incidence=(PointLabel("p", frozenset({1, 2}), components=("ghost",)),),
+                incidence=(PointLabel("p", components=("ghost",)),),
             )
 
     @pytest.mark.parametrize(
         "point, message",
         [
             # no branch-3 component passes through p, so p is no triple point
-            (PointLabel("p", frozenset({1, 2, 3}), ("a", "b")), "lies on branches"),
-            (PointLabel("p", frozenset({1, 2}), ("a", "b", "c")), "lies on branches"),
-            (PointLabel("p", frozenset({1, 2}), ("a", "a", "b")), "names a component twice"),
+            (PointLabel("p", ("a", "b")), "lies on branches"),
+            # a name given twice counts its component twice, with or without
+            # a curve of every branch
+            (PointLabel("p", ("a", "a", "b", "c")), "lies on branches"),
+            (PointLabel("p", ("a", "a", "b")), "lies on branches"),
             # a triple point that names no curve was once booked as a quarter point
-            (PointLabel("p", frozenset({1, 2, 3})), "lies on branches"),
+            (PointLabel("p"), "lies on branches"),
         ],
     )
     def test_point_components_match_its_branches(self, point, message):
@@ -230,7 +231,7 @@ class TestValidation:
     def test_point_naming_no_component_of_a_branch(self):
         # on (30, 6), f2 and d2 lie on branches 1 and 2 only
         pre = construct(30, 6).pre_resolution
-        point = PointLabel("p2", frozenset({1, 2, 3}), ("f2", "d2"))
+        point = PointLabel("p2", ("f2", "d2"))
         with pytest.raises(InvalidBuildingData, match="lies on branches"):
             building_data(pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, (point,))
 
@@ -238,10 +239,10 @@ class TestValidation:
         "point, message",
         [
             # f_rest is 6 fibers of D1: the point names none of them
-            (PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3")), "'f_rest' of 6 copies"),
+            (PointLabel("p2", ("f_rest", "d2", "d3")), "'f_rest' of 6 copies"),
             # two fibers of D1 through p1 would make D1 singular there
             (
-                PointLabel("p1", frozenset({1, 2, 3}), ("f1", "f2", "d2", "d3")),
+                PointLabel("p1", ("f1", "f2", "d2", "d3")),
                 r"lie on branches \[1, 1, 2, 3\]",
             ),
         ],
@@ -267,10 +268,10 @@ class TestValidation:
             Component("s", 3, section),
         )
         d1, d2 = amb.divisor(0, 2), amb.divisor(2, 2)
-        bad = PointLabel("p", frozenset({1, 2, 3}), ("f", "s", "d3"))
+        bad = PointLabel("p", ("f", "s", "d3"))
         with pytest.raises(InvalidBuildingData, match=r"lie on branches \[1, 2, 3, 3\]"):
             building_data(amb, d1, d2, d2, comps, (bad,))
-        good = PointLabel("p", frozenset({1, 2, 3}), ("f", "s"))
+        good = PointLabel("p", ("f", "s"))
         bd = building_data(amb, d1, d2, d2, comps, (good,))
         assert bd.incidence == (good,)
 
@@ -286,11 +287,11 @@ class TestValidation:
             Component("delta3", 3, fiber),
         )
         d1, d2, d3 = amb.divisor(1, 2, 0), amb.divisor(1, 6, 0), amb.divisor(3, 0, 0)
-        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        pts = (PointLabel("p", ("d1", "d2", "delta1")),)
         with pytest.raises(InvalidBuildingData, match="'p' is named like a centre"):
             building_data(amb, d1, d2, d3, comps, pts)
         # the same point under another name builds and resolves
-        q = (PointLabel("q", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        q = (PointLabel("q", ("d1", "d2", "delta1")),)
         bd = building_data(amb, d1, d2, d3, comps, q)
         assert resolve_triple_point(bd, "q") == fold_reference(bd, "q")
 
@@ -310,7 +311,7 @@ class TestValidation:
         amb = hirzebruch(0)
         d = amb.divisor(2, 2)
         comps = [Component(name, i, d) for i, name in enumerate("abc", start=1)]
-        point = PointLabel("p", frozenset({1, 2, 3}), ("a", "b", "c"))
+        point = PointLabel("p", ("a", "b", "c"))
         assert building_data(amb, d, d, d, comps, [point]).components == tuple(comps)
         for given in (set(comps), dict.fromkeys(comps), iter(comps)):
             with pytest.raises(InvalidBuildingData, match="components must be a list or tuple"):
@@ -350,9 +351,8 @@ class TestSingularityScan:
             Component("d3", 3, amb.divisor(1, 0)),
         )
         pts = (
-            PointLabel("p2", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
-            PointLabel("p1", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
-            PointLabel("q", frozenset({1, 2}), ("d1", "d2")),
+            PointLabel("p2", ("d1", "d2", "d3")),
+            PointLabel("p1", ("d1", "d2", "d3")),
         )
         bd = building_data(amb, amb.divisor(1, 2), amb.divisor(1, 2), amb.divisor(1, 0), comps, pts)
         ledger = singularity_scan(bd)
@@ -368,8 +368,8 @@ class TestSingularityScan:
             Component("d3", 3, amb.divisor(1, 0)),
         )
         pts = [
-            PointLabel("a", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
-            PointLabel("b", frozenset({1, 2, 3}), ("d1", "d2", "d3")),
+            PointLabel("a", ("d1", "d2", "d3")),
+            PointLabel("b", ("d1", "d2", "d3")),
         ]
         bd1 = building_data(amb, amb.divisor(1, 2), amb.divisor(1, 2), amb.divisor(1, 0), comps, tuple(pts))
         bd2 = building_data(amb, amb.divisor(1, 2), amb.divisor(1, 2), amb.divisor(1, 0), comps, tuple(reversed(pts)))
@@ -409,7 +409,7 @@ class TestResolveTriplePoint:
             Component("delta2", 3, fiber),
             Component("delta3", 3, fiber),
         )
-        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "delta1")),)
+        pts = (PointLabel("p", ("d1", "d2", "delta1")),)
         return building_data(
             amb, amb.divisor(1, 2), amb.divisor(1, 2 * chi), amb.divisor(3, 0), comps, pts
         )
@@ -432,18 +432,6 @@ class TestResolveTriplePoint:
         assert lifted["delta2"] == (1, 0, 0)
         assert bd.incidence == ()
         assert len(bd.ambient.points) == 1
-
-    def test_non_triple_point_rejected(self):
-        amb = hirzebruch(0)
-        comps = (
-            Component("d1", 1, amb.divisor(1, 2)),
-            Component("d2", 2, amb.divisor(1, 2)),
-            Component("d3", 3, amb.divisor(1, 0)),
-        )
-        pts = (PointLabel("p", frozenset({1, 2}), ("d1", "d2")),)
-        bd = building_data(amb, amb.divisor(1, 2), amb.divisor(1, 2), amb.divisor(1, 0), comps, pts)
-        with pytest.raises(NotTriplePoint):
-            resolve_triple_point(bd, "p")
 
 
 class TestSerialization:
@@ -473,7 +461,7 @@ class TestSerialization:
             lambda doc: doc["components"][2].__setitem__("count", 1.0)
             or (InvalidBuildingData, "component count must be an integer >= 1, got 1.0"),
             lambda doc: doc["incidence"][0].__setitem__("branches", [True, 2, 3])
-            or (LatticeError, "branch indices must be integers, got True"),
+            or (LatticeError, r"'incidence\.0\.branches' must be integers \[1, 2, 3\], got \[True"),
             lambda doc: doc["ambient"].__setitem__("e", False)
             or (LatticeError, "parameter e must be an integer, got False"),
         ],
@@ -564,6 +552,23 @@ class TestSerialization:
         with pytest.raises(LatticeError, match="must be a sequence of names"):
             BuildingData.from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "branches", [[], [3], [1, 2], [1, 2, 3, 3], [True, 2, 3], [1.0, 2, 3]]
+    )
+    def test_branches_record_must_be_the_triple(self, branches):
+        # every point is a triple point, so a centre or a marked point of the
+        # (45, 10) data records branches [1, 2, 3], as integers: True and
+        # 1.0 compare equal to 1
+        cert = construct(45, 10)
+        data, pre = cert.data.to_doc(), cert.pre_resolution.to_doc()
+        for doc, point, where in (
+            (data, data["ambient"]["points"][0], "ambient.points.0"),
+            (pre, pre["incidence"][0], "incidence.0"),
+        ):
+            point["branches"] = branches
+            with pytest.raises(LatticeError, match=rf"'{where}\.branches' must be integers"):
+                BuildingData.from_doc(doc)
+
     @pytest.mark.parametrize("flag", [False, None, 1, "true"])
     def test_non_general_point_refused(self, flag):
         # every point is assumed in general position
@@ -621,8 +626,6 @@ def resolve_one_reference(bd, name):
     if name not in marked:
         raise InvalidBuildingData(f"no marked point named {name!r}")
     p = marked[name]
-    if not p.is_triple:
-        raise NotTriplePoint(f"point {name!r} does not lie on all three branches")
     if bd.ambient.kind == PLANE:
         raise CoverError("triple point resolution is implemented on ruled models only")
     amb = Ambient(BLOWUP, bd.ambient.e, bd.ambient.points + (p,))
@@ -706,9 +709,7 @@ def random_marked_datum(rng):
         through = [("d1", "d2", f"delta{min(i, m)}") for i in range(1, k + 1)]
         if shared:
             through[-1] = ("d1", "s", "delta1") if fault else ("d1", "s")
-    points = [
-        PointLabel(f"p{i}", frozenset({1, 2, 3}), names) for i, names in enumerate(through, start=1)
-    ]
+    points = [PointLabel(f"p{i}", names) for i, names in enumerate(through, start=1)]
     pre = outcome(building_data, F0, d1, d2, d3, tuple(comps), tuple(points))
     order = [p.name for p in points[:-1]]
     rng.shuffle(order)
@@ -760,25 +761,27 @@ class TestResolveTriplePoints:
             resolve(bd, *names)
         return type(info.value)
 
-    P1 = PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3"))
+    P1 = PointLabel("p1", ("f1", "d2", "d3"))
 
     @pytest.mark.parametrize(
         "points,names,expected",
         [
-            ((P1, PointLabel("p2", frozenset({2, 3}), ("d2", "d3"))), ["p1", "p2"], NotTriplePoint),
-            ((P1, PointLabel("p2", frozenset({2, 3}), ("d2", "d3"))), ["p2", "p1"], NotTriplePoint),
-            ((P1, PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3"))), ["p1", "p2"], CoverError),
-            ((PointLabel("p2", frozenset({1, 2, 3}), ("f_rest", "d2", "d3")), P1), ["p2", "p1"], CoverError),
+            # a point on two branches only is no marked point
+            ((P1, PointLabel("p2", ("d2", "d3"))), ["p1", "p2"], CoverError),
+            ((PointLabel("p2", ("d2", "d3")), P1), ["p2", "p1"], CoverError),
+            ((P1, PointLabel("p2", ("f_rest", "d2", "d3"))), ["p1", "p2"], CoverError),
+            ((PointLabel("p2", ("f_rest", "d2", "d3")), P1), ["p2", "p1"], CoverError),
             # a triple point that names no component
-            ((P1, PointLabel("p2", frozenset({1, 2, 3}))), ["p1", "p2"], CoverError),
+            ((P1, PointLabel("p2")), ["p1", "p2"], CoverError),
             ((P1,), ["p1", "p1"], InvalidBuildingData),
             ((P1,), ["p9"], InvalidBuildingData),
         ],
     )
     def test_same_error_as_fold(self, points, names, expected):
         if expected is CoverError:
-            # a point naming the 6 copies of f_rest, or no component, is
-            # refused by the incidence rule before either resolution runs
+            # a point naming two branches, the 6 copies of f_rest or no
+            # component is refused by the incidence rule before either
+            # resolution runs
             with pytest.raises(InvalidBuildingData):
                 self.with_incidence(*points)
             return
@@ -798,8 +801,8 @@ class TestResolveTriplePoints:
             Component("s", 3, F0.divisor(1, 0)),
         )
         points = (
-            PointLabel("p1", frozenset({1, 2, 3}), ("f1", "d2", "d3")),
-            PointLabel("p2", frozenset({1, 2, 3}), ("f2", "s")),
+            PointLabel("p1", ("f1", "d2", "d3")),
+            PointLabel("p2", ("f2", "s")),
         )
         pre = building_data(F0, F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2), comps, points)
         for names in (["p1", "p2"], ["p2", "p1"]):
@@ -865,7 +868,7 @@ class TestResolveTriplePoints:
             Component("d2", 2, amb.divisor(3)),
             Component("d3", 3, amb.divisor(3)),
         )
-        pts = (PointLabel("p", frozenset({1, 2, 3}), ("d1", "d2", "d3")),)
+        pts = (PointLabel("p", ("d1", "d2", "d3")),)
         bd = building_data(amb, amb.divisor(1), amb.divisor(3), amb.divisor(3), comps, pts)
         assert self.raised(resolve_triple_point, bd, ["p"]) is CoverError
         assert self.raised(fold_reference, bd, ["p"]) is CoverError
@@ -877,12 +880,12 @@ def public_rebuild(bd):
     amb = Ambient(
         given.kind,
         given.e,
-        tuple(PointLabel(p.name, p.branches, p.components) for p in given.points),
+        tuple(PointLabel(p.name, p.components) for p in given.points),
     )
     comps = tuple(
         Component(c.name, c.branch, DivClass(amb, c.cls.coords), c.count) for c in bd.components
     )
-    pts = tuple(PointLabel(p.name, p.branches, p.components) for p in bd.incidence)
+    pts = tuple(PointLabel(p.name, p.components) for p in bd.incidence)
     d1, d2, d3 = (DivClass(amb, d.coords) for d in bd.branches())
     return building_data(amb, d1, d2, d3, comps, pts)
 
@@ -957,7 +960,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del calls[:]
-            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence if p.is_triple])
+            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence])
             assert calls == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
@@ -1000,7 +1003,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del validated[:]
-            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence if p.is_triple])
+            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence])
             assert validated == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
@@ -1099,13 +1102,12 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=()):
         for cname in p.components:
             if cname not in names:
                 raise InvalidBuildingData(f"point {p.name!r} names unknown component {cname!r}")
-        if len(set(p.components)) != len(p.components):
-            raise InvalidBuildingData(f"point {p.name!r} names a component twice")
-        named = [c for c in comps if c.name in p.components]
+        # every component of each name, once per occurrence of the name
+        named = [c for n in p.components for c in comps if c.name == n]
         on = sorted(c.branch for c in named)
-        if on != sorted(p.branches):
+        if on != [1, 2, 3]:
             raise InvalidBuildingData(
-                f"point {p.name!r} lies on branches {sorted(p.branches)}, "
+                f"point {p.name!r} lies on branches [1, 2, 3], "
                 f"but the components it names lie on branches {on}"
             )
         for c in named:
@@ -1153,7 +1155,7 @@ def random_ambient(rng):
     if kind < 0.6:
         return hirzebruch(e)
     k = rng.randrange(1, 3)
-    return Ambient(BLOWUP, e, tuple(PointLabel(f"q{i + 1}", frozenset({1, 2, 3})) for i in range(k)))
+    return Ambient(BLOWUP, e, tuple(PointLabel(f"q{i + 1}") for i in range(k)))
 
 
 def random_datum(rng):
@@ -1275,7 +1277,7 @@ class TestAgainstReferenceFold:
         return type(info.value), str(info.value)
 
     # a blow-up of F_0 at one point
-    BLOWN_UP_ONCE = Ambient(BLOWUP, 0, (PointLabel("q", frozenset({1, 2, 3})),))
+    BLOWN_UP_ONCE = Ambient(BLOWUP, 0, (PointLabel("q"),))
 
     @pytest.mark.parametrize(
         "e, d1, d2, d3, comps, expected",

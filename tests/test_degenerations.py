@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from bidouble.cover import NON_NORMAL_GLUING, QUARTER_POINT, invariants, singularity_scan
+from bidouble.cover import (
+    NON_NORMAL_GLUING,
+    QUARTER_POINT,
+    BuildingData,
+    invariants,
+    singularity_scan,
+)
 from bidouble.degenerations import (
     DegenerationCertificate,
     DegenerationError,
@@ -95,7 +101,9 @@ class TestMarkedPointFamilies:
         (point,) = dc.data.incidence
         assert point.name == "p"
         assert point.components == ("d1", "d2", "d3")
-        assert point.branches == frozenset({1, 2, 3})
+        doc = {"name": "p", "branches": [1, 2, 3], "components": ["d1", "d2", "d3"], "general": True}
+        assert point.to_doc() == doc
+        assert BuildingData.from_doc(dc.data.to_doc()) == dc.data
 
     def test_line5_marks_a_fresh_fiber(self):
         # alpha = 2 and epsilon = 1: the one spare fiber moves, so no bulk
