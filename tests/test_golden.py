@@ -27,7 +27,10 @@ sample: ``canonical_json(bd.to_doc())`` of each of the 10,000 valid data
 that ``sample_building_data`` draws from ``random.Random(ORACLE_SEED)``,
 concatenated, and the number of draws they take.  The ``check`` report
 shows only the sample count, so without this pin a change to the sampler
-could change the sample silently.
+could change the sample silently.  The oracle values digest pins what the
+sample computes on those data: for each, the ``invariants`` fields
+``ksq chi pg q pg_estimated`` and then ``chi_oracle`` and ``ksq_oracle``,
+as one line of integers.
 
 The verify digest pins the ``verify --json`` report, with its exit code, on
 the genuine construction and degeneration documents of the first covered
@@ -53,7 +56,7 @@ import pytest
 
 from bidouble.checks import ORACLE_SAMPLES, ORACLE_SEED, sample_building_data
 from bidouble.cli import main
-from bidouble.cover import CoverError
+from bidouble.cover import CoverError, chi_oracle, invariants, ksq_oracle
 from bidouble.degenerations import degenerate
 from bidouble.geography import canonical_json
 from bidouble.recipes import FAMILY, classify, construct
@@ -81,6 +84,7 @@ DEGENERATE_SWEEP_DIGEST = "46dfd02336167c8d7b7c326fdb27958bd59e04bf2c0ae6e7e4a0f
 
 ORACLE_STREAM_DRAWS = 10_120
 ORACLE_STREAM_DIGEST = "e519cdefa835e85b1a78f44c669fd90d8adc4310e21e52c8cd04e79920106599"
+ORACLE_VALUES_DIGEST = "c82803fba5ae8066c92e10a25758aa24d1394d2e4dfd97c39c7d1b56bfce439f"
 
 VERIFY_DIGEST = "ef22d2636d0a8fdbc8c6eac4319892af3931c3e25115c2a2f5ef7a1e481cb493"
 VERIFY_TEXT_DIGEST = "8d83579910d3a923d8e3927053725ec75481140ba716219b9af97e6caf639f07"
@@ -220,19 +224,37 @@ def test_degenerate_sweep_digest():
     assert h.hexdigest() == DEGENERATE_SWEEP_DIGEST
 
 
-def test_oracle_stream_digest():
+def oracle_sample():
+    """The valid data of ``check``'s oracle sample, in order, and the number
+    of draws they took."""
     rng = random.Random(ORACLE_SEED)
-    h = hashlib.sha256()
-    valid = draws = 0
-    while valid < ORACLE_SAMPLES:
+    data = []
+    draws = 0
+    while len(data) < ORACLE_SAMPLES:
         draws += 1
         try:
-            bd = sample_building_data(rng)
+            data.append(sample_building_data(rng))
         except CoverError:
             continue
-        valid += 1
+    return data, draws
+
+
+def test_oracle_stream_digest():
+    data, draws = oracle_sample()
+    h = hashlib.sha256()
+    for bd in data:
         h.update(canonical_json(bd.to_doc()).encode("utf-8"))
     assert (draws, h.hexdigest()) == (ORACLE_STREAM_DRAWS, ORACLE_STREAM_DIGEST)
+
+
+def test_oracle_values_digest():
+    h = hashlib.sha256()
+    for bd in oracle_sample()[0]:
+        inv = invariants(bd)
+        row = (inv.ksq, inv.chi, inv.pg, inv.q, int(inv.pg_estimated))
+        row += (chi_oracle(bd), ksq_oracle(bd))
+        h.update((" ".join(map(str, row)) + "\n").encode("utf-8"))
+    assert h.hexdigest() == ORACLE_VALUES_DIGEST
 
 
 @pytest.mark.parametrize("chi", sorted(CONSTRUCT_DIGESTS))
