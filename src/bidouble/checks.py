@@ -204,9 +204,7 @@ def sample_building_data(rng: random.Random) -> BuildingData:
 
 def check_oracle_sample() -> CheckResult:
     rng = random.Random(ORACLE_SEED)
-    valid = 0
-    mismatches = 0
-    attempts = 0
+    valid = mismatches = attempts = 0
     while valid < ORACLE_SAMPLES:
         attempts += 1
         if attempts > 50 * ORACLE_SAMPLES:
@@ -227,11 +225,7 @@ def check_oracle_sample() -> CheckResult:
             agree = False
         if not agree:
             mismatches += 1
-    return CheckResult(
-        "oracleSample",
-        mismatches == 0,
-        f"{valid} samples, {mismatches} mismatches",
-    )
+    return CheckResult("oracleSample", mismatches == 0, f"{valid} samples, {mismatches} mismatches")
 
 
 def monomial_count(d: DivClass) -> int:

@@ -20,20 +20,22 @@ cover is smooth over points where at most two branch divisors meet
 transversally, and has a 1/4(1,1) quarter point where all three meet, so
 every marked point is such a triple point: it names one single-copy
 component of each of the three branches, a rule ``building_data`` alone
-checks.  A component shared between
-branch divisors makes the total branch non-reduced; such data builds, as
-degeneration data must, and records ``reduced`` as False.  Only a smooth
-construction needs a reduced branch, and ``recipes.certify`` owns that
-rule.
+checks.  A component shared between branch divisors makes the total
+branch non-reduced; such data builds, as degeneration data must, and
+records ``reduced`` as False.  Only a smooth construction needs a reduced
+branch, and ``recipes.certify`` owns that rule.
 
 The line bundles, the per-branch component sums, 2K + B and the adjoint
-classes K + L_i are computed directly on the coordinate tuples of classes
-already validated on the data's ambient, and each resulting class is
-wrapped once through ``lattice._trusted``.  The intersection form and h0
-stay with ``lattice.intersect`` and ``lattice.h0_flagged``, their one
-definition in the library.  So ``invariants`` and ``two_k_plus_b`` expect
-data built by ``building_data`` or ``resolve_triple_point``, not assembled
-by hand.
+classes K + L_i are computed on the coordinate tuples of classes already
+validated on the data's ambient, each result wrapped once through
+``lattice._trusted``; ``derive_line_bundles`` halves D2 + D3 and D1 + D3
+itself and refuses an odd sum.  On F_e, the rank-2 ambient of most data
+and of all of ``check``'s oracle sample, the line bundles, 2K + B and
+K + L_i unpack the two coordinates instead of building an iterator and a
+tuple per sum.  The intersection form and h0 stay with
+``lattice.intersect`` and ``lattice.h0_flagged``, their one definition in
+the library.  So ``invariants`` and ``two_k_plus_b`` expect data built by
+``building_data`` or ``resolve_triple_point``, not assembled by hand.
 
 ``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
 shares with the library only the line bundles L_i that ``building_data``
@@ -45,28 +47,27 @@ plain integer coordinates, with no ``DivClass``, so a wrong sign in
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
-builds a class: ``building_data`` and ``resolve_triple_point`` assemble
-the ``BuildingData`` they return once every check has passed,
-``invariants`` its ``Invariants`` once the sign of q is checked,
-``singularity_scan`` each ``LedgerEntry`` from validated data, and the
-resolution lifts each component, whose name, branch and count ``bd``
-already validated, with only its class replaced.  It builds the blow-up
-with ``lattice._blow_up``, past the checks of ``Ambient``: its ambient and
-centres come from validated data, and ``building_data`` refuses a marked
-point named like a centre, so the centres' names stay distinct.  The
-resolution keeps the one check a blow-up can fail, the effectivity of the
-lifted branch classes; the lifted component sums hold by the incidence
-rule.  ``recipes`` builds its fixed-shape components with ``_lift`` too,
-in its construction and its degeneration recipes, since their fields are
-literals, exact integers or classes of validated data, and leaves the
-checks to ``building_data``.
+builds a class: the ``BuildingData`` that ``building_data`` and
+``resolve_triple_point`` return once every check has passed, the
+``Invariants`` of ``invariants`` once the sign of q is checked, each
+``LedgerEntry`` of ``singularity_scan``, and each component the resolution
+lifts, whose name, branch and count ``bd`` validated, with only its class
+replaced.  The resolution builds its blow-up with ``lattice._blow_up``,
+past the checks of ``Ambient``: its ambient and centres come from
+validated data, and ``building_data`` refuses a marked point named like a
+centre, so the centres' names stay distinct.  It keeps the one check a
+blow-up can fail, the effectivity of the lifted branch classes; the lifted
+component sums hold by the incidence rule.  ``recipes`` builds the
+fixed-shape components of its constructions and degenerations with
+``_lift`` too, since their fields are literals, exact integers or classes
+of validated data, and leaves the checks to ``building_data``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .lattice import (
     PLANE,
@@ -195,30 +196,38 @@ class LedgerEntry:
         }
 
 
-def _half(coords: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The coordinates halved, or None when one of them is odd."""
-    for x in coords:
-        if x & 1:
-            return None
-    return tuple([x >> 1 for x in coords])
+def _refuse_non_class(*branches: object) -> None:
+    for i, d in enumerate(branches, start=1):
+        if type(d) is not DivClass:
+            raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
 
 
 def derive_line_bundles(
     ambient: Ambient, d1: DivClass, d2: DivClass, d3: DivClass
 ) -> tuple[DivClass, DivClass, DivClass]:
     """The three line bundles determined by the branch classes."""
+    if not (type(d1) is type(d2) is type(d3) is DivClass):
+        _refuse_non_class(d1, d2, d3)
     for d in (d1, d2, d3):
         if d.ambient is not ambient and d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
     u, v, w = d1.coords, d2.coords, d3.coords
-    l1 = _half(tuple(map(add, v, w)))
-    if l1 is None:
-        raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
-    l2 = _half(tuple(map(add, u, w)))
-    if l2 is None:
-        raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
-    # L1 + L2 - D3 = (D1 + D2)/2, integral once the two sums above are even
-    l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
+    if len(u) == 2:
+        # F_e unpacked; the other ranks build an iterator and a tuple per sum
+        (a1, b1), (a2, b2), (a3, b3) = u, v, w
+        s1, s2 = (a2 + a3, b2 + b3), (a1 + a3, b1 + b3)
+        l1, l2 = (s1[0] >> 1, s1[1] >> 1), (s2[0] >> 1, s2[1] >> 1)
+        l3 = ((a1 + a2) >> 1, (b1 + b2) >> 1)
+    else:
+        s1, s2 = tuple(map(add, v, w)), tuple(map(add, u, w))
+        l1, l2 = tuple([x >> 1 for x in s1]), tuple([x >> 1 for x in s2])
+        l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
+    for x in s1:
+        if x & 1:
+            raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
+    for x in s2:
+        if x & 1:
+            raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
     for i, l in enumerate((l1, l2, l3), start=1):
         if not any(l):
             raise InvalidBuildingData(f"derived line bundle L{i} is zero")
@@ -404,9 +413,10 @@ def building_data(
 
     Checks the types of the entries, parity, nonzero derived bundles,
     effectivity of the branch classes, per-branch component sums and
-    incidence.  Each branch's components, counted with their copies, sum
-    to its class: branches in order, and in each a component on another
-    ambient is reported before the sum.
+    incidence; a branch class that is not a ``DivClass`` is refused before
+    any other branch check, naming the branch.  Each branch's components,
+    counted with their copies, sum to its class: branches in order, and in
+    each a component on another ambient is reported before the sum.
 
     Incidence is owned here.  Point names are distinct and none is the
     name of a centre of the ambient, so resolving any of the points gives
@@ -428,38 +438,31 @@ def building_data(
         raise InvalidBuildingData(f"components must be a list or tuple, got {components!r}")
     if type(incidence) not in (list, tuple):
         raise InvalidBuildingData(f"incidence must be a list or tuple, got {incidence!r}")
-    if d1.is_zero() or d2.is_zero():
+    if not (type(d1) is type(d2) is type(d3) is DivClass):
+        _refuse_non_class(d1, d2, d3)
+    if not any(d1.coords) or not any(d2.coords):
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
-    for i, d in enumerate((d1, d2) if d3.is_zero() else (d1, d2, d3), start=1):
+    for i, d in enumerate((d1, d2, d3) if any(d3.coords) else (d1, d2), start=1):
         if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = tuple(components)
-    sums: list[tuple[int, ...] | None] = [None, None, None]
-    foreign: list[str | None] = [None, None, None]
+    comps, pts = tuple(components), tuple(incidence)
     for c in comps:
         if type(c) is not Component:
             raise InvalidBuildingData(f"component {c!r} is not a Component")
-        i = c.branch - 1
-        cls = c.cls
-        if cls.ambient is not ambient and cls.ambient != ambient:
-            if foreign[i] is None:
-                foreign[i] = c.name
-            continue
-        n = c.count
-        x = cls.coords if n == 1 else tuple([n * t for t in cls.coords])
-        acc = sums[i]
-        sums[i] = x if acc is None else tuple(map(add, acc, x))
-    for i, total in enumerate((d1, d2, d3)):
-        if foreign[i] is not None:
-            raise InvalidBuildingData(f"component {foreign[i]!r} lives on a different ambient")
-        acc = sums[i]
+    for i, total in enumerate((d1, d2, d3) if comps else (), start=1):
+        acc = None
+        for c in comps:
+            if c.branch != i:
+                continue
+            if c.cls.ambient is not ambient and c.cls.ambient != ambient:
+                raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
+            x = c.cls.coords if c.count == 1 else tuple([c.count * t for t in c.cls.coords])
+            acc = x if acc is None else tuple(map(add, acc, x))
         if acc is not None and acc != total.coords:
             raise InvalidBuildingData(
-                f"components of branch {i + 1} sum to {_trusted(ambient, acc)}, "
-                f"expected {total}"
+                f"components of branch {i} sum to {_trusted(ambient, acc)}, expected {total}"
             )
-    pts = tuple(incidence)
     names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
     reduced = len(names) == len(comps)
     return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
@@ -468,8 +471,11 @@ def building_data(
 def two_k_plus_b(bd: BuildingData) -> DivClass:
     """2K_Y + D1 + D2 + D3, the class on the base whose pullback is 2K_X."""
     amb = bd.ambient
-    columns = zip(amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords)
-    return _trusted(amb, tuple([2 * k + a + b + c for k, a, b, c in columns]))
+    k, u, v, w = amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords
+    if len(k) == 2:
+        (p, q), (a1, b1), (a2, b2), (a3, b3) = k, u, v, w
+        return _trusted(amb, (2 * p + a1 + a2 + a3, 2 * q + b1 + b2 + b3))
+    return _trusted(amb, tuple([2 * x + a + b + c for x, a, b, c in zip(k, u, v, w)]))
 
 
 _invariants = _builder(Invariants)
@@ -486,9 +492,12 @@ def invariants(bd: BuildingData) -> Invariants:
     k = amb._canonical
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
     l1, l2, l3 = bd.l1, bd.l2, bd.l3
-    k1 = _trusted(amb, tuple(map(add, k, l1.coords)))
-    k2 = _trusted(amb, tuple(map(add, k, l2.coords)))
-    k3 = _trusted(amb, tuple(map(add, k, l3.coords)))
+    if len(k) == 2:
+        (p, q), (a1, b1), (a2, b2), (a3, b3) = k, l1.coords, l2.coords, l3.coords
+        c1, c2, c3 = (p + a1, q + b1), (p + a2, q + b2), (p + a3, q + b3)
+    else:
+        c1, c2, c3 = [tuple(map(add, k, l.coords)) for l in (l1, l2, l3)]
+    k1, k2, k3 = _trusted(amb, c1), _trusted(amb, c2), _trusted(amb, c3)
     tot = intersect(l1, k1) + intersect(l2, k2) + intersect(l3, k3)
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
@@ -518,9 +527,7 @@ def _oracle_form(plane: bool, e: int, u: Sequence[int], v: Sequence[int]) -> int
 def _oracle_k(plane: bool, e: int, rank: int) -> tuple[int, ...]:
     """K_Y written out from the basis rules for the oracles: -3H on the
     plane, and otherwise -2D0 - (e+2)F + sum E_i."""
-    if plane:
-        return (-3,)
-    return (-2, -e - 2) + (1,) * (rank - 2)
+    return (-3,) if plane else (-2, -e - 2) + (1,) * (rank - 2)
 
 
 def chi_oracle(bd: BuildingData) -> int:
@@ -532,11 +539,10 @@ def chi_oracle(bd: BuildingData) -> int:
     """
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
-    l1 = bd.l1.coords
-    k = _oracle_k(plane, e, len(l1))
+    k = _oracle_k(plane, e, len(bd.l1.coords))
     total = 1
-    for l in (l1, bd.l2.coords, bd.l3.coords):
-        d = [-x for x in l]
+    for l in (bd.l1.coords, bd.l2.coords, bd.l3.coords):
+        d = list(map(neg, l))
         pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
         if pairing % 2:
             raise InvalidBuildingData("parity failure in Riemann-Roch term")
@@ -545,17 +551,13 @@ def chi_oracle(bd: BuildingData) -> int:
 
 
 def ksq_oracle(bd: BuildingData) -> int:
-    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the
-    oracles' own form and K_Y."""
+    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, taken as
+    4K.(K + B) + B.B, on the oracles' own form and K_Y."""
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
-    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
+    b = list(map(add, map(add, bd.d1.coords, bd.d2.coords), bd.d3.coords))
     k = _oracle_k(plane, e, len(b))
-    return (
-        4 * _oracle_form(plane, e, k, k)
-        + 4 * _oracle_form(plane, e, k, b)
-        + _oracle_form(plane, e, b, b)
-    )
+    return 4 * _oracle_form(plane, e, k, list(map(add, k, b))) + _oracle_form(plane, e, b, b)
 
 
 # a ledger entry's fields are derived from validated data

@@ -1044,7 +1044,14 @@ def reference_half(d):
     return DivClass(d.ambient, tuple(c // 2 for c in d.coords))
 
 
+def reference_branch_types(*branches):
+    for i, d in enumerate(branches, start=1):
+        if type(d) is not DivClass:
+            raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
+
+
 def reference_line_bundles(ambient, d1, d2, d3):
+    reference_branch_types(d1, d2, d3)
     for d in (d1, d2, d3):
         if d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
@@ -1081,6 +1088,7 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=()):
     for what, given in (("components", components), ("incidence", incidence)):
         if type(given) not in (list, tuple):
             raise InvalidBuildingData(f"{what} must be a list or tuple, got {given!r}")
+    reference_branch_types(d1, d2, d3)
     if d1.is_zero() or d2.is_zero():
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = reference_line_bundles(ambient, d1, d2, d3)
@@ -1481,6 +1489,25 @@ class TestCoordinateKernels:
         for n in (2.0, "2", None):
             with pytest.raises(InvalidBuildingData, match="component count"):
                 Component("a", 1, d, n)
+
+    @pytest.mark.parametrize("bad", [(2, 2), [2, 2], None], ids=["tuple", "list", "None"])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_refuses_branches_that_are_not_classes(self, i, bad):
+        amb = hirzebruch(0)
+        # each other branch fails a later check: D1 is zero, D2 lives on
+        # another ambient and D3 makes D2 + D3 odd
+        ds = [amb.zero(), hirzebruch(1).divisor(2, 2), amb.divisor(1, 1)]
+        ds[i - 1] = bad
+        expected = (InvalidBuildingData, f"branch class D{i} must be a divisor class, got {bad!r}")
+        assert outcome(building_data, amb, *ds) == expected
+        assert outcome(derive_line_bundles, amb, *ds) == expected
+        assert outcome(reference_building_data, amb, *ds) == expected
+        assert outcome(reference_line_bundles, amb, *ds) == expected
+        # the first branch that is not a class is named
+        ds[i % 3] = bad
+        first = min(i, i % 3 + 1)
+        assert outcome(building_data, amb, *ds)[1].startswith(f"branch class D{first} must")
+        assert outcome(derive_line_bundles, amb, *ds)[1].startswith(f"branch class D{first} must")
 
     def test_equal_ambient_built_apart(self):
         amb, copy = two_centres(0), two_centres(0)
