@@ -7,7 +7,9 @@ library: mismatches flag a defect in either path.  The oracle shares with
 ``invariants`` only the line bundles L_i that ``building_data`` derives from
 each sampled datum; the intersection form, K_Y and the class arithmetic are
 the oracles' own (see :mod:`bidouble.cover`).  A sampled datum on which
-``invariants`` or an oracle raises counts as a mismatch.
+``invariants`` or an oracle raises counts as a mismatch.  At small ``--chi-max``
+the oracle sample is the bulk of ``check``: about three quarters at 12, some
+18-23 us per valid datum on a 2-vCPU Xeon VM under CPython 3.11.
 """
 
 from __future__ import annotations
@@ -186,8 +188,7 @@ def check_h0_d3_identity(cert: ConstructionCertificate) -> int | str:
 def sample_building_data(rng: random.Random) -> BuildingData:
     """One random parity-consistent datum on F_e, e <= 3, coefficients <= 12.
 
-    Raises CoverError when the draw violates a validity rule; callers
-    resample.
+    Raises CoverError when the draw violates a validity rule; callers resample.
     """
     amb = hirzebruch(rng.randrange(4))
     a3, b3 = rng.randrange(13), rng.randrange(13)

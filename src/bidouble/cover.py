@@ -211,6 +211,7 @@ def derive_line_bundles(
     for d in (d1, d2, d3):
         if d.ambient is not ambient and d.ambient != ambient:
             raise InvalidBuildingData("branch class lives on a different ambient")
+    # L3 = L1 + L2 - D3 = (D1 + D2)/2, integral once D2 + D3 and D1 + D3 are even
     u, v, w = d1.coords, d2.coords, d3.coords
     if len(u) == 2:
         # F_e unpacked; the other ranks build an iterator and a tuple per sum
@@ -464,8 +465,7 @@ def building_data(
                 f"components of branch {i} sum to {_trusted(ambient, acc)}, expected {total}"
             )
     names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
-    reduced = len(names) == len(comps)
-    return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
+    return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, len(names) == len(comps))
 
 
 def two_k_plus_b(bd: BuildingData) -> DivClass:
@@ -535,8 +535,7 @@ def chi_oracle(bd: BuildingData) -> int:
 
     Independent path: chi(O_Y) plus one Riemann-Roch evaluation of
     chi(O_Y(-L_i)) per bundle, each term halved separately, on the
-    oracles' own form and K_Y.
-    """
+    oracles' own form and K_Y."""
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
     k = _oracle_k(plane, e, len(bd.l1.coords))
