@@ -20,10 +20,11 @@ cover is smooth over points where at most two branch divisors meet
 transversally, and has a 1/4(1,1) quarter point where all three meet, so
 every marked point is such a triple point: it names one single-copy
 component of each of the three branches, a rule ``building_data`` alone
-checks.  A component shared between branch divisors makes the total
-branch non-reduced; such data builds, as degeneration data must, and
-records ``reduced`` as False.  Only a smooth construction needs a reduced
-branch, and ``recipes.certify`` owns that rule.
+checks.  A component shared between
+branch divisors makes the total branch non-reduced; such data builds, as
+degeneration data must, and records ``reduced`` as False.  Only a smooth
+construction needs a reduced branch, and ``recipes.certify`` owns that
+rule.
 
 The line bundles, the per-branch component sums, 2K + B and the adjoint
 classes K + L_i are computed on the coordinate tuples of classes already
@@ -47,20 +48,21 @@ plain integer coordinates, with no ``DivClass``, so a wrong sign in
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
-builds a class: the ``BuildingData`` that ``building_data`` and
-``resolve_triple_point`` return once every check has passed, the
-``Invariants`` of ``invariants`` once the sign of q is checked, each
-``LedgerEntry`` of ``singularity_scan``, and each component the resolution
-lifts, whose name, branch and count ``bd`` validated, with only its class
-replaced.  The resolution builds its blow-up with ``lattice._blow_up``,
-past the checks of ``Ambient``: its ambient and centres come from
-validated data, and ``building_data`` refuses a marked point named like a
-centre, so the centres' names stay distinct.  It keeps the one check a
-blow-up can fail, the effectivity of the lifted branch classes; the lifted
-component sums hold by the incidence rule.  ``recipes`` builds the
-fixed-shape components of its constructions and degenerations with
-``_lift`` too, since their fields are literals, exact integers or classes
-of validated data, and leaves the checks to ``building_data``.
+builds a class: ``building_data`` and ``resolve_triple_point`` assemble
+the ``BuildingData`` they return once every check has passed,
+``invariants`` its ``Invariants`` once the sign of q is checked,
+``singularity_scan`` each ``LedgerEntry`` from validated data, and the
+resolution lifts each component, whose name, branch and count ``bd``
+already validated, with only its class replaced.  It builds the blow-up
+with ``lattice._blow_up``, past the checks of ``Ambient``: its ambient and
+centres come from validated data, and ``building_data`` refuses a marked
+point named like a centre, so the centres' names stay distinct.  The
+resolution keeps the one check a blow-up can fail, the effectivity of the
+lifted branch classes; the lifted component sums hold by the incidence
+rule.  ``recipes`` builds its fixed-shape components with ``_lift`` too,
+in its construction and its degeneration recipes, since their fields are
+literals, exact integers or classes of validated data, and leaves the
+checks to ``building_data``.
 """
 
 from __future__ import annotations
