@@ -30,10 +30,10 @@ The line bundles, the per-branch component sums, 2K + B and the adjoint
 classes K + L_i are computed on the coordinate tuples of classes already
 validated on the data's ambient, each result wrapped once through
 ``lattice._trusted``; ``derive_line_bundles`` halves D2 + D3 and D1 + D3
-itself and refuses an odd sum.  On F_e, the rank-2 ambient of most data
-and of all of ``check``'s oracle sample, the line bundles, 2K + B and
-K + L_i unpack the two coordinates instead of building an iterator and a
-tuple per sum.  The intersection form and h0 stay with
+itself and refuses an odd sum.  On F_e, where a class has two
+coordinates (so on every datum of ``check``'s oracle sample), the line
+bundles, 2K + B and K + L_i unpack the two coordinates instead of building
+an iterator and a tuple per sum.  The intersection form and h0 stay with
 ``lattice.intersect`` and ``lattice.h0_flagged``, their one definition in
 the library.  So ``invariants`` and ``two_k_plus_b`` expect data built by
 ``building_data`` or ``resolve_triple_point``, not assembled by hand.
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .lattice import (
     PLANE,
@@ -225,12 +225,10 @@ def derive_line_bundles(
         s1, s2 = tuple(map(add, v, w)), tuple(map(add, u, w))
         l1, l2 = tuple([x >> 1 for x in s1]), tuple([x >> 1 for x in s2])
         l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
-    for x in s1:
-        if x & 1:
-            raise ParityError(f"D2 + D3 = {d2 + d3} is not divisible by two")
-    for x in s2:
-        if x & 1:
-            raise ParityError(f"D1 + D3 = {d1 + d3} is not divisible by two")
+    for name, s in (("D2 + D3", s1), ("D1 + D3", s2)):
+        for x in s:
+            if x & 1:
+                raise ParityError(f"{name} = {_trusted(ambient, s)} is not divisible by two")
     for i, l in enumerate((l1, l2, l3), start=1):
         if not any(l):
             raise InvalidBuildingData(f"derived line bundle L{i} is zero")
@@ -416,10 +414,10 @@ def building_data(
 
     Checks the types of the entries, parity, nonzero derived bundles,
     effectivity of the branch classes, per-branch component sums and
-    incidence; a branch class that is not a ``DivClass`` is refused before
-    any other branch check, naming the branch.  Each branch's components,
-    counted with their copies, sum to its class: branches in order, and in
-    each a component on another ambient is reported before the sum.
+    incidence; a branch that is not a ``DivClass`` is named before any
+    other branch check.  Each branch's components, counted with their
+    copies, sum to its class: branches in order, and in each a component
+    on another ambient is reported before the sum.
 
     Incidence is owned here.  Point names are distinct and none is the
     name of a centre of the ambient, so resolving any of the points gives
@@ -449,7 +447,7 @@ def building_data(
     for i, d in enumerate((d1, d2, d3) if any(d3.coords) else (d1, d2), start=1):
         if h0_flagged(d)[0] <= 0:
             raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps, pts = tuple(components), tuple(incidence)
+    comps = tuple(components)
     for c in comps:
         if type(c) is not Component:
             raise InvalidBuildingData(f"component {c!r} is not a Component")
@@ -464,10 +462,13 @@ def building_data(
             acc = x if acc is None else tuple(map(add, acc, x))
         if acc is not None and acc != total.coords:
             raise InvalidBuildingData(
-                f"components of branch {i} sum to {_trusted(ambient, acc)}, expected {total}"
+                f"components of branch {i} sum to {_trusted(ambient, acc)}, "
+                f"expected {total}"
             )
+    pts = tuple(incidence)
     names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
-    return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, len(names) == len(comps))
+    reduced = len(names) == len(comps)
+    return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
 
 
 def two_k_plus_b(bd: BuildingData) -> DivClass:
@@ -529,7 +530,9 @@ def _oracle_form(plane: bool, e: int, u: Sequence[int], v: Sequence[int]) -> int
 def _oracle_k(plane: bool, e: int, rank: int) -> tuple[int, ...]:
     """K_Y written out from the basis rules for the oracles: -3H on the
     plane, and otherwise -2D0 - (e+2)F + sum E_i."""
-    return (-3,) if plane else (-2, -e - 2) + (1,) * (rank - 2)
+    if plane:
+        return (-3,)
+    return (-2, -e - 2) + (1,) * (rank - 2)
 
 
 def chi_oracle(bd: BuildingData) -> int:
@@ -537,13 +540,15 @@ def chi_oracle(bd: BuildingData) -> int:
 
     Independent path: chi(O_Y) plus one Riemann-Roch evaluation of
     chi(O_Y(-L_i)) per bundle, each term halved separately, on the
-    oracles' own form and K_Y."""
+    oracles' own form and K_Y.
+    """
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
-    k = _oracle_k(plane, e, len(bd.l1.coords))
+    l1 = bd.l1.coords
+    k = _oracle_k(plane, e, len(l1))
     total = 1
-    for l in (bd.l1.coords, bd.l2.coords, bd.l3.coords):
-        d = list(map(neg, l))
+    for l in (l1, bd.l2.coords, bd.l3.coords):
+        d = [-x for x in l]
         pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
         if pairing % 2:
             raise InvalidBuildingData("parity failure in Riemann-Roch term")
@@ -552,13 +557,17 @@ def chi_oracle(bd: BuildingData) -> int:
 
 
 def ksq_oracle(bd: BuildingData) -> int:
-    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, taken as
-    4K.(K + B) + B.B, on the oracles' own form and K_Y."""
+    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the
+    oracles' own form and K_Y."""
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
-    b = list(map(add, map(add, bd.d1.coords, bd.d2.coords), bd.d3.coords))
+    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
     k = _oracle_k(plane, e, len(b))
-    return 4 * _oracle_form(plane, e, k, list(map(add, k, b))) + _oracle_form(plane, e, b, b)
+    return (
+        4 * _oracle_form(plane, e, k, k)
+        + 4 * _oracle_form(plane, e, k, b)
+        + _oracle_form(plane, e, b, b)
+    )
 
 
 # a ledger entry's fields are derived from validated data
