@@ -33,10 +33,15 @@ validated on the data's ambient, each result wrapped once through
 itself and refuses an odd sum.  On F_e, where a class has two
 coordinates (so on every datum of ``check``'s oracle sample), the line
 bundles, 2K + B and K + L_i unpack the two coordinates instead of building
-an iterator and a tuple per sum.  The intersection form and h0 stay with
-``lattice.intersect`` and ``lattice.h0_flagged``, their one definition in
-the library.  So ``invariants`` and ``two_k_plus_b`` expect data built by
-``building_data`` or ``resolve_triple_point``, not assembled by hand.
+an iterator and a tuple per sum.  There ``derive_line_bundles`` tests the
+parity of both sums with one OR and the three bundles for zero inline, and
+``building_data`` reads the effectivity of the branches off their signs,
+the corollary of h0's formula that ``lattice.h0_flagged`` states; data
+that fails either test goes through the general checks, which name the
+refusal.  The intersection form and h0 stay with ``lattice.intersect`` and
+``lattice.h0_flagged``, their one definition in the library.  So
+``invariants`` and ``two_k_plus_b`` expect data built by ``building_data``
+or ``resolve_triple_point``, not assembled by hand.
 
 ``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
 shares with the library only the line bundles L_i that ``building_data``
@@ -72,6 +77,7 @@ from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from .lattice import (
+    HIRZEBRUCH,
     PLANE,
     Ambient,
     DivClass,
@@ -216,11 +222,16 @@ def derive_line_bundles(
     # L3 = L1 + L2 - D3 = (D1 + D2)/2, integral once D2 + D3 and D1 + D3 are even
     u, v, w = d1.coords, d2.coords, d3.coords
     if len(u) == 2:
-        # F_e unpacked; the other ranks build an iterator and a tuple per sum
+        # F_e unpacked; the other ranks build an iterator and a tuple per sum.
+        # One OR tests both sums' parity, and with even sums L_i is zero
+        # exactly when its sum is; a failed test falls through to the loops
+        # below, which name it
         (a1, b1), (a2, b2), (a3, b3) = u, v, w
-        s1, s2 = (a2 + a3, b2 + b3), (a1 + a3, b1 + b3)
-        l1, l2 = (s1[0] >> 1, s1[1] >> 1), (s2[0] >> 1, s2[1] >> 1)
-        l3 = ((a1 + a2) >> 1, (b1 + b2) >> 1)
+        x1, y1, x2, y2, x3, y3 = a2 + a3, b2 + b3, a1 + a3, b1 + b3, a1 + a2, b1 + b2
+        l1, l2, l3 = (x1 >> 1, y1 >> 1), (x2 >> 1, y2 >> 1), (x3 >> 1, y3 >> 1)
+        if not (x1 | y1 | x2 | y2) & 1 and (x1 or y1) and (x2 or y2) and (x3 or y3):
+            return _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
+        s1, s2 = (x1, y1), (x2, y2)
     else:
         s1, s2 = tuple(map(add, v, w)), tuple(map(add, u, w))
         l1, l2 = tuple([x >> 1 for x in s1]), tuple([x >> 1 for x in s2])
@@ -415,9 +426,12 @@ def building_data(
     Checks the types of the entries, parity, nonzero derived bundles,
     effectivity of the branch classes, per-branch component sums and
     incidence; a branch that is not a ``DivClass`` is named before any
-    other branch check.  Each branch's components, counted with their
-    copies, sum to its class: branches in order, and in each a component
-    on another ambient is reported before the sum.
+    other branch check.  On F_e a branch class is effective exactly when
+    no coordinate is negative, so h0 decides effectivity only on the
+    other ambients, or to name the first branch that is not effective.
+    Each branch's components, counted with their copies, sum to its
+    class: branches in order, and in each a component on another ambient
+    is reported before the sum.
 
     Incidence is owned here.  Point names are distinct and none is the
     name of a centre of the ambient, so resolving any of the points gives
@@ -444,9 +458,13 @@ def building_data(
     if not any(d1.coords) or not any(d2.coords):
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
     l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
-    for i, d in enumerate((d1, d2, d3) if any(d3.coords) else (d1, d2), start=1):
-        if h0_flagged(d)[0] <= 0:
-            raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
+    # on F_e a class is effective exactly when no coordinate is negative
+    # (see lattice.h0_flagged), so there h0 runs only to name a refusal
+    u, v, w = d1.coords, d2.coords, d3.coords
+    if ambient.kind != HIRZEBRUCH or min(u) < 0 or min(v) < 0 or min(w) < 0:
+        for i, d in enumerate((d1, d2, d3) if any(w) else (d1, d2), start=1):
+            if h0_flagged(d)[0] <= 0:
+                raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
     comps = tuple(components)
     for c in comps:
         if type(c) is not Component:

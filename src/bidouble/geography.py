@@ -192,7 +192,9 @@ _MARGIN = 40
 
 
 def _emit_svg(rows: tuple[AtlasRow, ...]) -> str:
-    chi_max = max(r.chi for r in rows)
+    # no rows draw a chart of chi up to 0, like the json's chiMax, with no
+    # cells and no guide lines
+    chi_max = max((r.chi for r in rows), default=0)
     kmax = 9 * chi_max
     width = 2 * _MARGIN + chi_max * _CELL_W + 180
     height = 2 * _MARGIN + (kmax + 6) * _CELL_H
@@ -217,7 +219,7 @@ def _emit_svg(rows: tuple[AtlasRow, ...]) -> str:
             f'height="{_CELL_H}" fill="{fill}"><title>chi={row.chi} Ksq={row.ksq} '
             f"{row.region}</title></rect>"
         )
-    for label, slope, intercept in GUIDE_LINES:
+    for label, slope, intercept in GUIDE_LINES if rows else ():
         x1 = cx(1) + _CELL_W // 2
         y1 = cy(slope * 1 + intercept) + _CELL_H // 2
         x2 = cx(chi_max) + _CELL_W // 2

@@ -32,12 +32,13 @@ string is never rounded) and checks the count against the ambient's rank;
 the integer fields of ``Ambient`` are checked by the same rule, a
 ``PointLabel`` refuses a name or component name that is not a ``str``, and
 an ``Ambient`` refuses a centre that is not a ``PointLabel``.
-The ordered fields, a point's ``components`` and an ambient's centres, are
-taken only from a ``list`` or ``tuple``: a set or dict would order them by
-hash seed.  Arithmetic on classes that already passed it builds its result
-through ``_trusted``, which skips both: sums, differences, integer
-multiples and exact quotients of integer vectors of the ambient's rank are
-again such vectors.  That arithmetic is
+The ordered fields, a class's coordinates, a point's ``components`` and an
+ambient's centres, are taken only from a ``list`` or ``tuple``: a set or
+dict would order them by hash seed, and a dict gives its keys.
+Arithmetic on classes that already passed it builds its result through
+``_trusted``, which skips both: sums, differences, integer multiples and
+exact quotients of integer vectors of the ambient's rank are again such
+vectors.  That arithmetic is
 ``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
 kernels of ``cover``: the line bundles, 2K + B, the adjoint classes
 K + L_i and the lift through blown-up triple points, each computed on
@@ -55,7 +56,7 @@ plane, Genus2, Genus3 and product data, and the shared-section
 degeneration's fiber on F_e), whose coordinates are literals or integer
 arithmetic on a pair that ``recipe`` has refused unless it is two
 ``int``s, and the sampler of ``check``'s oracle, whose coordinates are
-``randrange`` draws on a shared F_e of rank 2.
+``getrandbits`` draws on a shared F_e of rank 2.
 ``building_data`` validates each datum they make, once.  ``_builder``
 makes ``_trusted`` and the ambient builder of ``_blow_up``, and it is the
 one place that builds a value type without its frozen ``__init__`` and
@@ -239,6 +240,10 @@ class DivClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.coords) not in (list, tuple):
+            raise LatticeError(
+                f"class coordinates must be a list or tuple, got {self.coords!r}"
+            )
         coords = tuple(self.coords)
         for c in coords:
             if type(c) is not int:
@@ -340,7 +345,10 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
     """h0 of ``d`` on its own ambient, together with a flag marking use of
     the generic-position estimate.
 
-    On the plane and on F_e the value is exact and the flag is False.  On a
+    On the plane and on F_e the value is exact and the flag is False.  There
+    a class has sections exactly when no coordinate is negative: on F_e the
+    j = 0 term below is h0(O(b)) = b + 1 > 0 once a, b >= 0, and
+    ``cover.building_data`` reads effectivity on F_e off these signs.  On a
     blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are supported;
     the value is max(0, h0(A) - #{m_i = 1}), an estimate that assumes the
     centres in general position, and the flag is True exactly when some

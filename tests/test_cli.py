@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -768,6 +769,15 @@ class TestCheck:
         assert code == 0
         assert "checks: 9/9 passed" in out
         assert "ok oracleSample: 10000 samples, 0 mismatches" in out
+
+    @pytest.mark.parametrize("seed", [0, 1, checks.ORACLE_SEED])
+    def test_draw_rule_is_randrange(self, seed):
+        # the sampler's draws give randrange's values and leave the stream
+        # where randrange leaves it, so the oracle data stay the same
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in list(range(1, 65)) * 20:
+            assert checks._below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
 
     def test_report_written_once(self):
         code, out = written_once("check", "--chi-max", "1")

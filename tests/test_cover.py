@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import random
 import sys
 
@@ -1265,6 +1266,18 @@ class TestAgainstReferenceFold:
         assert {"unsupported", "invariants unsupported"} <= {
             k for a, k in seen if a == BLOWUP
         }
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3])
+    def test_small_box_on_f_e(self, e):
+        # every triple of classes with coordinates -1..2: the F_e paths of
+        # the parity, zero and sign tests refuse what the reference refuses,
+        # with the same message, and build the same data otherwise
+        amb = hirzebruch(e)
+        classes = [amb.divisor(a, b) for a in range(-1, 3) for b in range(-1, 3)]
+        for d1, d2, d3 in itertools.product(classes, repeat=3):
+            assert outcome(building_data, amb, d1, d2, d3) == outcome(
+                reference_building_data, amb, d1, d2, d3
+            )
 
     @pytest.mark.parametrize("chi", [2, 5, 13, 40])
     def test_resolved_data(self, chi):

@@ -3,6 +3,7 @@
 import enum
 import json
 import re
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +209,18 @@ class TestSvg:
         assert text.count("<rect ") == 1 + len(rows) + 9
         assert text.startswith("<svg ")
         assert text.endswith("</svg>\n")
+
+    def test_no_rows(self):
+        # like csv's lone header and json's empty rows: a chart of chi up to
+        # 0 with its background and legend, no cells and no guide lines
+        text = emit((), "svg")
+        root = ElementTree.fromstring(text)
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert "<line " not in text and "<title>" not in text
+        assert text.count("<rect ") == 1 + 9
+        assert "chi up to 0" in text and text.endswith("</svg>\n")
+        assert emit((), "csv") == ",".join(CSV_COLUMNS) + "\n"
+        assert emit((), "json") == canonical_json({"chiMax": 0, "rows": []})
 
 
 class TestDeterminism:

@@ -181,6 +181,16 @@ class TestH0:
         for d in range(-2, 13):
             assert h0(plane().divisor(d)) == h0_oracle_plane(d)
 
+    @pytest.mark.parametrize(
+        "amb", [plane()] + [hirzebruch(e) for e in range(4)], ids=["plane", "F0", "F1", "F2", "F3"]
+    )
+    def test_sign_rule(self, amb):
+        # on the plane and on F_e a class has sections exactly when no
+        # coordinate is negative, the rule building_data reads on F_e
+        for coords in itertools.product(range(-3, 13), repeat=amb.rank):
+            d = amb.divisor(*coords)
+            assert (min(coords) >= 0) == (h0_flagged(d)[0] > 0), coords
+
     def test_blowup_estimate_and_flag(self):
         amb = blowup_of_f0(1)
         val, flagged = h0_flagged(amb.divisor(3, 4, -1))
@@ -398,6 +408,13 @@ class TestTrustedArithmetic:
     def test_public_constructor_still_validates(self):
         with pytest.raises(LatticeError):
             DivClass(hirzebruch(0), (1, 2, 3))
+
+    @pytest.mark.parametrize("coords", [{0: 1, 1: 2}, {1, 2}, frozenset({3}), "12", iter((1, 2))])
+    def test_unordered_coordinates_refused(self, coords):
+        # a dict would give its keys and a set its iteration order
+        with pytest.raises(LatticeError, match="must be a list or tuple, got") as refused:
+            DivClass(hirzebruch(1), coords)
+        assert repr(coords) in str(refused.value)
 
     @pytest.mark.parametrize(
         "build",
