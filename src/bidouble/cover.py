@@ -26,22 +26,22 @@ degeneration data must, and records ``reduced`` as False.  Only a smooth
 construction needs a reduced branch, and ``recipes.certify`` owns that
 rule.
 
-The line bundles, the per-branch component sums, 2K + B and the adjoint
-classes K + L_i are computed on the coordinate tuples of classes already
-validated on the data's ambient, each result wrapped once through
-``lattice._trusted``; ``derive_line_bundles`` halves D2 + D3 and D1 + D3
-itself and refuses an odd sum.  On F_e, where a class has two
-coordinates (so on every datum of ``check``'s oracle sample), the line
-bundles, 2K + B and K + L_i unpack the two coordinates instead of building
-an iterator and a tuple per sum.  There ``derive_line_bundles`` tests the
-parity of both sums with one OR and the three bundles for zero inline, and
-``building_data`` reads the effectivity of the branches off their signs,
-the corollary of h0's formula that ``lattice.h0_flagged`` states; data
-that fails either test goes through the general checks, which name the
-refusal.  The intersection form and h0 stay with ``lattice.intersect`` and
-``lattice.h0_flagged``, their one definition in the library.  So
-``invariants`` and ``two_k_plus_b`` expect data built by ``building_data``
-or ``resolve_triple_point``, not assembled by hand.
+The line bundles and the per-branch component sums (in ``building_data``)
+and 2K + B and the adjoint classes K + L_i (in ``invariants``) are
+computed on the coordinate tuples of classes already validated on the
+data's ambient, each result wrapped once through ``lattice._trusted``.
+Each of the two tests the rank once.  On F_e, where a class has two
+coordinates (so on every datum of ``check``'s oracle sample), it unpacks
+the two coordinates instead of building an iterator and a tuple per sum,
+and ``building_data`` accepts the branches with one test: both sums even
+and no coordinate negative.  No negative coordinate is effectivity there,
+the corollary of h0's formula that ``lattice.h0_flagged`` states, and with
+D1 and D2 nonzero it leaves no L_i zero.  Data that fails the test, and
+data on the other ambients, goes through the general checks, which name
+the refusal.  The intersection form and h0 stay with ``lattice.intersect``
+and ``lattice.h0_flagged``, their one definition in the library.  So
+``invariants`` expects data built by ``building_data`` or
+``resolve_triple_point``, not assembled by hand.
 
 ``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
 shares with the library only the line bundles L_i that ``building_data``
@@ -77,7 +77,6 @@ from dataclasses import dataclass, field
 from operator import add, mul, sub
 
 from .lattice import (
-    HIRZEBRUCH,
     PLANE,
     Ambient,
     DivClass,
@@ -202,48 +201,6 @@ class LedgerEntry:
             "gorensteinIndex": self.gorenstein_index,
             "witness": witness,
         }
-
-
-def _refuse_non_class(*branches: object) -> None:
-    for i, d in enumerate(branches, start=1):
-        if type(d) is not DivClass:
-            raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
-
-
-def derive_line_bundles(
-    ambient: Ambient, d1: DivClass, d2: DivClass, d3: DivClass
-) -> tuple[DivClass, DivClass, DivClass]:
-    """The three line bundles determined by the branch classes."""
-    if not (type(d1) is type(d2) is type(d3) is DivClass):
-        _refuse_non_class(d1, d2, d3)
-    for d in (d1, d2, d3):
-        if d.ambient is not ambient and d.ambient != ambient:
-            raise InvalidBuildingData("branch class lives on a different ambient")
-    # L3 = L1 + L2 - D3 = (D1 + D2)/2, integral once D2 + D3 and D1 + D3 are even
-    u, v, w = d1.coords, d2.coords, d3.coords
-    if len(u) == 2:
-        # F_e unpacked; the other ranks build an iterator and a tuple per sum.
-        # One OR tests both sums' parity, and with even sums L_i is zero
-        # exactly when its sum is; a failed test falls through to the loops
-        # below, which name it
-        (a1, b1), (a2, b2), (a3, b3) = u, v, w
-        x1, y1, x2, y2, x3, y3 = a2 + a3, b2 + b3, a1 + a3, b1 + b3, a1 + a2, b1 + b2
-        l1, l2, l3 = (x1 >> 1, y1 >> 1), (x2 >> 1, y2 >> 1), (x3 >> 1, y3 >> 1)
-        if not (x1 | y1 | x2 | y2) & 1 and (x1 or y1) and (x2 or y2) and (x3 or y3):
-            return _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
-        s1, s2 = (x1, y1), (x2, y2)
-    else:
-        s1, s2 = tuple(map(add, v, w)), tuple(map(add, u, w))
-        l1, l2 = tuple([x >> 1 for x in s1]), tuple([x >> 1 for x in s2])
-        l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
-    for name, s in (("D2 + D3", s1), ("D1 + D3", s2)):
-        for x in s:
-            if x & 1:
-                raise ParityError(f"{name} = {_trusted(ambient, s)} is not divisible by two")
-    for i, l in enumerate((l1, l2, l3), start=1):
-        if not any(l):
-            raise InvalidBuildingData(f"derived line bundle L{i} is zero")
-    return _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,12 +380,15 @@ def building_data(
 ) -> BuildingData:
     """Validate and assemble cover building data.
 
-    Checks the types of the entries, parity, nonzero derived bundles,
-    effectivity of the branch classes, per-branch component sums and
-    incidence; a branch that is not a ``DivClass`` is named before any
-    other branch check.  On F_e a branch class is effective exactly when
-    no coordinate is negative, so h0 decides effectivity only on the
-    other ambients, or to name the first branch that is not effective.
+    Checks the types of the entries, the ambient of the branch classes,
+    parity, nonzero derived bundles L1 = (D2 + D3)/2, L2 = (D1 + D3)/2,
+    L3 = (D1 + D2)/2, effectivity of the branch classes, per-branch
+    component sums and incidence; a branch that is not a ``DivClass`` is
+    named before any other branch check.  On F_e one test accepts the
+    branches: D2 + D3 and D1 + D3 even and no coordinate negative, which
+    there is effectivity and, with D1 and D2 nonzero, leaves no L_i zero.
+    Branches it refuses, and branches on the other ambients, go through
+    the parity, zero and h0 checks in that order, which name the refusal.
     Each branch's components, counted with their copies, sum to its
     class: branches in order, and in each a component on another ambient
     is reported before the sum.
@@ -453,15 +413,36 @@ def building_data(
         raise InvalidBuildingData(f"components must be a list or tuple, got {components!r}")
     if type(incidence) not in (list, tuple):
         raise InvalidBuildingData(f"incidence must be a list or tuple, got {incidence!r}")
-    if not (type(d1) is type(d2) is type(d3) is DivClass):
-        _refuse_non_class(d1, d2, d3)
+    for i, d in enumerate((d1, d2, d3), start=1):
+        if type(d) is not DivClass:
+            raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
     if not any(d1.coords) or not any(d2.coords):
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
-    l1, l2, l3 = derive_line_bundles(ambient, d1, d2, d3)
-    # on F_e a class is effective exactly when no coordinate is negative
-    # (see lattice.h0_flagged), so there h0 runs only to name a refusal
+    for d in (d1, d2, d3):
+        if d.ambient is not ambient and d.ambient != ambient:
+            raise InvalidBuildingData("branch class lives on a different ambient")
+    # L3 = L1 + L2 - D3 = (D1 + D2)/2, integral once D2 + D3 and D1 + D3 are even
     u, v, w = d1.coords, d2.coords, d3.coords
-    if ambient.kind != HIRZEBRUCH or min(u) < 0 or min(v) < 0 or min(w) < 0:
+    accepted = False
+    if len(u) == 2:
+        # F_e, unpacked: the one accept test.  An OR of ints is negative
+        # exactly when one of them is
+        (a1, b1), (a2, b2), (a3, b3) = u, v, w
+        x1, y1, x2, y2, x3, y3 = a2 + a3, b2 + b3, a1 + a3, b1 + b3, a1 + a2, b1 + b2
+        l1, l2, l3 = (x1 >> 1, y1 >> 1), (x2 >> 1, y2 >> 1), (x3 >> 1, y3 >> 1)
+        accepted = not (x1 | y1 | x2 | y2) & 1 and (a1 | b1 | a2 | b2 | a3 | b3) >= 0
+    if not accepted:
+        # the other ambients, and data refused on F_e, whose refusal these name
+        s1, s2 = tuple(map(add, v, w)), tuple(map(add, u, w))
+        l1, l2 = tuple([x >> 1 for x in s1]), tuple([x >> 1 for x in s2])
+        l3 = tuple([(a + b) >> 1 for a, b in zip(u, v)])
+        for name, s in (("D2 + D3", s1), ("D1 + D3", s2)):
+            for x in s:
+                if x & 1:
+                    raise ParityError(f"{name} = {_trusted(ambient, s)} is not divisible by two")
+        for i, l in enumerate((l1, l2, l3), start=1):
+            if not any(l):
+                raise InvalidBuildingData(f"derived line bundle L{i} is zero")
         for i, d in enumerate((d1, d2, d3) if any(w) else (d1, d2), start=1):
             if h0_flagged(d)[0] <= 0:
                 raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
@@ -486,17 +467,8 @@ def building_data(
     pts = tuple(incidence)
     names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
     reduced = len(names) == len(comps)
+    l1, l2, l3 = _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
     return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
-
-
-def two_k_plus_b(bd: BuildingData) -> DivClass:
-    """2K_Y + D1 + D2 + D3, the class on the base whose pullback is 2K_X."""
-    amb = bd.ambient
-    k, u, v, w = amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords
-    if len(k) == 2:
-        (p, q), (a1, b1), (a2, b2), (a3, b3) = k, u, v, w
-        return _trusted(amb, (2 * p + a1 + a2 + a3, 2 * q + b1 + b2 + b3))
-    return _trusted(amb, tuple([2 * x + a + b + c for x, a, b, c in zip(k, u, v, w)]))
 
 
 _invariants = _builder(Invariants)
@@ -505,19 +477,24 @@ _invariants = _builder(Invariants)
 def invariants(bd: BuildingData) -> Invariants:
     """Numerical invariants of the covering surface, exact integers.
 
-    q is pg - chi + 1 by its definition, so of the checks of ``Invariants``
+    2K_Y + B, with B = D1 + D2 + D3, is the class on the base whose
+    pullback is 2K_X; ``Invariants.two_k_plus_b`` keeps it.  q is
+    pg - chi + 1 by its definition, so of the checks of ``Invariants``
     only the sign of q is left to make."""
     amb = bd.ambient
-    pushed = two_k_plus_b(bd)
-    ksq = intersect(pushed, pushed)
-    k = amb._canonical
+    k, u, v, w = amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
     l1, l2, l3 = bd.l1, bd.l2, bd.l3
     if len(k) == 2:
-        (p, q), (a1, b1), (a2, b2), (a3, b3) = k, l1.coords, l2.coords, l3.coords
-        c1, c2, c3 = (p + a1, q + b1), (p + a2, q + b2), (p + a3, q + b3)
+        (p, q), (a1, b1), (a2, b2), (a3, b3) = k, u, v, w
+        (x1, y1), (x2, y2), (x3, y3) = l1.coords, l2.coords, l3.coords
+        kb = (2 * p + a1 + a2 + a3, 2 * q + b1 + b2 + b3)
+        c1, c2, c3 = (p + x1, q + y1), (p + x2, q + y2), (p + x3, q + y3)
     else:
+        kb = tuple([2 * x + a + b + c for x, a, b, c in zip(k, u, v, w)])
         c1, c2, c3 = [tuple(map(add, k, l.coords)) for l in (l1, l2, l3)]
+    pushed = _trusted(amb, kb)
+    ksq = intersect(pushed, pushed)
     k1, k2, k3 = _trusted(amb, c1), _trusted(amb, c2), _trusted(amb, c3)
     tot = intersect(l1, k1) + intersect(l2, k2) + intersect(l3, k3)
     if tot % 2:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .degenerations import degenerate
-from .recipes import FAMILIES, FAMILY, NOT_COVERED, admissible, classify, construct
+from .recipes import FAMILIES, FAMILY, NOT_COVERED, classify, construct
 
 CSV_COLUMNS = (
     "chi",
@@ -135,7 +135,6 @@ def atlas(chi_max: int) -> tuple[AtlasRow, ...]:
     rows: list[AtlasRow] = []
     for chi in range(1, chi_max + 1):
         for ksq in range(max(1, 2 * chi - 6), 9 * chi + 1):
-            assert admissible(ksq, chi)
             region = classify(ksq, chi)
             family = FAMILY.get(region)
             if family is None:
@@ -197,7 +196,12 @@ def _emit_svg(rows: tuple[AtlasRow, ...]) -> str:
     chi_max = max((r.chi for r in rows), default=0)
     kmax = 9 * chi_max
     width = 2 * _MARGIN + chi_max * _CELL_W + 180
-    height = 2 * _MARGIN + (kmax + 6) * _CELL_H
+    legend_x = _MARGIN + chi_max * _CELL_W + 60
+    legend_y = _MARGIN + 20
+    # at least as tall as the legend's last swatch, 12 high; from chi up to 7
+    # on, the cells are taller
+    legend_end = legend_y + 18 * (len(REGION_FILL) - 1) + 12
+    height = max(2 * _MARGIN + (kmax + 6) * _CELL_H, legend_end)
 
     def cx(chi: int) -> int:
         return _MARGIN + (chi - 1) * _CELL_W
@@ -232,8 +236,6 @@ def _emit_svg(rows: tuple[AtlasRow, ...]) -> str:
             f'<text x="{x2 + 4}" y="{y2 + 4}" font-family="monospace" '
             f'font-size="10">{label}</text>'
         )
-    legend_x = _MARGIN + chi_max * _CELL_W + 60
-    legend_y = _MARGIN + 20
     for i, (region, fill) in enumerate(sorted(REGION_FILL.items())):
         y = legend_y + 18 * i
         parts.append(

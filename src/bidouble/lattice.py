@@ -40,8 +40,9 @@ Arithmetic on classes that already passed it builds its result through
 exact quotients of integer vectors of the ambient's rank are again such
 vectors.  That arithmetic is
 ``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
-kernels of ``cover``: the line bundles, 2K + B, the adjoint classes
-K + L_i and the lift through blown-up triple points, each computed on
+kernels of ``cover``: the line bundles in ``building_data``, 2K + B and
+the adjoint classes K + L_i in ``invariants``, and the lift through
+blown-up triple points in ``resolve_triple_point``, each computed on
 coordinate tuples and wrapped once.  The resolution builds its blow-up
 with ``_blow_up``, which skips the checks of ``Ambient`` too: the ruled
 ambient it extends and the marked points it adds as centres passed them

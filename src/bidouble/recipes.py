@@ -376,13 +376,14 @@ def _with_point(
     return building_data(src.ambient, src.d1, src.d2, src.d3, comps, src.incidence + (point,))
 
 
-def _through_point(
-    witness: str, component_names: tuple[str, str, str]
-) -> Callable[[BuildingData, dict[str, int]], BuildingData]:
-    """The recipe that marks one more point on the named components, one
-    per branch."""
-    point = PointLabel(witness, component_names)
-    return lambda data, params: _with_point(data, data.components, point)
+# the point that the degenerations of the plane pairs and of Genus2General
+# mark, on one component of each branch
+_POINT_P = PointLabel("p", ("d1", "d2", "d3"))
+
+
+def _through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
+    """Mark one more point, ``p``, on the components d1, d2 and d3."""
+    return _with_point(data, data.components, _POINT_P)
 
 
 def _spare_fiber_through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
@@ -475,7 +476,7 @@ FAMILIES = (
         PLANE_SPECIAL_12, lambda ksq, chi: (ksq, chi) == (1, 2), lambda ksq, chi: {},
         lambda p: _plane_data(3, 3), _no_conditions, None, "#9467bd",
         Degeneration(
-            _through_point("p", ("d1", "d2", "d3")),
+            _through_point,
             "the line moves through a point of the two cubics",
             _candidates(2, 3),
         ),
@@ -484,7 +485,7 @@ FAMILIES = (
         PLANE_SPECIAL_13, lambda ksq, chi: (ksq, chi) == (1, 3), lambda ksq, chi: {},
         lambda p: _plane_data(1, 5), _no_conditions, None, "#8c564b",
         Degeneration(
-            _through_point("p", ("d1", "d2", "d3")),
+            _through_point,
             "the first line moves through a point of the quintic and the other line",
             _candidates(2, 3),
         ),
@@ -493,7 +494,7 @@ FAMILIES = (
         GENUS2_GENERAL, lambda ksq, chi: 2 * chi - 5 <= ksq <= 4 * chi - 6, _genus2_parameters,
         _genus2_family_data, _genus2_conditions, None, "#2ca02c",
         Degeneration(
-            _through_point("p", ("d1", "d2", "d3")),
+            _through_point,
             "the trisection moves through a point of the two bisections",
             _candidates(1, 2),
         ),

@@ -22,12 +22,10 @@ from bidouble.cover import (
     ParityError,
     building_data,
     chi_oracle,
-    derive_line_bundles,
     invariants,
     ksq_oracle,
     resolve_triple_point,
     singularity_scan,
-    two_k_plus_b,
 )
 from bidouble.lattice import (
     BLOWUP,
@@ -68,31 +66,32 @@ def f_cover(e, d1, d2, d3, components=(), incidence=()):
 
 
 class TestDeriveLineBundles:
+    """The line bundles ``building_data`` derives, against the reference."""
+
+    @staticmethod
+    def derive(amb, *ds):
+        args = (amb, *(amb.divisor(*d) for d in ds))
+        got = outcome(building_data, *args)
+        expected = outcome(reference_line_bundles, *args)
+        if isinstance(got, BuildingData):
+            assert (got.l1, got.l2, got.l3) == expected
+            return tuple(l.coords for l in expected)
+        assert got == expected
+        return got
+
     def test_plane_line_two_cubics(self):
-        amb = plane()
-        l1, l2, l3 = derive_line_bundles(
-            amb, amb.divisor(1), amb.divisor(3), amb.divisor(3)
-        )
-        assert (l1.coords, l2.coords, l3.coords) == ((3,), (2,), (2,))
+        assert self.derive(plane(), (1,), (3,), (3,)) == ((3,), (2,), (2,))
 
     def test_product_shape(self):
-        amb = hirzebruch(0)
-        l1, l2, l3 = derive_line_bundles(
-            amb, amb.divisor(6, 0), amb.divisor(0, 10), amb.divisor(0, 0)
-        )
-        assert l1.coords == (0, 5)
-        assert l2.coords == (3, 0)
-        assert l3.coords == (3, 5)
+        assert self.derive(hirzebruch(0), (6, 0), (0, 10), (0, 0)) == ((0, 5), (3, 0), (3, 5))
 
     def test_parity_rejected(self):
-        amb = hirzebruch(0)
-        with pytest.raises(ParityError):
-            derive_line_bundles(amb, amb.divisor(1, 0), amb.divisor(1, 1), amb.divisor(0, 0))
+        got = self.derive(hirzebruch(0), (1, 0), (1, 1), (0, 0))
+        assert got == (ParityError, "D2 + D3 = D0+F is not divisible by two")
 
     def test_zero_bundle_rejected(self):
-        amb = hirzebruch(0)
-        with pytest.raises(InvalidBuildingData):
-            derive_line_bundles(amb, amb.divisor(1, 0), amb.divisor(1, 0), amb.divisor(-1, 0))
+        got = self.derive(hirzebruch(0), (1, 0), (1, 0), (-1, 0))
+        assert got == (InvalidBuildingData, "derived line bundle L1 is zero")
 
 
 class TestInvariants:
@@ -1240,9 +1239,6 @@ class TestAgainstReferenceFold:
             amb, d1, d2, d3, comps = random_datum(rng)
             got = outcome(building_data, amb, d1, d2, d3, comps)
             assert got == outcome(reference_building_data, amb, d1, d2, d3, comps)
-            assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
-                reference_line_bundles, amb, d1, d2, d3
-            )
             kinds = [outcome_kind(got)]
             if isinstance(got, BuildingData):
                 inv = outcome(invariants, got)
@@ -1250,7 +1246,7 @@ class TestAgainstReferenceFold:
                 kinds.append("invariants " + outcome_kind(inv))
                 if isinstance(inv, Invariants):
                     k = reference_canonical(amb)
-                    assert inv.two_k_plus_b == times(2, k) + d1 + d2 + d3 == two_k_plus_b(got)
+                    assert inv.two_k_plus_b == times(2, k) + d1 + d2 + d3
             for kind in kinds:
                 seen[amb.kind, kind] = seen.get((amb.kind, kind), 0) + 1
         # every validation on the path is reached on every ambient kind:
@@ -1269,8 +1265,8 @@ class TestAgainstReferenceFold:
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3])
     def test_small_box_on_f_e(self, e):
-        # every triple of classes with coordinates -1..2: the F_e paths of
-        # the parity, zero and sign tests refuse what the reference refuses,
+        # every triple of classes with coordinates -1..2: the F_e accept
+        # test and the checks behind it refuse what the reference refuses,
         # with the same message, and build the same data otherwise
         amb = hirzebruch(e)
         classes = [amb.divisor(a, b) for a in range(-1, 3) for b in range(-1, 3)]
@@ -1287,8 +1283,10 @@ class TestAgainstReferenceFold:
             for bd in (cert.pre_resolution, cert.data):
                 args = (bd.ambient, bd.d1, bd.d2, bd.d3, bd.components, bd.incidence)
                 assert reference_building_data(*args) == bd == building_data(*args)
-                assert derive_line_bundles(*args[:4]) == reference_line_bundles(*args[:4])
-                assert invariants(bd) == reference_invariants(bd)
+                inv = invariants(bd)
+                assert inv == reference_invariants(bd)
+                k = reference_canonical(bd.ambient)
+                assert inv.two_k_plus_b == times(2, k) + bd.d1 + bd.d2 + bd.d3
             assert (cert.invariants.ksq, cert.invariants.chi) == (ksq, chi)
 
     @staticmethod
@@ -1337,9 +1335,6 @@ class TestAgainstReferenceFold:
         assert got[0] is expected
         if expected is UnsupportedClass:
             assert got[1].startswith("unsupported blow-up class shape")
-        assert outcome(derive_line_bundles, *args[:4]) == outcome(
-            reference_line_bundles, *args[:4]
-        )
 
     def test_oracles_avoid_lincomb(self, monkeypatch):
         # chi_oracle, ksq_oracle and the monomial count stay a route that is
@@ -1355,8 +1350,6 @@ class TestAgainstReferenceFold:
             "_trusted",
             "_lift",
             "_assemble",
-            "derive_line_bundles",
-            "two_k_plus_b",
             "invariants",
             "intersect",
         ):
@@ -1481,21 +1474,25 @@ class TestCoordinateKernels:
                     for c in entries:
                         ds[i] = ds[i] + times(c.count, c.cls)
         d1, d2, d3 = ds
-        assert outcome(derive_line_bundles, amb, d1, d2, d3) == outcome(
-            reference_line_bundles, amb, d1, d2, d3
-        )
         assert outcome(building_data, amb, d1, d2, d3, components) == outcome(
             reference_building_data, amb, d1, d2, d3, components
         )
-        pushed = two_k_plus_b(BuildingData(amb, d1, d2, d3, d1, d2, d3))
-        assert pushed == times(2, reference_canonical(amb)) + d1 + d2 + d3
+        # with every L_i = -K, each K + L_i is zero and the invariants hold
+        # for any branch classes, so 2K + B is read on all of them
+        k = reference_canonical(amb)
+        minus_k = times(-1, k)
+        bd = BuildingData(amb, d1, d2, d3, minus_k, minus_k, minus_k)
+        inv = invariants(bd)
+        pushed = inv.two_k_plus_b
+        assert pushed == times(2, k) + d1 + d2 + d3
+        assert inv.ksq == intersect(pushed, pushed)
         assert all(type(c) is int for c in pushed.coords)
 
     def test_refuses_foreign_classes_and_scalars(self):
         amb, other = hirzebruch(0), hirzebruch(1)
         d = amb.divisor(1, 0)
         with pytest.raises(InvalidBuildingData, match="branch class lives on a different ambient"):
-            derive_line_bundles(amb, d, other.divisor(1, 0), d)
+            building_data(amb, d, other.divisor(1, 0), d)
         comps = (Component("a", 1, d, 2), Component("b", 2, other.divisor(0, 2)))
         with pytest.raises(InvalidBuildingData, match="component 'b' lives on a different ambient"):
             building_data(amb, amb.divisor(2, 0), amb.divisor(0, 2), amb.zero(), comps)
@@ -1513,26 +1510,25 @@ class TestCoordinateKernels:
         ds[i - 1] = bad
         expected = (InvalidBuildingData, f"branch class D{i} must be a divisor class, got {bad!r}")
         assert outcome(building_data, amb, *ds) == expected
-        assert outcome(derive_line_bundles, amb, *ds) == expected
         assert outcome(reference_building_data, amb, *ds) == expected
         assert outcome(reference_line_bundles, amb, *ds) == expected
         # the first branch that is not a class is named
         ds[i % 3] = bad
         first = min(i, i % 3 + 1)
         assert outcome(building_data, amb, *ds)[1].startswith(f"branch class D{first} must")
-        assert outcome(derive_line_bundles, amb, *ds)[1].startswith(f"branch class D{first} must")
 
     def test_equal_ambient_built_apart(self):
         amb, copy = two_centres(0), two_centres(0)
         assert amb == copy and amb is not copy
         d1, d2, d3 = copy.divisor(1, 1, -1, -1), amb.divisor(1, 3, -1, -1), copy.divisor(1, 1, -1, -1)
-        bundles = derive_line_bundles(amb, d1, d2, d3)
-        assert [l.coords for l in bundles] == [(1, 2, -1, -1), (1, 1, -1, -1), (1, 2, -1, -1)]
-        assert all(l.ambient is amb for l in bundles)
         comps = (Component("a", 1, d1), Component("b", 2, d2), Component("c", 3, copy.divisor(1, 1, -1, -1)))
         bd = building_data(amb, d1, d2, d3, comps)
-        assert two_k_plus_b(bd).ambient is amb
-        assert invariants(bd) == reference_invariants(bd)
+        bundles = (bd.l1, bd.l2, bd.l3)
+        assert [l.coords for l in bundles] == [(1, 2, -1, -1), (1, 1, -1, -1), (1, 2, -1, -1)]
+        assert all(l.ambient is amb for l in bundles)
+        inv = invariants(bd)
+        assert inv.two_k_plus_b.ambient is amb
+        assert inv == reference_invariants(bd)
 
 
 class TestSlottedValues:

@@ -210,6 +210,19 @@ class TestSvg:
         assert text.startswith("<svg ")
         assert text.endswith("</svg>\n")
 
+    @pytest.mark.parametrize("chi_max", range(9))
+    def test_legend_inside_the_chart(self, chi_max):
+        # chi_max 0 is the empty chart; up to 6 the cells alone are shorter
+        # than the legend
+        root = ElementTree.fromstring(emit(atlas(chi_max) if chi_max else (), "svg"))
+        height = int(root.get("height"))
+        assert root.get("viewBox") == f"0 0 {root.get('width')} {height}"
+        swatches = [
+            r for r in root.iter("{http://www.w3.org/2000/svg}rect") if r.get("width") == "12"
+        ]
+        assert len(swatches) == 9
+        assert all(int(r.get("y")) + int(r.get("height")) <= height for r in swatches)
+
     def test_no_rows(self):
         # like csv's lone header and json's empty rows: a chart of chi up to
         # 0 with its background and legend, no cells and no guide lines
