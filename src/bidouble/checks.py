@@ -8,8 +8,8 @@ library: mismatches flag a defect in either path.  The oracle shares with
 each sampled datum; the intersection form, K_Y and the class arithmetic are
 the oracles' own (see :mod:`bidouble.cover`).  A sampled datum on which
 ``invariants`` or an oracle raises counts as a mismatch.  At small ``--chi-max``
-the oracle sample is the bulk of ``check``: about seven tenths at 12, some
-14-17 us per valid datum on a 2-vCPU Xeon VM under CPython 3.11.
+the oracle sample is the bulk of ``check``: about two thirds at 12, some
+11-12 us per valid datum on a 2-vCPU Xeon VM under CPython 3.11.
 """
 
 from __future__ import annotations

@@ -49,7 +49,13 @@ derives.  They do not share the form, K or the class arithmetic: each
 writes the intersection form and K_Y out from the basis rules and works on
 plain integer coordinates, with no ``DivClass``, so a wrong sign in
 ``lattice.intersect`` or a wrong ``Ambient._canonical`` moves
-``invariants`` and not them.
+``invariants`` and not them.  They take the rank from the datum, as the
+kernels do: on F_e they unpack the two coordinates and write the form
+u0 v1 + u1 v0 - e u0 v0 and K_Y = (-2, -e - 2) inline, and on the plane
+and the blow-ups they call ``_oracle_form`` and ``_oracle_k``.  Either
+way chi keeps one Riemann-Roch term per bundle, each halved on its own,
+and K^2 the three pairings 4K.K + 4K.B + B.B, not the square (2K + B)^2
+that ``invariants`` takes.
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
@@ -535,16 +541,31 @@ def chi_oracle(bd: BuildingData) -> int:
 
     Independent path: chi(O_Y) plus one Riemann-Roch evaluation of
     chi(O_Y(-L_i)) per bundle, each term halved separately, on the
-    oracles' own form and K_Y.
+    oracles' own form and K_Y.  The rank is taken from the datum, as the
+    kernels take it: on F_e the two coordinates are unpacked, with the
+    form and K_Y still written out here; the other ambients go through
+    ``_oracle_form`` and ``_oracle_k``.
     """
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
     l1 = bd.l1.coords
-    k = _oracle_k(plane, e, len(l1))
+    rank2 = len(l1) == 2
+    if rank2:
+        k0, k1 = -2, -e - 2
+    else:
+        k = _oracle_k(plane, e, len(l1))
     total = 1
     for l in (l1, bd.l2.coords, bd.l3.coords):
-        d = [-x for x in l]
-        pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
+        if rank2:
+            # u = -L_i and v = u - K, paired by the form of F_e,
+            # u.v = u0 v1 + u1 v0 - e u0 v0
+            x, y = l
+            u0, u1 = -x, -y
+            v0, v1 = u0 - k0, u1 - k1
+            pairing = u0 * v1 + u1 * v0 - e * u0 * v0
+        else:
+            d = [-x for x in l]
+            pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
         if pairing % 2:
             raise InvalidBuildingData("parity failure in Riemann-Roch term")
         total += 1 + pairing // 2
@@ -553,10 +574,24 @@ def chi_oracle(bd: BuildingData) -> int:
 
 def ksq_oracle(bd: BuildingData) -> int:
     """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the
-    oracles' own form and K_Y."""
+    oracles' own form and K_Y.  The rank is taken from the datum, as the
+    kernels take it: on F_e the two coordinates are unpacked and the three
+    pairings written out here; the other ambients go through
+    ``_oracle_form`` and ``_oracle_k``."""
     amb = bd.ambient
     plane, e = amb.kind == PLANE, amb.e
-    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
+    u, v, w = bd.d1.coords, bd.d2.coords, bd.d3.coords
+    if len(u) == 2:
+        # B = (s, t) and K = (k0, k1) = (-2, -e - 2), each pair through the
+        # form of F_e, u.v = u0 v1 + u1 v0 - e u0 v0
+        (a1, b1), (a2, b2), (a3, b3) = u, v, w
+        s, t = a1 + a2 + a3, b1 + b2 + b3
+        k0, k1 = -2, -e - 2
+        kk = k0 * k1 + k1 * k0 - e * k0 * k0
+        kb = k0 * t + k1 * s - e * k0 * s
+        bb = s * t + t * s - e * s * s
+        return 4 * kk + 4 * kb + bb
+    b = [x + y + z for x, y, z in zip(u, v, w)]
     k = _oracle_k(plane, e, len(b))
     return (
         4 * _oracle_form(plane, e, k, k)

@@ -195,8 +195,10 @@ def _emit_svg(rows: tuple[AtlasRow, ...]) -> str:
     # cells and no guide lines
     chi_max = max((r.chi for r in rows), default=0)
     kmax = 9 * chi_max
-    width = 2 * _MARGIN + chi_max * _CELL_W + 180
-    legend_x = _MARGIN + chi_max * _CELL_W + 60
+    # the guide labels, 14 characters of 6 px at font-size 10, start 4 px
+    # right of the last cell's centre and end 12 px before the legend
+    width = 2 * _MARGIN + chi_max * _CELL_W + 210
+    legend_x = _MARGIN + chi_max * _CELL_W + 90
     legend_y = _MARGIN + 20
     # at least as tall as the legend's last swatch, 12 high; from chi up to 7
     # on, the cells are taller

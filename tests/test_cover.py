@@ -151,6 +151,72 @@ class TestInvariants:
             checked += 1
 
 
+def general_oracle_route(bd):
+    """(chi, K^2) by the oracles' general route, ``_oracle_form`` and
+    ``_oracle_k`` on the datum's coordinates, whatever its rank."""
+    amb = bd.ambient
+    plane, e = amb.kind == PLANE, amb.e
+    form = functools.partial(cover._oracle_form, plane, e)
+    k = cover._oracle_k(plane, e, len(bd.l1.coords))
+    chi = 1
+    for l in (bd.l1, bd.l2, bd.l3):
+        d = [-x for x in l.coords]
+        pairing = form(d, [x - y for x, y in zip(d, k)])
+        assert pairing % 2 == 0
+        chi += 1 + pairing // 2
+    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
+    return chi, 4 * form(k, k) + 4 * form(k, b) + form(b, b)
+
+
+class TestOracleRoutes:
+    """The oracles unpack F_e data and take the general route elsewhere."""
+
+    def test_oracles_match_invariants_on_certified_data(self):
+        # every datum the sweep up to chi 12 certifies: the data, the data
+        # before resolution and the designated degeneration's data
+        ranks = set()
+        for ksq, chi in checks.covered_pairs(12):
+            cert = construct(ksq, chi)
+            bds = [cert.data]
+            if cert.pre_resolution is not None:
+                bds.append(cert.pre_resolution)
+            if recipes.FAMILY[cert.region].degeneration is not None:
+                bds.append(degenerate(cert).data)
+            for bd in bds:
+                inv = invariants(bd)
+                assert (chi_oracle(bd), ksq_oracle(bd)) == (inv.chi, inv.ksq), (ksq, chi)
+                ranks.add(min(len(bd.l1.coords), 3))
+        # the plane, F_e and blow-ups
+        assert ranks == {1, 2, 3}
+
+    def test_rank_two_path_matches_the_general_route(self):
+        rng = random.Random(checks.ORACLE_SEED)
+        bds = []
+        while len(bds) < checks.ORACLE_SAMPLES:
+            try:
+                bds.append(checks.sample_building_data(rng))
+            except CoverError:
+                continue
+        # fresh F_e up to e = 6, on a grid of parity-consistent data with
+        # coefficients 0..8: every D1 against every D3, with D2 running
+        # through the classes of the same parity in the reverse order
+        for e in range(7):
+            amb = Ambient(HIRZEBRUCH, e)
+            for pa, pb in itertools.product((0, 1), repeat=2):
+                classes = [
+                    amb.divisor(a, b)
+                    for a, b in itertools.product(range(pa, 9, 2), range(pb, 9, 2))
+                ]
+                for i, d1 in enumerate(classes):
+                    d2 = classes[~i]
+                    if d1.is_zero() or d2.is_zero():
+                        continue
+                    bds.extend(building_data(amb, d1, d2, d3) for d3 in classes)
+        for bd in bds:
+            assert len(bd.l1.coords) == 2
+            assert (chi_oracle(bd), ksq_oracle(bd)) == general_oracle_route(bd)
+
+
 class TestValidation:
     def test_component_sum_enforced(self):
         amb = hirzebruch(0)

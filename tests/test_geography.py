@@ -1,5 +1,6 @@
 """Atlas rows and deterministic emission."""
 
+import dataclasses
 import enum
 import json
 import re
@@ -222,6 +223,19 @@ class TestSvg:
         ]
         assert len(swatches) == 9
         assert all(int(r.get("y")) + int(r.get("height")) <= height for r in swatches)
+
+    @pytest.mark.parametrize("chi_max", range(1, 61))
+    def test_guide_labels_end_before_the_legend(self, chi_max):
+        # the layout depends on chi_max alone, so one row of that chi draws
+        # the chart; a monospace character at font-size 10 is 0.6 em wide
+        row = dataclasses.replace(atlas(1)[0], chi=chi_max)
+        root = ElementTree.fromstring(emit((row,), "svg"))
+        ns = "{http://www.w3.org/2000/svg}"
+        (legend_x,) = {int(r.get("x")) for r in root.iter(f"{ns}rect") if r.get("width") == "12"}
+        labels = [t for t in root.iter(f"{ns}text") if t.text.startswith("Ksq = ")]
+        assert len(labels) == 5
+        for t in labels:
+            assert int(t.get("x")) + 6 * len(t.text) <= legend_x, (t.text, chi_max)
 
     def test_no_rows(self):
         # like csv's lone header and json's empty rows: a chart of chi up to

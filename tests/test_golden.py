@@ -66,7 +66,7 @@ ATLAS_CHI_MAX = 30
 ATLAS_DIGESTS = {
     "csv": "1cf823da5c6507e883900caf096adb2f622b2aac505d4f1eb7e1fff68d56b6d4",
     "json": "3094015a3465488147c321dadc0021faf7a72342b9bd48be1e57c360eaaaaccb",
-    "svg": "d1d1d7720221fc2c6eaaf6dbd0e0b442f4779dcecaeb5d78451acdbb3d998a2b",
+    "svg": "e7aeafc5221d69fda422cc6c442a3eabc8d80c80d7aae8429c2822289071465a",
 }
 
 CHECK_CHI_MAX = 6
