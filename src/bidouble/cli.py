@@ -265,7 +265,9 @@ def _cmd_verify(args) -> int:
     try:
         checks = _verify_doc(doc)
     except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, CertificateFormatError):
+        # the recipes' refusals of the requested pair read as in construct
+        # and degenerate
+        if isinstance(err, (CertificateFormatError, RegionError, DegenerationError)):
             raise
         raise CertificateFormatError(f"malformed certificate: {err}") from err
     passed = all(c.passed for c in checks)

@@ -29,26 +29,31 @@ rule.
 The line bundles and the per-branch component sums (in ``building_data``)
 and 2K + B and the adjoint classes K + L_i (in ``invariants``) are
 computed on the coordinate tuples of classes already validated on the
-data's ambient, each result wrapped once through ``lattice._trusted``.
-Each of the two tests the rank once.  On F_e, where a class has two
-coordinates (so on every datum of ``check``'s oracle sample), it unpacks
-the two coordinates instead of building an iterator and a tuple per sum,
-and ``building_data`` accepts the branches with one test: both sums even
-and no coordinate negative.  No negative coordinate is effectivity there,
-the corollary of h0's formula that ``lattice.h0_flagged`` states, and with
-D1 and D2 nonzero it leaves no L_i zero.  Data that fails the test, and
-data on the other ambients, goes through the general checks, which name
-the refusal.  The intersection form and h0 stay with ``lattice.intersect``
-and ``lattice.h0_flagged``, their one definition in the library.  So
-``invariants`` expects data built by ``building_data`` or
-``resolve_triple_point``, not assembled by hand.
+data's ambient.  ``building_data`` wraps each line bundle once through
+``lattice._trusted``; ``invariants`` wraps only 2K + B, which
+``Invariants.two_k_plus_b`` keeps, and hands the K + L_i to the kernels
+as tuples.  Each of the two tests the rank once.  On F_e, where a class
+has two coordinates (so on every datum of ``check``'s oracle sample), it
+unpacks the two coordinates instead of building an iterator and a tuple
+per sum, and ``building_data`` accepts the branches with one test: both
+sums even and no coordinate negative.  No negative coordinate is
+effectivity there, the corollary of h0's formula that
+``lattice.h0_flagged`` states, and with D1 and D2 nonzero it leaves no
+L_i zero.  Data that fails the test, and data on the other ambients, goes
+through the general checks, which name the refusal.  The intersection
+form and h0 live in the coordinate kernels ``lattice._pairing`` and
+``lattice._h0_coords``, their one definition in the library, behind
+``lattice.intersect`` and ``lattice.h0_flagged``; ``invariants`` calls
+the kernels, so an ``UnsupportedClass`` from h0(K + L_i) names the class
+as ``h0_flagged`` does.  So ``invariants`` expects data built by
+``building_data`` or ``resolve_triple_point``, not assembled by hand.
 
 ``chi_oracle`` and ``ksq_oracle`` are a second route to chi and K^2 that
 shares with the library only the line bundles L_i that ``building_data``
 derives.  They do not share the form, K or the class arithmetic: each
 writes the intersection form and K_Y out from the basis rules and works on
 plain integer coordinates, with no ``DivClass``, so a wrong sign in
-``lattice.intersect`` or a wrong ``Ambient._canonical`` moves
+``lattice._pairing`` or a wrong ``Ambient._canonical`` moves
 ``invariants`` and not them.  They take the rank from the datum, as the
 kernels do: on F_e they unpack the two coordinates and write the form
 u0 v1 + u1 v0 - e u0 v0 and K_Y = (-2, -e - 2) inline, and on the plane
@@ -90,6 +95,8 @@ from .lattice import (
     PointLabel,
     _blow_up,
     _builder,
+    _h0_coords,
+    _pairing,
     _trusted,
     h0_flagged,
     intersect,
@@ -419,14 +426,18 @@ def building_data(
         raise InvalidBuildingData(f"components must be a list or tuple, got {components!r}")
     if type(incidence) not in (list, tuple):
         raise InvalidBuildingData(f"incidence must be a list or tuple, got {incidence!r}")
-    for i, d in enumerate((d1, d2, d3), start=1):
-        if type(d) is not DivClass:
-            raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
+    # one identity test each for the types and the ambients; the loops
+    # behind them name the first branch that fails, or pass an equal ambient
+    if not (type(d1) is type(d2) is type(d3) is DivClass):
+        for i, d in enumerate((d1, d2, d3), start=1):
+            if type(d) is not DivClass:
+                raise InvalidBuildingData(f"branch class D{i} must be a divisor class, got {d!r}")
     if not any(d1.coords) or not any(d2.coords):
         raise InvalidBuildingData("D1 and D2 must be nonzero (only D3 may vanish)")
-    for d in (d1, d2, d3):
-        if d.ambient is not ambient and d.ambient != ambient:
-            raise InvalidBuildingData("branch class lives on a different ambient")
+    if not (d1.ambient is d2.ambient is d3.ambient is ambient):
+        for d in (d1, d2, d3):
+            if d.ambient is not ambient and d.ambient != ambient:
+                raise InvalidBuildingData("branch class lives on a different ambient")
     # L3 = L1 + L2 - D3 = (D1 + D2)/2, integral once D2 + D3 and D1 + D3 are even
     u, v, w = d1.coords, d2.coords, d3.coords
     accepted = False
@@ -452,27 +463,34 @@ def building_data(
         for i, d in enumerate((d1, d2, d3) if any(w) else (d1, d2), start=1):
             if h0_flagged(d)[0] <= 0:
                 raise InvalidBuildingData(f"branch class D{i} = {d} is not effective")
-    comps = tuple(components)
-    for c in comps:
-        if type(c) is not Component:
-            raise InvalidBuildingData(f"component {c!r} is not a Component")
-    for i, total in enumerate((d1, d2, d3) if comps else (), start=1):
-        acc = None
+    # data without components or marked points, as every datum of check's
+    # oracle sample, is reduced and builds neither tuple nor name set
+    comps = pts = ()
+    reduced = True
+    if components:
+        comps = tuple(components)
         for c in comps:
-            if c.branch != i:
-                continue
-            if c.cls.ambient is not ambient and c.cls.ambient != ambient:
-                raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
-            x = c.cls.coords if c.count == 1 else tuple([c.count * t for t in c.cls.coords])
-            acc = x if acc is None else tuple(map(add, acc, x))
-        if acc is not None and acc != total.coords:
-            raise InvalidBuildingData(
-                f"components of branch {i} sum to {_trusted(ambient, acc)}, "
-                f"expected {total}"
-            )
-    pts = tuple(incidence)
-    names = _check_incidence(ambient, comps, pts) if pts else {c.name for c in comps}
-    reduced = len(names) == len(comps)
+            if type(c) is not Component:
+                raise InvalidBuildingData(f"component {c!r} is not a Component")
+        for i, total in enumerate((d1, d2, d3), start=1):
+            acc = None
+            for c in comps:
+                if c.branch != i:
+                    continue
+                if c.cls.ambient is not ambient and c.cls.ambient != ambient:
+                    raise InvalidBuildingData(f"component {c.name!r} lives on a different ambient")
+                x = c.cls.coords if c.count == 1 else tuple([c.count * t for t in c.cls.coords])
+                acc = x if acc is None else tuple(map(add, acc, x))
+            if acc is not None and acc != total.coords:
+                raise InvalidBuildingData(
+                    f"components of branch {i} sum to {_trusted(ambient, acc)}, "
+                    f"expected {total}"
+                )
+    if incidence:
+        pts = tuple(incidence)
+        reduced = len(_check_incidence(ambient, comps, pts)) == len(comps)
+    elif comps:
+        reduced = len({c.name for c in comps}) == len(comps)
     l1, l2, l3 = _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
     return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
 
@@ -484,36 +502,36 @@ def invariants(bd: BuildingData) -> Invariants:
     """Numerical invariants of the covering surface, exact integers.
 
     2K_Y + B, with B = D1 + D2 + D3, is the class on the base whose
-    pullback is 2K_X; ``Invariants.two_k_plus_b`` keeps it.  q is
-    pg - chi + 1 by its definition, so of the checks of ``Invariants``
-    only the sign of q is left to make."""
+    pullback is 2K_X; ``Invariants.two_k_plus_b`` keeps it, the one class
+    built here.  K^2, the pairings L_i.(K + L_i) and h0(K + L_i) are taken
+    on coordinate tuples through ``lattice._pairing`` and
+    ``lattice._h0_coords``.  q is pg - chi + 1 by its definition, so of the
+    checks of ``Invariants`` only the sign of q is left to make."""
     amb = bd.ambient
     k, u, v, w = amb._canonical, bd.d1.coords, bd.d2.coords, bd.d3.coords
     # K + L_i serves both chi (as L_i.(L_i + K)) and p_g (as h0(K + L_i))
-    l1, l2, l3 = bd.l1, bd.l2, bd.l3
+    l1, l2, l3 = bd.l1.coords, bd.l2.coords, bd.l3.coords
     if len(k) == 2:
         (p, q), (a1, b1), (a2, b2), (a3, b3) = k, u, v, w
-        (x1, y1), (x2, y2), (x3, y3) = l1.coords, l2.coords, l3.coords
+        (x1, y1), (x2, y2), (x3, y3) = l1, l2, l3
         kb = (2 * p + a1 + a2 + a3, 2 * q + b1 + b2 + b3)
         c1, c2, c3 = (p + x1, q + y1), (p + x2, q + y2), (p + x3, q + y3)
     else:
         kb = tuple([2 * x + a + b + c for x, a, b, c in zip(k, u, v, w)])
-        c1, c2, c3 = [tuple(map(add, k, l.coords)) for l in (l1, l2, l3)]
-    pushed = _trusted(amb, kb)
-    ksq = intersect(pushed, pushed)
-    k1, k2, k3 = _trusted(amb, c1), _trusted(amb, c2), _trusted(amb, c3)
-    tot = intersect(l1, k1) + intersect(l2, k2) + intersect(l3, k3)
+        c1, c2, c3 = [tuple(map(add, k, l)) for l in (l1, l2, l3)]
+    ksq = _pairing(amb, kb, kb)
+    tot = _pairing(amb, l1, c1) + _pairing(amb, l2, c2) + _pairing(amb, l3, c3)
     if tot % 2:
         raise InvalidBuildingData("parity failure in chi; lattice data is inconsistent")
     chi = 4 + tot // 2
-    h1, f1 = h0_flagged(k1)
-    h2, f2 = h0_flagged(k2)
-    h3, f3 = h0_flagged(k3)
+    h1, f1 = _h0_coords(amb, c1)
+    h2, f2 = _h0_coords(amb, c2)
+    h3, f3 = _h0_coords(amb, c3)
     pg = h1 + h2 + h3
     q = pg - chi + 1
     if q < 0:
         raise InvalidBuildingData("negative irregularity; data is not a valid cover")
-    return _invariants(ksq, chi, pg, q, f1 or f2 or f3, pushed)
+    return _invariants(ksq, chi, pg, q, f1 or f2 or f3, _trusted(amb, kb))
 
 
 def _oracle_form(plane: bool, e: int, u: Sequence[int], v: Sequence[int]) -> int:

@@ -40,10 +40,14 @@ Arithmetic on classes that already passed it builds its result through
 exact quotients of integer vectors of the ambient's rank are again such
 vectors.  That arithmetic is
 ``+`` and ``-``, the empty sum ``Ambient.zero()``, and the coordinate
-kernels of ``cover``: the line bundles in ``building_data``, 2K + B and
-the adjoint classes K + L_i in ``invariants``, and the lift through
-blown-up triple points in ``resolve_triple_point``, each computed on
-coordinate tuples and wrapped once.  The resolution builds its blow-up
+kernels of ``cover``: the line bundles in ``building_data``, 2K + B in
+``invariants``, and the lift through blown-up triple points in
+``resolve_triple_point``, each computed on coordinate tuples and wrapped
+once.  The adjoint classes K + L_i of ``invariants`` are never wrapped:
+it pairs and counts them as tuples through ``_pairing`` and
+``_h0_coords``, the coordinate kernels that hold the intersection form
+and h0's formula, and that ``intersect``, past its ambient check, and
+``h0_flagged`` call.  The resolution builds its blow-up
 with ``_blow_up``, which skips the checks of ``Ambient`` too: the ruled
 ambient it extends and the marked points it adds as centres passed them
 already, and ``building_data`` refuses a marked point named like a centre,
@@ -327,36 +331,32 @@ def _blow_up(ambient: Ambient, centres: tuple[PointLabel, ...]) -> Ambient:
     return _ambient(BLOWUP, ambient.e, points, len(canonical), canonical)
 
 
-def intersect(a: DivClass, b: DivClass) -> int:
-    """Intersection number of two classes on the same ambient."""
-    amb = a.ambient
-    if amb is not b.ambient and amb != b.ambient:
-        raise AmbientMismatch("intersection needs both classes on one ambient")
-    u, v = a.coords, b.coords
+def _pairing(ambient: Ambient, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The intersection form of ``ambient`` on two coordinate tuples of its
+    rank, the one definition of the form in the library: H.H = 1 on the
+    plane, and otherwise D0.D0 = -e, D0.F = 1, F.F = 0, Ei.Ej = -delta_ij."""
     u0, v0 = u[0], v[0]
-    if amb.kind == PLANE:
+    if ambient.kind == PLANE:
         return u0 * v0
-    s = u0 * (v[1] - amb.e * v0) + u[1] * v0
+    s = u0 * (v[1] - ambient.e * v0) + u[1] * v0
     if len(u) > 2:
         s -= sum(map(mul, u[2:], v[2:]))
     return s
 
 
-def h0_flagged(d: DivClass) -> tuple[int, bool]:
-    """h0 of ``d`` on its own ambient, together with a flag marking use of
-    the generic-position estimate.
+def intersect(a: DivClass, b: DivClass) -> int:
+    """Intersection number of two classes on the same ambient, through the
+    coordinate kernel ``_pairing``."""
+    amb = a.ambient
+    if amb is not b.ambient and amb != b.ambient:
+        raise AmbientMismatch("intersection needs both classes on one ambient")
+    return _pairing(amb, a.coords, b.coords)
 
-    On the plane and on F_e the value is exact and the flag is False.  There
-    a class has sections exactly when no coordinate is negative: on F_e the
-    j = 0 term below is h0(O(b)) = b + 1 > 0 once a, b >= 0, and
-    ``cover.building_data`` reads effectivity on F_e off these signs.  On a
-    blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are supported;
-    the value is max(0, h0(A) - #{m_i = 1}), an estimate that assumes the
-    centres in general position, and the flag is True exactly when some
-    m_i = 1.
-    """
-    ambient = d.ambient
-    u = d.coords
+
+def _h0_coords(ambient: Ambient, u: tuple[int, ...]) -> tuple[int, bool]:
+    """``h0_flagged`` of the class with coordinates ``u`` on ``ambient``,
+    the one definition of h0's formula in the library.  The class is built
+    only to name it in an ``UnsupportedClass``."""
     if ambient.kind == PLANE:
         n = u[0]
         return ((n + 1) * (n + 2) // 2 if n >= 0 else 0, False)
@@ -366,7 +366,8 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
         k = tail.count(-1)
         if k + tail.count(0) != len(tail):
             raise UnsupportedClass(
-                f"unsupported blow-up class shape {d}: exceptional multiplicities must be 0 or 1"
+                f"unsupported blow-up class shape {_trusted(ambient, u)}: exceptional "
+                "multiplicities must be 0 or 1"
             )
     a, b = u[0], u[1]
     if a < 0 or b < 0:
@@ -379,8 +380,25 @@ def h0_flagged(d: DivClass) -> tuple[int, bool]:
     return (max(0, base - k), True) if k else (base, False)
 
 
+def h0_flagged(d: DivClass) -> tuple[int, bool]:
+    """h0 of ``d`` on its own ambient, together with a flag marking use of
+    the generic-position estimate, through the coordinate kernel
+    ``_h0_coords``.
+
+    On the plane and on F_e the value is exact and the flag is False.  There
+    a class has sections exactly when no coordinate is negative: on F_e the
+    j = 0 term of the kernel's sum is h0(O(b)) = b + 1 > 0 once a, b >= 0,
+    and ``cover.building_data`` reads effectivity on F_e off these signs.
+    On a blow-up only classes q*A - sum m_i E_i with m_i in {0,1} are
+    supported; the value is max(0, h0(A) - #{m_i = 1}), an estimate that
+    assumes the centres in general position, and the flag is True exactly
+    when some m_i = 1.
+    """
+    return _h0_coords(d.ambient, d.coords)
+
+
 def h0(d: DivClass) -> int:
-    return h0_flagged(d)[0]
+    return _h0_coords(d.ambient, d.coords)[0]
 
 
 def positivity(d: DivClass) -> str:

@@ -524,6 +524,30 @@ class TestVerify:
         assert "product family has no designated degeneration" in err
 
     @pytest.mark.parametrize(
+        "kind, pair, refused_by",
+        [
+            ("construct", ("10", "2"), "construct"),
+            ("construct", ("9", "1"), "construct"),
+            ("degenerate", ("16", "2"), "degenerate"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_recipe_refusal_reads_as_in_construct(
+        self, capsys, tmp_path, kind, pair, refused_by, flags
+    ):
+        # a well-formed document whose requested pair the recipes refuse is
+        # no malformed certificate: verify prints the refusal of construct
+        # or degenerate for that pair
+        path = self.write_doc(capsys, tmp_path, kind, "20", "7", "--json")
+        doc = json.loads(path.read_text())
+        doc["requested"] = {"ksq": int(pair[0]), "chi": int(pair[1])}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert "malformed" not in err
+        assert run(capsys, refused_by, *pair) == (2, "", err)
+
+    @pytest.mark.parametrize(
         "argv, leaf, value, code",
         [
             (("construct", "20", "7"), ("invariants", "q"), False, 1),

@@ -36,6 +36,9 @@ from bidouble.lattice import (
     LatticeError,
     PointLabel,
     UnsupportedClass,
+    _h0_coords,
+    _pairing,
+    h0,
     h0_flagged,
     hirzebruch,
     intersect,
@@ -1452,11 +1455,11 @@ class TestAgainstReferenceFold:
         assert (chi_oracle(bd), ksq_oracle(bd)) == self.inline_values(bd)
 
     @staticmethod
-    def plus_e_intersect(a, b):
-        # the library's form with the wrong sign D0.D0 = +e
-        if a.ambient.kind == PLANE:
-            return intersect(a, b)
-        return intersect(a, b) + 2 * a.ambient.e * a.coords[0] * b.coords[0]
+    def plus_e_pairing(ambient, u, v):
+        # the library's form kernel with the wrong sign D0.D0 = +e
+        if ambient.kind == PLANE:
+            return _pairing(ambient, u, v)
+        return _pairing(ambient, u, v) + 2 * ambient.e * u[0] * v[0]
 
     def test_oracles_ignore_a_wrong_intersection_sign(self, monkeypatch):
         rng = random.Random(checks.ORACLE_SEED)
@@ -1468,8 +1471,8 @@ class TestAgainstReferenceFold:
                 continue
         expected = [self.inline_values(bd) for bd in bds]
         before = [outcome(invariants, bd) for bd in bds]
-        monkeypatch.setattr(cover, "intersect", self.plus_e_intersect)
-        monkeypatch.setattr(lattice, "intersect", self.plus_e_intersect)
+        monkeypatch.setattr(cover, "_pairing", self.plus_e_pairing)
+        monkeypatch.setattr(lattice, "_pairing", self.plus_e_pairing)
         assert [(chi_oracle(bd), ksq_oracle(bd)) for bd in bds] == expected
         after = [outcome(invariants, bd) for bd in bds]
         assert sum(x != y for x, y in zip(before, after)) > 50
@@ -1480,7 +1483,7 @@ class TestAgainstReferenceFold:
         # check counts those as mismatches instead of letting them escape
         saved = [(amb, amb._canonical) for amb in lattice._HIRZEBRUCH.values()]
         if defect == "intersection sign":
-            monkeypatch.setattr(cover, "intersect", self.plus_e_intersect)
+            monkeypatch.setattr(cover, "_pairing", self.plus_e_pairing)
         else:
             # K = -2D0 - eF on the shared F_0..F_3 that the sample draws on
             for amb, _ in saved:
@@ -1595,6 +1598,77 @@ class TestCoordinateKernels:
         inv = invariants(bd)
         assert inv.two_k_plus_b.ambient is amb
         assert inv == reference_invariants(bd)
+
+
+class TestOneDefinition:
+    """The form and h0's formula are defined once, in the coordinate kernels
+    ``lattice._pairing`` and ``lattice._h0_coords``: a defect there moves
+    the class-level functions and ``invariants`` alike."""
+
+    # plane, F_e (e = 0 and 2) and blow-up data
+    PAIRS = ((1, 2), (20, 7), (2, 4), (17, 5), (45, 10))
+
+    @staticmethod
+    def patch(monkeypatch, name, kernel):
+        # cover binds the kernels by name, as it imports them
+        monkeypatch.setattr(lattice, name, kernel)
+        monkeypatch.setattr(cover, name, kernel)
+
+    def test_form_kernel_moves_intersect_and_invariants(self, monkeypatch):
+        bds = [construct(ksq, chi).data for ksq, chi in self.PAIRS]
+        before = [invariants(bd) for bd in bds]
+        pairings = [intersect(bd.d1, bd.d2) for bd in bds]
+        self.patch(monkeypatch, "_pairing", lambda amb, u, v: 2 * _pairing(amb, u, v))
+        assert [intersect(bd.d1, bd.d2) for bd in bds] == [2 * x for x in pairings]
+        for bd, old in zip(bds, before):
+            got = outcome(invariants, bd)
+            assert got == outcome(reference_invariants, bd)
+            assert got != old
+
+    def test_h0_kernel_moves_h0_and_invariants(self, monkeypatch):
+        bds = [construct(ksq, chi).data for ksq, chi in self.PAIRS]
+        before = [invariants(bd) for bd in bds]
+        flagged = [h0_flagged(bd.d1) for bd in bds]
+
+        def plus_one(amb, u):
+            value, flag = _h0_coords(amb, u)
+            return value + 1, flag
+
+        self.patch(monkeypatch, "_h0_coords", plus_one)
+        assert [h0_flagged(bd.d1) for bd in bds] == [(v + 1, f) for v, f in flagged]
+        assert [h0(bd.d1) for bd in bds] == [v + 1 for v, _ in flagged]
+        for bd, old in zip(bds, before):
+            inv = invariants(bd)
+            assert inv == reference_invariants(bd)
+            assert inv.pg == old.pg + 3
+
+    def test_unsupported_adjoint_class_named_as_by_h0_flagged(self):
+        # hand-built: K + L_i = (-1, -1, -2, 0) has an exceptional
+        # coefficient outside {0, -1}, and L_i.(K + L_i) = -8 keeps chi's
+        # parity, so the h0 of K + L_i is the first refusal
+        amb = two_centres(0)
+        d, l = amb.divisor(2, 2, -1, -1), amb.divisor(1, 1, -3, -1)
+        bd = BuildingData(amb, d, d, d, l, l, l)
+        adjoint = reference_canonical(amb) + l
+        assert adjoint.coords == (-1, -1, -2, 0)
+        got = outcome(invariants, bd)
+        assert got[0] is UnsupportedClass
+        assert got == outcome(h0_flagged, adjoint)
+
+    def test_builds_one_class(self, monkeypatch):
+        bds = [construct(ksq, chi).data for ksq, chi in self.PAIRS]
+        assert {bd.ambient.kind for bd in bds} == {PLANE, HIRZEBRUCH, BLOWUP}
+        built = []
+
+        def counted(amb, coords):
+            built.append(coords)
+            return lattice._trusted(amb, coords)
+
+        monkeypatch.setattr(cover, "_trusted", counted)
+        for bd in bds:
+            built.clear()
+            inv = invariants(bd)
+            assert built == [inv.two_k_plus_b.coords]
 
 
 class TestSlottedValues:

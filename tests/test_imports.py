@@ -174,7 +174,9 @@ def names_reached(source: str, function: str) -> set[str]:
 
 
 # what the oracles must not share with the closed forms they check
-ORACLE_FORBIDDEN = frozenset({"intersect", "canonical_class", "_canonical", "_trusted", "DivClass"})
+ORACLE_FORBIDDEN = frozenset(
+    {"intersect", "_pairing", "_h0_coords", "canonical_class", "_canonical", "_trusted", "DivClass"}
+)
 
 
 def test_detector_finds_names_reached():
