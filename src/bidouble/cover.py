@@ -54,13 +54,13 @@ derives.  They do not share the form, K or the class arithmetic: each
 writes the intersection form and K_Y out from the basis rules and works on
 plain integer coordinates, with no ``DivClass``, so a wrong sign in
 ``lattice._pairing`` or a wrong ``Ambient._canonical`` moves
-``invariants`` and not them.  They take the rank from the datum, as the
-kernels do: on F_e they unpack the two coordinates and write the form
-u0 v1 + u1 v0 - e u0 v0 and K_Y = (-2, -e - 2) inline, and on the plane
-and the blow-ups they call ``_oracle_form`` and ``_oracle_k``.  Either
-way chi keeps one Riemann-Roch term per bundle, each halved on its own,
-and K^2 the three pairings 4K.K + 4K.B + B.B, not the square (2K + B)^2
-that ``invariants`` takes.
+``invariants`` and not them.  Each is one body for every ambient: on the
+plane the form is H.H = 1 with K_Y = -3H; on a ruled ambient it is
+u0 v1 + u1 v0 - e u0 v0 with K_Y = (-2, -e - 2) on the first two
+coordinates, less one term per centre (E_i.E_i = -1, K_Y carrying 1 at
+E_i) on data with more.  chi keeps one Riemann-Roch term per bundle, each
+halved on its own, and K^2 the three pairings 4K.K + 4K.B + B.B, not the
+square (2K + B)^2 that ``invariants`` takes.
 
 Values whose fields are already validated are built without their frozen
 ``__init__`` by constructors from ``lattice._builder``, as ``_trusted``
@@ -83,9 +83,8 @@ checks to ``building_data``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add
 
 from .lattice import (
     PLANE,
@@ -331,18 +330,11 @@ _lift = _builder(Component)
 _assemble = _builder(BuildingData)
 
 
-def _repeated_component_names(components: tuple[Component, ...]) -> list[str]:
-    seen: dict[str, int] = {}
-    for c in components:
-        seen[c.name] = seen.get(c.name, 0) + 1
-    return sorted(name for name, n in seen.items() if n > 1)
-
-
 def _check_incidence(
     ambient: Ambient, comps: tuple[Component, ...], pts: tuple[PointLabel, ...]
-) -> dict[str, list[Component]]:
-    """The incidence rule of ``building_data``, on components whose types
-    and sums it has checked; returns the components of each name."""
+) -> None:
+    """The incidence rule of ``building_data``, for the marked points and
+    the centres, on components whose types and sums it has checked."""
     # the components of each name, in component order
     index: dict[str, list[Component]] = {}
     for c in comps:
@@ -380,7 +372,18 @@ def _check_incidence(
                     f"point {p.name!r} names component {c.name!r} of {c.count} "
                     "copies, not a single curve"
                 )
-    return index
+    # a centre is a resolved point: each component it names passes through
+    # it once, so carries -1 at the centre's exceptional coordinate
+    for j, q in enumerate(ambient.points, start=2):
+        for cname in q.components:
+            if cname not in index:
+                raise InvalidBuildingData(f"centre {q.name!r} names unknown component {cname!r}")
+            for c in index[cname]:
+                if c.cls.coords[j] != -1:
+                    raise InvalidBuildingData(
+                        f"centre {q.name!r} names component {cname!r} = {c.cls}, "
+                        "which has no -1 at the centre's exceptional class"
+                    )
 
 
 def building_data(
@@ -415,12 +418,16 @@ def building_data(
     [1, 2, 3], and each is a single copy.  So a name given twice is
     refused.  A point naming a component of n copies does not say which of
     the n curves it lies on, and two curves of one branch through a point
-    make that branch singular there.  Data with marked points indexes its
-    components by name once, and each point's checks read that index.
+    make that branch singular there.  A centre of a blow-up is a resolved
+    point: each component it names exists and carries -1 at the centre's
+    exceptional coordinate.  A centre may name fewer components, or none.
+    Data with marked points or centres indexes its components by name
+    once, and the checks of each point and centre read that index.
 
     ``components`` and ``incidence`` are ordered, so each is taken only
     from a list or tuple.  A component name repeated across branches makes
-    the total branch non-reduced: such data builds, with ``reduced`` False.
+    the total branch non-reduced: such data builds, with ``reduced`` False,
+    read off the set of component names.
     """
     if type(components) not in (list, tuple):
         raise InvalidBuildingData(f"components must be a list or tuple, got {components!r}")
@@ -486,10 +493,10 @@ def building_data(
                     f"components of branch {i} sum to {_trusted(ambient, acc)}, "
                     f"expected {total}"
                 )
-    if incidence:
+    if incidence or ambient.points:
         pts = tuple(incidence)
-        reduced = len(_check_incidence(ambient, comps, pts)) == len(comps)
-    elif comps:
+        _check_incidence(ambient, comps, pts)
+    if comps:
         reduced = len({c.name for c in comps}) == len(comps)
     l1, l2, l3 = _trusted(ambient, l1), _trusted(ambient, l2), _trusted(ambient, l3)
     return _assemble(ambient, d1, d2, d3, l1, l2, l3, comps, pts, reduced)
@@ -534,56 +541,33 @@ def invariants(bd: BuildingData) -> Invariants:
     return _invariants(ksq, chi, pg, q, f1 or f2 or f3, _trusted(amb, kb))
 
 
-def _oracle_form(plane: bool, e: int, u: Sequence[int], v: Sequence[int]) -> int:
-    """u.v written out from the basis rules for the oracles: H.H = 1 on the
-    plane, and otherwise D0.D0 = -e, D0.F = 1, F.F = 0, Ei.Ej = -delta_ij."""
-    if plane:
-        return u[0] * v[0]
-    u0, v0 = u[0], v[0]
-    s = u0 * v[1] + u[1] * v0 - e * u0 * v0
-    if len(u) > 2:
-        s -= sum(map(mul, u[2:], v[2:]))
-    return s
-
-
-def _oracle_k(plane: bool, e: int, rank: int) -> tuple[int, ...]:
-    """K_Y written out from the basis rules for the oracles: -3H on the
-    plane, and otherwise -2D0 - (e+2)F + sum E_i."""
-    if plane:
-        return (-3,)
-    return (-2, -e - 2) + (1,) * (rank - 2)
-
-
 def chi_oracle(bd: BuildingData) -> int:
     """chi(O_X) summed character by character.
 
     Independent path: chi(O_Y) plus one Riemann-Roch evaluation of
-    chi(O_Y(-L_i)) per bundle, each term halved separately, on the
-    oracles' own form and K_Y.  The rank is taken from the datum, as the
-    kernels take it: on F_e the two coordinates are unpacked, with the
-    form and K_Y still written out here; the other ambients go through
-    ``_oracle_form`` and ``_oracle_k``.
+    chi(O_Y(-L_i)) per bundle, each term halved separately, on a form and
+    K_Y written out here from the basis rules: H.H = 1 and K = -3H on the
+    plane; D0.D0 = -e, D0.F = 1, F.F = 0 and K = -2D0 - (e + 2)F on the
+    first two coordinates of a ruled ambient, less E_i.E_i = -1 with K
+    carrying 1 at each E_i on the coordinates of its centres.
     """
-    amb = bd.ambient
-    plane, e = amb.kind == PLANE, amb.e
-    l1 = bd.l1.coords
-    rank2 = len(l1) == 2
-    if rank2:
-        k0, k1 = -2, -e - 2
-    else:
-        k = _oracle_k(plane, e, len(l1))
+    plane, e = bd.ambient.kind == PLANE, bd.ambient.e
+    blown_up = len(bd.l1.coords) > 2
     total = 1
-    for l in (l1, bd.l2.coords, bd.l3.coords):
-        if rank2:
-            # u = -L_i and v = u - K, paired by the form of F_e,
-            # u.v = u0 v1 + u1 v0 - e u0 v0
-            x, y = l
-            u0, u1 = -x, -y
-            v0, v1 = u0 - k0, u1 - k1
-            pairing = u0 * v1 + u1 * v0 - e * u0 * v0
+    for l in (bd.l1.coords, bd.l2.coords, bd.l3.coords):
+        # u = -L_i and v = u - K, paired by the form
+        u0 = -l[0]
+        if plane:
+            pairing = u0 * (u0 + 3)
         else:
-            d = [-x for x in l]
-            pairing = _oracle_form(plane, e, d, list(map(sub, d, k)))
+            u1 = -l[1]
+            v0, v1 = u0 + 2, u1 + e + 2
+            pairing = u0 * v1 + u1 * v0 - e * u0 * v0
+            if blown_up:
+                # E_i.E_i = -1, and K has 1 at E_i
+                for x in l[2:]:
+                    u = -x
+                    pairing -= u * (u - 1)
         if pairing % 2:
             raise InvalidBuildingData("parity failure in Riemann-Roch term")
         total += 1 + pairing // 2
@@ -591,31 +575,27 @@ def chi_oracle(bd: BuildingData) -> int:
 
 
 def ksq_oracle(bd: BuildingData) -> int:
-    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the
-    oracles' own form and K_Y.  The rank is taken from the datum, as the
-    kernels take it: on F_e the two coordinates are unpacked and the three
-    pairings written out here; the other ambients go through
-    ``_oracle_form`` and ``_oracle_k``."""
-    amb = bd.ambient
-    plane, e = amb.kind == PLANE, amb.e
+    """K_X^2 through the bilinear expansion 4K.K + 4K.B + B.B, on the form
+    and K_Y that ``chi_oracle`` writes out, not the square (2K + B)^2."""
+    amb, e = bd.ambient, bd.ambient.e
     u, v, w = bd.d1.coords, bd.d2.coords, bd.d3.coords
-    if len(u) == 2:
-        # B = (s, t) and K = (k0, k1) = (-2, -e - 2), each pair through the
-        # form of F_e, u.v = u0 v1 + u1 v0 - e u0 v0
-        (a1, b1), (a2, b2), (a3, b3) = u, v, w
-        s, t = a1 + a2 + a3, b1 + b2 + b3
-        k0, k1 = -2, -e - 2
-        kk = k0 * k1 + k1 * k0 - e * k0 * k0
-        kb = k0 * t + k1 * s - e * k0 * s
-        bb = s * t + t * s - e * s * s
-        return 4 * kk + 4 * kb + bb
-    b = [x + y + z for x, y, z in zip(u, v, w)]
-    k = _oracle_k(plane, e, len(b))
-    return (
-        4 * _oracle_form(plane, e, k, k)
-        + 4 * _oracle_form(plane, e, k, b)
-        + _oracle_form(plane, e, b, b)
-    )
+    # B = (s, t, ...); on the plane K.K = 9, K.B = -3s and B.B = s^2
+    s = u[0] + v[0] + w[0]
+    if amb.kind == PLANE:
+        return 4 * 9 - 4 * 3 * s + s * s
+    t = u[1] + v[1] + w[1]
+    k0, k1 = -2, -e - 2
+    kk = k0 * k1 + k1 * k0 - e * k0 * k0
+    kb = k0 * t + k1 * s - e * k0 * s
+    bb = s * t + t * s - e * s * s
+    if len(u) > 2:
+        # E_i.E_i = -1, and K has 1 at E_i
+        for x, y, z in zip(u[2:], v[2:], w[2:]):
+            c = x + y + z
+            kk -= 1
+            kb -= c
+            bb -= c * c
+    return 4 * kk + 4 * kb + bb
 
 
 # a ledger entry's fields are derived from validated data
@@ -640,8 +620,12 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     ]
     if bd.reduced:
         return tuple(entries)
-    for name in _repeated_component_names(bd.components):
-        shared = [c for c in bd.components if c.name == name]
+    named: dict[str, list[Component]] = {}
+    for c in bd.components:
+        named.setdefault(c.name, []).append(c)
+    for _, shared in sorted(named.items()):
+        if len(shared) == 1:
+            continue
         cls = shared[0].cls
         in_branches = {c.branch for c in shared}
         pinch = sum(

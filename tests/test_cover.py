@@ -154,52 +154,71 @@ class TestInvariants:
             checked += 1
 
 
-def general_oracle_route(bd):
-    """(chi, K^2) by the oracles' general route, ``_oracle_form`` and
-    ``_oracle_k`` on the datum's coordinates, whatever its rank."""
+def oracle_reference(bd):
+    """(chi, K^2) on a Gram matrix and K_Y written here from the basis
+    rules, whatever the ambient: H.H = 1 and K = -3H on the plane, and
+    D0.D0 = -e, D0.F = 1, F.F = 0, E_i.E_j = -delta_ij and
+    K = -2D0 - (e + 2)F + sum E_i on a ruled ambient.  chi is one
+    Riemann-Roch term per bundle and K^2 the square of 2K + B."""
     amb = bd.ambient
-    plane, e = amb.kind == PLANE, amb.e
-    form = functools.partial(cover._oracle_form, plane, e)
-    k = cover._oracle_k(plane, e, len(bd.l1.coords))
+    n = len(bd.l1.coords)
+    if amb.kind == PLANE:
+        gram, k = [[1]], [-3]
+    else:
+        e = amb.e
+        gram = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+        gram[0][:2], gram[1][:2] = [-e, 1], [1, 0]
+        k = [-2, -e - 2] + [1] * (n - 2)
+
+    def form(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
     chi = 1
     for l in (bd.l1, bd.l2, bd.l3):
         d = [-x for x in l.coords]
         pairing = form(d, [x - y for x, y in zip(d, k)])
         assert pairing % 2 == 0
         chi += 1 + pairing // 2
-    b = [x + y + z for x, y, z in zip(bd.d1.coords, bd.d2.coords, bd.d3.coords)]
-    return chi, 4 * form(k, k) + 4 * form(k, b) + form(b, b)
+    kb = [2 * x + a + b + c for x, a, b, c in zip(k, bd.d1.coords, bd.d2.coords, bd.d3.coords)]
+    return chi, form(kb, kb)
+
+
+@functools.cache
+def certified_data():
+    """Every datum the sweep up to chi 12 certifies: the data, the data
+    before resolution and the designated degeneration's data."""
+    bds = []
+    for ksq, chi in checks.covered_pairs(12):
+        cert = construct(ksq, chi)
+        bds.append(cert.data)
+        if cert.pre_resolution is not None:
+            bds.append(cert.pre_resolution)
+        if recipes.FAMILY[cert.region].degeneration is not None:
+            bds.append(degenerate(cert).data)
+    return tuple(bds)
 
 
 class TestOracleRoutes:
-    """The oracles unpack F_e data and take the general route elsewhere."""
+    """The oracles take one route on every ambient; it equals the library's
+    invariants and a Gram-matrix reference written in this file."""
 
     def test_oracles_match_invariants_on_certified_data(self):
-        # every datum the sweep up to chi 12 certifies: the data, the data
-        # before resolution and the designated degeneration's data
-        ranks = set()
-        for ksq, chi in checks.covered_pairs(12):
-            cert = construct(ksq, chi)
-            bds = [cert.data]
-            if cert.pre_resolution is not None:
-                bds.append(cert.pre_resolution)
-            if recipes.FAMILY[cert.region].degeneration is not None:
-                bds.append(degenerate(cert).data)
-            for bd in bds:
-                inv = invariants(bd)
-                assert (chi_oracle(bd), ksq_oracle(bd)) == (inv.chi, inv.ksq), (ksq, chi)
-                ranks.add(min(len(bd.l1.coords), 3))
-        # the plane, F_e and blow-ups
-        assert ranks == {1, 2, 3}
+        for bd in certified_data():
+            inv = invariants(bd)
+            assert (chi_oracle(bd), ksq_oracle(bd)) == (inv.chi, inv.ksq), bd
+        # the plane, F_e, and blow-ups at one to three centres
+        assert {len(bd.l1.coords) for bd in certified_data()} == {1, 2, 3, 4, 5}
 
-    def test_rank_two_path_matches_the_general_route(self):
+    def test_oracles_match_the_reference_on_every_rank(self):
+        bds = list(certified_data())
         rng = random.Random(checks.ORACLE_SEED)
-        bds = []
-        while len(bds) < checks.ORACLE_SAMPLES:
+        samples = 0
+        while samples < checks.ORACLE_SAMPLES:
             try:
                 bds.append(checks.sample_building_data(rng))
             except CoverError:
                 continue
+            samples += 1
         # fresh F_e up to e = 6, on a grid of parity-consistent data with
         # coefficients 0..8: every D1 against every D3, with D2 running
         # through the classes of the same parity in the reverse order
@@ -215,9 +234,29 @@ class TestOracleRoutes:
                     if d1.is_zero() or d2.is_zero():
                         continue
                     bds.extend(building_data(amb, d1, d2, d3) for d3 in classes)
+        # blow-ups of F_0..F_2 at one to three centres with exceptional
+        # coefficients -3..2, assembled unchecked: h0 takes only 0 and -1
+        # there, so on data building_data accepts each L_i carries 0 or -1
+        # at a centre, where the exceptional term of chi vanishes
+        rng = random.Random(20261021)
+        for _ in range(600):
+            amb = Ambient(
+                BLOWUP,
+                rng.randrange(3),
+                tuple(PointLabel(f"q{i}") for i in range(rng.randrange(1, 4))),
+            )
+            parity = [rng.randrange(2) for _ in range(amb.rank)]
+            d1, d2, d3 = [
+                DivClass(amb, tuple(p + 2 * rng.randrange(-2, 2) for p in parity))
+                for _ in range(3)
+            ]
+            l1, l2, l3 = [
+                DivClass(amb, tuple((x + y) // 2 for x, y in zip(a.coords, b.coords)))
+                for a, b in ((d2, d3), (d1, d3), (d1, d2))
+            ]
+            bds.append(BuildingData(amb, d1, d2, d3, l1, l2, l3))
         for bd in bds:
-            assert len(bd.l1.coords) == 2
-            assert (chi_oracle(bd), ksq_oracle(bd)) == general_oracle_route(bd)
+            assert (chi_oracle(bd), ksq_oracle(bd)) == oracle_reference(bd), bd
 
 
 class TestValidation:
@@ -363,6 +402,50 @@ class TestValidation:
         q = (PointLabel("q", ("d1", "d2", "delta1")),)
         bd = building_data(amb, d1, d2, d3, comps, q)
         assert resolve_triple_point(bd, "q") == fold_reference(bd, "q")
+
+    @staticmethod
+    def with_first_centre(bd, centre):
+        """The arguments that build ``bd``, a blow-up, with its first centre
+        replaced by ``centre``: the classes and components are moved onto
+        the new ambient unchanged."""
+        amb = Ambient(BLOWUP, bd.ambient.e, (centre,) + bd.ambient.points[1:])
+        comps = tuple(
+            Component(c.name, c.branch, DivClass(amb, c.cls.coords), c.count)
+            for c in bd.components
+        )
+        ds = [DivClass(amb, d.coords) for d in bd.branches()]
+        return (amb, *ds, comps, bd.incidence)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            # (45, 10)'s p1 lies on f1, d2 and d3
+            (("x", "d2", "d3"), "centre 'p1' names unknown component 'x'"),
+            (("f2", "d2", "d3"), r"centre 'p1' names component 'f2' = F-E2, which has no -1"),
+        ],
+    )
+    def test_centre_names_components_through_it(self, names, message):
+        bd = construct(45, 10).data
+        args = self.with_first_centre(bd, PointLabel("p1", names))
+        with pytest.raises(InvalidBuildingData, match=message):
+            building_data(*args)
+        with pytest.raises(InvalidBuildingData, match=message):
+            reference_building_data(*args)
+        doc = bd.to_doc()
+        doc["ambient"]["points"][0]["components"] = list(names)
+        with pytest.raises(InvalidBuildingData, match=message):
+            BuildingData.from_doc(doc)
+
+    @pytest.mark.parametrize("centre", [PointLabel("p1"), PointLabel("p1", ("d2",))])
+    def test_centre_naming_fewer_components_builds(self, centre):
+        # a centre that names no component, or only some through it, says
+        # nothing false about the data
+        bd = construct(45, 10).data
+        args = self.with_first_centre(bd, centre)
+        got = building_data(*args)
+        assert got == reference_building_data(*args)
+        assert got.ambient.points[0] == centre
+        assert got.to_doc()["classes"] == bd.to_doc()["classes"]
 
     def test_component_entry_must_be_a_component(self):
         # the component-sum loop refuses the entry before reading a field
@@ -1193,6 +1276,16 @@ def reference_building_data(ambient, d1, d2, d3, components=(), incidence=()):
                     f"point {p.name!r} names component {c.name!r} of {c.count} copies, "
                     "not a single curve"
                 )
+    for j, q in enumerate(ambient.points):
+        for cname in q.components:
+            if cname not in names:
+                raise InvalidBuildingData(f"centre {q.name!r} names unknown component {cname!r}")
+            for c in comps:
+                if c.name == cname and c.cls.coords[2 + j] != -1:
+                    raise InvalidBuildingData(
+                        f"centre {q.name!r} names component {cname!r} = {c.cls}, "
+                        "which has no -1 at the centre's exceptional class"
+                    )
     # a repeated name makes the total branch non-reduced, which builds
     reduced = len(names) == len(comps)
     return BuildingData(ambient, d1, d2, d3, l1, l2, l3, comps, tuple(incidence), reduced)
