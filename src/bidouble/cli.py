@@ -182,7 +182,15 @@ def _difference(rebuilt: object, stored: object) -> tuple[list, object, object] 
 
 
 def _shown(value: object) -> str:
-    return "absent" if value is _ABSENT else json.dumps(value)
+    """A JSON value as a mismatch line shows it.  A rebuilt value can hold
+    an integer past the interpreter's digit limit for ``str``, which cannot
+    be written: a forged field is then reported naming the limit."""
+    if value is _ABSENT:
+        return "absent"
+    try:
+        return json.dumps(value)
+    except ValueError:
+        return f"a value with an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 # a check's name, verdict and detail are derived here, so the frozen
@@ -222,7 +230,7 @@ def _verify_doc(doc: dict) -> list[CheckResult]:
     if kind == "construction":
         blocks = {"data": data, "preResolution": pre}
     else:
-        blocks = {"data": designated(family.name).data(data, params)}
+        blocks = {"data": designated(family.name).data(data)}
     _require(doc, *blocks)
     checks = []
     for key, block in blocks.items():

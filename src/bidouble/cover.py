@@ -217,6 +217,18 @@ class LedgerEntry:
 
 @dataclass(frozen=True, slots=True)
 class BuildingData:
+    """The building data of a cover: the ambient, the branch classes
+    D1..D3, the line bundles L1..L3, the named components, the marked
+    points and whether the total branch is reduced.
+
+    The constructor stores its fields as given and checks nothing.
+    ``building_data`` validates the data and derives ``l1``..``l3`` and
+    ``reduced``, and ``resolve_triple_point`` lifts validated data.
+    ``invariants``, the oracles, ``singularity_scan`` and the resolution
+    trust data built by those two functions: on data assembled by hand they
+    may return numbers no cover has.
+    """
+
     ambient: Ambient
     d1: DivClass
     d2: DivClass
@@ -635,30 +647,32 @@ def singularity_scan(bd: BuildingData) -> tuple[LedgerEntry, ...]:
     return tuple(entries)
 
 
-def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
-    """Blow up the marked triple points named, in order, and lift the data.
+def resolve_triple_point(bd: BuildingData) -> BuildingData:
+    """Blow up every marked triple point of ``bd`` and lift the data.
 
     The model must be ruled.  Every marked point lies on all three
     branches, so every branch class and every component through a point
-    picks up minus its exceptional class; the points move from the
-    incidence list into the ambient's centre list.  K^2 drops by one per
-    point and chi is unchanged.
+    picks up minus its exceptional class; the points move, in incidence
+    order, from the incidence list into the ambient's centre list, and the
+    lifted data marks none.  K^2 drops by one per point and chi is
+    unchanged.  Data with no marked point is returned as it is.
 
     ``bd`` was validated when it was built, and the lift keeps what that
-    validation showed: names, incidence, reducedness, parity, and the
-    component sums.  Each marked point names one single-copy curve per
-    branch, so on each branch exactly one copy of its components passes
-    through each point, and the lifted components sum to the lifted branch
-    classes by construction.  So the lifted data is checked only for what a
-    blow-up can break.  A class is lifted by appending its exceptional
-    coordinates to its coordinates on ``bd``'s ambient, which the blow-up
-    built here extends by one centre per point.  The line bundles are
-    ``bd``'s, lifted with tail (-1, ..., -1) like the branch classes:
-    deriving them from the lifted classes gives the same classes and cannot
-    fail, since each exceptional coordinate of D_i + D_j is -2 and every L_i
-    keeps a nonzero -1 there.  Each lifted branch class must stay
-    effective: its h0 estimate drops by one per centre, so a branch of one
-    fiber through two marked points fails (h0 2 - 2 = 0).
+    validation showed: names, reducedness, parity, and the component sums.
+    Each marked point names one single-copy curve per branch, so on each
+    branch exactly one copy of its components passes through each point,
+    and the lifted components sum to the lifted branch classes by
+    construction.  So the lifted data is checked only for what a blow-up
+    can break.  A class is lifted by appending its exceptional coordinates
+    to its coordinates on ``bd``'s ambient, which the blow-up built here
+    extends by one centre per point.  The line bundles are ``bd``'s,
+    lifted with tail (-1, ..., -1) like the branch classes: deriving them
+    from the lifted classes gives the same classes and cannot fail, since
+    each exceptional coordinate of D_i + D_j is -2 and every L_i keeps a
+    nonzero -1 there.  Each lifted branch class must stay effective: its h0
+    estimate drops by one per centre, so a branch of one fiber through two
+    marked points fails (h0 2 - 2 = 0).  An error here names the classes
+    over every centre.
 
     Built trusted, with no second validation, by builders from
     ``lattice._builder``: the blow-up ambient (``lattice._blow_up``, since
@@ -666,25 +680,13 @@ def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
     refused a point named like a centre), the lifted classes
     (``_trusted``), each lifted component (``bd``'s name, branch and count,
     with the lifted class) and the returned ``BuildingData``.
-
-    Resolving the points one at a time gives the same data and fails on the
-    same data: an h0 estimate that holds with every centre holds at each
-    stage before.  An error here names the classes over every centre.
     """
-    marked: list[PointLabel] = []
-    # the marked points left to resolve (bd's names are distinct)
-    unresolved = {p.name: p for p in bd.incidence}
-    for name in names:
-        # a point resolved earlier in the sequence is no longer marked
-        p = unresolved.pop(name, None)
-        if p is None:
-            raise InvalidBuildingData(f"no marked point named {name!r}")
-        if bd.ambient.kind == PLANE:
-            raise CoverError("triple point resolution is implemented on ruled models only")
-        marked.append(p)
+    marked = bd.incidence
     if not marked:
         return bd
-    amb2 = _blow_up(bd.ambient, tuple(marked))
+    if bd.ambient.kind == PLANE:
+        raise CoverError("triple point resolution is implemented on ruled models only")
+    amb2 = _blow_up(bd.ambient, marked)
     # every branch class and every line bundle passes through every point
     n = len(marked)
     every = (-1,) * n
@@ -710,6 +712,4 @@ def resolve_triple_point(bd: BuildingData, *names: str) -> BuildingData:
         )
         for c in bd.components
     ])
-    incidence = tuple([q for q in bd.incidence if q.name in unresolved])
-    return _assemble(amb2, d1, d2, d3, l1, l2, l3, comps, incidence, bd.reduced)
-
+    return _assemble(amb2, d1, d2, d3, l1, l2, l3, comps, (), bd.reduced)

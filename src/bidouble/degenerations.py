@@ -171,7 +171,7 @@ def degenerate(cert: ConstructionCertificate) -> DegenerationCertificate:
 
     Raises DegenerationError for the product family, which stays smooth.
     """
-    return degeneration_certificate(cert, designated(cert.region).data(cert.data, cert.parameters))
+    return degeneration_certificate(cert, designated(cert.region).data(cert.data))
 
 
 _NORMALIZATION_NOTE = (

@@ -31,8 +31,8 @@ from .cover import (
 )
 from .cover import Invariants
 from .lattice import (
-    BLOWUP,
     NEF_ONLY,
+    NOT_NEF,
     PLANE,
     Ambient,
     DivClass,
@@ -244,21 +244,18 @@ def _smooth_stamp(d: DivClass, fibers: bool) -> tuple[str, bool]:
 
     Accepted shapes: the zero class, a disjoint union of distinct ruling
     fibers, the rigid negative section D0 itself, or a basepoint-free class.
-    On a blow-up the test is applied to the class before blowing up, since
-    the centres are ordinary triple points of the total branch.
+    Stamps are taken before any marked point is resolved, since the centres
+    are ordinary triple points of the total branch, so ``d`` lies on the
+    plane or on F_e.  There a nef class is basepoint-free, so the last
+    verdict is ``lattice.positivity``'s.
     """
     if d.is_zero():
         return ("empty branch", True)
-    amb = d.ambient
-    if amb.kind == PLANE:
-        return ("basepoint-free class", d.coords[0] >= 0)
-    prefix = "strict transform of " if amb.kind == BLOWUP else ""
-    a, b = d.coords[0], d.coords[1]
     if fibers:
-        return (prefix + "distinct ruling fibers", True)
-    if (a, b) == (1, 0) and amb.e > 0:
-        return (prefix + "negative section", True)
-    return (prefix + "basepoint-free class", a >= 0 and b >= amb.e * a)
+        return ("distinct ruling fibers", True)
+    if d.coords == (1, 0) and d.ambient.e > 0:
+        return ("negative section", True)
+    return ("basepoint-free class", positivity(d) != NOT_NEF)
 
 
 # the stamps' names, one per branch, and the first two coordinates of the
@@ -353,7 +350,7 @@ class DegenerationError(ValueError):
     pass
 
 
-def _shared_section(src: BuildingData, params: dict[str, int]) -> BuildingData:
+def _shared_section(src: BuildingData) -> BuildingData:
     # D2 degenerates onto the section already used by D1: the component
     # named d1 now sits in both branches, plus enough fibers to fill the
     # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
@@ -381,17 +378,17 @@ def _with_point(
 _POINT_P = PointLabel("p", ("d1", "d2", "d3"))
 
 
-def _through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
+def _through_point(data: BuildingData) -> BuildingData:
     """Mark one more point, ``p``, on the components d1, d2 and d3."""
     return _with_point(data, data.components, _POINT_P)
 
 
-def _spare_fiber_through_point(data: BuildingData, params: dict[str, int]) -> BuildingData:
+def _spare_fiber_through_point(data: BuildingData) -> BuildingData:
     # split one fiber off the unmarked bulk of D1 and pass it through a
-    # point of D2 and D3; the new point is numbered after the resolved ones.
-    # Both pieces keep f_rest's class, which is on the blow-up once a point
-    # is resolved
-    point = _GENUS3_POINTS[params["epsilon"]]
+    # point of D2 and D3; the new point is numbered after the resolved ones,
+    # the centres of the data.  Both pieces keep f_rest's class, which is on
+    # the blow-up once a point is resolved
+    point = _GENUS3_POINTS[len(data.ambient.points)]
     new_fiber = point.components[0]
     comps = []
     for c in data.components:
@@ -431,10 +428,10 @@ def _spare_fibers(cert: ConstructionCertificate, data: BuildingData) -> tuple[Si
 @dataclass(frozen=True)
 class Degeneration:
     """A family's designated degeneration: the recipe of the degenerate data
-    from the parent's building data and parameters, the family note, and the
+    from the parent's building data alone, the family note, and the
     availability conditions recomputed from the degenerate data."""
 
-    data: Callable[[BuildingData, dict[str, int]], BuildingData]
+    data: Callable[[BuildingData], BuildingData]
     note: str
     availability: Availability
 
@@ -557,7 +554,7 @@ def recipe(
     pre = family.data(params)
     if not pre.incidence:
         return family, params, pre, None
-    return family, params, resolve_triple_point(pre, *[p.name for p in pre.incidence]), pre
+    return family, params, resolve_triple_point(pre), pre
 
 
 _certificate = _builder(ConstructionCertificate)

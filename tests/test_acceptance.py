@@ -20,7 +20,13 @@ import pytest
 
 from bidouble.checks import sample_building_data
 from bidouble.cli import main
-from bidouble.cover import QUARTER_POINT, CoverError, invariants, resolve_triple_point
+from bidouble.cover import (
+    QUARTER_POINT,
+    CoverError,
+    building_data,
+    invariants,
+    resolve_triple_point,
+)
 from bidouble.geography import FORMATS, atlas, canonical_json, emit
 from bidouble.lattice import AMPLE, NEF_ONLY, h0, hirzebruch, plane
 from bidouble.recipes import (
@@ -152,10 +158,14 @@ def test_criterion_4_resolution_deltas(sweep):
     for key, cert in certs.items():
         if cert.pre_resolution is None:
             continue
-        stage = cert.pre_resolution
-        inv = invariants(stage)
-        for point in stage.incidence:
-            nxt = resolve_triple_point(stage, point.name)
+        # the data marking the first k points of pre, each resolved at once
+        pre = cert.pre_resolution
+        stage, inv = pre, invariants(pre)
+        for k, point in enumerate(pre.incidence, start=1):
+            marked = building_data(
+                pre.ambient, pre.d1, pre.d2, pre.d3, pre.components, pre.incidence[:k]
+            )
+            nxt = resolve_triple_point(marked)
             nxt_inv = invariants(nxt)
             if (nxt_inv.ksq - inv.ksq, nxt_inv.chi - inv.chi) != (-1, 0):
                 bad.append((key, point.name))

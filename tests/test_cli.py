@@ -51,7 +51,7 @@ def share_a_noether_component(monkeypatch):
     noether = recipes.FAMILY[NOETHER_LINE]
 
     def data(params):
-        return recipes._shared_section(noether.data(params), params)
+        return recipes._shared_section(noether.data(params))
 
     monkeypatch.setitem(recipes.FAMILY, NOETHER_LINE, dataclasses.replace(noether, data=data))
 
@@ -252,6 +252,32 @@ class TestVerify:
             assert genuine[0] == 0 and genuine[1].endswith("verified: PASS\n")
             assert forged[0] == 1
             assert "MISMATCH ledger: ledger.0.count: stored 2, rebuilt 1\n" in forged[1]
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_forged_past_digit_limit_is_a_mismatch(self, capsys, tmp_path, flags):
+        # the pair and every stored value fit the digit limit, but the
+        # rebuilt h0(D3) = 4chi + 6 has one digit more, so it cannot be shown
+        limit = sys.get_int_max_str_digits()
+        chi = 3 * 10 ** (limit - 1)
+        doc = construct(2 * chi - 5, chi).to_doc()
+        assert doc["sideConditions"][6]["name"] == "h0(D3)"
+        doc["sideConditions"][6]["value"] = 0
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        detail = (
+            f"sideConditions.6.value: stored 0, rebuilt a value with an integer of "
+            f"more than {limit} digits"
+        )
+        assert (code, err) == (1, "")
+        if flags:
+            report = json.loads(out)
+            failed = [c for c in report["checks"] if not c["passed"]]
+            assert report["ok"] is False
+            assert failed == [{"detail": detail, "name": "sideConditions", "passed": False}]
+        else:
+            assert f"MISMATCH sideConditions: {detail}\n" in out
+        assert "malformed" not in out + err
 
     @pytest.mark.parametrize("argv", [("construct", "20", "7"), ("degenerate", "4", "5")])
     def test_check_records_as_constructed(self, argv):

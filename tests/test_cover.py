@@ -401,7 +401,7 @@ class TestValidation:
         # the same point under another name builds and resolves
         q = (PointLabel("q", ("d1", "d2", "delta1")),)
         bd = building_data(amb, d1, d2, d3, comps, q)
-        assert resolve_triple_point(bd, "q") == fold_reference(bd, "q")
+        assert resolve_triple_point(bd) == fold_reference(bd, "q")
 
     @staticmethod
     def with_first_centre(bd, centre):
@@ -570,12 +570,12 @@ class TestResolveTriplePoint:
         bd = self.marked_line5_data(3)
         before = invariants(bd)
         assert (before.ksq, before.chi) == (8, 3)
-        after = invariants(resolve_triple_point(bd, "p"))
+        after = invariants(resolve_triple_point(bd))
         assert (after.ksq, after.chi) == (7, 3)
         assert after.pg == before.pg and after.q == before.q
 
     def test_classes_pick_up_exceptional(self):
-        bd = resolve_triple_point(self.marked_line5_data(3), "p")
+        bd = resolve_triple_point(self.marked_line5_data(3))
         assert bd.d1.coords == (1, 2, -1)
         assert bd.d2.coords == (1, 6, -1)
         assert bd.d3.coords == (3, 0, -1)
@@ -592,7 +592,7 @@ class TestSerialization:
         assert BuildingData.from_doc(bd.to_doc()) == bd
 
     def test_round_trip_after_resolution(self):
-        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4))
         assert BuildingData.from_doc(bd.to_doc()) == bd
 
     # each edit returns the error and wording of the constructor that owns
@@ -684,7 +684,7 @@ class TestSerialization:
 
     def test_string_components_refused_on_a_centre(self):
         # a string is no sequence of names, here as in PointLabel itself
-        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4))
         doc = bd.to_doc()
         doc["ambient"]["points"][0]["components"] = "d1"
         with pytest.raises(LatticeError, match="must be a sequence of names, got 'd1'"):
@@ -698,7 +698,7 @@ class TestSerialization:
 
     def test_object_components_refused_on_a_centre(self):
         # a JSON object's keys are no ordered list of names
-        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4))
         doc = bd.to_doc()
         doc["ambient"]["points"][0]["components"] = {"d1": 0, "d2": 1, "delta1": 2}
         with pytest.raises(LatticeError, match="must be a sequence of names"):
@@ -724,7 +724,7 @@ class TestSerialization:
     @pytest.mark.parametrize("flag", [False, None, 1, "true"])
     def test_non_general_point_refused(self, flag):
         # every point is assumed in general position
-        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4), "p")
+        bd = resolve_triple_point(TestResolveTriplePoint.marked_line5_data(4))
         doc = bd.to_doc()
         doc["ambient"]["points"][0]["general"] = flag
         with pytest.raises(LatticeError, match="point general flag must be true"):
@@ -810,15 +810,15 @@ F0 = hirzebruch(0)
 
 def random_marked_datum(rng):
     """Pre-resolution data of Genus3 or ruling-triple shape on F_0 with one
-    to three marked triple points, as ``outcome`` of ``building_data``
-    returns it, the order to resolve them, and the fault it carries, if
-    any, at the last point resolved: a fiber through two marked points on
-    a branch left with no sections ("fiber"), or a point naming a component
-    name shared by branches 2 and 3 and also a curve of branch 3
-    ("shared"), which ``building_data`` refuses.  In half the data with no fault, the last point names such a
-    shared name as its one curve of branches 2 and 3.  A fault at an
-    earlier point would stop the fold at an earlier stage, whose error
-    names fewer exceptional classes."""
+    to three marked triple points, marked in a drawn order, as ``outcome``
+    of ``building_data`` returns it, and the fault it carries, if any, at
+    its last marked point: a fiber through two marked points on a branch
+    left with no sections ("fiber"), or a point naming a component name
+    shared by branches 2 and 3 and also a curve of branch 3 ("shared"),
+    which ``building_data`` refuses.  In half the data with no fault, the
+    last point names such a shared name as its one curve of branches 2 and
+    3.  A fault at an earlier point would stop the fold at an earlier
+    stage, whose error names fewer exceptional classes."""
     fault = rng.choice((None, None, None, "fiber", "shared"))
     shared = fault == "shared" or (fault is None and rng.random() < 0.5)
     k = 2 if fault == "fiber" else rng.randint(1, 3)
@@ -862,10 +862,9 @@ def random_marked_datum(rng):
         if shared:
             through[-1] = ("d1", "s", "delta1") if fault else ("d1", "s")
     points = [PointLabel(f"p{i}", names) for i, names in enumerate(through, start=1)]
-    pre = outcome(building_data, F0, d1, d2, d3, tuple(comps), tuple(points))
-    order = [p.name for p in points[:-1]]
+    order = points[:-1]
     rng.shuffle(order)
-    return pre, order + [points[-1].name], fault
+    return outcome(building_data, F0, d1, d2, d3, tuple(comps), (*order, points[-1])), fault
 
 
 def genus3_resolved_pairs(chi):
@@ -886,18 +885,18 @@ class TestResolveTriplePoints:
         pre = cert.pre_resolution
         names = [p.name for p in pre.incidence]
         assert 1 <= len(names) <= 3
-        folded = fold_reference(pre, *names)
-        assert resolve_triple_point(pre, *names) == folded == cert.data
-        assert functools.reduce(resolve_triple_point, names, pre) == folded
-        assert resolve_triple_point(pre, *(p.name for p in pre.incidence)) == folded
+        assert resolve_triple_point(pre) == fold_reference(pre, *names) == cert.data
 
     def test_epsilon_one_to_three_covered(self):
         eps = {(-ksq) % 4 for ksq, chi in RESOLVED_PAIRS if ksq != 4 * chi - 5}
         assert eps == {1, 2, 3}
 
     def test_no_points_is_identity(self):
-        pre = construct(30, 6).pre_resolution
-        assert resolve_triple_point(pre) is pre
+        # data on a blow-up, on F_0 and on the plane that marks no point
+        for ksq, chi in ((30, 6), (32, 6), (1, 2)):
+            bd = construct(ksq, chi).data
+            assert bd.incidence == ()
+            assert resolve_triple_point(bd) is bd
 
     @staticmethod
     def with_incidence(*points):
@@ -908,9 +907,9 @@ class TestResolveTriplePoints:
         )
 
     @staticmethod
-    def raised(resolve, bd, names):
+    def raised(resolve, *args):
         with pytest.raises(CoverError) as info:
-            resolve(bd, *names)
+            resolve(*args)
         return type(info.value)
 
     P1 = PointLabel("p1", ("f1", "d2", "d3"))
@@ -925,21 +924,14 @@ class TestResolveTriplePoints:
             ((PointLabel("p2", ("f_rest", "d2", "d3")), P1), ["p2", "p1"], CoverError),
             # a triple point that names no component
             ((P1, PointLabel("p2")), ["p1", "p2"], CoverError),
-            ((P1,), ["p1", "p1"], InvalidBuildingData),
-            ((P1,), ["p9"], InvalidBuildingData),
         ],
     )
     def test_same_error_as_fold(self, points, names, expected):
-        if expected is CoverError:
-            # a point naming two branches, the 6 copies of f_rest or no
-            # component is refused by the incidence rule before either
-            # resolution runs
-            with pytest.raises(InvalidBuildingData):
-                self.with_incidence(*points)
-            return
-        bd = self.with_incidence(*points)
-        assert self.raised(resolve_triple_point, bd, names) is expected
-        assert self.raised(fold_reference, bd, names) is expected
+        # a point naming two branches, the 6 copies of f_rest or no
+        # component is refused by the incidence rule before either
+        # resolution runs, in either order of the points
+        with pytest.raises(InvalidBuildingData):
+            self.with_incidence(*points)
 
     def test_shared_name_equals_fold(self):
         # s is one curve on branches 2 and 3, so p2 names one curve per
@@ -952,16 +944,14 @@ class TestResolveTriplePoints:
             Component("d3", 3, F0.divisor(3, 2)),
             Component("s", 3, F0.divisor(1, 0)),
         )
-        points = (
-            PointLabel("p1", ("f1", "d2", "d3")),
-            PointLabel("p2", ("f2", "s")),
-        )
-        pre = building_data(F0, F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2), comps, points)
-        for names in (["p1", "p2"], ["p2", "p1"]):
-            lifted = resolve_triple_point(pre, *names)
-            assert lifted == fold_reference(pre, *names)
+        p1, p2 = PointLabel("p1", ("f1", "d2", "d3")), PointLabel("p2", ("f2", "s"))
+        d1, d2, d3 = F0.divisor(0, 2), F0.divisor(2, 2), F0.divisor(4, 2)
+        for points in ((p1, p2), (p2, p1)):
+            pre = building_data(F0, d1, d2, d3, comps, points)
+            lifted = resolve_triple_point(pre)
+            assert lifted == fold_reference(pre, *[p.name for p in points])
             shared = [c.cls.coords[2:] for c in lifted.components if c.name == "s"]
-            assert shared == [(0, -1) if names[0] == "p1" else (-1, 0)] * 2
+            assert shared == [(0, -1) if points[0] is p1 else (-1, 0)] * 2
 
     def test_random_data_equals_fold(self):
         # the resolution validates only what a blow-up can break; the fold
@@ -970,10 +960,11 @@ class TestResolveTriplePoints:
         seen = set()
         nonreduced = 0
         for _ in range(600):
-            pre, names, fault = random_marked_datum(rng)
+            pre, fault = random_marked_datum(rng)
             got = pre
             if isinstance(pre, BuildingData):
-                got = outcome(resolve_triple_point, pre, *names)
+                names = [p.name for p in pre.incidence]
+                got = outcome(resolve_triple_point, pre)
                 assert got == outcome(fold_reference, pre, *names), (fault, names)
             resolved = isinstance(got, BuildingData)
             nonreduced += resolved and not got.reduced
@@ -1022,8 +1013,8 @@ class TestResolveTriplePoints:
         )
         pts = (PointLabel("p", ("d1", "d2", "d3")),)
         bd = building_data(amb, amb.divisor(1), amb.divisor(3), amb.divisor(3), comps, pts)
-        assert self.raised(resolve_triple_point, bd, ["p"]) is CoverError
-        assert self.raised(fold_reference, bd, ["p"]) is CoverError
+        assert self.raised(resolve_triple_point, bd) is CoverError
+        assert self.raised(fold_reference, bd, "p") is CoverError
 
 
 def public_rebuild(bd):
@@ -1112,7 +1103,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del calls[:]
-            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence])
+            lifted = resolve_triple_point(pre)
             assert calls == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20
@@ -1155,7 +1146,7 @@ class TestTrustedBuilders:
             if pre is None:
                 continue
             del validated[:]
-            lifted = resolve_triple_point(pre, *[p.name for p in pre.incidence])
+            lifted = resolve_triple_point(pre)
             assert validated == [] and lifted == data, (ksq, chi)
             resolved += 1
         assert resolved >= 20

@@ -12,7 +12,17 @@ import pytest
 from bidouble.cover import Component, building_data, chi_oracle, ksq_oracle
 from bidouble.degenerations import degenerate
 from bidouble.geography import REGION_FILL
-from bidouble.lattice import AMPLE, BLOWUP, NEF_ONLY, NOT_NEF, hirzebruch, intersect, positivity
+from bidouble.lattice import (
+    AMPLE,
+    BLOWUP,
+    NEF_ONLY,
+    NOT_NEF,
+    PLANE,
+    hirzebruch,
+    intersect,
+    plane,
+    positivity,
+)
 from bidouble.recipes import (
     FAMILIES,
     FAMILY,
@@ -28,6 +38,7 @@ from bidouble.recipes import (
     PLANE_SPECIAL_13,
     PRODUCT_LINE,
     RegionError,
+    _smooth_stamp,
     admissible,
     certify,
     classify,
@@ -451,6 +462,37 @@ FIBRATION_GENUS = {
     LINE_4CHI_MINUS_4: 3,
     PRODUCT_LINE: None,
 }
+
+
+def reference_stamp(d, fibers):
+    """The smoothness stamp with nefness written out on coordinates: degree
+    >= 0 on the plane, and a >= 0 and b >= e a for aD0 + bF on F_e."""
+    if d.is_zero():
+        return ("empty branch", True)
+    amb = d.ambient
+    if amb.kind == PLANE:
+        return ("basepoint-free class", d.coords[0] >= 0)
+    a, b = d.coords
+    if fibers:
+        return ("distinct ruling fibers", True)
+    if (a, b) == (1, 0) and amb.e > 0:
+        return ("negative section", True)
+    return ("basepoint-free class", a >= 0 and b >= amb.e * a)
+
+
+class TestSmoothStamp:
+    def test_equals_the_coordinate_rule(self):
+        # the plane has no ruling, so no branch there is made of fibers
+        for n in range(-2, 13):
+            d = plane().divisor(n)
+            assert _smooth_stamp(d, False) == reference_stamp(d, False), d
+        for e in range(4):
+            amb = hirzebruch(e)
+            for a in range(-2, 9):
+                for b in range(-2, 25):
+                    d = amb.divisor(a, b)
+                    for fibers in (False, True):
+                        assert _smooth_stamp(d, fibers) == reference_stamp(d, fibers), (e, d)
 
 
 class TestFibration:
