@@ -7,10 +7,13 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -834,6 +837,8 @@ class TestCheck:
         assert code == 0 and out.endswith("checks: 9/9 passed\n")
 
     def test_each_pair_built_once(self, capsys, monkeypatch):
+        # check builds the pairs in a forked child, whose calls a counter in
+        # this process cannot see, so the pair steps are counted here
         built = []
         real = checks.construct
 
@@ -842,10 +847,12 @@ class TestCheck:
             return real(ksq, chi)
 
         monkeypatch.setattr(checks, "construct", counting_construct)
+        swept = checks.sweep_pairs(3)
+        assert swept["constructionSweep"].detail == "27 certificates exact"
+        assert len(set(built)) == len(built) == 27
         code, out, _ = run(capsys, "check", "--chi-max", "3")
         assert code == 0
         assert "ok constructionSweep: 27 certificates exact" in out
-        assert len(set(built)) == len(built) == 27
 
     def test_unknown_region_fails_totality(self, monkeypatch):
         real = checks.classify
@@ -926,6 +933,113 @@ class TestCheck:
         result = checks.check_emission_determinism(2)
         assert not result.passed
         assert result.detail == "json output does not parse back"
+
+
+def spy_on_fork(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork makes in this process."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCheckSplit:
+    """check runs the oracle sample here and every other step in a forked
+    child; the report, the exit code and the errors are those of one
+    process."""
+
+    def test_report_same_without_fork(self, capsys, monkeypatch):
+        pids = spy_on_fork(monkeypatch)
+        forked = run(capsys, "check", "--chi-max", "2")
+        assert len(pids) == 1
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, "check", "--chi-max", "2") == forked
+        assert forked[0] == 0 and forked[1].endswith("checks: 9/9 passed\n")
+
+    def test_live_thread_keeps_the_steps_here(self, capsys, monkeypatch):
+        # forking with a thread alive warns on CPython 3.12+ and can deadlock
+        expected = run(capsys, "check", "--chi-max", "2")
+        pids = spy_on_fork(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = run(capsys, "check", "--chi-max", "2")
+        finally:
+            stop.set()
+            thread.join()
+        assert got == expected
+        assert pids == []
+
+    def test_child_error_exits_as_in_process(self, capsys, monkeypatch):
+        def refused(ksq, chi):
+            raise cover.InvalidBuildingData("boom")
+
+        monkeypatch.setattr(checks, "construct", refused)
+        pids = spy_on_fork(monkeypatch)
+        forked = run(capsys, "check", "--chi-max", "2")
+        assert len(pids) == 1
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, "check", "--chi-max", "2") == forked
+        assert forked == (2, "", "error: invalid data: boom\n")
+
+    @pytest.mark.parametrize("error", [cover.InvalidBuildingData, ZeroDivisionError, KeyError])
+    def test_child_error_keeps_type_and_message(self, monkeypatch, error):
+        def refused():
+            raise error("boom", 1)
+
+        monkeypatch.setattr(checks, "check_h0_monomial_grid", refused)
+        pids = spy_on_fork(monkeypatch)
+        with pytest.raises(error) as raised:
+            checks.run_all(1)
+        assert type(raised.value) is error and raised.value.args == ("boom", 1)
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    def test_child_death_raised_here(self, monkeypatch):
+        caller = os.getpid()
+
+        def die(chi_max):
+            assert os.getpid() != caller, "the pair steps ran in the caller"
+            os._exit(3)
+
+        monkeypatch.setattr(checks, "sweep_pairs", die)
+        with pytest.raises(ChildProcessError, match="ended with status 3$"):
+            checks.run_all(1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_caller_error_kills_and_reaps_child(self, monkeypatch, error):
+        # the child would sleep for a minute; run_all must not wait for it
+        monkeypatch.setattr(checks, "sweep_pairs", lambda chi_max: time.sleep(60))
+
+        def refused():
+            raise error("oracle stopped")
+
+        monkeypatch.setattr(checks, "check_oracle_sample", refused)
+        pids = spy_on_fork(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(error, match="oracle stopped"):
+            checks.run_all(1)
+        assert time.monotonic() - start < 30
+        assert len(pids) == 1
+        assert_no_child_left()
 
 
 class TestParserReuse:
