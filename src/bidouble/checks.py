@@ -346,8 +346,8 @@ def sweep_pairs(chi_max: int) -> dict[str, CheckResult]:
     }
 
 
-def _beside_oracle(chi_max: int) -> list[CheckResult]:
-    """Every step but the oracle sample, in report order."""
+def _beside_oracle(chi_max: int) -> list[CheckResult | None]:
+    """Every step in report order, with None in the oracle sample's slot."""
     swept = sweep_pairs(chi_max)
     return [
         check_classify_totality(chi_max),
@@ -355,6 +355,7 @@ def _beside_oracle(chi_max: int) -> list[CheckResult]:
         swept["resolutionDeltas"],
         swept["horikawaPairing"],
         swept["degenerationSweep"],
+        None,
         check_h0_monomial_grid(),
         swept["h0D3Identity"],
         check_emission_determinism(min(chi_max, 6)),
@@ -363,13 +364,14 @@ def _beside_oracle(chi_max: int) -> list[CheckResult]:
 
 def _serve(sink: BinaryIO, chi_max: int) -> NoReturn:
     """The forked child of ``run_all``: sends the steps beside the oracle as
-    JSON and exits 0, or sends the exception that stopped them, pickled, and
-    exits 1.  It ends in ``os._exit``, so that no buffer, atexit handler or
-    caller of ``run_all`` runs twice."""
+    JSON, with null in the oracle's slot, and exits 0, or sends the exception
+    that stopped them, pickled, and exits 1.  It ends in ``os._exit``, so
+    that no buffer, atexit handler or caller of ``run_all`` runs twice."""
     code = 1  # set before the try, so that os._exit has it on every path
     try:
         try:
-            payload = json.dumps([r.to_doc() for r in _beside_oracle(chi_max)]).encode()
+            # a CheckResult is always true, so None alone sends null
+            payload = json.dumps([r and r.to_doc() for r in _beside_oracle(chi_max)]).encode()
             code = 0
         except BaseException as err:
             import pickle
@@ -381,7 +383,7 @@ def _serve(sink: BinaryIO, chi_max: int) -> NoReturn:
         os._exit(code)
 
 
-def _oracle_beside_child(chi_max: int) -> tuple[CheckResult, list[CheckResult]]:
+def _oracle_beside_child(chi_max: int) -> tuple[CheckResult, list[CheckResult | None]]:
     """The oracle sample, run here, and the other steps, run in a forked
     child (``_serve``); the child is reaped on every path."""
     read_fd, write_fd = os.pipe()
@@ -403,7 +405,7 @@ def _oracle_beside_child(chi_max: int) -> tuple[CheckResult, list[CheckResult]]:
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code == 0:
-        return oracle, [CheckResult(**doc) for doc in json.loads(payload)]
+        return oracle, [None if doc is None else CheckResult(**doc) for doc in json.loads(payload)]
     if code == 1 and payload:
         import pickle
 
@@ -421,9 +423,9 @@ def run_all(chi_max: int = 12) -> list[CheckResult]:
     exception in the child is raised here with its type and message.
     """
     if hasattr(os, "fork") and threading.active_count() == 1:
-        oracle, beside = _oracle_beside_child(chi_max)
+        oracle, steps = _oracle_beside_child(chi_max)
     else:
         # forking with another thread alive can deadlock the child
-        beside = _beside_oracle(chi_max)
+        steps = _beside_oracle(chi_max)
         oracle = check_oracle_sample()
-    return [*beside[:5], oracle, *beside[5:]]
+    return [oracle if r is None else r for r in steps]

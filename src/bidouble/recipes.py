@@ -139,29 +139,30 @@ class ConstructionCertificate:
         }
 
 
+# Each family's parameters are integer-affine in (K^2, chi) on residue
+# classes, one expression per parameter: NoetherLine's on chi mod 2,
+# Genus2General's on K^2 mod 4, and those of Genus3 and the two 4chi lines on
+# K^2 mod 8.  tests/test_recipes.py pins every piece.
+
+
 def _noether_parameters(ksq: int, chi: int) -> dict[str, int]:
-    if chi % 2 == 0:
-        return {"alpha": 0, "beta": 2, "gamma": chi + 4, "e": 2}
-    return {"alpha": 0, "beta": 0, "gamma": chi + 1, "e": 0}
+    p = 1 - chi % 2
+    return {"alpha": 0, "beta": 2 * p, "gamma": chi + 1 + 3 * p, "e": 2 * p}
 
 
 def _genus2_parameters(ksq: int, chi: int) -> dict[str, int]:
-    r = ksq % 4
-    if r == 0:
-        return {"alpha": 0, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
-    if r == 2:
-        return {"alpha": 1, "beta": ksq - 2 * chi + 5, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
-    if r == 3:
-        return {"alpha": 0, "beta": ksq - 2 * chi + 7, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
-    return {"alpha": 1, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
+    e = ksq % 2
+    alpha = (ksq + 1) // 2 % 2
+    beta = ksq - 2 * chi + 6 - alpha + e
+    return {"alpha": alpha, "beta": beta, "gamma": 2 * chi - 2 + e - ksq // 2, "e": e}
 
 
 def _genus3_parameters(ksq: int, chi: int) -> dict[str, int]:
     eps = (-ksq) % 4
     t = ksq + eps
-    if t % 8 == 0:
-        return {"alpha": t // 2 - 2 * chi + 4, "beta": 2 * chi - t // 4, "gamma": 0, "epsilon": eps}
-    return {"alpha": t // 2 - 2 * chi + 5, "beta": 2 * chi - t // 4 - 2, "gamma": 1, "epsilon": eps}
+    gamma = t // 4 % 2
+    alpha = t // 2 - 2 * chi + 4 + gamma
+    return {"alpha": alpha, "beta": 2 * chi - t // 4 - 2 * gamma, "gamma": gamma, "epsilon": eps}
 
 
 # The data recipes build their classes with _trusted and their components
@@ -353,14 +354,12 @@ class DegenerationError(ValueError):
 def _shared_section(src: BuildingData) -> BuildingData:
     # D2 degenerates onto the section already used by D1: the component
     # named d1 now sits in both branches, plus enough fibers to fill the
-    # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0).
+    # class.  The fiber multiple is (beta, e) = (2, 2) or (0, 0); on other
+    # data, which sharedComponentFits reads as unfit, building_data refuses
+    # the sum of branch 2.
     amb = src.ambient
     fiber = _trusted(amb, (0, 1))
     rest = src.d2 - src.d1
-    if rest.coords[0] != 0 or rest.coords[1] < 0:
-        raise DegenerationError(
-            f"D2 - D1 = {rest} is not a nonnegative fiber multiple"
-        )
     branch2 = [_lift("d1", 2, src.d1, 1)]
     branch2 += [_lift(f"f{i}", 2, fiber, 1) for i in range(1, rest.coords[1] + 1)]
     comps = (_lift("d1", 1, src.d1, 1), *branch2, _lift("d3", 3, src.d3, 1))

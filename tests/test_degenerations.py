@@ -9,6 +9,8 @@ from bidouble.cover import (
     NON_NORMAL_GLUING,
     QUARTER_POINT,
     BuildingData,
+    InvalidBuildingData,
+    building_data,
     invariants,
     singularity_scan,
 )
@@ -21,7 +23,8 @@ from bidouble.degenerations import (
     degeneration_certificate,
     designated,
 )
-from bidouble.recipes import NOETHER_LINE, construct
+from bidouble.lattice import hirzebruch
+from bidouble.recipes import FAMILY, NOETHER_LINE, _shared_section, construct
 
 
 def covered_pairs(chi_max):
@@ -53,6 +56,18 @@ class TestNoetherLine:
         assert [e.kind for e in dc.ledger] == [NON_NORMAL_GLUING]
         assert dc.ledger[0].count == 2
         assert dc.ok
+
+    @pytest.mark.parametrize("d1, d2", [((1, 2), (1, 0)), ((1, 0), (3, 0))], ids=["-2F", "2D0"])
+    def test_misfit_refused_by_the_branch_sum(self, d1, d2):
+        # D3 = D0 on F_0, and D2 - D1 = -2F or 2D0, no fiber multiple:
+        # sharedComponentFits reads the data as unfit, and building_data
+        # refuses the second branch of its shared section
+        f0 = hirzebruch(0)
+        src = building_data(f0, f0.divisor(*d1), f0.divisor(*d2), f0.divisor(1, 0))
+        (fits,) = FAMILY[NOETHER_LINE].degeneration.availability(None, src)
+        assert (fits.name, fits.satisfied) == ("sharedComponentFits", False)
+        with pytest.raises(InvalidBuildingData, match="components of branch 2 sum to"):
+            _shared_section(src)
 
     def test_normalization_frozen_odd(self):
         dc = degenerate(construct(4, 5))

@@ -6,6 +6,7 @@ pairing and the h0 enumerations before the recipes existed.
 
 import enum
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,65 @@ class TestClassify:
                 assert classify(ksq, chi) in COVERED_REGIONS
 
 
+def reference_parameters(name, ksq, chi):
+    """The parameters as case ladders on the residue classes, the form the
+    recipes had before their closed forms."""
+    if name == NOETHER_LINE:
+        if chi % 2 == 0:
+            return {"alpha": 0, "beta": 2, "gamma": chi + 4, "e": 2}
+        return {"alpha": 0, "beta": 0, "gamma": chi + 1, "e": 0}
+    if name == GENUS2_GENERAL:
+        r = ksq % 4
+        if r == 0:
+            return {"alpha": 0, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
+        if r == 2:
+            return {"alpha": 1, "beta": ksq - 2 * chi + 5, "gamma": 2 * chi - 2 - ksq // 2, "e": 0}
+        if r == 3:
+            return {"alpha": 0, "beta": ksq - 2 * chi + 7, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
+        return {"alpha": 1, "beta": ksq - 2 * chi + 6, "gamma": 2 * chi - (ksq + 1) // 2, "e": 1}
+    eps = (-ksq) % 4
+    t = ksq + eps
+    if t % 8 == 0:
+        return {"alpha": t // 2 - 2 * chi + 4, "beta": 2 * chi - t // 4, "gamma": 0, "epsilon": eps}
+    return {"alpha": t // 2 - 2 * chi + 5, "beta": 2 * chi - t // 4 - 2, "gamma": 1, "epsilon": eps}
+
+
+# the families with parameters, each mapping a pair to its piece: the family
+# whose parameter function it shares, and its residue class, on which every
+# parameter is affine in (K^2, chi)
+PIECE = {
+    GENUS3: lambda ksq, chi: (GENUS3, ksq % 8),
+    LINE_4CHI_MINUS_5: lambda ksq, chi: (GENUS3, ksq % 8),
+    LINE_4CHI_MINUS_4: lambda ksq, chi: (GENUS3, ksq % 8),
+    GENUS2_GENERAL: lambda ksq, chi: (GENUS2_GENERAL, ksq % 4),
+    NOETHER_LINE: lambda ksq, chi: (NOETHER_LINE, chi % 2),
+}
+
+
+def affine_fit(points):
+    """The coefficients (a, b, c) with value = a ksq + b chi + c through the
+    first three non-collinear ((ksq, chi), value) points, as Fractions."""
+    (x0, y0), v0 = points[0]
+    for i, ((x1, y1), v1) in enumerate(points):
+        for (x2, y2), v2 in points[i + 1 :]:
+            det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+            if det:
+                a = Fraction((v1 - v0) * (y2 - y0) - (v2 - v0) * (y1 - y0), det)
+                b = Fraction((x1 - x0) * (v2 - v0) - (x2 - x0) * (v1 - v0), det)
+                return a, b, v0 - a * x0 - b * y0
+    raise AssertionError("the points are collinear")
+
+
+def family_pieces(chi_max):
+    """{piece: [(ksq, chi), ...]} over the covered pairs with chi <= chi_max."""
+    pieces = {}
+    for ksq, chi in covered_pairs(chi_max):
+        name = classify(ksq, chi)
+        if name in PIECE:
+            pieces.setdefault(PIECE[name](ksq, chi), []).append((ksq, chi))
+    return pieces
+
+
 class TestParameters:
     def test_genus2_frozen(self):
         assert FAMILY[GENUS2_GENERAL].parameters(20, 7) == {
@@ -224,6 +284,46 @@ class TestParameters:
                 assert a + 2 * b + 3 * g - 4 == 2 * chi
                 assert 4 * (a + b + g) - 16 == ksq + eps
                 assert a >= 4 and b >= 0
+
+    def test_closed_forms_equal_the_case_ladders_on_every_family_pair(self):
+        for ksq, chi in covered_pairs(60):
+            name = classify(ksq, chi)
+            if name in PIECE:
+                assert FAMILY[name].parameters(ksq, chi) == reference_parameters(
+                    name, ksq, chi
+                ), (ksq, chi)
+
+    def test_closed_forms_equal_the_case_ladders_on_a_grid(self):
+        # off the loci too, so a closed form cannot agree only where a
+        # family holds the pair
+        for name in (NOETHER_LINE, GENUS2_GENERAL, GENUS3):
+            parameters = FAMILY[name].parameters
+            mismatches = [
+                (ksq, chi)
+                for chi in range(1, 201)
+                for ksq in range(-50, 9 * chi + 50)
+                if parameters(ksq, chi) != reference_parameters(name, ksq, chi)
+            ]
+            assert mismatches == [], name
+
+    def test_every_parameter_is_affine_on_each_residue_class(self):
+        pieces = family_pieces(60)
+        assert len(pieces) == 8 + 4 + 2
+        for (group, residue), pairs in pieces.items():
+            values = [FAMILY[classify(*pair)].parameters(*pair) for pair in pairs]
+            for key in values[0]:
+                points = [(pair, v[key]) for pair, v in zip(pairs, values)]
+                if group == NOETHER_LINE:
+                    # its pairs lie on the line K^2 = 2chi - 6: constant
+                    # steps in chi from one pair of the class to the next
+                    steps = {b[1] - a[1] for a, b in zip(points, points[1:])}
+                    assert len(steps) == 1, (residue, key, steps)
+                    continue
+                a, b, c = affine_fit(points)
+                misfits = [
+                    (ksq, chi) for (ksq, chi), v in points if a * ksq + b * chi + c != v
+                ]
+                assert misfits == [], (group, residue, key, (a, b, c))
 
 
 class TestConstructFrozen:
